@@ -1,7 +1,5 @@
 //! Generic set-associative cache array with LRU and reserved-way fills.
 
-use std::sync::Arc;
-
 use commtm_mem::{LineAddr, LineData};
 
 use crate::geometry::CacheGeometry;
@@ -85,15 +83,7 @@ pub struct CacheArray<M> {
     /// `Entry` structs, so the per-operation tag scan touches one or two
     /// host cache lines. Invariant: `tags[set*ways + way]` mirrors
     /// `sets[set][way]`.
-    ///
-    /// The array is behind an `Arc` with copy-on-write semantics: a paper-
-    /// scale L3 bank eagerly allocates 64K tag words, and the epoch-parallel
-    /// engine clones the whole memory system once per worker, so a plain
-    /// `Vec` would put megabytes of memcpy on every worker spawn. Cloning
-    /// the array just bumps the refcount; the first mutation after a clone
-    /// ([`Arc::make_mut`] in `fill`/`remove_slot`/the copy APIs) detaches a
-    /// private copy, and every later mutation is in place again.
-    tags: Arc<Vec<u64>>,
+    tags: Vec<u64>,
     tick: u64,
     resident: usize,
 }
@@ -111,17 +101,10 @@ impl<M> CacheArray<M> {
         CacheArray {
             geom,
             sets,
-            tags: Arc::new(vec![EMPTY_TAG; geom.lines()]),
+            tags: vec![EMPTY_TAG; geom.lines()],
             tick: 0,
             resident: 0,
         }
-    }
-
-    /// Whether this array still shares its tag side-array allocation with
-    /// `other` (copy-on-write not yet triggered). Engine/test support: the
-    /// epoch engine's zero-copy worker spawn is asserted through this.
-    pub fn tags_shared_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.tags, &other.tags)
     }
 
     /// The array's geometry.
@@ -270,7 +253,7 @@ impl<M> CacheArray<M> {
             EMPTY_TAG,
             "line index collides with the vacant sentinel"
         );
-        Arc::make_mut(&mut self.tags)[base + way] = line.raw();
+        self.tags[base + way] = line.raw();
         if victim.is_none() {
             self.resident += 1;
         }
@@ -298,7 +281,7 @@ impl<M> CacheArray<M> {
             .expect("stale slot handle")[slot.0 % ways]
             .take()
             .expect("stale slot handle");
-        Arc::make_mut(&mut self.tags)[slot.0] = EMPTY_TAG;
+        self.tags[slot.0] = EMPTY_TAG;
         self.resident -= 1;
         e
     }
@@ -344,104 +327,6 @@ impl<M> CacheArray<M> {
     /// The set index a line maps to (geometry passthrough).
     pub fn set_of(&self, line: LineAddr) -> usize {
         self.geom.set_of(line)
-    }
-
-    /// Replaces one whole set — entries, tags, and recency values — with
-    /// the corresponding set of `src`, which must have the same geometry.
-    ///
-    /// Engine support for the epoch-parallel scheduler's merge step: when a
-    /// speculative epoch proves conflict-free, every L3 set a worker
-    /// touched is implanted back into the shared array. The recency
-    /// counter is raised to `src`'s so future fills in *any* set still
-    /// receive ticks larger than every implanted value (victim selection
-    /// only compares recency within a set, so cross-set tick collisions
-    /// between workers are harmless).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ or `set` is out of range.
-    pub fn copy_set_from(&mut self, src: &CacheArray<M>, set: usize)
-    where
-        M: Clone,
-    {
-        assert_eq!(
-            (self.geom.sets(), self.geom.ways()),
-            (src.geom.sets(), src.geom.ways()),
-            "copy_set_from across different geometries"
-        );
-        let ways = self.geom.ways();
-        let base = set * ways;
-        let old = self.sets[set]
-            .as_ref()
-            .map_or(0, |s| s.iter().flatten().count());
-        let new = src.sets[set]
-            .as_ref()
-            .map_or(0, |s| s.iter().flatten().count());
-        Self::copy_set_storage(&mut self.sets[set], &src.sets[set], ways);
-        if !Arc::ptr_eq(&self.tags, &src.tags) {
-            Arc::make_mut(&mut self.tags)[base..base + ways]
-                .copy_from_slice(&src.tags[base..base + ways]);
-        }
-        self.resident = self.resident - old + new;
-        self.tick = self.tick.max(src.tick);
-    }
-
-    /// Overwrites this array to equal `src` (same geometry), reusing this
-    /// array's existing per-set boxes instead of allocating fresh ones.
-    ///
-    /// Engine support for the epoch-parallel commit path: the base system
-    /// re-absorbs each touched core's private caches every epoch, so a
-    /// plain `clone()` there would allocate one box per occupied set per
-    /// core per epoch. The tag side-array is adopted by refcount bump when
-    /// the arrays have diverged allocations and copied in place otherwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the geometries differ.
-    pub fn copy_from(&mut self, src: &Self)
-    where
-        M: Clone,
-    {
-        assert_eq!(
-            (self.geom.sets(), self.geom.ways()),
-            (src.geom.sets(), src.geom.ways()),
-            "copy_from across different geometries"
-        );
-        let ways = self.geom.ways();
-        for (dst, s) in self.sets.iter_mut().zip(src.sets.iter()) {
-            Self::copy_set_storage(dst, s, ways);
-        }
-        if !Arc::ptr_eq(&self.tags, &src.tags) {
-            match Arc::get_mut(&mut self.tags) {
-                // Sole owner of our allocation: copy in place, no alloc.
-                Some(tags) => tags.copy_from_slice(&src.tags),
-                // Shared: adopt src's allocation by refcount bump.
-                None => self.tags = Arc::clone(&src.tags),
-            }
-        }
-        self.tick = src.tick;
-        self.resident = src.resident;
-    }
-
-    /// Mirrors one set's storage from `s` into `dst`, reusing `dst`'s box
-    /// when both sides are allocated.
-    fn copy_set_storage(
-        dst: &mut Option<Box<[Option<Entry<M>>]>>,
-        s: &Option<Box<[Option<Entry<M>>]>>,
-        ways: usize,
-    ) where
-        M: Clone,
-    {
-        match (dst.as_mut(), s) {
-            (Some(d), Some(s)) => {
-                debug_assert_eq!(d.len(), ways);
-                for (d, s) in d.iter_mut().zip(s.iter()) {
-                    d.clone_from(s);
-                }
-            }
-            (None, Some(s)) => *dst = Some(s.clone()),
-            (_, None) => *dst = None,
-        }
     }
 
     fn set_range(&self, line: LineAddr) -> (usize, usize) {
@@ -525,62 +410,6 @@ mod tests {
         let a = LineAddr::new(0);
         c.fill(a, LineData::zeroed(), (), EvictionClass::Reducible);
         assert_eq!(c.way_of(a), Some(0));
-    }
-
-    #[test]
-    fn copy_set_from_implants_entries_tags_and_recency() {
-        let sets = 4usize;
-        let mut a: CacheArray<u32> = CacheArray::new(CacheGeometry::new(sets, 2));
-        let mut b: CacheArray<u32> = CacheArray::new(CacheGeometry::new(sets, 2));
-        // a: lines in sets 0 and 1; b: a different line in set 1, plus
-        // extra ticks so its recency counter runs ahead.
-        a.fill(
-            LineAddr::new(0),
-            LineData::splat(1),
-            10,
-            EvictionClass::NonReducible,
-        );
-        a.fill(
-            LineAddr::new(1),
-            LineData::splat(2),
-            11,
-            EvictionClass::NonReducible,
-        );
-        b.fill(
-            LineAddr::new(5),
-            LineData::splat(9),
-            99,
-            EvictionClass::NonReducible,
-        );
-        b.get(LineAddr::new(5));
-        b.get(LineAddr::new(5));
-
-        a.copy_set_from(&b, 1);
-        // Set 1 now mirrors b: line 1 gone, line 5 present.
-        assert!(!a.contains(LineAddr::new(1)));
-        assert_eq!(a.peek(LineAddr::new(5)).unwrap().meta, 99);
-        // Set 0 untouched; resident count adjusted.
-        assert_eq!(a.peek(LineAddr::new(0)).unwrap().meta, 10);
-        assert_eq!(a.len(), 2);
-        // Recency ran forward: the next fill outranks every implanted tick.
-        let out = a.fill(
-            LineAddr::new(9),
-            LineData::zeroed(),
-            7,
-            EvictionClass::NonReducible,
-        );
-        assert!(out.victim.is_none());
-        let out = a.fill(
-            LineAddr::new(13),
-            LineData::zeroed(),
-            8,
-            EvictionClass::NonReducible,
-        );
-        assert_eq!(
-            out.victim.unwrap().tag,
-            LineAddr::new(5),
-            "implanted line is older"
-        );
     }
 
     #[test]

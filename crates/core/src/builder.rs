@@ -51,14 +51,6 @@ impl MachineBuilder {
         self
     }
 
-    /// Sets how many host threads step the machine: `1` (the default)
-    /// runs the serial reference engine, `> 1` the epoch-parallel engine
-    /// (see `commtm_sim::engine`). Results are byte-identical either way.
-    pub fn machine_threads(mut self, threads: usize) -> Self {
-        self.cfg = self.cfg.with_machine_threads(threads);
-        self
-    }
-
     /// Mutable access to the configuration for fine-grained overrides.
     pub fn config_mut(&mut self) -> &mut MachineConfig {
         &mut self.cfg

@@ -58,9 +58,11 @@ pub mod labels;
 
 mod builder;
 mod error;
+mod perfbench_compat;
 
 pub use builder::MachineBuilder;
 pub use error::Error;
+pub use perfbench_compat::{take_engine_phases, EnginePhases};
 
 pub use commtm_htm::{CoreStats, HtmConfig, Scheme};
 pub use commtm_mem::{Addr, CoreId, Heap, LabelId, LineAddr, LineData, WORDS_PER_LINE};
@@ -69,10 +71,7 @@ pub use commtm_protocol::{
     AbortKind, AccessOp, LabelDef, LabelTable, ProtoConfig, ReduceOps, Trace, TraceEvent,
     TraceEventKind, WasteBucket,
 };
-pub use commtm_sim::{
-    take_engine_phases, CycleBreakdown, Engine, EnginePhases, EpochEngine, Machine, MachineConfig,
-    RunReport, SerialEngine, SimError, Tuning,
-};
+pub use commtm_sim::{CycleBreakdown, Machine, MachineConfig, RunReport, SimError, Tuning};
 pub use commtm_tx::{Ctl, CtlCtx, Program, ProgramBuilder, TxCtx};
 
 /// The common imports for writing CommTM workloads.

@@ -61,60 +61,6 @@ pub enum StepResult {
     Finished,
 }
 
-/// Where transaction timestamps come from.
-///
-/// The serial scheduler draws from a plain global counter (`&mut u64`
-/// implements this); the epoch-parallel engine hands each worker a
-/// placeholder source and reassigns real timestamps afterwards in global
-/// `(clock, core)` order, which is exactly the order the serial scheduler
-/// would have drawn them in.
-pub trait TsSource {
-    /// Draws the timestamp for a transaction that `core` begins at local
-    /// time `clock` (the clock *before* the begin overhead is charged —
-    /// i.e. the step's scheduling key).
-    fn next_ts(&mut self, core: CoreId, clock: u64) -> u64;
-}
-
-impl TsSource for u64 {
-    fn next_ts(&mut self, _core: CoreId, _clock: u64) -> u64 {
-        let t = *self;
-        *self += 1;
-        t
-    }
-}
-
-/// A snapshot of one core's mutable execution state, taken with
-/// [`CoreExec::checkpoint`] and applied back with [`CoreExec::restore`].
-///
-/// Everything is captured: registers, user state, the replay log,
-/// transaction flags, RNG, clock, statistics — and the program. The
-/// program is logically immutable during a run, but [`CoreExec::step`]
-/// temporarily moves it out of the core while a block borrows it, so a
-/// panic unwinding through a speculative step (a worker observing stale
-/// foreign state in the epoch-parallel engine) can leave the core with an
-/// empty program; restoring the checkpoint heals that too. The epoch
-/// engine snapshots every live core before a speculative epoch so a
-/// conflicted epoch can be replayed serially from an identical starting
-/// point.
-pub struct CoreCheckpoint {
-    program: Program,
-    env: Env,
-    runner: BlockRunner,
-    block_idx: usize,
-    block_started: bool,
-    block_start_regs: Vec<u64>,
-    in_tx: bool,
-    ts: Option<u64>,
-    demote_labels: bool,
-    attempts: u32,
-    pending_abort: Option<AbortKind>,
-    clock: u64,
-    attempt_cycles: u64,
-    rng: StdRng,
-    stats: CoreStats,
-    done: bool,
-}
-
 /// One simulated core executing a [`Program`] transactionally.
 ///
 /// The scheduler steps cores in minimum-clock order; each step runs one
@@ -207,102 +153,20 @@ impl CoreExec {
         self.pending_abort.get_or_insert(cause);
     }
 
-    /// Snapshots the core's mutable state (see [`CoreCheckpoint`]).
-    pub fn checkpoint(&self) -> CoreCheckpoint {
-        CoreCheckpoint {
-            program: self.program.clone(),
-            env: self.env.clone(),
-            runner: self.runner.clone(),
-            block_idx: self.block_idx,
-            block_started: self.block_started,
-            block_start_regs: self.block_start_regs.clone(),
-            in_tx: self.in_tx,
-            ts: self.ts,
-            demote_labels: self.demote_labels,
-            attempts: self.attempts,
-            pending_abort: self.pending_abort,
-            clock: self.clock,
-            attempt_cycles: self.attempt_cycles,
-            rng: self.rng.clone(),
-            stats: self.stats.clone(),
-            done: self.done,
-        }
-    }
-
-    /// Restores state captured by [`CoreExec::checkpoint`] on this same
-    /// core.
-    pub fn restore(&mut self, cp: CoreCheckpoint) {
-        let CoreCheckpoint {
-            program,
-            env,
-            runner,
-            block_idx,
-            block_started,
-            block_start_regs,
-            in_tx,
-            ts,
-            demote_labels,
-            attempts,
-            pending_abort,
-            clock,
-            attempt_cycles,
-            rng,
-            stats,
-            done,
-        } = cp;
-        self.program = program;
-        self.env = env;
-        self.runner = runner;
-        if self.runner.in_progress() {
-            // The restored log prefix is committed history; re-replaying
-            // it on every remaining pass would be quadratic, so ask the
-            // runner to continue via a suspension regardless of length.
-            self.runner.resume_hint();
-        }
-        self.block_idx = block_idx;
-        self.block_started = block_started;
-        self.block_start_regs = block_start_regs;
-        self.in_tx = in_tx;
-        self.ts = ts;
-        self.demote_labels = demote_labels;
-        self.attempts = attempts;
-        self.pending_abort = pending_abort;
-        self.clock = clock;
-        self.attempt_cycles = attempt_cycles;
-        self.rng = rng;
-        self.stats = stats;
-        self.done = done;
-    }
-
-    /// The raw timestamp held for the current block attempt, if any.
-    /// Engine support: the epoch-parallel scheduler reads placeholder
-    /// timestamps back for reassignment (see [`TsSource`]).
-    pub fn held_ts(&self) -> Option<u64> {
-        self.ts
-    }
-
-    /// Rewrites the held timestamp in place (engine support — pairs with
-    /// [`CoreExec::held_ts`]; normal runs never need this).
-    pub fn rewrite_held_ts(&mut self, ts: u64) {
-        debug_assert!(self.ts.is_some(), "rewriting an absent timestamp");
-        self.ts = Some(ts);
-    }
-
     /// Runs one scheduler step, advancing the core's clock.
     pub fn step(
         &mut self,
         sys: &mut MemSystem,
         txs: &mut TxTable,
         cfg: &HtmConfig,
-        next_ts: &mut dyn TsSource,
+        next_ts: &mut u64,
         events_out: &mut Vec<ProtoEvent>,
     ) -> StepResult {
         if self.done {
             return StepResult::Finished;
         }
         // Stamp the step's scheduling key: every trace event this step
-        // emits carries (clock-at-entry, core), the engine-independent
-        // commit-order key.
+        // emits carries (clock-at-entry, core), the commit-order key.
         sys.tracer_mut().step(self.core, self.clock);
         if let Some(cause) = self.pending_abort.take() {
             self.handle_abort(cause, cfg, sys);
@@ -372,7 +236,7 @@ impl CoreExec {
         sys: &mut MemSystem,
         txs: &mut TxTable,
         cfg: &HtmConfig,
-        next_ts: &mut dyn TsSource,
+        next_ts: &mut u64,
         events_out: &mut Vec<ProtoEvent>,
     ) {
         if !self.block_started {
@@ -380,13 +244,12 @@ impl CoreExec {
             self.block_start_regs.extend_from_slice(&self.env.regs);
             self.block_started = true;
             if is_tx {
-                // Assign (or retain, across retries) the timestamp. The
-                // draw is keyed by (core, clock-at-begin) so alternative
-                // timestamp sources can reproduce the serial draw order.
+                // Assign (or retain, across retries) the timestamp.
                 let ts = match self.ts {
                     Some(t) => t,
                     None => {
-                        let t = next_ts.next_ts(self.core, self.clock);
+                        let t = *next_ts;
+                        *next_ts += 1;
                         self.ts = Some(t);
                         t
                     }

@@ -152,7 +152,6 @@ pub fn collect(inputs: &MergeInputs) -> Result<Vec<Option<CellResult>>, String> 
                     error: Some(error.clone()),
                     wall_ms: 0,
                     trace: None,
-                    phases: None,
                 });
             }
             Some(CellState::Claimed) | None => {

@@ -67,8 +67,6 @@ pub struct Overrides {
     pub seeds: Option<usize>,
     /// Workload scale factor.
     pub scale: Option<u64>,
-    /// Host threads stepping each simulated machine (epoch engine).
-    pub machine_threads: Option<usize>,
     /// Raw `KEY=VALUE` workload parameter overrides, applied via
     /// [`registry::apply_param_override`].
     pub params: Vec<String>,
@@ -107,9 +105,6 @@ impl Overrides {
         }
         if let Some(s) = self.scale {
             pairs.push(("scale".into(), Json::U64(s)));
-        }
-        if let Some(mt) = self.machine_threads {
-            pairs.push(("machine_threads".into(), Json::U64(mt as u64)));
         }
         if !self.params.is_empty() {
             pairs.push((
@@ -150,10 +145,6 @@ impl Overrides {
         }
         ov.seeds = v.get("seeds").and_then(Json::as_u64).map(|n| n as usize);
         ov.scale = v.get("scale").and_then(Json::as_u64);
-        ov.machine_threads = v
-            .get("machine_threads")
-            .and_then(Json::as_u64)
-            .map(|m| m as usize);
         if let Some(arr) = v.get("params").and_then(Json::as_arr) {
             ov.params = arr
                 .iter()
@@ -173,9 +164,6 @@ impl Overrides {
     /// Fails if a `KEY=VALUE` parameter override does not fit the
     /// workload schemas.
     pub fn apply(&self, reg: &Registry, scenario: &mut Scenario) -> Result<(), String> {
-        if let Some(mt) = self.machine_threads {
-            scenario.tuning.machine_threads = Some(mt.max(1));
-        }
         if self.trace {
             scenario.tuning.trace = Some(true);
         }
@@ -541,13 +529,7 @@ pub fn run_batch(
     // discipline, over this shard's pending cells.
     pending.sort_by(|&a, &b| plan.jobs[b].cost.cmp(&plan.jobs[a].cost).then(a.cmp(&b)));
 
-    let machine_threads = plan
-        .scenarios
-        .iter()
-        .map(|s| s.tuning.machine_threads.unwrap_or(1).max(1))
-        .max()
-        .unwrap_or(1);
-    let jobs = opts.effective_jobs_budgeted(pending.len(), machine_threads);
+    let jobs = opts.effective_jobs(pending.len());
     let total = pending.len();
     let slots: Vec<Mutex<Option<CellResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -652,7 +634,6 @@ pub fn run_batch(
                     error: Some(SKIPPED_FAIL_FAST.to_string()),
                     wall_ms: 0,
                     trace: None,
-                    phases: None,
                 });
             }
         }
@@ -703,7 +684,7 @@ pub fn assemble_sets(
                 cells,
                 wall_ms,
                 jobs: 0,
-                engine: exec::engine_name(scenario.tuning.machine_threads.unwrap_or(1).max(1)),
+                engine: exec::engine_name(1),
             }
         })
         .collect())
@@ -768,9 +749,9 @@ pub fn emit_report(
             ("seeds", Json::U64(scenario.seeds.len() as u64)),
             ("error_bars", Json::Bool(error_bars)),
             ("ok", Json::Bool(ok)),
-            // Host-side visibility: which engine ran the machines and how
-            // long the cells took, so reports make perf regressions
-            // visible without affecting deterministic results.
+            // Host-side visibility: how long the cells took, so reports
+            // make perf regressions visible without affecting
+            // deterministic results.
             ("engine", Json::Str(set.engine.clone())),
             ("wall_ms", Json::U64(set.wall_ms)),
         ];
@@ -855,7 +836,6 @@ mod tests {
             schemes: Some(vec![commtm::Scheme::CommTm]),
             seeds: Some(2),
             scale: Some(3),
-            machine_threads: Some(4),
             params: vec!["total_incs=50".into()],
             trace: false,
         };

@@ -37,8 +37,7 @@ USAGE:
                                             validate shard ledgers and combine
                                             them into the single report that an
                                             unsharded run produces
-    commtm-lab bench [--quick] [--machine-threads N]
-                     [--out BENCH.json] [--check BASE.json]
+    commtm-lab bench [--quick] [--out BENCH.json] [--check BASE.json]
                      [--compare OLD.json NEW.json]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
@@ -85,10 +84,6 @@ RUN OPTIONS:
     --scale N           workload scale factor (paper scale ~ 500)
     --jobs N            worker threads (default: one per core)
     --serial            run cells serially (same numbers, one core)
-    --machine-threads N host threads stepping each simulated machine
-                        (selects the epoch-parallel engine for N > 1;
-                        results are byte-identical, only wall time moves;
-                        the cell-job budget is divided by N)
     --trace             capture per-transaction traces (attributed abort
                         causes, conflict hot lines, speculation audit):
                         writes <name>.trace.json and <name>.aborts.svg,
@@ -111,14 +106,10 @@ MERGE OPTIONS:
 
 BENCH OPTIONS:
     --quick             run only the CI perf-smoke grid subset
-    --machine-threads N additionally re-run each serial grid at every
-                        machine-engine worker count 1..=N, reporting
-                        per-count wall/ops-per-sec rows; each row's
-                        fingerprint must match the serial grid's (gated
-                        like the -epoch twins)
     --out FILE.json     write the BENCH.json perf baseline
     --check BASE.json   compare determinism fingerprints against a previous
-                        BENCH.json; exit 1 on mismatch (timing never gates)
+                        BENCH.json; exit 1 on a mismatch or on a grid the
+                        baseline lacks (timing never gates)
     --jobs N / --serial as for run
 
 VERIFY OPTIONS:
@@ -300,13 +291,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--scale" => {
                 ov.scale = Some(value("--scale")?.parse().map_err(|_| "bad --scale")?);
             }
-            "--machine-threads" => {
-                ov.machine_threads = Some(
-                    value("--machine-threads")?
-                        .parse()
-                        .map_err(|_| "bad --machine-threads")?,
-                );
-            }
+            "--machine-threads" => return Err(removed_flag(arg)),
             "--jobs" => {
                 opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
             }
@@ -630,7 +615,6 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut out: Option<String> = None;
     let mut check: Option<String> = None;
     let mut compare: Option<(String, String)> = None;
-    let mut sweep_to: usize = 0;
     let mut opts = ExecOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -644,11 +628,7 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
                 let new = value("--compare")?.clone();
                 compare = Some((old, new));
             }
-            "--machine-threads" => {
-                sweep_to = value("--machine-threads")?
-                    .parse()
-                    .map_err(|_| "bad --machine-threads")?;
-            }
+            "--machine-threads" => return Err(removed_flag(arg)),
             "--out" => out = Some(value("--out")?.clone()),
             "--check" => check = Some(value("--check")?.clone()),
             "--jobs" => {
@@ -674,63 +654,47 @@ fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
         return Ok(ExitCode::SUCCESS);
     }
 
-    let sweep: Vec<usize> = (1..=sweep_to).collect();
-    let report = bench::run(quick, &sweep, &opts)?;
+    let report = bench::run(quick, &opts)?;
     print!("{}", report.render());
     if let Some(path) = &out {
         std::fs::write(path, report.to_json().pretty())
             .map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("wrote {path}");
     }
-    // Engine twins (`<grid>` vs `<grid>-epoch`) must agree exactly on
-    // every run — no baseline needed; the two engines are byte-identical
-    // by construction. Gated *after* --out so the report holding the
-    // diverging fingerprints always exists for diagnosis.
-    let twins = report.engine_twin_mismatches();
-    if !twins.is_empty() {
+    // Batch rows must reproduce their grid exactly — no baseline needed.
+    // Gated *after* --out so the report holding the diverging
+    // fingerprints always exists for diagnosis.
+    let batch = report.batch_mismatches();
+    if !batch.is_empty() {
         eprintln!(
-            "engine fingerprint mismatch: {} — the epoch-parallel engine \
-             changed simulated behavior vs the serial engine",
-            twins.join(", ")
+            "batch-path fingerprint mismatch: {} — storing and reloading \
+             results through the ledger changed them",
+            batch.join(", ")
         );
         return Ok(ExitCode::FAILURE);
     }
     if let Some(path) = check {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let base = BenchReport::from_json_str(&text)?;
-        let bad = report.fingerprint_mismatches(&base);
-        if bad.is_empty() {
-            let compared: Vec<&str> = report
-                .grids
-                .iter()
-                .filter(|g| base.grids.iter().any(|b| b.name == g.name))
-                .map(|g| g.name.as_str())
-                .collect();
-            // An empty overlap means the gate compared nothing — e.g. a
-            // grid was renamed without regenerating the baseline. That
-            // must not pass as "match".
-            if compared.is_empty() {
-                eprintln!(
-                    "no grid names in common with {path}: the determinism gate \
-                     compared nothing; regenerate the baseline with \
-                     `commtm-lab bench --out {path}`"
+        match report.check(&base) {
+            Ok(compared) => {
+                println!(
+                    "determinism fingerprints match {path} ({})",
+                    compared.join(", ")
                 );
+            }
+            Err(e) => {
+                eprintln!("{path}: {e}");
                 return Ok(ExitCode::FAILURE);
             }
-            println!(
-                "determinism fingerprints match {path} ({})",
-                compared.join(", ")
-            );
-        } else {
-            eprintln!(
-                "determinism fingerprint mismatch vs {path}: {} — simulated \
-                 behavior changed; see docs/PERFORMANCE.md",
-                bad.join(", ")
-            );
-            return Ok(ExitCode::FAILURE);
         }
     }
     Ok(ExitCode::SUCCESS)
+}
+
+/// The error for a flag of the retired parallel machine engine.
+fn removed_flag(flag: &str) -> String {
+    format!("{flag} was removed: every machine runs on the serial scheduler")
 }
 
 /// `verify`: the commutativity verification harness (see `commtm-verify`):
@@ -900,4 +864,21 @@ fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
                 .map_err(|_| format!("bad thread count {x:?}"))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn machine_threads_flag_is_rejected_as_removed() {
+        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
+        for result in [
+            cmd_run(&args(&["fig09", "--machine-threads", "2"])),
+            cmd_bench(&args(&["--quick", "--machine-threads", "2"])),
+        ] {
+            let err = result.expect_err("the flag is rejected");
+            assert!(err.contains("--machine-threads was removed"), "{err}");
+        }
+    }
 }

@@ -209,53 +209,6 @@ pub fn waste_bucket_name(i: usize) -> &'static str {
     }
 }
 
-/// Timing-tier JSON form of the epoch engine's per-phase host-cost
-/// accounting ([`commtm::EnginePhases`]).
-pub(crate) fn phases_to_json(p: &commtm::EnginePhases) -> Json {
-    Json::Obj(vec![
-        ("attempts".to_string(), Json::U64(p.attempts)),
-        ("commits".to_string(), Json::U64(p.commits)),
-        ("fallbacks".to_string(), Json::U64(p.fallbacks)),
-        (
-            "serial_stretches".to_string(),
-            Json::U64(p.serial_stretches),
-        ),
-        ("clone_builds".to_string(), Json::U64(p.clone_builds)),
-        ("heals".to_string(), Json::U64(p.heals)),
-        ("repartitions".to_string(), Json::U64(p.repartitions)),
-        ("parks".to_string(), Json::U64(p.parks)),
-        ("spec_ms".to_string(), Json::F64(p.spec_ms)),
-        ("clone_ms".to_string(), Json::F64(p.clone_ms)),
-        ("validate_ms".to_string(), Json::F64(p.validate_ms)),
-        ("replay_ms".to_string(), Json::F64(p.replay_ms)),
-        ("serial_ms".to_string(), Json::F64(p.serial_ms)),
-        ("sync_ms".to_string(), Json::F64(p.sync_ms)),
-    ])
-}
-
-/// Parses [`phases_to_json`] output back (absent/malformed fields are
-/// zero — phase data is observability, never results).
-pub(crate) fn phases_from_json(v: &Json) -> commtm::EnginePhases {
-    let g = |k: &str| v.get(k).and_then(Json::as_u64).unwrap_or(0);
-    let f = |k: &str| v.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-    commtm::EnginePhases {
-        attempts: g("attempts"),
-        commits: g("commits"),
-        fallbacks: g("fallbacks"),
-        serial_stretches: g("serial_stretches"),
-        clone_builds: g("clone_builds"),
-        heals: g("heals"),
-        repartitions: g("repartitions"),
-        parks: g("parks"),
-        spec_ms: f("spec_ms"),
-        clone_ms: f("clone_ms"),
-        validate_ms: f("validate_ms"),
-        replay_ms: f("replay_ms"),
-        serial_ms: f("serial_ms"),
-        sync_ms: f("sync_ms"),
-    }
-}
-
 /// One executed (or failed) cell.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CellResult {
@@ -273,11 +226,6 @@ pub struct CellResult {
     /// JSON — canonical output (and so every determinism golden) is
     /// byte-identical with tracing on or off.
     pub trace: Option<commtm::Trace>,
-    /// Per-phase epoch-engine cost accounting, when the cell ran under
-    /// the epoch-parallel engine (`machine_threads > 1`). Host times are
-    /// non-deterministic, so — like `wall_ms` — this is emitted only in
-    /// the timing-tier JSON.
-    pub phases: Option<commtm::EnginePhases>,
 }
 
 impl CellResult {
@@ -337,9 +285,6 @@ impl CellResult {
             if let Some(trace) = &c.trace {
                 let summary = crate::trace::summarize_trace(trace);
                 pairs.push(("trace".to_string(), crate::trace::summary_to_json(&summary)));
-            }
-            if let Some(p) = &c.phases {
-                pairs.push(("phases".to_string(), phases_to_json(p)));
             }
         }
         Json::Obj(pairs)
@@ -401,7 +346,6 @@ impl CellResult {
             // Result files carry only the trace *summary*; the raw
             // event stream lives in the side-car trace file.
             trace: None,
-            phases: c.get("phases").map(phases_from_json),
         })
     }
 }
@@ -422,9 +366,10 @@ pub struct ResultSet {
     pub wall_ms: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Machine engine label (`"serial"` or `"epoch@N"`). Results are
-    /// engine-independent, so this lives with the timing metadata and is
-    /// excluded from [`ResultSet::canonical_json`].
+    /// Machine engine label, always `"serial"`. Kept for the `perfbench`
+    /// harness, which builds result sets itself, and written with the
+    /// timing metadata so result files keep their shape;
+    /// [`ResultSet::canonical_json`] excludes it.
     pub engine: String,
 }
 
@@ -853,7 +798,6 @@ mod tests {
                 error: None,
                 wall_ms: 99,
                 trace: None,
-                phases: None,
             }],
             wall_ms: 100,
             jobs: 4,

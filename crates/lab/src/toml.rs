@@ -311,6 +311,10 @@ pub fn scenario_from_toml(text: &str) -> Result<Scenario, String> {
     Ok(scn)
 }
 
+/// Tuning keys of the retired parallel machine engine. They are rejected
+/// by name rather than as unknown, so an old scenario file says why.
+const REMOVED_TUNING_KEYS: [&str; 2] = ["machine_threads", "adaptive_groups"];
+
 fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
     let pairs = match v {
         Json::Obj(pairs) => pairs,
@@ -318,9 +322,14 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
     };
     let mut t = Tuning::default();
     for (key, value) in pairs {
-        // `trace` and `adaptive_groups` are boolean tuning knobs (TOML
-        // `true`/`false`; 0/1 accepted for symmetry with the integers).
-        if key == "trace" || key == "adaptive_groups" {
+        if REMOVED_TUNING_KEYS.contains(&key.as_str()) {
+            return Err(format!(
+                "tuning.{key} was removed: every machine runs on the serial scheduler"
+            ));
+        }
+        // `trace` is a boolean tuning knob (TOML `true`/`false`; 0/1
+        // accepted for symmetry with the integers).
+        if key == "trace" {
             let b = match value {
                 Json::Bool(b) => *b,
                 other => match other.as_u64() {
@@ -328,11 +337,7 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
                     None => return Err(format!("tuning.{key} must be a boolean")),
                 },
             };
-            if key == "trace" {
-                t.trace = Some(b);
-            } else {
-                t.adaptive_groups = Some(b);
-            }
+            t.trace = Some(b);
             continue;
         }
         let int = value
@@ -348,7 +353,6 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
             "reduce_cycles" => t.reduce_cycles = Some(int),
             "split_cycles" => t.split_cycles = Some(int),
             "max_cycles" => t.max_cycles = Some(int),
-            "machine_threads" => t.machine_threads = Some(int as usize),
             other => return Err(format!("unknown tuning field {other:?}")),
         }
     }
@@ -432,7 +436,6 @@ report = "speedup"
 [tuning]
 mem_latency = 272
 backoff_cap = 4
-adaptive_groups = false
 
 [[workload]]
 name = "counter"
@@ -451,7 +454,6 @@ gather = 0
         assert_eq!(scn.scale, 2);
         assert_eq!(scn.tuning.mem_latency, Some(272));
         assert_eq!(scn.tuning.backoff_cap, Some(4));
-        assert_eq!(scn.tuning.adaptive_groups, Some(false));
         assert_eq!(scn.workloads.len(), 2);
         assert_eq!(scn.workloads[0].params.get_u64("total_incs"), Some(500));
         assert_eq!(scn.workloads[1].display(), "refcount w/o gather");
@@ -469,6 +471,17 @@ gather = 0
         assert!(scenario_from_toml(bad_tuning)
             .unwrap_err()
             .contains("warp_factor"));
+    }
+
+    #[test]
+    fn rejects_removed_engine_tuning_keys_by_name() {
+        for line in ["machine_threads = 2", "adaptive_groups = false"] {
+            let text =
+                format!("name = \"x\"\n[tuning]\n{line}\n[[workload]]\nname = \"counter\"\n");
+            let err = scenario_from_toml(&text).unwrap_err();
+            let key = line.split(' ').next().unwrap();
+            assert!(err.contains(&format!("tuning.{key} was removed")), "{err}");
+        }
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //!   validator for the committed `docs/trace.schema.json` (the
 //!   `commtm-lab trace-validate` gate).
 //!
-//! Everything here is a pure function of the commit-ordered event stream,
-//! so serial and epoch-parallel runs summarize identically.
+//! Everything here is a pure function of the commit-ordered event stream.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -356,8 +355,6 @@ pub fn trace_to_json(trace: &Trace) -> Json {
         })
         .collect();
     Json::obj(vec![
-        ("engine", Json::Str(trace.engine.clone())),
-        ("machine_threads", Json::U64(trace.machine_threads as u64)),
         ("threads", Json::U64(trace.threads as u64)),
         ("scheme", Json::Str(trace.scheme.clone())),
         ("seed", Json::U64(trace.seed)),
@@ -511,8 +508,6 @@ mod tests {
 
     fn sample_trace(events: Vec<TraceEvent>) -> Trace {
         Trace {
-            engine: "serial".into(),
-            machine_threads: 1,
             threads: 2,
             scheme: "commtm".into(),
             seed: 1,

@@ -28,7 +28,6 @@
 
 mod config;
 mod dir;
-pub mod footprint;
 mod label;
 mod stats;
 mod system;
@@ -38,7 +37,6 @@ mod types;
 
 pub use config::ProtoConfig;
 pub use dir::{DirState, L3Meta};
-pub use footprint::Footprint;
 pub use label::{LabelDef, LabelTable, ReduceFn, ReduceOps, SplitFn};
 pub use stats::{CoreProtoStats, ProtoStats};
 pub use system::MemSystem;

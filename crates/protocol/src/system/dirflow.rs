@@ -25,7 +25,6 @@ impl MemSystem {
         txs: &mut TxTable,
         acc: &mut Acc,
     ) {
-        self.cap.core(victim);
         if txs.entry(victim).active {
             self.tracer.note_abort(victim, None, line);
             self.rollback_core(victim);
@@ -55,11 +54,6 @@ impl MemSystem {
         txs: &mut TxTable,
         acc: &mut Acc,
     ) -> Result<(), AbortKind> {
-        // Captured before the early returns: even a no-conflict probe reads
-        // the victim's transaction state and speculative bits, which is
-        // enough to make a concurrent interleaving diverge from the serial
-        // one.
-        self.cap.core(victim);
         let Some(vts) = txs.active_ts(victim) else {
             return Ok(());
         };
@@ -99,7 +93,6 @@ impl MemSystem {
 
     /// Removes a line from a core's private caches (invalidation).
     pub(crate) fn invalidate_private(&mut self, core: CoreId, line: LineAddr) {
-        self.cap.core(core);
         if self.tracer.is_debug() {
             eprintln!("    [proto] invalidate {core:?} {line}");
         }
@@ -111,7 +104,6 @@ impl MemSystem {
 
     pub(crate) fn dir(&mut self, line: LineAddr) -> DirState {
         let bank = self.bank_of(line);
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         self.l3[bank]
             .peek(line)
             .expect("dir lookup before l3_ensure")
@@ -121,7 +113,6 @@ impl MemSystem {
 
     pub(crate) fn set_dir(&mut self, line: LineAddr, dir: DirState) {
         let bank = self.bank_of(line);
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         self.l3[bank]
             .get(line)
             .expect("dir update before l3_ensure")
@@ -137,14 +128,12 @@ impl MemSystem {
     /// directory state in release sweeps, and the branch is trivially
     /// predicted next to the set scan it replaced.
     pub(crate) fn dir_at(&mut self, bank: usize, slot: Slot, line: LineAddr) -> DirState {
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         let e = self.l3[bank].entry(slot);
         assert_eq!(e.tag, line, "stale L3 slot");
         e.meta.dir
     }
 
     pub(crate) fn set_dir_at(&mut self, bank: usize, slot: Slot, line: LineAddr, dir: DirState) {
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         self.l3[bank].touch(slot);
         let e = self.l3[bank].entry_mut(slot);
         assert_eq!(e.tag, line, "stale L3 slot");
@@ -152,7 +141,6 @@ impl MemSystem {
     }
 
     pub(crate) fn l3_data_at(&mut self, bank: usize, slot: Slot, line: LineAddr) -> LineData {
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         let e = self.l3[bank].entry(slot);
         assert_eq!(e.tag, line, "stale L3 slot");
         e.data
@@ -166,7 +154,6 @@ impl MemSystem {
         data: LineData,
         dirty: bool,
     ) {
-        self.cap.l3(bank, self.l3[bank].set_of(line));
         self.l3[bank].touch(slot);
         let e = self.l3[bank].entry_mut(slot);
         assert_eq!(e.tag, line, "stale L3 slot");

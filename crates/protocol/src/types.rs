@@ -239,14 +239,6 @@ impl TxTable {
         e.active.then_some(e.ts)
     }
 
-    /// Overwrites one core's entry wholesale. Engine support: the
-    /// epoch-parallel scheduler copies entries between table clones and
-    /// rewrites placeholder timestamps; normal execution uses
-    /// [`TxTable::begin`]/[`TxTable::end`].
-    pub fn set_entry(&mut self, core: CoreId, entry: TxEntry) {
-        self.entries[core.index()] = entry;
-    }
-
     /// Number of cores tracked.
     pub fn len(&self) -> usize {
         self.entries.len()

@@ -4,7 +4,7 @@
 
 use commtm_mem::{Addr, LineData, WORDS_PER_LINE};
 use commtm_protocol::{LabelDef, LabelTable};
-use commtm_sim::{Machine, MachineConfig, Scheme, SimError};
+use commtm_sim::{Machine, MachineConfig, Scheme, SimError, Tuning};
 use commtm_tx::{Ctl, Program};
 
 fn add_labels() -> LabelTable {
@@ -252,4 +252,33 @@ fn mixed_readers_and_writers_serialize_correctly() {
         assert!(s <= (threads as u64 - 1) * iters);
         prev = s;
     }
+}
+
+#[test]
+fn machine_threads_tuning_is_ignored() {
+    // `Tuning::machine_threads` is kept only so an external benchmark that
+    // still sets it compiles: every machine runs on the serial scheduler,
+    // so a run with it set must equal a run without it, report and memory.
+    let run = |machine_threads: Option<usize>| {
+        let mut cfg = MachineConfig::new(8, Scheme::Baseline);
+        cfg.apply_tuning(&Tuning {
+            machine_threads,
+            ..Tuning::default()
+        });
+        let mut m = Machine::new(cfg, add_labels());
+        let counters = m.heap_mut().alloc_lines(2);
+        let other = counters.offset(64);
+        for t in 0..8 {
+            let target = if t % 2 == 0 { counters } else { other };
+            m.set_program(t, counter_program(target, 20), ());
+        }
+        let report = m.run().unwrap();
+        let memory = (m.read_word(counters), m.read_word(other));
+        (report, memory)
+    };
+    let (serial, serial_mem) = run(None);
+    let (tuned, tuned_mem) = run(Some(2));
+    assert_eq!(serial_mem, (80, 80));
+    assert_eq!(tuned_mem, serial_mem);
+    assert_eq!(tuned, serial);
 }

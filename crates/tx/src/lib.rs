@@ -18,13 +18,6 @@
 //! already-performed operations and performing exactly one new operation,
 //! then yields. See DESIGN.md §3.1.
 //!
-//! Replay makes long blocks quadratic in host time, so past a threshold
-//! the runner transparently escalates to a **suspension**: the closure
-//! moves to a helper thread that parks at each new operation, executing
-//! each operation at most twice (once live, once as log replay after a
-//! checkpoint restore) while preserving replay's outcomes, cycle counts,
-//! and port call order exactly. See the `suspend` module docs.
-//!
 //! # Rules for block closures
 //!
 //! 1. **Determinism**: given the same operation results, a closure must
@@ -63,9 +56,7 @@
 mod ctx;
 mod program;
 mod runner;
-mod suspend;
 
 pub use ctx::{CtlCtx, TxCtx};
 pub use program::{Block, BlockFn, Ctl, CtlFn, Program, ProgramBuilder};
 pub use runner::{BlockRunner, Env, MemPort, OpResult, StepOutcome, TxOp, UserState};
-pub use suspend::{panics_quiet, set_quiet_panics};

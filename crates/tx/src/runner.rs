@@ -42,58 +42,21 @@ pub trait MemPort {
     /// Draws one word of randomness (memoized in the replay log, so blocks
     /// may call it freely).
     fn rand(&mut self) -> u64;
-    /// Attributes `cycles` of closure compute time ([`TxCtx::work`]) at
-    /// the current point. Only *streaming* contexts (suspension helper
-    /// threads, see the `suspend` module) forward work through the port;
-    /// the replay path accounts it from the pass result, so the default
-    /// is a no-op and engine ports need not implement it.
-    fn work(&mut self, _cycles: u64) {}
 }
 
-/// Per-thread user state: any `Clone + Send + 'static` value qualifies
-/// through the blanket implementation.
-///
-/// The clone hook is what lets the simulation engine checkpoint a core
-/// mid-run (the epoch-parallel scheduler snapshots every core before a
-/// speculative epoch and restores on conflict); `Any` keeps the existing
-/// downcast-based access in [`crate::TxCtx::user`] and
-/// [`crate::CtlCtx::user_mut`].
-pub trait UserState: Any + Send {
-    /// Clones the state behind the trait object.
-    fn clone_user(&self) -> Box<dyn UserState>;
-    /// Upcasts for downcast-based access.
-    fn as_any(&self) -> &(dyn Any + Send);
-    /// Mutable upcast for downcast-based access.
-    fn as_any_mut(&mut self) -> &mut (dyn Any + Send);
-}
+/// Per-thread user state: any `Send + 'static` value qualifies through
+/// the blanket implementation. [`crate::TxCtx::user`] and
+/// [`crate::CtlCtx::user_mut`] downcast it back to the concrete type.
+pub trait UserState: Any + Send {}
 
-impl<T: Any + Send + Clone> UserState for T {
-    fn clone_user(&self) -> Box<dyn UserState> {
-        Box::new(self.clone())
-    }
-    fn as_any(&self) -> &(dyn Any + Send) {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut (dyn Any + Send) {
-        self
-    }
-}
+impl<T: Any + Send> UserState for T {}
 
 /// Per-core execution state: registers plus opaque per-thread user state.
 pub struct Env {
     /// General-purpose registers. Committed on block completion; restored
     /// on abort/restart.
     pub regs: Vec<u64>,
-    user: Box<dyn UserState>,
-}
-
-impl Clone for Env {
-    fn clone(&self) -> Self {
-        Env {
-            regs: self.regs.clone(),
-            user: self.user.clone_user(),
-        }
-    }
+    user: Box<dyn Any + Send>,
 }
 
 impl Env {
@@ -113,7 +76,6 @@ impl Env {
     /// Panics if `T` is not the stored type.
     pub fn user<T: Any>(&self) -> &T {
         self.user
-            .as_any()
             .downcast_ref::<T>()
             .expect("user state type mismatch")
     }
@@ -126,7 +88,6 @@ impl Env {
     /// Panics if `T` is not the stored type.
     pub fn user_mut<T: Any>(&mut self) -> &mut T {
         self.user
-            .as_any_mut()
             .downcast_mut::<T>()
             .expect("user state type mismatch")
     }
@@ -134,16 +95,11 @@ impl Env {
     /// Splits the environment into registers and user state for contexts
     /// that need both mutably (Ctl blocks).
     pub fn split_mut(&mut self) -> (&mut [u64], &mut (dyn Any + Send)) {
-        (&mut self.regs, self.user.as_any_mut())
+        (&mut self.regs, &mut *self.user)
     }
 
     pub(crate) fn user_any_mut(&mut self) -> &mut (dyn Any + Send) {
-        self.user.as_any_mut()
-    }
-
-    #[allow(dead_code)]
-    pub(crate) fn user_any(&self) -> &(dyn Any + Send) {
-        self.user.as_any()
+        &mut *self.user
     }
 }
 
@@ -201,17 +157,10 @@ impl StepOutcome {
 
 /// Executes one block one memory operation per [`BlockRunner::step`].
 ///
-/// Short blocks run by *replay*: each step re-runs the closure, replaying
-/// logged results and performing exactly one new operation (see the crate
-/// docs for the model and its rules). Once the log passes
-/// [`BlockRunner::DEFAULT_RESUME_THRESHOLD`] entries — where the
-/// quadratic re-execution cost starts to dominate — the runner escalates
-/// to a *suspension*: the closure moves to a helper thread that replays
-/// the log prefix once and then parks at each new operation, so every
-/// operation executes at most twice no matter how long the block is. Both
-/// modes produce bit-identical outcomes, cycle counts, and port call
-/// sequences; the mode is purely a host-performance choice.
-#[derive(Debug)]
+/// Blocks run by *replay*: each step re-runs the closure, replaying logged
+/// results and performing exactly one new operation (see the crate docs
+/// for the model and its rules).
+#[derive(Debug, Default)]
 pub struct BlockRunner {
     pub(crate) log: Vec<LogEntry>,
     work_charged: u64,
@@ -219,107 +168,23 @@ pub struct BlockRunner {
     // memory operation, so cloning `env.regs` here would put one heap
     // allocation on every simulated access.
     saved_regs: Vec<u64>,
-    /// Log length at which [`BlockRunner::step`] escalates from replay to
-    /// a suspension helper thread.
-    resume_threshold: usize,
-    /// Escalate on the next step regardless of the threshold (set after a
-    /// checkpoint restore, where the log prefix is known to be long-lived
-    /// and re-replaying it every pass is pure waste).
-    resume_next: bool,
-    susp: Option<crate::suspend::Suspension>,
-}
-
-impl Default for BlockRunner {
-    fn default() -> Self {
-        BlockRunner {
-            log: Vec::new(),
-            work_charged: 0,
-            saved_regs: Vec::new(),
-            resume_threshold: Self::DEFAULT_RESUME_THRESHOLD,
-            resume_next: false,
-            susp: None,
-        }
-    }
-}
-
-impl Clone for BlockRunner {
-    /// Clones the replay state only: a live suspension is *not* cloned
-    /// (nor disturbed) — the copy re-derives the in-flight pass from the
-    /// log, which is authoritative. This is what lets the epoch engine
-    /// checkpoint and restore cores mid-block.
-    fn clone(&self) -> Self {
-        BlockRunner {
-            log: self.log.clone(),
-            work_charged: self.work_charged,
-            saved_regs: Vec::new(),
-            resume_threshold: self.resume_threshold,
-            resume_next: false,
-            susp: None,
-        }
-    }
 }
 
 impl BlockRunner {
-    /// Default log length at which [`BlockRunner::step`] escalates from
-    /// replay to a suspension helper thread. At ~128 logged entries one
-    /// replay pass costs about as much as a channel round-trip, so this
-    /// is roughly the break-even point.
-    pub const DEFAULT_RESUME_THRESHOLD: usize = 128;
-
     /// Creates a fresh runner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the replay → suspension escalation threshold (see
-    /// [`BlockRunner::DEFAULT_RESUME_THRESHOLD`]). `usize::MAX` disables
-    /// suspensions entirely; `0` suspends from the first step.
-    pub fn set_resume_threshold(&mut self, threshold: usize) {
-        self.resume_threshold = threshold;
-    }
-
-    /// Requests escalation to a suspension on the next step regardless of
-    /// the threshold. Called after a checkpoint restore: the restored log
-    /// prefix would otherwise be re-replayed on every remaining pass.
-    pub fn resume_hint(&mut self) {
-        self.resume_next = true;
     }
 
     /// Discards all replay state (block restart).
     pub fn reset(&mut self) {
         self.log.clear();
         self.work_charged = 0;
-        self.resume_next = false;
-        // Dropping the suspension aborts its context; the helper winds
-        // down (operations return 0) and is joined.
-        self.susp = None;
-    }
-
-    /// Whether the block has made any progress since the last reset.
-    pub fn in_progress(&self) -> bool {
-        !self.log.is_empty()
     }
 
     /// Runs one step of the block: exactly one new memory operation (plus
     /// any random draws up to the next operation).
     pub fn step(&mut self, body: &BlockFn, env: &mut Env, port: &mut dyn MemPort) -> StepOutcome {
-        if self.susp.is_some()
-            || self.log.len() >= self.resume_threshold
-            || (self.resume_next && !self.log.is_empty())
-        {
-            self.step_suspended(body, env, port)
-        } else {
-            self.step_replay(body, env, port)
-        }
-    }
-
-    /// One step by whole-closure replay.
-    fn step_replay(
-        &mut self,
-        body: &BlockFn,
-        env: &mut Env,
-        port: &mut dyn MemPort,
-    ) -> StepOutcome {
         self.saved_regs.clear();
         self.saved_regs.extend_from_slice(&env.regs);
         let mut ctx = TxCtx::new(&mut self.log, env, port);
@@ -346,91 +211,6 @@ impl BlockRunner {
             d(env.user_any_mut());
         }
         StepOutcome::Done { cycles }
-    }
-
-    /// One step against the suspension helper, spawning it on first use.
-    ///
-    /// The helper requests operations one at a time; this side performs
-    /// exactly one per step on the real port and parks the next request as
-    /// the following step's work. Random draws never end a step (matching
-    /// replay, where they are memoized mid-pass). Cycle accounting mirrors
-    /// [`BlockRunner::step_replay`]: the `work` count carried by each
-    /// request is precisely the `work_seen` a replay pass would have
-    /// reported when blocking there.
-    fn step_suspended(
-        &mut self,
-        body: &BlockFn,
-        env: &mut Env,
-        port: &mut dyn MemPort,
-    ) -> StepOutcome {
-        use crate::suspend::{Req, Suspension};
-
-        if self.susp.is_none() {
-            self.susp = Some(Suspension::spawn(body, env, &self.log));
-        }
-        // Latency of the operation this step performed, if any yet.
-        let mut performed: Option<u64> = None;
-        loop {
-            let req = {
-                let susp = self.susp.as_mut().expect("suspension alive");
-                match susp.pending.take() {
-                    Some((op, work)) => Req::Op { op, work },
-                    None => susp.recv(),
-                }
-            };
-            match req {
-                Req::Rand => {
-                    let v = port.rand();
-                    self.log.push(LogEntry::Rand(v));
-                    self.susp.as_ref().expect("suspension alive").send_value(v);
-                }
-                Req::Op { op, work } => {
-                    if let Some(latency) = performed {
-                        // Second operation this step: park it for the next
-                        // step and yield.
-                        let new_work = work.saturating_sub(self.work_charged);
-                        self.work_charged = work;
-                        self.susp.as_mut().expect("suspension alive").pending = Some((op, work));
-                        return StepOutcome::Yield {
-                            cycles: 1 + latency + new_work,
-                        };
-                    }
-                    let res = port.op(op);
-                    if res.aborted {
-                        // Matches replay: work() calls after the aborting
-                        // issue are not charged, so only work up to the
-                        // request point counts.
-                        let cycles = 1 + res.latency + work.saturating_sub(self.work_charged);
-                        self.susp = None; // aborts and joins the helper
-                        return StepOutcome::Abort { cycles };
-                    }
-                    self.log.push(LogEntry::Op(op, res.value));
-                    self.susp
-                        .as_ref()
-                        .expect("suspension alive")
-                        .send_value(res.value);
-                    performed = Some(res.latency);
-                }
-                Req::Done {
-                    work,
-                    env: final_env,
-                } => {
-                    let new_work = work.saturating_sub(self.work_charged);
-                    self.work_charged = work;
-                    // The helper's environment carries the closure's
-                    // register writes and applied defers.
-                    *env = final_env;
-                    self.susp = None;
-                    return StepOutcome::Done {
-                        cycles: 1 + performed.unwrap_or(0) + new_work,
-                    };
-                }
-                Req::Panicked(payload) => {
-                    self.susp = None;
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        }
     }
 }
 
