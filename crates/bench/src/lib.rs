@@ -1,22 +1,8 @@
-//! Figure/table bench targets for the CommTM evaluation.
+//! Bench targets for the CommTM simulator.
 //!
-//! Each `benches/figNN_*.rs` target regenerates one table or figure from
-//! the paper's evaluation. The sweep grids, the parallel executor, the
-//! result files and the figure-style rendering all live in the
-//! [`commtm_lab`] crate — the targets here are thin wrappers over its
-//! built-in scenarios, kept so `cargo bench --bench fig09_counter` keeps
-//! working.
-//!
-//! Environment knobs (see [`commtm_lab::apply_env`]):
-//!
-//! - `COMMTM_THREADS` — comma-separated thread counts
-//!   (default `1,8,32,64,128`; the paper sweeps 1–128),
-//! - `COMMTM_SCALE` — multiplies workload sizes (default 1; the paper's
-//!   full 10M-operation runs correspond to roughly `COMMTM_SCALE=500`),
-//! - `COMMTM_SEEDS` — number of seeds averaged per point (default 1),
-//! - `COMMTM_JOBS` — executor worker threads (default: one per core).
-//!
-//! For machine-readable output and baseline diffing, run the scenarios
-//! through the CLI instead: `commtm-lab run fig09 --out fig09.json`.
-
-pub use commtm_lab::{apply_env, figure_main};
+//! `benches/` holds the targets that do work no other entry point does:
+//! `table1_config` prints the simulated system's configuration (Table I),
+//! `criterion_micro`, `hotpath` and `list_gather` time simulator hot
+//! paths. The paper's figures and Table II are regenerated by the lab
+//! CLI instead, e.g. `commtm-lab run fig09 --threads 1,8,32 --scale 10
+//! --seeds 2 --jobs 4`, or `commtm-lab run --all` for every one.

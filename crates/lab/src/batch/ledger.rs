@@ -510,6 +510,36 @@ pub fn load_cell_file(
     Ok(result)
 }
 
+/// The result a replayed cell state stands for: a `completed` cell's
+/// snapshot, loaded and verified ([`load_cell_file`]), or a `failed`
+/// cell's error. A `claimed` cell never finished and has none
+/// (`Ok(None)`).
+///
+/// # Errors
+///
+/// Fails when a `completed` cell's snapshot does not load or verify.
+pub fn replayed_result(
+    dir: &Path,
+    state: &CellState,
+    cell: &crate::spec::Cell,
+) -> Result<Option<CellResult>, String> {
+    match state {
+        CellState::Completed {
+            fingerprint,
+            results,
+            ..
+        } => load_cell_file(dir, results, cell, fingerprint).map(Some),
+        CellState::Failed { error } => Ok(Some(CellResult {
+            cell: cell.clone(),
+            stats: None,
+            error: Some(error.clone()),
+            wall_ms: 0,
+            trace: None,
+        })),
+        CellState::Claimed => Ok(None),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -13,7 +13,7 @@ use std::path::{Path, PathBuf};
 use crate::registry::Registry;
 use crate::results::CellResult;
 
-use super::ledger::{load_cell_file, CellState, Replay};
+use super::ledger::{replayed_result, Replay};
 use super::BatchPlan;
 
 /// A validated set of shard inputs: the rebuilt plan plus each shard's
@@ -100,21 +100,7 @@ pub fn validate(reg: &Registry, dirs: &[PathBuf]) -> Result<MergeInputs, String>
         .into_iter()
         .map(|s| s.expect("all indices covered"))
         .collect();
-    let plan = BatchPlan::new(reg, &first.target, &first.overrides, total)?;
-    if plan.grid_fingerprint != first.grid_fingerprint {
-        return Err(format!(
-            "grid fingerprint mismatch: the ledgers were written for {} but this build \
-             enumerates {} — the scenarios changed; re-run instead of merging",
-            first.grid_fingerprint, plan.grid_fingerprint
-        ));
-    }
-    if plan.jobs.len() != first.total_cells {
-        return Err(format!(
-            "cell count mismatch: ledgers recorded {} cells, this build enumerates {}",
-            first.total_cells,
-            plan.jobs.len()
-        ));
-    }
+    let plan = BatchPlan::from_manifest(reg, &first)?;
     let theme = first.theme.clone();
     Ok(MergeInputs {
         plan,
@@ -134,39 +120,26 @@ pub fn validate(reg: &Registry, dirs: &[PathBuf]) -> Result<MergeInputs, String>
 /// mismatches.
 pub fn collect(inputs: &MergeInputs) -> Result<Vec<Option<CellResult>>, String> {
     let plan = &inputs.plan;
-    let mut results: Vec<Option<CellResult>> = vec![None; plan.jobs.len()];
-    for (ji, job) in plan.jobs.iter().enumerate() {
-        let (dir, replay) = &inputs.shards[job.shard];
-        match replay.states.get(&job.id) {
-            Some(CellState::Completed {
-                fingerprint,
-                results: rel,
-                ..
-            }) => {
-                results[ji] = Some(load_cell_file(dir, rel, plan.cell_of(job), fingerprint)?);
-            }
-            Some(CellState::Failed { error }) => {
-                results[ji] = Some(CellResult {
-                    cell: plan.cell_of(job).clone(),
-                    stats: None,
-                    error: Some(error.clone()),
-                    wall_ms: 0,
-                    trace: None,
-                });
-            }
-            Some(CellState::Claimed) | None => {
-                return Err(format!(
+    plan.jobs
+        .iter()
+        .map(|job| {
+            let (dir, replay) = &inputs.shards[job.shard];
+            let replayed = match replay.states.get(&job.id) {
+                Some(state) => replayed_result(dir, state, plan.cell_of(job))?,
+                None => None,
+            };
+            replayed.map(Some).ok_or_else(|| {
+                format!(
                     "cell {} is unfinished in shard {} ({}) — resume it first: \
                      commtm-lab run --resume {}",
                     job.id,
                     job.shard,
                     dir.display(),
                     dir.display(),
-                ));
-            }
-        }
-    }
-    Ok(results)
+                )
+            })
+        })
+        .collect()
 }
 
 /// The full merge: validate shard ledgers, collect every cell, and emit

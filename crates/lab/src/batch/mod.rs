@@ -34,8 +34,6 @@ pub mod merge;
 pub mod shard;
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 use crate::exec::{self, ExecOptions, SKIPPED_FAIL_FAST};
 use crate::json::{fnv1a, Json};
@@ -361,6 +359,27 @@ impl BatchPlan {
         })
     }
 
+    /// Rebuilds the plan a ledger manifest records (`--resume`, `merge`).
+    ///
+    /// # Errors
+    ///
+    /// Fails as [`BatchPlan::new`] does, and when this build enumerates a
+    /// different grid than the ledger recorded.
+    pub fn from_manifest(reg: &Registry, m: &ManifestRecord) -> Result<BatchPlan, String> {
+        let plan = BatchPlan::new(reg, &m.target, &m.overrides, m.shard.total)?;
+        if plan.grid_fingerprint != m.grid_fingerprint || plan.jobs.len() != m.total_cells {
+            return Err(format!(
+                "grid mismatch: the ledger was written for grid {} ({} cells) but this \
+                 build enumerates {} ({} cells) — the scenarios changed; re-run instead",
+                m.grid_fingerprint,
+                m.total_cells,
+                plan.grid_fingerprint,
+                plan.jobs.len()
+            ));
+        }
+        Ok(plan)
+    }
+
     /// The manifest record a shard of this plan writes into its ledger.
     pub fn manifest(&self, shard: Shard, theme_name: &str) -> ManifestRecord {
         ManifestRecord {
@@ -403,8 +422,11 @@ pub struct ResumeSummary {
     pub verify_failed: usize,
     /// Cells with no prior state.
     pub fresh: usize,
-    /// Cells actually executed this run.
+    /// Cells executed this run.
     pub ran: usize,
+    /// Distinct simulations behind those cells: cells that share every
+    /// simulation input are simulated once (see [`crate::exec`]).
+    pub simulated: usize,
     /// Cells that failed this run.
     pub failed_now: usize,
     /// Cells left unclaimed by a `--fail-fast` stop (still fresh in the
@@ -416,8 +438,8 @@ impl ResumeSummary {
     /// A one-line human rendering.
     pub fn render(&self) -> String {
         let mut out = format!(
-            "batch: {} cell(s) ran ({} fresh), {} kept from ledger",
-            self.ran, self.fresh, self.completed_kept
+            "batch: {} cell(s) ran ({} fresh) from {} distinct simulation(s), {} kept from ledger",
+            self.ran, self.fresh, self.simulated, self.completed_kept
         );
         if self.retried_failed > 0 {
             out.push_str(&format!(", {} failed retried", self.retried_failed));
@@ -450,7 +472,7 @@ impl ResumeSummary {
 /// The outcome of one shard's batch execution.
 pub struct BatchOutcome {
     /// Per-job results, indexed like [`BatchPlan::jobs`]; `None` for jobs
-    /// owned by other shards and for `--fail-fast`-skipped cells.
+    /// owned by other shards.
     pub results: Vec<Option<CellResult>>,
     /// What was kept, retried and run.
     pub summary: ResumeSummary,
@@ -465,10 +487,12 @@ pub struct BatchOutcome {
 /// Without `prior`, a new ledger (recording `theme_name`) is created,
 /// truncating any existing one.
 ///
-/// Per-cell panics are caught ([`exec::run_cell`]) and journaled as
-/// `failed`; the run continues unless `opts.fail_fast` is set, in which
-/// case unclaimed cells are left un-journaled (fresh) for a later
-/// resume.
+/// Pending cells run on the executor's worker pool, which simulates each
+/// distinct cell once and hands its twins copies; every cell is still
+/// journaled and snapshotted under its own job id. Per-cell panics are
+/// caught ([`exec::run_cell`]) and journaled as `failed`; the run
+/// continues unless `opts.fail_fast` is set, in which case unclaimed
+/// cells are left un-journaled (fresh) for a later resume.
 ///
 /// # Errors
 ///
@@ -489,35 +513,22 @@ pub fn run_batch(
 
     for &ji in &own {
         let job = &plan.jobs[ji];
-        match prior.and_then(|r| r.states.get(&job.id)) {
-            Some(CellState::Completed {
-                fingerprint,
-                results: rel,
-                ..
-            }) => match ledger::load_cell_file(dir, rel, plan.cell_of(job), fingerprint) {
-                Ok(cell) => {
-                    results[ji] = Some(cell);
-                    summary.completed_kept += 1;
-                }
-                Err(e) => {
-                    eprintln!("warning: {} — re-running {}", e, job.id);
-                    summary.verify_failed += 1;
-                    pending.push(ji);
-                }
-            },
-            Some(CellState::Failed { .. }) => {
-                summary.retried_failed += 1;
-                pending.push(ji);
+        let state = prior.and_then(|r| r.states.get(&job.id));
+        match state.map(|state| ledger::replayed_result(dir, state, plan.cell_of(job))) {
+            Some(Ok(Some(kept))) if kept.stats.is_some() => {
+                results[ji] = Some(kept);
+                summary.completed_kept += 1;
+                continue;
             }
-            Some(CellState::Claimed) => {
-                summary.retried_claimed += 1;
-                pending.push(ji);
+            Some(Ok(Some(_))) => summary.retried_failed += 1,
+            Some(Ok(None)) => summary.retried_claimed += 1,
+            Some(Err(e)) => {
+                eprintln!("warning: {} — re-running {}", e, job.id);
+                summary.verify_failed += 1;
             }
-            None => {
-                summary.fresh += 1;
-                pending.push(ji);
-            }
+            None => summary.fresh += 1,
         }
+        pending.push(ji);
     }
 
     let journal = match prior {
@@ -525,118 +536,54 @@ pub fn run_batch(
         None => Journal::create(dir, &plan.manifest(shard, theme_name))?,
     };
 
-    // Longest-first claim order, ties by plan order — the executor's LPT
-    // discipline, over this shard's pending cells.
-    pending.sort_by(|&a, &b| plan.jobs[b].cost.cmp(&plan.jobs[a].cost).then(a.cmp(&b)));
-
-    let jobs = opts.effective_jobs(pending.len());
-    let total = pending.len();
-    let slots: Vec<Mutex<Option<CellResult>>> = pending.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let done = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<String>> = Mutex::new(None);
-    exec::install_quiet_cell_hook();
-
-    std::thread::scope(|scope| {
-        for _ in 0..jobs {
-            scope.spawn(|| loop {
-                if opts.fail_fast && failed.load(Ordering::Relaxed) {
-                    return;
-                }
-                let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= total {
-                    return;
-                }
-                let ji = pending[claim];
-                let job = &plan.jobs[ji];
-                let cell = plan.cell_of(job);
-                let scenario = &plan.scenarios[job.scenario];
-                let step: Result<CellResult, String> = (|| {
-                    journal.append(&Event::Claimed {
+    let jobs: Vec<exec::Job> = pending
+        .iter()
+        .map(|&ji| {
+            let job = &plan.jobs[ji];
+            (&plan.scenarios[job.scenario], plan.cell_of(job))
+        })
+        .collect();
+    let ran = exec::run_jobs(
+        reg,
+        &jobs,
+        opts,
+        |k| {
+            journal.append(&Event::Claimed {
+                job: plan.jobs[pending[k]].id.clone(),
+            })
+        },
+        |k, result| {
+            let job = &plan.jobs[pending[k]];
+            match (&result.stats, &result.error) {
+                (Some(_), _) => {
+                    ledger::write_cell_file(dir, &job.file, result)?;
+                    journal.append(&Event::Completed {
                         job: job.id.clone(),
-                    })?;
-                    let result = exec::run_cell(reg, cell, scenario);
-                    match (&result.stats, &result.error) {
-                        (Some(_), _) => {
-                            ledger::write_cell_file(dir, &job.file, &result)?;
-                            journal.append(&Event::Completed {
-                                job: job.id.clone(),
-                                fingerprint: ledger::cell_fingerprint(&result),
-                                wall_ms: result.wall_ms,
-                                results: job.file.clone(),
-                            })?;
-                        }
-                        (None, err) => {
-                            journal.append(&Event::Failed {
-                                job: job.id.clone(),
-                                error: err.clone().unwrap_or_else(|| "unknown".into()),
-                            })?;
-                        }
-                    }
-                    Ok(result)
-                })();
-                match step {
-                    Ok(result) => {
-                        if result.stats.is_none() {
-                            failed.store(true, Ordering::Relaxed);
-                        }
-                        let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        if !opts.quiet {
-                            eprintln!(
-                                "[{finished}/{total}] {}: {} ({} ms)",
-                                job.id,
-                                match (&result.stats, &result.error) {
-                                    (Some(s), _) => format!("{} cycles", s.total_cycles),
-                                    (None, Some(e)) =>
-                                        format!("FAILED: {}", e.lines().next().unwrap_or("?")),
-                                    (None, None) => "FAILED".to_string(),
-                                },
-                                result.wall_ms
-                            );
-                        }
-                        *slots[claim].lock().expect("slot lock") = Some(result);
-                    }
-                    Err(e) => {
-                        // A ledger I/O failure poisons the run itself, not
-                        // one cell: stop every worker and surface it.
-                        *error.lock().expect("error lock") = Some(e);
-                        failed.store(true, Ordering::Relaxed);
-                        cursor.store(total, Ordering::Relaxed);
-                        return;
-                    }
+                        fingerprint: ledger::cell_fingerprint(result),
+                        wall_ms: result.wall_ms,
+                        results: job.file.clone(),
+                    })
                 }
-            });
-        }
-    });
-
-    if let Some(e) = error.into_inner().expect("error lock") {
-        return Err(e);
-    }
-
-    for (slot, &ji) in slots.into_iter().zip(&pending) {
-        match slot.into_inner().expect("slot lock") {
-            Some(result) => {
-                summary.ran += 1;
-                if result.stats.is_none() {
-                    summary.failed_now += 1;
-                }
-                results[ji] = Some(result);
+                (None, err) => journal.append(&Event::Failed {
+                    job: job.id.clone(),
+                    error: err.clone().unwrap_or_else(|| "unknown".into()),
+                }),
             }
-            None => {
-                // Unclaimed under --fail-fast: deliberately not journaled
-                // (the cell stays fresh for resume); the in-memory result
-                // records the skip so report shapes stay intact.
-                summary.skipped_fail_fast += 1;
-                results[ji] = Some(CellResult {
-                    cell: plan.cell_of(&plan.jobs[ji]).clone(),
-                    stats: None,
-                    error: Some(SKIPPED_FAIL_FAST.to_string()),
-                    wall_ms: 0,
-                    trace: None,
-                });
+        },
+    )?;
+    summary.simulated = ran.simulated;
+    for (result, &ji) in ran.results.into_iter().zip(&pending) {
+        // A --fail-fast skip was deliberately not journaled (the cell
+        // stays fresh for resume).
+        if result.error.as_deref() == Some(SKIPPED_FAIL_FAST) {
+            summary.skipped_fail_fast += 1;
+        } else {
+            summary.ran += 1;
+            if result.stats.is_none() {
+                summary.failed_now += 1;
             }
         }
+        results[ji] = Some(result);
     }
 
     let all_ok = own

@@ -4,7 +4,7 @@
 //! own a disjoint slice of a grid. The assignment is a pure function of
 //! the cell cost vector — longest-processing-time-first greedy
 //! bin-packing, the same cost model the sweep executor uses for claim
-//! order ([`crate::exec::estimated_cost`]) — so every shard process
+//! order ([`crate::exec::estimated_cost_in`]) — so every shard process
 //! derives the identical partition from the manifest alone, with no
 //! coordination channel between them.
 
@@ -61,7 +61,7 @@ impl fmt::Display for Shard {
 
 /// Assigns each cell (by position in `costs`) to one of `total` shards:
 /// cells are visited longest-first (ties by index, matching
-/// [`crate::exec::schedule_order`]'s stable sort) and each goes to the
+/// [`crate::exec::schedule_order_in`]'s stable sort) and each goes to the
 /// currently least-loaded shard (ties to the lowest shard index). The
 /// result is a total, disjoint, deterministic partition; with
 /// `total >= 2` and enough cells every shard receives work, and shard

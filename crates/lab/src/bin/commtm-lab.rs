@@ -489,28 +489,38 @@ fn cmd_run_batch(
     }
 
     let outcome = batch::run_batch(reg, &plan, shard, dir_path, None, theme_name, opts)?;
-    eprintln!("{}", outcome.summary.render());
+    finish_batch(&plan, &outcome, shard, dir, theme_name, quiet_report)
+}
 
-    if shard.is_whole() {
-        let sets = batch::assemble_sets(&plan, &outcome.results)?;
-        let theme = figures::theme_by_name(theme_name).expect("validated when parsed");
-        let ok = batch::emit_report(dir_path, &plan, &sets, theme, quiet_report)?;
-        Ok(if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
+/// Prints a batch run's summary and, for a whole grid, emits its report
+/// (shard slices leave that to `merge`). Fails the exit code when a cell
+/// failed.
+fn finish_batch(
+    plan: &batch::BatchPlan,
+    outcome: &batch::BatchOutcome,
+    shard: Shard,
+    dir: &str,
+    theme_name: &str,
+    quiet_report: bool,
+) -> Result<ExitCode, String> {
+    eprintln!("{}", outcome.summary.render());
+    let ok = if shard.is_whole() {
+        let sets = batch::assemble_sets(plan, &outcome.results)?;
+        let theme = figures::theme_by_name(theme_name)
+            .ok_or_else(|| format!("unknown theme {theme_name:?}"))?;
+        batch::emit_report(Path::new(dir), plan, &sets, theme, quiet_report)?
     } else {
         eprintln!(
             "shard {shard} of the grid is journaled in {dir}; when every shard is done, \
              combine them: commtm-lab merge <dir>... --out-dir <report>"
         );
-        Ok(if outcome.all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
-    }
+        outcome.all_ok
+    };
+    Ok(if ok {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    })
 }
 
 /// `run --resume DIR`: replay DIR's ledger, keep verified completed
@@ -533,48 +543,9 @@ fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<E
              appending); the partial record was ignored"
         );
     }
-    let plan = batch::BatchPlan::new(reg, &m.target, &m.overrides, m.shard.total)?;
-    if plan.grid_fingerprint != m.grid_fingerprint {
-        return Err(format!(
-            "{dir}: grid fingerprint mismatch: the ledger was written for {} but this \
-             build enumerates {} — the scenarios changed; re-run instead of resuming",
-            m.grid_fingerprint, plan.grid_fingerprint
-        ));
-    }
-    if plan.jobs.len() != m.total_cells {
-        return Err(format!(
-            "{dir}: cell count mismatch: ledger recorded {} cells, this build \
-             enumerates {}",
-            m.total_cells,
-            plan.jobs.len()
-        ));
-    }
-
+    let plan = batch::BatchPlan::from_manifest(reg, &m).map_err(|e| format!("{dir}: {e}"))?;
     let outcome = batch::run_batch(reg, &plan, m.shard, dir_path, Some(&prior), &m.theme, opts)?;
-    eprintln!("{}", outcome.summary.render());
-
-    if m.shard.is_whole() {
-        let sets = batch::assemble_sets(&plan, &outcome.results)?;
-        let theme = figures::theme_by_name(&m.theme)
-            .ok_or_else(|| format!("ledger records unknown theme {:?}", m.theme))?;
-        let ok = batch::emit_report(dir_path, &plan, &sets, theme, quiet_report)?;
-        Ok(if ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
-    } else {
-        eprintln!(
-            "shard {} of the grid is journaled in {dir}; when every shard is done, \
-             combine them: commtm-lab merge <dir>... --out-dir <report>",
-            m.shard
-        );
-        Ok(if outcome.all_ok {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        })
-    }
+    finish_batch(&plan, &outcome, m.shard, dir, &m.theme, quiet_report)
 }
 
 /// `merge <dir>...`: validate shard ledgers (same grid, every shard

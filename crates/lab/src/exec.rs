@@ -1,4 +1,4 @@
-//! The parallel sweep executor.
+//! The parallel sweep executor: the crate's one worker pool.
 //!
 //! Cells of a scenario are independent simulations, so the executor fans
 //! them out across host threads: a shared atomic cursor hands each worker
@@ -8,17 +8,24 @@
 //! run or how the OS schedules them. The determinism tests assert this by
 //! comparing parallel and serial runs byte-for-byte.
 //!
-//! Cells are *claimed* longest-first (see [`schedule_order`]): a sweep
+//! [`run_scenario_in`] and [`crate::batch::run_batch`] both run on this
+//! pool; a batch run journals each cell through its before/after hooks.
+//! Cells that agree on everything [`run_cell`] reads share one simulation
+//! per pool run, each getting a copy relabelled with its own cell, so
+//! figures that share cells (fig16–19, Table II) simulate them once.
+//!
+//! Cells are *claimed* longest-first (see [`schedule_order_in`]): a sweep
 //! mixing 128-thread full-scale cells with tiny 1-thread cells would
 //! otherwise risk starting its largest cell last and stretching the
 //! makespan by nearly that cell's whole runtime. Claim order only affects
-//! wall-clock time, never results — slots keep the scenario's cell order.
+//! wall-clock time, never results — slots keep the job order.
 //!
 //! A cell that panics (a workload oracle failure or a `SimError` unwrap)
 //! is caught and recorded as that cell's error; the rest of the sweep
 //! continues.
 
 use std::cell::Cell;
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
@@ -70,17 +77,10 @@ impl ExecOptions {
 /// The estimated relative cost of one cell: simulated threads × the mean
 /// of its resolved numeric workload parameters (a deterministic proxy for
 /// workload size — operation counts dominate the parameter set, and more
-/// cores mean more scheduler steps per operation). Booleans count as 0/1
-/// (they were integer switches before parameters were typed, keeping the
-/// schedule order stable); strings name variants, not sizes, and are
-/// excluded.
-pub fn estimated_cost(cell: &spec::Cell, scale: u64) -> u64 {
-    estimated_cost_in(registry::global(), cell, scale)
-}
-
-/// Like [`estimated_cost`], resolving the workload's schema in an
-/// explicit registry (so custom workloads are costed by *their* schema,
-/// not the global one's — or a fallback of 1).
+/// cores mean more scheduler steps per operation), with the workload's
+/// schema resolved in `reg`. Booleans count as 0/1 (they were integer
+/// switches before parameters were typed, keeping the schedule order
+/// stable); strings name variants, not sizes, and are excluded.
 pub fn estimated_cost_in(reg: &registry::Registry, cell: &spec::Cell, scale: u64) -> u64 {
     let size = reg
         .resolved_params(cell, scale)
@@ -97,22 +97,22 @@ pub fn estimated_cost_in(reg: &registry::Registry, cell: &spec::Cell, scale: u64
     (cell.threads as u64).saturating_mul(size.max(1))
 }
 
-/// The order in which workers claim cells: descending [`estimated_cost`],
-/// ties broken by cell index (so the order — like everything else in the
-/// executor — is deterministic). Longest-first claiming is the classic
-/// LPT heuristic: it keeps one huge cell from being picked up last and
-/// dominating the sweep makespan.
-pub fn schedule_order(cells: &[spec::Cell], scale: u64) -> Vec<usize> {
-    schedule_order_in(registry::global(), cells, scale)
-}
-
-/// Like [`schedule_order`], costing cells against an explicit registry.
+/// The order in which workers claim cells: descending
+/// [`estimated_cost_in`], ties broken by cell index (so the order — like
+/// everything else in the executor — is deterministic). Longest-first
+/// claiming is the classic LPT heuristic: it keeps one huge cell from
+/// being picked up last and dominating the sweep makespan.
 pub fn schedule_order_in(reg: &registry::Registry, cells: &[spec::Cell], scale: u64) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..cells.len()).collect();
     let costs: Vec<u64> = cells
         .iter()
         .map(|c| estimated_cost_in(reg, c, scale))
         .collect();
+    longest_first(&costs)
+}
+
+/// Indices of `costs`, largest first, ties by index.
+fn longest_first(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
     order.sort_by(|&a, &b| costs[b].cmp(&costs[a]).then(a.cmp(&b)));
     order
 }
@@ -140,47 +140,152 @@ pub fn run_scenario_in(
     opts: &ExecOptions,
 ) -> Result<ResultSet, String> {
     scenario.validate_in(reg)?;
-    install_quiet_cell_hook();
     let cells = scenario.cells();
-    let jobs = opts.effective_jobs(cells.len());
     let started = Instant::now();
+    let jobs: Vec<Job> = cells.iter().map(|cell| (scenario, cell)).collect();
+    let ran = run_jobs(reg, &jobs, opts, |_| Ok(()), |_, _| Ok(()))?;
+    Ok(ResultSet {
+        scenario: scenario.name.clone(),
+        title: scenario.title.clone(),
+        scale: scenario.scale,
+        cells: ran.results,
+        wall_ms: started.elapsed().as_millis() as u64,
+        jobs: opts.effective_jobs(cells.len()),
+        engine: engine_name(1),
+    })
+}
 
-    let slots: Vec<Mutex<Option<CellResult>>> = cells.iter().map(|_| Mutex::new(None)).collect();
-    let order = schedule_order_in(reg, &cells, scenario.scale);
+/// One unit of pool work: a cell and the scenario it belongs to (which
+/// supplies the scale and tuning it runs under).
+pub(crate) type Job<'a> = (&'a Scenario, &'a spec::Cell);
+
+/// What [`run_jobs`] produced.
+pub(crate) struct PoolRun {
+    /// One result per job, in job order. Jobs a `--fail-fast` stop left
+    /// unclaimed carry the [`SKIPPED_FAIL_FAST`] error.
+    pub results: Vec<CellResult>,
+    /// Distinct cells actually simulated (at most `results.len()`).
+    pub simulated: usize,
+}
+
+/// The identity of a simulation: everything [`run_cell`] reads. Jobs
+/// with equal keys produce byte-identical statistics, whatever their
+/// label, scenario or position. The scale is folded into the resolved
+/// parameters, so two scales that resolve alike share a key too.
+fn cell_key(reg: &registry::Registry, scenario: &Scenario, cell: &spec::Cell) -> String {
+    format!(
+        "{} {:?} t={} {:?} seed={:#x} {:?}",
+        cell.workload,
+        reg.resolved_params(cell, scenario.scale),
+        cell.threads,
+        cell.scheme,
+        cell.seed,
+        scenario.tuning
+    )
+}
+
+/// The crate's one worker pool. Groups `jobs` by [`cell_key`], simulates
+/// one representative per group — groups claimed longest-first
+/// ([`estimated_cost_in`]) by `opts.jobs` workers — and hands every
+/// member of the group a copy of the result carrying its own cell.
+///
+/// `before` runs for each member of a group before the group simulates,
+/// `after` for each member with its result; either stops the pool by
+/// returning an error, which this function then returns (in-flight
+/// groups finish first). With `opts.fail_fast`, the first failed cell
+/// stops further claims, and every job never claimed is recorded as
+/// skipped without any hook call.
+pub(crate) fn run_jobs(
+    reg: &registry::Registry,
+    jobs: &[Job],
+    opts: &ExecOptions,
+    before: impl Fn(usize) -> Result<(), String> + Sync,
+    after: impl Fn(usize, &CellResult) -> Result<(), String> + Sync,
+) -> Result<PoolRun, String> {
+    install_quiet_cell_hook();
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    let mut group_of = HashMap::new();
+    for (j, &(scenario, cell)) in jobs.iter().enumerate() {
+        let g = *group_of
+            .entry(cell_key(reg, scenario, cell))
+            .or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+        groups[g].push(j);
+    }
+    let costs: Vec<u64> = groups
+        .iter()
+        .map(|g| {
+            let (scenario, cell) = jobs[g[0]];
+            estimated_cost_in(reg, cell, scenario.scale)
+        })
+        .collect();
+    let order = longest_first(&costs);
+
+    let slots: Vec<Mutex<Option<CellResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
+    let simulated = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let total = cells.len();
+    let error: Mutex<Option<String>> = Mutex::new(None);
+
+    // Runs one group: every member's `before`, one simulation, then every
+    // member's copy of the result through `after` into its slot.
+    let run_group = |group: &[usize]| -> Result<(), String> {
+        for &j in group {
+            before(j)?;
+        }
+        let (scenario, cell) = jobs[group[0]];
+        let shared = run_cell(reg, cell, scenario);
+        simulated.fetch_add(1, Ordering::Relaxed);
+        if shared.stats.is_none() {
+            failed.store(true, Ordering::Relaxed);
+        }
+        for &j in group {
+            let result = CellResult {
+                cell: jobs[j].1.clone(),
+                ..shared.clone()
+            };
+            after(j, &result)?;
+            let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
+            if !opts.quiet {
+                progress_line(jobs[j].0, &result, finished, jobs.len());
+            }
+            *slots[j].lock().expect("slot lock") = Some(result);
+        }
+        Ok(())
+    };
 
     std::thread::scope(|scope| {
-        for _ in 0..jobs {
+        for _ in 0..opts.effective_jobs(groups.len()) {
             scope.spawn(|| loop {
                 if opts.fail_fast && failed.load(Ordering::Relaxed) {
                     return;
                 }
                 let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= total {
+                if claim >= groups.len() {
                     return;
                 }
-                let idx = order[claim];
-                let result = run_cell(reg, &cells[idx], scenario);
-                if result.stats.is_none() {
-                    failed.store(true, Ordering::Relaxed);
+                if let Err(e) = run_group(&groups[order[claim]]) {
+                    // A hook failure poisons the run itself, not one
+                    // cell: stop every worker and surface it.
+                    error.lock().expect("error lock").get_or_insert(e);
+                    cursor.store(groups.len(), Ordering::Relaxed);
+                    return;
                 }
-                let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
-                if !opts.quiet {
-                    progress_line(&result, finished, total);
-                }
-                *slots[idx].lock().expect("slot lock") = Some(result);
             });
         }
     });
 
-    let results: Vec<CellResult> = slots
+    if let Some(e) = error.into_inner().expect("error lock") {
+        return Err(e);
+    }
+    let results = slots
         .into_iter()
-        .zip(&cells)
-        .map(|(slot, cell)| {
-            // Cells left unclaimed by a --fail-fast stop are recorded as
+        .zip(jobs)
+        .map(|(slot, &(_, cell))| {
+            // Jobs left unclaimed by a --fail-fast stop are recorded as
             // skipped (the shape of the result set never changes), never
             // as failed: a batch ledger must not mark them failed either.
             slot.into_inner().expect("slot lock").unwrap_or(CellResult {
@@ -192,15 +297,9 @@ pub fn run_scenario_in(
             })
         })
         .collect();
-
-    Ok(ResultSet {
-        scenario: scenario.name.clone(),
-        title: scenario.title.clone(),
-        scale: scenario.scale,
-        cells: results,
-        wall_ms: started.elapsed().as_millis() as u64,
-        jobs,
-        engine: engine_name(1),
+    Ok(PoolRun {
+        results,
+        simulated: simulated.into_inner(),
     })
 }
 
@@ -238,7 +337,7 @@ thread_local! {
 /// Installs (once, process-wide) a panic hook that stays silent for
 /// panics already captured by [`run_cell`] and delegates everything else
 /// to the previously-installed hook.
-pub(crate) fn install_quiet_cell_hook() {
+fn install_quiet_cell_hook() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
         let previous = std::panic::take_hook();
@@ -252,20 +351,13 @@ pub(crate) fn install_quiet_cell_hook() {
 
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
 /// `reg`, simulate, check the oracle, catch panics into the cell's error.
-/// This is the unit of work both the sweep executor above and the batch
-/// runner ([`crate::batch`]) fan out; the results are identical because
-/// they are the same code path.
+/// This is the unit of work the pool above fans out, for sweeps and batch
+/// runs alike.
 pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario) -> CellResult {
     let started = Instant::now();
-    let traced = scenario.tuning.trace == Some(true);
     IN_CELL.with(|f| f.set(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        if traced {
-            reg.run_cell_traced(cell, scenario.scale, scenario.tuning)
-        } else {
-            reg.run_cell(cell, scenario.scale, scenario.tuning)
-                .map(|report| (report, None))
-        }
+        reg.run_cell(cell, scenario.scale, scenario.tuning)
     }));
     IN_CELL.with(|f| f.set(false));
     let (stats, error, trace) = match outcome {
@@ -292,7 +384,7 @@ fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn progress_line(result: &CellResult, finished: usize, total: usize) {
+fn progress_line(scenario: &Scenario, result: &CellResult, finished: usize, total: usize) {
     let cell = &result.cell;
     let outcome = match (&result.stats, &result.error) {
         (Some(s), _) => format!("{} cycles", s.total_cycles),
@@ -300,7 +392,9 @@ fn progress_line(result: &CellResult, finished: usize, total: usize) {
         (None, None) => "FAILED".to_string(),
     };
     eprintln!(
-        "[{finished}/{total}] {} t={} {} seed={:#x}: {} ({} ms)",
+        "[{finished}/{total}] {}#{} {} t={} {} seed={:#x}: {} ({} ms)",
+        scenario.name,
+        cell.index,
         cell.label,
         cell.threads,
         scheme_name(cell.scheme),
@@ -314,6 +408,9 @@ fn progress_line(result: &CellResult, finished: usize, total: usize) {
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
+    use commtm_workloads::micro::counter;
+    use commtm_workloads::{BaseCfg, ParamSchema, Params, RunOutcome, Workload, WorkloadKind};
+    use std::sync::Arc;
 
     fn small_scenario() -> Scenario {
         Scenario::new("exec-test", "executor test")
@@ -378,7 +475,8 @@ mod tests {
             .threads(&[1, 2, 4])
             .seeds(&[1]);
         let cells = scn.cells();
-        let order = schedule_order(&cells, scn.scale);
+        let reg = registry::global();
+        let order = schedule_order_in(reg, &cells, scn.scale);
         let mut sorted = order.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..cells.len()).collect::<Vec<_>>());
@@ -387,16 +485,95 @@ mod tests {
         // Costs along the claim order never increase.
         let costs: Vec<u64> = order
             .iter()
-            .map(|&i| estimated_cost(&cells[i], scn.scale))
+            .map(|&i| estimated_cost_in(reg, &cells[i], scn.scale))
             .collect();
         assert!(costs.windows(2).all(|w| w[0] >= w[1]), "{costs:?}");
         // Equal-cost cells keep their scenario order (determinism).
-        assert_eq!(schedule_order(&cells, scn.scale), order);
+        assert_eq!(schedule_order_in(reg, &cells, scn.scale), order);
         // Threads scale the estimate for the same workload size.
         assert_eq!((cells[4].label.as_str(), cells[4].threads), ("counter", 4));
         assert!(
-            estimated_cost(&cells[4], 1) > estimated_cost(&cells[0], 1),
+            estimated_cost_in(reg, &cells[4], 1) > estimated_cost_in(reg, &cells[0], 1),
             "4-thread cell costs more than its 1-thread sibling"
+        );
+    }
+
+    /// The counter micro, counting how often it is simulated.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Workload for Counted {
+        fn name(&self) -> &'static str {
+            "counted"
+        }
+        fn kind(&self) -> WorkloadKind {
+            WorkloadKind::Micro
+        }
+        fn summary(&self) -> &'static str {
+            "counter, counting its runs"
+        }
+        fn schema(&self) -> ParamSchema {
+            ParamSchema::new().u64("total_incs", 10, "n")
+        }
+        fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            counter::execute(&counter::Cfg::new(base, params.u64("total_incs")))
+        }
+        fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
+            counter::check(&counter::Cfg::new(*base, params.u64("total_incs")), run);
+        }
+    }
+
+    #[test]
+    fn each_distinct_cell_is_simulated_once() {
+        let runs = Arc::new(AtomicUsize::new(0));
+        let mut reg = registry::Registry::new();
+        reg.register(Box::new(Counted(Arc::clone(&runs))));
+        // Specs a and b differ only in their label; c differs in a param.
+        let specs = [
+            WorkloadSpec::named("counted")
+                .label("a")
+                .param("total_incs", 40),
+            WorkloadSpec::named("counted")
+                .label("b")
+                .param("total_incs", 40),
+            WorkloadSpec::named("counted")
+                .label("c")
+                .param("total_incs", 60),
+        ];
+        let grid = |specs: &[WorkloadSpec]| {
+            specs.iter().cloned().fold(
+                Scenario::new("dedupe", "t").threads(&[1, 2]).seeds(&[3]),
+                Scenario::workload,
+            )
+        };
+        let opts = ExecOptions {
+            jobs: 2,
+            ..ExecOptions::default()
+        };
+        let shared = run_scenario_in(&reg, &grid(&specs), &opts).unwrap();
+        assert!(shared.all_ok());
+        assert_eq!(shared.cells.len(), 12, "3 specs x 2 threads x 2 schemes");
+        assert_eq!(
+            runs.swap(0, Ordering::Relaxed),
+            8,
+            "one run per distinct key"
+        );
+
+        // Each spec as a scenario of its own: no cell is shared, and the
+        // results are the same, cell for cell.
+        let mut separate = shared.clone();
+        separate.cells = specs
+            .iter()
+            .flat_map(|spec| {
+                run_scenario_in(&reg, &grid(std::slice::from_ref(spec)), &opts)
+                    .unwrap()
+                    .cells
+            })
+            .collect();
+        assert_eq!(runs.load(Ordering::Relaxed), 12);
+        assert_eq!(
+            shared.canonical_json().pretty(),
+            separate.canonical_json().pretty()
         );
     }
 

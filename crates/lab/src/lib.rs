@@ -78,54 +78,3 @@ pub mod prelude {
     pub use crate::scenarios::builtin;
     pub use crate::spec::{ReportKind, Scenario, WorkloadSpec};
 }
-
-/// Environment knobs shared by the bench wrappers and the CLI, kept
-/// compatible with the original figure harness:
-///
-/// - `COMMTM_THREADS` — comma-separated thread counts,
-/// - `COMMTM_SCALE` — workload scale factor,
-/// - `COMMTM_SEEDS` — number of seed replicas per point,
-/// - `COMMTM_JOBS` — worker threads (0 = one per core).
-pub fn apply_env(scenario: &mut Scenario) -> ExecOptions {
-    if let Ok(s) = std::env::var("COMMTM_THREADS") {
-        scenario.threads = s
-            .split(',')
-            .map(|x| {
-                x.trim()
-                    .parse()
-                    .expect("COMMTM_THREADS entries must be integers")
-            })
-            .collect();
-    }
-    if let Ok(s) = std::env::var("COMMTM_SCALE") {
-        scenario.scale = s.parse().expect("COMMTM_SCALE must be an integer");
-    }
-    if let Ok(s) = std::env::var("COMMTM_SEEDS") {
-        let n: usize = s.parse().expect("COMMTM_SEEDS must be an integer");
-        scenario.seeds = spec::default_seeds(n.max(1));
-    }
-    let jobs = match std::env::var("COMMTM_JOBS") {
-        Ok(s) => s.parse().expect("COMMTM_JOBS must be an integer"),
-        Err(_) => 0,
-    };
-    ExecOptions {
-        jobs,
-        ..ExecOptions::default()
-    }
-}
-
-/// Entry point for the thin per-figure bench wrappers: loads the named
-/// built-in scenario, applies the environment knobs, runs the sweep in
-/// parallel, and prints the figure-style report.
-///
-/// # Panics
-///
-/// Panics if `name` is not a built-in scenario or the sweep fails to
-/// validate — bench targets have no error channel.
-pub fn figure_main(name: &str) {
-    let mut scenario =
-        scenarios::builtin(name).unwrap_or_else(|| panic!("unknown built-in scenario {name:?}"));
-    let opts = apply_env(&mut scenario);
-    let set = run_scenario(&scenario, &opts).expect("scenario must validate");
-    print!("{}", report::render(&scenario, &set));
-}

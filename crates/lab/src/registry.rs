@@ -88,7 +88,9 @@ impl Registry {
     }
 
     /// Runs one cell at the given scale and tuning: resolve, run, then
-    /// check the workload's oracle.
+    /// check the workload's oracle. Returns the report and, when the
+    /// tuning enabled tracing, the machine's event trace (`None`
+    /// otherwise).
     ///
     /// # Errors
     ///
@@ -96,28 +98,6 @@ impl Registry {
     /// schema check. Simulation failures and oracle violations panic (the
     /// sweep executor catches panics per cell).
     pub fn run_cell(
-        &self,
-        cell: &Cell,
-        scale: u64,
-        tuning: commtm::Tuning,
-    ) -> Result<RunReport, String> {
-        let def = self
-            .resolve(&cell.workload)
-            .ok_or_else(|| format!("unknown workload {:?}", cell.workload))?;
-        let params = self.resolved_params(cell, scale)?;
-        let base = BaseCfg::new(cell.threads, cell.scheme)
-            .with_seed(cell.seed)
-            .with_tuning(tuning);
-        Ok(def.run_checked(base, &params))
-    }
-
-    /// Like [`Registry::run_cell`], but also returns the machine's event
-    /// trace when the tuning enabled tracing (`None` otherwise).
-    ///
-    /// # Errors
-    ///
-    /// As for [`Registry::run_cell`].
-    pub fn run_cell_traced(
         &self,
         cell: &Cell,
         scale: u64,
@@ -130,7 +110,7 @@ impl Registry {
         let base = BaseCfg::new(cell.threads, cell.scheme)
             .with_seed(cell.seed)
             .with_tuning(tuning);
-        Ok(def.run_traced(base, &params))
+        Ok(def.run_checked(base, &params))
     }
 
     /// The machine-readable schema dump behind `commtm-lab workloads
@@ -195,24 +175,6 @@ pub fn resolve(name: &str) -> Option<&'static dyn Workload> {
 /// All workload names in the [`global`] registry.
 pub fn names() -> Vec<&'static str> {
     global().entries.iter().map(|w| w.name()).collect()
-}
-
-/// [`Registry::resolved_params`] against the [`global`] registry.
-///
-/// # Errors
-///
-/// See [`Registry::resolved_params`].
-pub fn resolved_params(cell: &Cell, scale: u64) -> Result<Params, String> {
-    global().resolved_params(cell, scale)
-}
-
-/// [`Registry::run_cell`] against the [`global`] registry.
-///
-/// # Errors
-///
-/// See [`Registry::run_cell`].
-pub fn run_cell(cell: &Cell, scale: u64, tuning: commtm::Tuning) -> Result<RunReport, String> {
-    global().run_cell(cell, scale, tuning)
 }
 
 /// Applies one `key=value` CLI parameter override to every workload spec
@@ -369,10 +331,11 @@ mod tests {
             .threads(&[3])
             .seeds(&[42]);
         let cells = scn.cells();
-        let report = run_cell(&cells[0], 1, Default::default()).unwrap();
+        let (report, trace) = global().run_cell(&cells[0], 1, Default::default()).unwrap();
         // 60 increments despite the scaled default of 20_000.
         assert_eq!(report.commits(), 60);
-        let report2 = run_cell(&cells[1], 1, Default::default()).unwrap();
+        assert!(trace.is_none(), "no trace unless the tuning asks for one");
+        let (report2, _) = global().run_cell(&cells[1], 1, Default::default()).unwrap();
         assert_eq!(report2.commits(), 60);
     }
 
@@ -387,7 +350,9 @@ mod tests {
             .threads(&[2])
             .seeds(&[7]);
         scn.validate().unwrap();
-        let report = run_cell(&scn.cells()[0], 1, Default::default()).unwrap();
+        let (report, _) = global()
+            .run_cell(&scn.cells()[0], 1, Default::default())
+            .unwrap();
         // 80 transfer/audit ops, plus the balance-seeding transactions.
         assert!(report.commits() >= 80);
     }
@@ -496,7 +461,7 @@ mod tests {
             .workload(WorkloadSpec::named("counter").param("total_incs", 30u64))
             .threads(&[2])
             .seeds(&[1]);
-        let report = reg
+        let (report, _) = reg
             .run_cell(&scn.cells()[0], 1, Default::default())
             .unwrap();
         assert_eq!(report.commits(), 60, "the shadowing workload ran");

@@ -1,9 +1,8 @@
 //! Rendering result sets in the style of the paper's figures.
 //!
 //! Each [`ReportKind`] maps a [`ResultSet`] to the same tables and
-//! qualitative shape checks the original per-figure benchmarks printed,
-//! so `cargo bench --bench fig09_counter` output survives the move onto
-//! the lab subsystem.
+//! qualitative shape checks the original per-figure benchmarks printed;
+//! `commtm-lab run fig09` prints them.
 
 use std::fmt::Write as _;
 

@@ -313,3 +313,99 @@ fn merge_rejects_incomplete_or_mismatched_shards() {
         let _ = std::fs::remove_dir_all(&d);
     }
 }
+
+/// Two scenarios over the same grid under different labels: every cell
+/// of the one has a twin in the other.
+fn twin_plan() -> BatchPlan {
+    let twin = |name: &str| {
+        Scenario::new(name, "twin grids")
+            .workload(
+                WorkloadSpec::named("counter")
+                    .label(name)
+                    .param("total_incs", 300),
+            )
+            .threads(&[1, 2])
+            .seeds(&[5])
+    };
+    BatchPlan::from_scenarios(
+        registry::global(),
+        "twins",
+        &Overrides::default(),
+        vec![twin("twin-a"), twin("twin-b")],
+        1,
+    )
+    .unwrap()
+}
+
+#[test]
+fn shared_cells_simulate_once_journal_per_job_and_resume_per_job() {
+    let reg = registry::global();
+    let plan = twin_plan();
+    let opts = ExecOptions::default();
+    let dir = tmp("twins");
+    let outcome = batch::run_batch(reg, &plan, Shard::WHOLE, &dir, None, "light", &opts).unwrap();
+    assert!(outcome.all_ok);
+    assert_eq!(outcome.summary.ran, 8);
+    assert_eq!(
+        outcome.summary.simulated, 4,
+        "each twin pair simulates once"
+    );
+
+    // Every job id is journaled and has a snapshot of its own, which
+    // carries its own label and verifies against its own fingerprint.
+    let replay = Replay::load(&dir).unwrap();
+    assert_eq!(replay.states.len(), plan.jobs.len());
+    for job in &plan.jobs {
+        let Some(CellState::Completed {
+            fingerprint,
+            results,
+            ..
+        }) = replay.states.get(&job.id)
+        else {
+            panic!("{}: not completed", job.id);
+        };
+        assert_eq!(results, &job.file);
+        let cell =
+            batch::ledger::load_cell_file(&dir, results, plan.cell_of(job), fingerprint).unwrap();
+        assert_eq!(cell.cell.label, plan.scenarios[job.scenario].name);
+    }
+    let theme = commtm_lab::figures::theme_by_name("light").unwrap();
+    let ref_dir = tmp("twins-ref");
+    let sets = batch::assemble_sets(&plan, &outcome.results).unwrap();
+    assert!(batch::emit_report(&ref_dir, &plan, &sets, theme, true).unwrap());
+
+    // Drop one twin's events from the ledger: that cell is fresh, while
+    // the cell it shared a simulation with stays completed. Resume runs
+    // the fresh twin alone.
+    let twin = &plan.jobs[plan.cells[0].len()];
+    assert_eq!(twin.id, "twin-b#0");
+    let kept: String = read(&dir, "ledger.jsonl")
+        .lines()
+        .filter(|line| !line.contains(&format!("\"job\":\"{}\"", twin.id)))
+        .map(|line| format!("{line}\n"))
+        .collect();
+    std::fs::write(dir.join("ledger.jsonl"), kept).unwrap();
+    let prior = Replay::load(&dir).unwrap();
+    let resumed =
+        batch::run_batch(reg, &plan, Shard::WHOLE, &dir, Some(&prior), "light", &opts).unwrap();
+    assert!(resumed.all_ok);
+    assert_eq!(resumed.summary.fresh, 1);
+    assert_eq!(resumed.summary.completed_kept, plan.jobs.len() - 1);
+    assert_eq!((resumed.summary.ran, resumed.summary.simulated), (1, 1));
+
+    // The resumed report is byte-identical to the uninterrupted one.
+    let sets = batch::assemble_sets(&plan, &resumed.results).unwrap();
+    assert!(batch::emit_report(&dir, &plan, &sets, theme, true).unwrap());
+    for file in [
+        "twin-a.json",
+        "twin-b.json",
+        "twin-a.svg",
+        "twin-b.svg",
+        "index.html",
+    ] {
+        assert_eq!(read(&ref_dir, file), read(&dir, file), "{file} differs");
+    }
+    for d in [ref_dir, dir] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}

@@ -91,16 +91,17 @@ pub trait Workload: Send + Sync {
     /// Panics with a description of the violated property.
     fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome);
 
-    /// Runs and oracle-checks in one step, returning the report — the
-    /// path sweeps take.
+    /// Runs and oracle-checks in one step, returning the report and the
+    /// machine's event trace — the path sweeps take. The trace is `None`
+    /// unless the run's tuning enabled tracing.
     ///
     /// # Panics
     ///
     /// Panics on simulation failure or an oracle violation.
-    fn run_checked(&self, base: BaseCfg, params: &Params) -> RunReport {
+    fn run_checked(&self, base: BaseCfg, params: &Params) -> (RunReport, Option<Trace>) {
         let mut out = self.run(base, params);
         self.oracle(&base, params, &mut out);
-        out.report
+        (out.report, out.machine.take_trace())
     }
 
     /// The commutativity claims this workload stakes: pairs of labeled
@@ -111,19 +112,6 @@ pub trait Workload: Send + Sync {
     /// empty so external implementations opt in incrementally.
     fn commutativity_claims(&self) -> Vec<Claim> {
         Vec::new()
-    }
-
-    /// Like [`Workload::run_checked`], but also hands back the machine's
-    /// event trace (populated only when the run's tuning enabled tracing;
-    /// `None` otherwise).
-    ///
-    /// # Panics
-    ///
-    /// Panics on simulation failure or an oracle violation.
-    fn run_traced(&self, base: BaseCfg, params: &Params) -> (RunReport, Option<Trace>) {
-        let mut out = self.run(base, params);
-        self.oracle(&base, params, &mut out);
-        (out.report, out.machine.take_trace())
     }
 }
 
