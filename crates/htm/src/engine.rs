@@ -291,9 +291,6 @@ impl CoreExec {
             StepOutcome::Yield { .. } => {}
             StepOutcome::Done { .. } => {
                 if is_tx {
-                    if sys.tracer().is_debug() {
-                        eprintln!("[{:?}] COMMIT clock={}", self.core, self.clock);
-                    }
                     sys.tracer_mut().commit();
                     sys.commit_core(self.core);
                     txs.end(self.core);
@@ -318,12 +315,6 @@ impl CoreExec {
     /// Backoff-and-restart after an abort (the protocol already rolled the
     /// transaction back).
     fn handle_abort(&mut self, cause: AbortKind, cfg: &HtmConfig, sys: &mut MemSystem) {
-        if sys.tracer().is_debug() {
-            eprintln!(
-                "[{:?}] ABORT cause={:?} clock={}",
-                self.core, cause, self.clock
-            );
-        }
         // Emits the abort event and consumes the protocol's pending
         // attribution note (conflicting core + line) for this victim.
         sys.tracer_mut().abort(self.core, cause);
@@ -460,34 +451,11 @@ impl MemPort for EnginePort<'_> {
                 labeled && self.demote,
             );
         }
-        if self.sys.tracer().is_debug() {
-            eprintln!(
-                "    [pre ] [{:?}] {:?} @{:x} st={:?}",
-                self.core,
-                mem_op,
-                addr.raw(),
-                self.sys.debug_priv(self.core, addr.line())
-            );
-        }
         // Events append straight into the engine's reusable buffer
         // (threaded down from `Machine::run`): no per-access allocation.
-        let before = self.events.len();
         let acc = self
             .sys
             .access_into(self.core, mem_op, addr, self.txs, self.events);
-        if self.sys.tracer().is_debug() {
-            eprintln!(
-                "[{:?}] op={:?} @{:x} -> v={} abort={:?} ev={:?} ts={:?} st={:?}",
-                self.core,
-                mem_op,
-                addr.raw(),
-                acc.value,
-                acc.self_abort,
-                &self.events[before..],
-                self.txs.active_ts(self.core),
-                self.sys.debug_priv(self.core, addr.line())
-            );
-        }
         if let Some(k) = acc.self_abort {
             *self.abort_cause = Some(k);
         }

@@ -16,12 +16,11 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use commtm_lab::batch::{self, Replay, Shard};
-use commtm_lab::bench::BenchReport;
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
 use commtm_lab::spec::{parse_scheme, scheme_name, Scenario};
-use commtm_lab::{bench, figures, registry, report, scenarios, trace};
+use commtm_lab::{figures, registry, report, scenarios, trace};
 
 const USAGE: &str = "\
 commtm-lab — declarative, parallel experiment sweeps for the CommTM simulator
@@ -37,8 +36,6 @@ USAGE:
                                             validate shard ledgers and combine
                                             them into the single report that an
                                             unsharded run produces
-    commtm-lab bench [--quick] [--out BENCH.json] [--check BASE.json]
-                     [--compare OLD.json NEW.json]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
@@ -80,7 +77,7 @@ RUN OPTIONS:
     --threads LIST      comma-separated thread counts (e.g. 1,8,32)
     --threads-max N     drop sweep points above N threads
     --schemes LIST      comma-separated schemes (baseline,commtm)
-    --seeds N           run N seed replicas per point
+    --seeds N           run N seed replicas per point (N >= 1)
     --scale N           workload scale factor (paper scale ~ 500)
     --jobs N            worker threads (default: one per core)
     --serial            run cells serially (same numbers, one core)
@@ -96,21 +93,14 @@ RUN OPTIONS:
     --svg FILE.svg      render the scenario's figure (SVG/HTML) to a file
     --theme NAME        figure color theme: light (default) or dark
     --baseline F.json   diff against a previous JSON (exit 1 on change)
-    --tol FRAC          relative tolerance for --baseline/diff (default 0)
+    --tol FRAC          relative tolerance for --baseline/diff (default 0;
+                        finite and non-negative; run needs --baseline)
     --progress          print per-cell progress to stderr
     --quiet             suppress the figure-style report
 
 MERGE OPTIONS:
     --out-dir DIR       combined report directory (default: lab-report)
     --quiet             suppress the figure-style reports
-
-BENCH OPTIONS:
-    --quick             run only the CI perf-smoke grid subset
-    --out FILE.json     write the BENCH.json perf baseline
-    --check BASE.json   compare determinism fingerprints against a previous
-                        BENCH.json; exit 1 on a mismatch or on a grid the
-                        baseline lacks (timing never gates)
-    --jobs N / --serial as for run
 
 VERIFY OPTIONS:
     --all               both tiers for every label and workload (default
@@ -148,13 +138,6 @@ fn main() -> ExitCode {
             }
         },
         Some("merge") => match cmd_merge(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("bench") => match cmd_bench(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -251,7 +234,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut out_svg: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut baseline: Option<String> = None;
-    let mut tol = 0.0f64;
+    let mut tol: Option<f64> = None;
     let mut quiet_report = false;
     let mut theme_name = "light".to_string();
 
@@ -286,7 +269,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 );
             }
             "--seeds" => {
-                ov.seeds = Some(value("--seeds")?.parse().map_err(|_| "bad --seeds")?);
+                let n = value("--seeds")?.parse().map_err(|_| "bad --seeds")?;
+                if n == 0 {
+                    return Err("--seeds must be at least 1".into());
+                }
+                ov.seeds = Some(n);
             }
             "--scale" => {
                 ov.scale = Some(value("--scale")?.parse().map_err(|_| "bad --scale")?);
@@ -309,7 +296,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 }
                 theme_name = name.clone();
             }
-            "--tol" => tol = value("--tol")?.parse().map_err(|_| "bad --tol")?,
+            "--tol" => tol = Some(parse_tol(value("--tol")?)?),
             "--progress" => opts.quiet = false,
             "--quiet" => quiet_report = true,
             other if !other.starts_with('-') && target.is_none() => {
@@ -319,12 +306,16 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
+    if tol.is_some() && baseline.is_none() {
+        return Err("--tol is the --baseline tolerance; it needs --baseline".into());
+    }
+
     let single_scenario_outputs = out_json.is_some()
         || out_csv.is_some()
         || out_svg.is_some()
         || trace_out.is_some()
         || baseline.is_some()
-        || tol != 0.0;
+        || tol.is_some();
 
     if let Some(dir) = resume {
         // The ledger manifest is the grid definition: re-specifying any
@@ -439,7 +430,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if let Some(path) = baseline {
         let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
         let base = ResultSet::from_json_str(&text)?;
-        let d = diff(&base, &set, tol);
+        let d = diff(&base, &set, tol.unwrap_or(0.0));
         print!("{}", d.render());
         if !d.is_clean() {
             code = ExitCode::FAILURE;
@@ -578,91 +569,6 @@ fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// `bench`: the pinned perf baseline (see `commtm_lab::bench` and
-/// docs/PERFORMANCE.md). Timing is informational; only determinism
-/// fingerprints gate (via `--check`).
-fn cmd_bench(args: &[String]) -> Result<ExitCode, String> {
-    let mut quick = false;
-    let mut out: Option<String> = None;
-    let mut check: Option<String> = None;
-    let mut compare: Option<(String, String)> = None;
-    let mut opts = ExecOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--compare" => {
-                let old = value("--compare")?.clone();
-                let new = value("--compare")?.clone();
-                compare = Some((old, new));
-            }
-            "--machine-threads" => return Err(removed_flag(arg)),
-            "--out" => out = Some(value("--out")?.clone()),
-            "--check" => check = Some(value("--check")?.clone()),
-            "--jobs" => {
-                opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
-            }
-            "--serial" => opts.jobs = 1,
-            "--progress" => opts.quiet = false,
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-
-    // `--compare old.json new.json`: render the delta table between two
-    // saved reports and exit — no grids run. Informational (the delta is
-    // for PR writeups); fingerprint divergence is called out in the table
-    // but does not gate here, `--check` does.
-    if let Some((old_path, new_path)) = compare {
-        let read = |path: &str| -> Result<BenchReport, String> {
-            let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            BenchReport::from_json_str(&text)
-        };
-        let (old, new) = (read(&old_path)?, read(&new_path)?);
-        print!("{}", new.compare_render(&old));
-        return Ok(ExitCode::SUCCESS);
-    }
-
-    let report = bench::run(quick, &opts)?;
-    print!("{}", report.render());
-    if let Some(path) = &out {
-        std::fs::write(path, report.to_json().pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    // Batch rows must reproduce their grid exactly — no baseline needed.
-    // Gated *after* --out so the report holding the diverging
-    // fingerprints always exists for diagnosis.
-    let batch = report.batch_mismatches();
-    if !batch.is_empty() {
-        eprintln!(
-            "batch-path fingerprint mismatch: {} — storing and reloading \
-             results through the ledger changed them",
-            batch.join(", ")
-        );
-        return Ok(ExitCode::FAILURE);
-    }
-    if let Some(path) = check {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let base = BenchReport::from_json_str(&text)?;
-        match report.check(&base) {
-            Ok(compared) => {
-                println!(
-                    "determinism fingerprints match {path} ({})",
-                    compared.join(", ")
-                );
-            }
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return Ok(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(ExitCode::SUCCESS)
-}
-
 /// The error for a flag of the retired parallel machine engine.
 fn removed_flag(flag: &str) -> String {
     format!("{flag} was removed: every machine runs on the serial scheduler")
@@ -750,13 +656,7 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--tol" => {
-                tol = it
-                    .next()
-                    .ok_or("--tol needs a value")?
-                    .parse()
-                    .map_err(|_| "bad --tol")?;
-            }
+            "--tol" => tol = parse_tol(it.next().ok_or("--tol needs a value")?)?,
             p if !p.starts_with('-') => paths.push(p.to_string()),
             other => return Err(format!("unknown option {other:?}")),
         }
@@ -827,6 +727,17 @@ fn cmd_trace_validate(args: &[String]) -> Result<ExitCode, String> {
     }
 }
 
+/// A `--tol` relative tolerance: finite and non-negative, so `inf` or
+/// `NaN` cannot make every comparison pass.
+fn parse_tol(text: &str) -> Result<f64, String> {
+    match text.parse::<f64>() {
+        Ok(t) if t.is_finite() && t >= 0.0 => Ok(t),
+        _ => Err(format!(
+            "bad --tol {text:?}: want a finite, non-negative fraction"
+        )),
+    }
+}
+
 fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
     text.split(',')
         .map(|x| {
@@ -841,15 +752,39 @@ fn parse_usize_list(text: &str) -> Result<Vec<usize>, String> {
 mod tests {
     use super::*;
 
+    fn args(v: &[&str]) -> Vec<String> {
+        v.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
     fn machine_threads_flag_is_rejected_as_removed() {
-        let args = |v: &[&str]| -> Vec<String> { v.iter().map(|s| s.to_string()).collect() };
-        for result in [
-            cmd_run(&args(&["fig09", "--machine-threads", "2"])),
-            cmd_bench(&args(&["--quick", "--machine-threads", "2"])),
-        ] {
-            let err = result.expect_err("the flag is rejected");
-            assert!(err.contains("--machine-threads was removed"), "{err}");
+        let err =
+            cmd_run(&args(&["fig09", "--machine-threads", "2"])).expect_err("the flag is rejected");
+        assert!(err.contains("--machine-threads was removed"), "{err}");
+    }
+
+    #[test]
+    fn tol_must_be_finite_and_non_negative() {
+        for tol in ["-0.1", "NaN", "inf", "-inf"] {
+            for result in [
+                cmd_run(&args(&["fig09", "--baseline", "b.json", "--tol", tol])),
+                cmd_diff(&args(&["a.json", "b.json", "--tol", tol])),
+            ] {
+                let err = result.expect_err("the tolerance is rejected");
+                assert!(err.contains("bad --tol"), "{tol}: {err}");
+            }
         }
+    }
+
+    #[test]
+    fn tol_without_baseline_is_rejected() {
+        let err = cmd_run(&args(&["fig09", "--tol", "0.1"])).expect_err("--tol alone is rejected");
+        assert!(err.contains("--tol") && err.contains("--baseline"), "{err}");
+    }
+
+    #[test]
+    fn zero_seeds_is_rejected() {
+        let err = cmd_run(&args(&["fig09", "--seeds", "0"])).expect_err("--seeds 0 is rejected");
+        assert!(err.contains("--seeds must be at least 1"), "{err}");
     }
 }

@@ -51,7 +51,6 @@
 //! plus a `manifest.json` of the produced artifacts.
 
 pub mod batch;
-pub mod bench;
 pub mod exec;
 pub mod figures;
 pub mod json;

@@ -44,8 +44,7 @@ pub struct CellStats {
     pub nacks_sent: u64,
     /// Fraction of issued memory operations that were labeled.
     pub labeled_fraction: f64,
-    /// Memory operations issued (plain + labeled, over all cores). Feeds
-    /// the `commtm-lab bench` ops/sec figure.
+    /// Memory operations issued (plain + labeled, over all cores).
     pub total_ops: u64,
 }
 

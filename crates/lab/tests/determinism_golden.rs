@@ -1,23 +1,30 @@
-//! End-to-end behavior-preservation gate: a pinned scenario's full
-//! canonical results JSON (every cycle count, abort, and per-cell protocol
-//! counter — everything except host wall-clock) is compared byte-for-byte
-//! against a committed golden file.
+//! End-to-end behavior-preservation gates.
 //!
-//! This is the test that lets hot-path refactors claim "same seeds in,
+//! A pinned scenario's full canonical results JSON (every cycle count,
+//! abort, and per-cell protocol counter — everything except host
+//! wall-clock) is compared byte-for-byte against a committed golden file,
+//! and three pinned grids must reproduce their committed fingerprints.
+//!
+//! These are the tests that let hot-path refactors claim "same seeds in,
 //! byte-identical results out": any change to protocol behavior, LRU
 //! ordering, conflict arbitration, scheduling order, or RNG consumption
-//! shows up as a golden diff. The perf-smoke CI job runs it (via the
-//! normal test suite) next to `commtm-lab bench --check`.
+//! shows up as a golden diff or a fingerprint mismatch. The two larger
+//! grids are release-only; CI's perf-smoke job runs them with
+//! `cargo test --release -p commtm-lab --test determinism_golden --
+//! --include-ignored`.
 //!
-//! To bless a *deliberate* behavior change, regenerate with
+//! To bless a *deliberate* behavior change, regenerate the golden with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test
-//! determinism_golden` and review the numeric diff like any other code
+//! determinism_golden`, update the fingerprint constants from the
+//! failure messages, and review the numeric diff like any other code
 //! change — the diff IS the behavior change.
 
 use std::path::PathBuf;
 
-use commtm_lab::exec::run_scenario_serial;
+use commtm_lab::batch::{self, merge, BatchPlan, Overrides, Replay, Shard};
+use commtm_lab::exec::{run_scenario_serial, ExecOptions};
 use commtm_lab::spec::{Scenario, WorkloadSpec};
+use commtm_lab::{json, registry, scenarios, CellResult};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -67,12 +74,12 @@ fn pinned_scenario_results_match_golden() {
 }
 
 /// The executor must produce identical results serial and parallel — cell
-/// scheduling is a host-side concern only. Guards the bench subcommand's
-/// fingerprints (which run with default parallelism in CI) against ever
-/// depending on job count.
+/// scheduling is a host-side concern only. Guards the grid fingerprints
+/// below (which run with default parallelism) against ever depending on
+/// job count.
 #[test]
 fn parallel_and_serial_results_agree() {
-    use commtm_lab::exec::{run_scenario, ExecOptions};
+    use commtm_lab::exec::run_scenario;
     let scn = pinned_scenario();
     let serial = run_scenario_serial(&scn).expect("serial runs");
     let parallel = run_scenario(
@@ -88,4 +95,102 @@ fn parallel_and_serial_results_agree() {
         parallel.canonical_json().pretty(),
         "job count changed simulated results"
     );
+}
+
+/// A built-in figure scenario with its grid pinned: `threads` and `seeds`
+/// replace the figure's own when given.
+fn pinned_figure(
+    fig: &str,
+    threads: Option<&[usize]>,
+    seeds: Option<&[u64]>,
+    scale: u64,
+) -> Scenario {
+    let mut s = scenarios::builtin(fig).unwrap_or_else(|| panic!("{fig} scenario exists"));
+    if let Some(t) = threads {
+        s.threads = t.to_vec();
+    }
+    if let Some(seeds) = seeds {
+        s.seeds = seeds.to_vec();
+    }
+    s.scale = scale;
+    s
+}
+
+/// FNV-1a of the single scenario's canonical (timing-free) results JSON.
+fn fingerprint(plan: &BatchPlan, results: &[Option<CellResult>]) -> String {
+    let sets = batch::assemble_sets(plan, results).expect("sets assemble");
+    json::fnv1a(&sets[0].canonical_json().pretty())
+}
+
+/// Runs `scenario` once through the ledger-backed batch path and checks
+/// the FNV-1a fingerprint of its canonical results JSON twice: for the
+/// sets assembled in memory, and for the sets reloaded from the ledger
+/// the way `merge` reads them. Storing and reloading results may not
+/// change them.
+fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
+    let reg = registry::global();
+    let dir =
+        std::env::temp_dir().join(format!("commtm-determinism-{}-{grid}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = BatchPlan::from_scenarios(reg, grid, &Overrides::default(), vec![scenario], 1)
+        .expect("pinned grid plans");
+    let outcome = batch::run_batch(
+        reg,
+        &plan,
+        Shard::WHOLE,
+        &dir,
+        None,
+        "light",
+        &ExecOptions::default(),
+    )
+    .expect("pinned grid runs");
+    assert!(outcome.all_ok, "{grid}: every cell must complete");
+    let in_memory = fingerprint(&plan, &outcome.results);
+
+    let inputs = merge::MergeInputs {
+        plan,
+        shards: vec![(dir.clone(), Replay::load(&dir).expect("ledger replays"))],
+        theme: "light".to_string(),
+    };
+    let reloaded = fingerprint(
+        &inputs.plan,
+        &merge::collect(&inputs).expect("ledger cells reload"),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    assert_eq!(
+        in_memory, expected,
+        "{grid}: fingerprint {in_memory} != pinned {expected} — simulated \
+         behavior changed; see docs/PERFORMANCE.md"
+    );
+    assert_eq!(
+        reloaded, expected,
+        "{grid}: ledger-reloaded fingerprint {reloaded} != pinned {expected} — \
+         storing and reloading results through the ledger changed them"
+    );
+}
+
+/// Counter micro, threads 1/8/32, scale 1: the protocol fast path and
+/// reductions under both schemes.
+#[test]
+fn counter_quick_fingerprint_is_pinned() {
+    let scn = pinned_figure("fig09", Some(&[1, 8, 32]), Some(&[0xC0FFEE]), 1);
+    assert_grid_fingerprint("counter-quick", scn, "f47b0f8cb2965f4d");
+}
+
+/// Counter micro, the full fig09 thread grid at scale 4.
+#[test]
+#[ignore = "release-only; CI runs them with --include-ignored"]
+fn counter_scale4_fingerprint_is_pinned() {
+    let scn = pinned_figure("fig09", None, None, 4);
+    assert_grid_fingerprint("counter-scale4", scn, "e4f500f98a0b2cbd");
+}
+
+/// List micro, threads 1/8/32, scale 2: long transactions with more
+/// L1/L2 traffic per op, gathers and evictions.
+#[test]
+#[ignore = "release-only; CI runs them with --include-ignored"]
+fn list_quick_fingerprint_is_pinned() {
+    let scn = pinned_figure("fig12", Some(&[1, 8, 32]), Some(&[0xC0FFEE]), 2);
+    assert_grid_fingerprint("list-quick", scn, "f6dc1424eea45c0a");
 }

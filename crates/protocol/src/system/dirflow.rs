@@ -93,9 +93,6 @@ impl MemSystem {
 
     /// Removes a line from a core's private caches (invalidation).
     pub(crate) fn invalidate_private(&mut self, core: CoreId, line: LineAddr) {
-        if self.tracer.is_debug() {
-            eprintln!("    [proto] invalidate {core:?} {line}");
-        }
         let p = &mut self.privs[core.index()];
         p.l1.remove(line);
         p.l2.remove(line);
@@ -495,11 +492,6 @@ impl MemSystem {
             // Case 4: same-label sharers — grant U, no data; the requester
             // initializes its copy with the identity value.
             DirState::Reducible(l, mut s) if l == label => {
-                if self.tracer.is_debug() {
-                    eprintln!(
-                        "    [proto] GETU case4 identity fill at {core:?} {line} (sharers {s:?})"
-                    );
-                }
                 debug_assert!(
                     !s.contains(core),
                     "local U hit should not reach the directory"

@@ -23,29 +23,11 @@ struct HandlerOps<'a, 'b> {
 
 impl ReduceOps for HandlerOps<'_, '_> {
     fn read(&mut self, addr: Addr) -> u64 {
-        let v = self
-            .sys
-            .do_op(self.core, MemOp::Load, addr, self.txs, self.acc, true);
-        if self.sys.tracer.is_debug() {
-            eprintln!(
-                "      [hand] {:?} R @{:x} -> {:x}",
-                self.core,
-                addr.raw(),
-                v
-            );
-        }
-        v
+        self.sys
+            .do_op(self.core, MemOp::Load, addr, self.txs, self.acc, true)
     }
 
     fn write(&mut self, addr: Addr, value: u64) {
-        if self.sys.tracer.is_debug() {
-            eprintln!(
-                "      [hand] {:?} W @{:x} <- {:x}",
-                self.core,
-                addr.raw(),
-                value
-            );
-        }
         self.sys.do_op(
             self.core,
             MemOp::Store(value),

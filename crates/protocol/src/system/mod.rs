@@ -92,11 +92,6 @@ impl MemSystem {
             .collect();
         let stats = ProtoStats::new(cfg.cores);
         let rng = StdRng::seed_from_u64(cfg.seed);
-        let mut tracer = Tracer::default();
-        // Deprecated fallback: `COMMTM_TRACE` maps onto the structured
-        // trace config's stderr-debug mode (use `Tuning::trace` / `--trace`
-        // for structured capture instead).
-        tracer.set_debug(std::env::var_os("COMMTM_TRACE").is_some());
         MemSystem {
             cfg,
             labels,
@@ -106,7 +101,7 @@ impl MemSystem {
             stats,
             rng,
             events_scratch: Vec::new(),
-            tracer,
+            tracer: Tracer::default(),
         }
     }
 
@@ -249,26 +244,15 @@ impl MemSystem {
     /// restored from the non-speculative L2 copies and footprint bits are
     /// cleared. Idempotent.
     pub fn rollback_core(&mut self, core: CoreId) {
-        let dbg = self.tracer.is_debug();
         let p = &mut self.privs[core.index()];
         for line in p.spec_lines.drain(..) {
             let l2_data = p.l2.peek(line).map(|e| e.data);
             if let Some(e) = p.l1.get(line) {
-                if dbg {
-                    eprintln!(
-                        "    [proto] rollback {core:?} {line} l1_w0={:x} dirty_data={} l2_w0={:?}",
-                        e.data[0],
-                        e.meta.spec.dirty_data,
-                        l2_data.map(|d| d[0])
-                    );
-                }
                 if e.meta.spec.dirty_data {
                     e.data = l2_data.expect("inclusion: spec L1 line must be in L2");
                     e.meta.dirty = false;
                 }
                 e.meta.spec.clear();
-            } else if dbg {
-                eprintln!("    [proto] rollback {core:?} {line} (not in L1)");
             }
         }
     }
@@ -333,25 +317,6 @@ impl MemSystem {
                     .data
             }
         }
-    }
-
-    /// Debug dump of a core's private copies of a line (state, L1/L2
-    /// word 0, footprint bits). For tracing only.
-    pub fn debug_priv(&self, core: CoreId, line: LineAddr) -> String {
-        let p = &self.privs[core.index()];
-        let l1 = p.l1.peek(line).map(|e| {
-            format!(
-                "L1[w0={:x} w1={:x} dirty={} spec={:?}]",
-                e.data[0], e.data[1], e.meta.dirty, e.meta.spec
-            )
-        });
-        let l2 = p.l2.peek(line).map(|e| {
-            format!(
-                "L2[{:?} w0={:x} w1={:x} dirty={}]",
-                e.meta.state, e.data[0], e.data[1], e.meta.dirty
-            )
-        });
-        format!("{:?} {:?}", l1, l2)
     }
 
     /// The core's authoritative coherence state and label for a line
@@ -663,12 +628,6 @@ impl MemSystem {
         acc: &mut Acc,
         handler: bool,
     ) {
-        if self.tracer.is_debug() {
-            eprintln!(
-                "    [proto] install {core:?} {line} {:?} w0={:x} w1={:x}",
-                meta.state, data[0], data[1]
-            );
-        }
         let class = if handler {
             EvictionClass::Handler
         } else if meta.state == CohState::U {
@@ -781,12 +740,6 @@ impl MemSystem {
     /// donations, reduction keep-backs): both the L2 copy and, if the L1
     /// copy is not speculatively dirty, the L1 copy.
     pub(crate) fn set_nonspec_value(&mut self, core: CoreId, line: LineAddr, data: LineData) {
-        if self.tracer.is_debug() {
-            eprintln!(
-                "    [proto] set_nonspec {core:?} {line} w0={:x} w1={:x}",
-                data[0], data[1]
-            );
-        }
         let p = &mut self.privs[core.index()];
         let l2e = p.l2.get(line).expect("set_nonspec_value without L2 entry");
         l2e.data = data;

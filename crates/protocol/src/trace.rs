@@ -183,9 +183,6 @@ struct AbortNote {
 #[derive(Clone, Debug, Default)]
 pub struct Tracer {
     enabled: bool,
-    /// Deprecated `COMMTM_TRACE` stderr-debug mode (kept as a fallback;
-    /// prefer structured tracing).
-    debug: bool,
     capacity: usize,
     events: Vec<TraceEvent>,
     /// Ring start: index of the oldest event once the buffer wrapped.
@@ -211,17 +208,6 @@ impl Tracer {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether the deprecated stderr-debug mode is on.
-    #[inline]
-    pub fn is_debug(&self) -> bool {
-        self.debug
-    }
-
-    /// Turns the deprecated stderr-debug mode on or off.
-    pub fn set_debug(&mut self, on: bool) {
-        self.debug = on;
     }
 
     /// Enables capture with a fresh buffer and records the run header.
