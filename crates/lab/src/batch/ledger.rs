@@ -1,17 +1,14 @@
-//! The crash-safe cell ledger: an append-only JSONL journal plus atomic
-//! per-cell snapshot files.
+//! The crash-safe cell ledger: one append-only JSONL journal that is
+//! the batch run's only store.
 //!
 //! `ledger.jsonl` starts with one manifest record (what grid this
-//! directory holds: target, overrides, shard slice, grid fingerprint) and
-//! then grows one compact-JSON line per cell event — `claimed` when a
-//! worker picks the cell up, `completed` (with the cell's determinism
-//! fingerprint, wall time and results path) or `failed` (with the error)
-//! when it finishes. Events are appended and flushed one line at a time,
-//! and per-cell result snapshots are written to a temp file and
-//! atomically renamed, so a `kill -9` at any instant loses at most the
-//! cells that were in flight: replaying the journal ignores a truncated
-//! final line (the crash artifact) and treats `claimed`-without-outcome
-//! cells as orphans to retry.
+//! directory holds: target, overrides, theme, grid fingerprint) and then
+//! grows one compact-JSON line per finished cell: `completed` (with the
+//! cell's determinism fingerprint, wall time and its result JSON inline)
+//! or `failed` (with the error). Events are appended and flushed one line
+//! at a time, so a `kill -9` at any instant loses at most the cells that
+//! were in flight: replaying the journal ignores a truncated final line
+//! (the crash artifact), and a cell without an event is fresh.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -22,17 +19,15 @@ use std::sync::Mutex;
 use crate::json::{self, fnv1a, Json};
 use crate::results::CellResult;
 
-use super::shard::Shard;
-
 /// The ledger file name inside a batch output directory.
 pub const LEDGER_FILE: &str = "ledger.jsonl";
 
 /// The ledger format version written into manifest records.
-pub const LEDGER_VERSION: u64 = 1;
+pub const LEDGER_VERSION: u64 = 2;
 
 /// The generator string recorded in batch manifests and reports. One
-/// spelling for direct `run --all`, sharded runs and `merge`, so a merged
-/// report is byte-identical to a single-process one.
+/// spelling for fresh and resumed runs, so a resumed report is
+/// byte-identical to an uninterrupted one.
 pub const GENERATOR: &str = "commtm-lab batch";
 
 /// The first line of every ledger: which grid this directory holds.
@@ -44,14 +39,12 @@ pub struct ManifestRecord {
     /// Grid overrides in effect, re-applied verbatim on `--resume`.
     pub overrides: super::Overrides,
     /// Figure color theme name (themes change figure bytes, so a resume
-    /// or merge must reproduce the original choice).
+    /// must reproduce the original choice).
     pub theme: String,
-    /// Which slice of the grid this directory owns.
-    pub shard: Shard,
-    /// Fingerprint of the full deterministic cell enumeration — shards of
-    /// the same grid share it; anything else refuses to resume/merge.
+    /// Fingerprint of the full deterministic cell enumeration; a build
+    /// that enumerates anything else refuses to resume.
     pub grid_fingerprint: String,
-    /// Total cells in the full grid (all shards).
+    /// Total cells in the grid.
     pub total_cells: usize,
 }
 
@@ -65,13 +58,6 @@ impl ManifestRecord {
             ("target", Json::Str(self.target.clone())),
             ("overrides", self.overrides.to_json()),
             ("theme", Json::Str(self.theme.clone())),
-            (
-                "shard",
-                Json::obj(vec![
-                    ("index", Json::U64(self.shard.index as u64)),
-                    ("total", Json::U64(self.shard.total as u64)),
-                ]),
-            ),
             ("grid_fingerprint", Json::Str(self.grid_fingerprint.clone())),
             ("total_cells", Json::U64(self.total_cells as u64)),
         ])
@@ -93,7 +79,6 @@ impl ManifestRecord {
                 "ledger version {version} not supported (this build writes {LEDGER_VERSION})"
             ));
         }
-        let shard = v.get("shard").ok_or("manifest missing \"shard\"")?;
         Ok(ManifestRecord {
             target: v
                 .get("target")
@@ -108,10 +93,6 @@ impl ManifestRecord {
                 .and_then(Json::as_str)
                 .unwrap_or("light")
                 .to_string(),
-            shard: Shard {
-                index: shard.get("index").and_then(Json::as_u64).unwrap_or(0) as usize,
-                total: shard.get("total").and_then(Json::as_u64).unwrap_or(1) as usize,
-            },
             grid_fingerprint: v
                 .get("grid_fingerprint")
                 .and_then(Json::as_str)
@@ -126,22 +107,18 @@ impl ManifestRecord {
 /// (`"<scenario>#<cell-index>"` — see [`super::BatchPlan`]).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Event {
-    /// A worker picked the cell up.
-    Claimed {
-        /// Job id.
-        job: String,
-    },
-    /// The cell finished and its snapshot file is on disk.
+    /// The cell finished; its result rides along inline.
     Completed {
         /// Job id.
         job: String,
         /// FNV-1a fingerprint of the cell's canonical JSON
-        /// ([`cell_fingerprint`]) — verified on resume and merge.
+        /// ([`cell_fingerprint`]) — verified on resume.
         fingerprint: String,
         /// Host wall-clock milliseconds the cell took.
         wall_ms: u64,
-        /// Snapshot path, relative to the ledger directory.
-        results: String,
+        /// The cell's timing-tier result JSON
+        /// ([`CellResult::to_json`]`(true)`).
+        result: Json,
     },
     /// The cell ran and failed (panic or resolve error).
     Failed {
@@ -156,30 +133,24 @@ impl Event {
     /// The job this event belongs to.
     pub fn job(&self) -> &str {
         match self {
-            Event::Claimed { job } | Event::Failed { job, .. } | Event::Completed { job, .. } => {
-                job
-            }
+            Event::Failed { job, .. } | Event::Completed { job, .. } => job,
         }
     }
 
     /// The event's JSONL record (compact form is one line).
     pub fn to_json(&self) -> Json {
         match self {
-            Event::Claimed { job } => Json::obj(vec![
-                ("kind", Json::Str("claimed".into())),
-                ("job", Json::Str(job.clone())),
-            ]),
             Event::Completed {
                 job,
                 fingerprint,
                 wall_ms,
-                results,
+                result,
             } => Json::obj(vec![
                 ("kind", Json::Str("completed".into())),
                 ("job", Json::Str(job.clone())),
                 ("fingerprint", Json::Str(fingerprint.clone())),
                 ("wall_ms", Json::U64(*wall_ms)),
-                ("results", Json::Str(results.clone())),
+                ("result", result.clone()),
             ]),
             Event::Failed { job, error } => Json::obj(vec![
                 ("kind", Json::Str("failed".into())),
@@ -205,7 +176,6 @@ impl Event {
             .ok_or("event missing \"job\"")?
             .to_string();
         match kind {
-            "claimed" => Ok(Event::Claimed { job }),
             "completed" => Ok(Event::Completed {
                 job,
                 fingerprint: v
@@ -214,11 +184,10 @@ impl Event {
                     .ok_or("completed event missing \"fingerprint\"")?
                     .to_string(),
                 wall_ms: v.get("wall_ms").and_then(Json::as_u64).unwrap_or(0),
-                results: v
-                    .get("results")
-                    .and_then(Json::as_str)
-                    .ok_or("completed event missing \"results\"")?
-                    .to_string(),
+                result: v
+                    .get("result")
+                    .cloned()
+                    .ok_or("completed event missing \"result\"")?,
             }),
             "failed" => Ok(Event::Failed {
                 job,
@@ -236,17 +205,12 @@ impl Event {
 /// The replayed state of one cell: the last event wins.
 #[derive(Clone, Debug, PartialEq)]
 pub enum CellState {
-    /// Claimed but never finished — an in-flight cell at crash time;
-    /// resume retries it.
-    Claimed,
-    /// Completed with a snapshot on disk.
+    /// Completed; resume keeps it once the record verifies.
     Completed {
         /// Recorded canonical-JSON fingerprint.
         fingerprint: String,
-        /// Snapshot path relative to the ledger directory.
-        results: String,
-        /// Recorded wall time (informational).
-        wall_ms: u64,
+        /// The recorded result JSON, unverified.
+        result: Json,
     },
     /// Ran and failed; resume retries it.
     Failed {
@@ -320,23 +284,22 @@ impl Replay {
                 }
                 Err(e) => return Err(format!("ledger line {}: {e}", i + 1)),
             };
-            let state = match &event {
-                Event::Claimed { .. } => CellState::Claimed,
+            let (job, state) = match event {
                 Event::Completed {
+                    job,
                     fingerprint,
-                    wall_ms,
-                    results,
+                    result,
                     ..
-                } => CellState::Completed {
-                    fingerprint: fingerprint.clone(),
-                    results: results.clone(),
-                    wall_ms: *wall_ms,
-                },
-                Event::Failed { error, .. } => CellState::Failed {
-                    error: error.clone(),
-                },
+                } => (
+                    job,
+                    CellState::Completed {
+                        fingerprint,
+                        result,
+                    },
+                ),
+                Event::Failed { job, error } => (job, CellState::Failed { error }),
             };
-            states.insert(event.job().to_string(), state);
+            states.insert(job, state);
         }
         Ok(Replay {
             manifest,
@@ -428,53 +391,44 @@ impl Journal {
 
 /// The determinism fingerprint of one cell result: FNV-1a over its
 /// canonical (timing-free) JSON. Recorded in `completed` events and
-/// re-verified whenever a snapshot is loaded.
+/// re-verified whenever a record is replayed.
 pub fn cell_fingerprint(result: &CellResult) -> String {
     fnv1a(&result.to_json(false).pretty())
 }
 
-/// Writes one cell snapshot crash-safely: the timing-tier JSON goes to
-/// `<path>.tmp` and is atomically renamed over `<path>`, so a killed run
-/// never leaves a half-written snapshot behind a `completed` event.
+/// The result a replayed cell state stands for: a `failed` cell's error,
+/// or a `completed` cell's inline record, checked to be the cell the plan
+/// expects (same identity) and unchanged (same canonical fingerprint as
+/// the ledger recorded) — the ledger is input from outside the program.
+/// The returned result carries the *plan's* cell: records don't
+/// round-trip `workload_index`, and results must be indistinguishable
+/// from a fresh run.
 ///
 /// # Errors
 ///
-/// Fails on filesystem errors.
-pub fn write_cell_file(dir: &Path, rel: &str, result: &CellResult) -> Result<(), String> {
-    let path = dir.join(rel);
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .map_err(|e| format!("creating {}: {e}", parent.display()))?;
-    }
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, result.to_json(true).pretty())
-        .map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &path)
-        .map_err(|e| format!("renaming {} -> {}: {e}", tmp.display(), path.display()))
-}
-
-/// Loads one cell snapshot and checks it is the cell the plan expects
-/// (same identity) and unchanged (same canonical fingerprint as the
-/// ledger recorded). The returned result carries the *plan's* cell —
-/// snapshot files don't round-trip `workload_index`, and results must be
-/// indistinguishable from a fresh run.
-///
-/// # Errors
-///
-/// Fails on filesystem errors, malformed JSON, an identity mismatch, or
-/// a fingerprint mismatch.
-pub fn load_cell_file(
-    dir: &Path,
-    rel: &str,
+/// Fails when a `completed` record is malformed, holds a different cell,
+/// or does not match its fingerprint.
+pub fn replayed_result(
+    state: &CellState,
     expected: &crate::spec::Cell,
-    fingerprint: &str,
 ) -> Result<CellResult, String> {
-    let path = dir.join(rel);
-    let text =
-        std::fs::read_to_string(&path).map_err(|e| format!("reading {}: {e}", path.display()))?;
-    let v = json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-    let mut result = CellResult::from_json(&v, expected.index)
-        .map_err(|e| format!("{}: {e}", path.display()))?;
+    let (fingerprint, record) = match state {
+        CellState::Completed {
+            fingerprint,
+            result,
+        } => (fingerprint, result),
+        CellState::Failed { error } => {
+            return Ok(CellResult {
+                cell: expected.clone(),
+                stats: None,
+                error: Some(error.clone()),
+                wall_ms: 0,
+                trace: None,
+            })
+        }
+    };
+    let mut result = CellResult::from_json(record, expected.index)
+        .map_err(|e| format!("malformed ledger record: {e}"))?;
     let c = &result.cell;
     if (
         c.workload.as_str(),
@@ -492,52 +446,20 @@ pub fn load_cell_file(
         expected.seed,
     ) {
         return Err(format!(
-            "{}: snapshot holds a different cell ({}) than the plan expects ({})",
-            path.display(),
+            "ledger record holds a different cell ({}) than the plan expects ({})",
             result.key(),
             crate::spec::scheme_name(expected.scheme),
         ));
     }
     result.cell = expected.clone();
     let actual = cell_fingerprint(&result);
-    if actual != fingerprint {
+    if actual != *fingerprint {
         return Err(format!(
-            "{}: fingerprint mismatch (ledger recorded {fingerprint}, snapshot hashes to \
-             {actual}) — the snapshot was modified or belongs to a different grid",
-            path.display(),
+            "fingerprint mismatch (ledger recorded {fingerprint}, record hashes to \
+             {actual}) — the record was modified or belongs to a different grid"
         ));
     }
     Ok(result)
-}
-
-/// The result a replayed cell state stands for: a `completed` cell's
-/// snapshot, loaded and verified ([`load_cell_file`]), or a `failed`
-/// cell's error. A `claimed` cell never finished and has none
-/// (`Ok(None)`).
-///
-/// # Errors
-///
-/// Fails when a `completed` cell's snapshot does not load or verify.
-pub fn replayed_result(
-    dir: &Path,
-    state: &CellState,
-    cell: &crate::spec::Cell,
-) -> Result<Option<CellResult>, String> {
-    match state {
-        CellState::Completed {
-            fingerprint,
-            results,
-            ..
-        } => load_cell_file(dir, results, cell, fingerprint).map(Some),
-        CellState::Failed { error } => Ok(Some(CellResult {
-            cell: cell.clone(),
-            stats: None,
-            error: Some(error.clone()),
-            wall_ms: 0,
-            trace: None,
-        })),
-        CellState::Claimed => Ok(None),
-    }
 }
 
 #[cfg(test)]
@@ -549,9 +471,24 @@ mod tests {
             target: "fig09".into(),
             overrides: super::super::Overrides::default(),
             theme: "light".into(),
-            shard: Shard::WHOLE,
             grid_fingerprint: "aabbccdd00112233".into(),
             total_cells: 4,
+        }
+    }
+
+    fn completed(job: &str, fingerprint: &str) -> Event {
+        Event::Completed {
+            job: job.into(),
+            fingerprint: fingerprint.into(),
+            wall_ms: 12,
+            result: Json::obj(vec![("workload", Json::Str("counter".into()))]),
+        }
+    }
+
+    fn failed(job: &str, error: &str) -> Event {
+        Event::Failed {
+            job: job.into(),
+            error: error.into(),
         }
     }
 
@@ -562,19 +499,8 @@ mod tests {
             ManifestRecord::from_json(&json::parse(&m.to_json().compact()).unwrap()).unwrap();
         assert_eq!(back, m);
         for e in [
-            Event::Claimed {
-                job: "fig09#0".into(),
-            },
-            Event::Completed {
-                job: "fig09#0".into(),
-                fingerprint: "ff00".into(),
-                wall_ms: 12,
-                results: "cells/fig09-0.json".into(),
-            },
-            Event::Failed {
-                job: "fig09#1".into(),
-                error: "oracle: counter mismatch".into(),
-            },
+            completed("fig09#0", "ff00"),
+            failed("fig09#1", "oracle: counter mismatch\nsecond line"),
         ] {
             let line = e.to_json().compact();
             assert!(!line.trim_end_matches('\n').contains('\n'), "one line each");
@@ -583,30 +509,39 @@ mod tests {
     }
 
     #[test]
+    fn v1_manifest_is_refused_naming_the_version() {
+        let v1 = "{\"kind\":\"manifest\",\"version\":1,\"generator\":\"commtm-lab batch\",\
+                  \"target\":\"fig09\",\"overrides\":{},\"theme\":\"light\",\
+                  \"shard\":{\"index\":0,\"total\":1},\
+                  \"grid_fingerprint\":\"aabbccdd00112233\",\"total_cells\":4}\n";
+        let err = Replay::parse(v1).unwrap_err();
+        assert!(
+            err.contains("ledger version 1 not supported")
+                && err.contains(&format!("writes {LEDGER_VERSION}")),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn replay_applies_last_event_wins_and_tolerates_truncation() {
         let m = manifest();
         let mut text = m.to_json().compact();
         for e in [
-            Event::Claimed { job: "a#0".into() },
-            Event::Claimed { job: "a#1".into() },
-            Event::Failed {
-                job: "a#1".into(),
-                error: "boom".into(),
-            },
-            Event::Claimed { job: "a#1".into() },
-            Event::Completed {
-                job: "a#1".into(),
-                fingerprint: "ff".into(),
-                wall_ms: 1,
-                results: "cells/a-1.json".into(),
-            },
+            failed("a#0", "boom0"),
+            failed("a#1", "boom"),
+            completed("a#1", "ff"),
         ] {
             text.push_str(&e.to_json().compact());
         }
         let r = Replay::parse(&text).unwrap();
         assert!(!r.truncated_tail);
         assert_eq!(r.manifest, m);
-        assert_eq!(r.states.get("a#0"), Some(&CellState::Claimed));
+        assert_eq!(
+            r.states.get("a#0"),
+            Some(&CellState::Failed {
+                error: "boom0".into()
+            })
+        );
         assert!(matches!(
             r.states.get("a#1"),
             Some(CellState::Completed { fingerprint, .. }) if fingerprint == "ff"
@@ -615,7 +550,7 @@ mod tests {
 
         // A truncated final line — the kill-mid-append artifact — is
         // ignored and flagged, leaving the prior state intact.
-        let truncated = format!("{text}{{\"kind\":\"claimed\",\"jo");
+        let truncated = format!("{text}{{\"kind\":\"completed\",\"jo");
         let r = Replay::parse(&truncated).unwrap();
         assert!(r.truncated_tail);
         assert_eq!(r.states.len(), 2);
@@ -638,24 +573,25 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let m = manifest();
         let j = Journal::create(&dir, &m).unwrap();
-        j.append(&Event::Claimed { job: "x#0".into() }).unwrap();
+        j.append(&failed("x#0", "first")).unwrap();
         drop(j);
         // Simulate a kill mid-append: a partial line with no newline.
         let path = dir.join(LEDGER_FILE);
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(b"{\"kind\":\"claimed\",\"jo").unwrap();
+        f.write_all(b"{\"kind\":\"completed\",\"jo").unwrap();
         drop(f);
         let r = Replay::load(&dir).unwrap();
         assert!(r.truncated_tail);
-        assert_eq!(r.states.get("x#0"), Some(&CellState::Claimed));
+        assert_eq!(
+            r.states.get("x#0"),
+            Some(&CellState::Failed {
+                error: "first".into()
+            })
+        );
         // Reopening truncates the partial tail so the next event starts
         // cleanly and later replays see only whole records.
         let j = Journal::open_append(&dir).unwrap();
-        j.append(&Event::Failed {
-            job: "x#0".into(),
-            error: "e".into(),
-        })
-        .unwrap();
+        j.append(&failed("x#0", "e")).unwrap();
         drop(j);
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(!text.contains("\"jo\n"), "partial record bytes dropped");

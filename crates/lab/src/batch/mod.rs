@@ -1,37 +1,31 @@
-//! The batch grid service: crash-safe, resumable, shardable sweeps.
+//! The batch grid service: crash-safe, resumable sweeps.
 //!
 //! The paper's headline grids (figs. 9–19 at scale 500, 128 threads) are
 //! hours of simulation, but every grid cell is an independent job. This
 //! module turns `commtm-lab run` from a one-shot CLI into a restartable
-//! batch system:
+//! batch run:
 //!
 //! - [`BatchPlan`] deterministically enumerates the cells of any target
 //!   (a built-in, a `.toml` file, a registry workload, or `--all`) under
-//!   a set of [`Overrides`], fingerprints the enumeration, and assigns
-//!   each cell to one of `n` shards (longest-first cost-balanced — see
-//!   [`shard`]),
-//! - [`ledger`] journals per-cell progress to an append-only
-//!   `ledger.jsonl` with atomically-renamed snapshot files, so a killed
-//!   run loses at most its in-flight cells,
-//! - [`run_batch`] executes one shard's pending cells (optionally
-//!   resuming a prior journal: completed cells are kept after verifying
-//!   their recorded fingerprints, failed and orphaned-claimed cells are
-//!   retried),
-//! - [`merge`] validates shard ledgers for completeness, overlap and
-//!   fingerprint consistency and combines them into the exact report
-//!   (`index.html`, figures, per-scenario results JSON) a single-process
-//!   `run --all` produces — byte-identical, which the batch tests and
-//!   the CI kill/resume smoke enforce.
+//!   a set of [`Overrides`] and fingerprints the enumeration,
+//! - [`ledger`] journals each finished cell, result inline, to an
+//!   append-only `ledger.jsonl`, so a killed run loses at most its
+//!   in-flight cells,
+//! - [`run_batch`] executes the pending cells (optionally resuming a
+//!   prior journal: completed cells are kept after verifying their
+//!   recorded fingerprints, failed cells are retried), and
+//! - [`emit_report`] writes the report (`index.html`, figures,
+//!   per-scenario results JSON) — byte-identical whether the run was
+//!   interrupted and resumed or not, which the batch tests and the CI
+//!   kill/resume smoke enforce.
 //!
 //! Results files written here are *canonical* (timing-free) JSON: that
-//! is what makes an interrupted-resumed-merged grid byte-identical to an
+//! is what makes an interrupted-resumed grid byte-identical to an
 //! uninterrupted one. Wall-clock visibility lives in the ledger
 //! (`completed` events record per-cell wall time) and the report
 //! manifest instead.
 
 pub mod ledger;
-pub mod merge;
-pub mod shard;
 
 use std::path::Path;
 
@@ -43,7 +37,6 @@ use crate::spec::{parse_scheme, scheme_name, Cell, Scenario};
 use crate::{figures, report, scenarios, trace};
 
 pub use ledger::{CellState, Event, Journal, ManifestRecord, Replay};
-pub use shard::Shard;
 
 /// The pseudo-target naming every built-in figure scenario (all
 /// built-ins except the `smoke` harness check), as recorded in batch
@@ -52,7 +45,7 @@ pub const ALL_TARGET: &str = "--all";
 
 /// Grid overrides applied on top of a target's scenarios — the
 /// serializable form of the CLI's grid flags, recorded in the ledger
-/// manifest so `--resume` and `merge` re-derive the identical grid.
+/// manifest so `--resume` re-derives the identical grid.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Overrides {
     /// Replace the thread counts.
@@ -68,9 +61,8 @@ pub struct Overrides {
     /// Raw `KEY=VALUE` workload parameter overrides, applied via
     /// [`registry::apply_param_override`].
     pub params: Vec<String>,
-    /// Capture per-transaction traces (fresh whole-grid runs only —
-    /// traces are not persisted in cell snapshots, so sharded and
-    /// resumed runs reject this).
+    /// Capture per-transaction traces (fresh runs only — traces are not
+    /// persisted in the ledger, so a traced grid cannot resume).
     pub trace: bool,
 }
 
@@ -234,18 +226,11 @@ pub struct PlanJob {
     /// Stable job id: `"<scenario-name>#<cell-index>"` — the key the
     /// ledger journals under.
     pub id: String,
-    /// Estimated relative cost ([`exec::estimated_cost_in`]).
-    pub cost: u64,
-    /// Snapshot path relative to the output directory.
-    pub file: String,
-    /// Which shard owns this cell.
-    pub shard: usize,
 }
 
 /// A deterministic enumeration of every cell a batch run covers, with
-/// costs, stable ids, snapshot paths, a grid fingerprint and a shard
-/// assignment. Every process of a sharded run derives the identical plan
-/// from (target, overrides, shard count) alone.
+/// stable ids and a grid fingerprint. A resume derives the identical
+/// plan from (target, overrides) alone.
 pub struct BatchPlan {
     /// The target string the plan was derived from.
     pub target: String,
@@ -258,37 +243,29 @@ pub struct BatchPlan {
     /// All jobs, scenario-major, cell order within each scenario.
     pub jobs: Vec<PlanJob>,
     /// FNV-1a fingerprint of the full enumeration (names, grids, tuning,
-    /// per-cell identities) — shard-independent.
+    /// per-cell identities).
     pub grid_fingerprint: String,
-    /// The shard count the assignment was computed for.
-    pub shard_total: usize,
 }
 
 impl BatchPlan {
-    /// Builds the plan for `target` under `overrides`, assigning cells
-    /// across `shard_total` shards.
+    /// Builds the plan for `target` under `overrides`.
     ///
     /// # Errors
     ///
     /// Fails on an unknown target, a scenario that does not validate, an
     /// override that does not apply, or duplicate scenario names (their
-    /// snapshot files would collide).
-    pub fn new(
-        reg: &Registry,
-        target: &str,
-        overrides: &Overrides,
-        shard_total: usize,
-    ) -> Result<BatchPlan, String> {
+    /// job ids would collide).
+    pub fn new(reg: &Registry, target: &str, overrides: &Overrides) -> Result<BatchPlan, String> {
         let mut resolved = resolve_target(reg, target)?;
         for scenario in &mut resolved {
             overrides.apply(reg, scenario)?;
         }
-        Self::from_scenarios(reg, target, overrides, resolved, shard_total)
+        Self::from_scenarios(reg, target, overrides, resolved)
     }
 
     /// Builds a plan over already-prepared scenarios (overrides are
     /// recorded but *not* re-applied) — the entry point for callers with
-    /// pinned grids, like the bench overhead rows.
+    /// pinned grids, like the determinism tests.
     ///
     /// # Errors
     ///
@@ -298,13 +275,12 @@ impl BatchPlan {
         target: &str,
         overrides: &Overrides,
         scenarios: Vec<Scenario>,
-        shard_total: usize,
     ) -> Result<BatchPlan, String> {
         for (i, s) in scenarios.iter().enumerate() {
             s.validate_in(reg)?;
             if scenarios[..i].iter().any(|p| p.name == s.name) {
                 return Err(format!(
-                    "duplicate scenario name {:?}: snapshot files would collide",
+                    "duplicate scenario name {:?}: job ids would collide",
                     s.name
                 ));
             }
@@ -336,17 +312,8 @@ impl BatchPlan {
                     scenario: si,
                     cell: cell.index,
                     id: format!("{}#{}", scenario.name, cell.index),
-                    cost: exec::estimated_cost_in(reg, cell, scenario.scale),
-                    file: format!("cells/{}-{}.json", scenario.name, cell.index),
-                    shard: 0,
                 });
             }
-        }
-        let grid_fingerprint = fnv1a(&description);
-        let shard_total = shard_total.max(1);
-        let costs: Vec<u64> = jobs.iter().map(|j| j.cost).collect();
-        for (job, shard) in jobs.iter_mut().zip(shard::assign(&costs, shard_total)) {
-            job.shard = shard;
         }
         Ok(BatchPlan {
             target: target.to_string(),
@@ -354,19 +321,18 @@ impl BatchPlan {
             scenarios,
             cells,
             jobs,
-            grid_fingerprint,
-            shard_total,
+            grid_fingerprint: fnv1a(&description),
         })
     }
 
-    /// Rebuilds the plan a ledger manifest records (`--resume`, `merge`).
+    /// Rebuilds the plan a ledger manifest records (`--resume`).
     ///
     /// # Errors
     ///
     /// Fails as [`BatchPlan::new`] does, and when this build enumerates a
     /// different grid than the ledger recorded.
     pub fn from_manifest(reg: &Registry, m: &ManifestRecord) -> Result<BatchPlan, String> {
-        let plan = BatchPlan::new(reg, &m.target, &m.overrides, m.shard.total)?;
+        let plan = BatchPlan::new(reg, &m.target, &m.overrides)?;
         if plan.grid_fingerprint != m.grid_fingerprint || plan.jobs.len() != m.total_cells {
             return Err(format!(
                 "grid mismatch: the ledger was written for grid {} ({} cells) but this \
@@ -380,26 +346,15 @@ impl BatchPlan {
         Ok(plan)
     }
 
-    /// The manifest record a shard of this plan writes into its ledger.
-    pub fn manifest(&self, shard: Shard, theme_name: &str) -> ManifestRecord {
+    /// The manifest record this plan writes into its ledger.
+    pub fn manifest(&self, theme_name: &str) -> ManifestRecord {
         ManifestRecord {
             target: self.target.clone(),
             overrides: self.overrides.clone(),
             theme: theme_name.to_string(),
-            shard,
             grid_fingerprint: self.grid_fingerprint.clone(),
             total_cells: self.jobs.len(),
         }
-    }
-
-    /// The job indices owned by `shard`, in plan order.
-    pub fn own_jobs(&self, shard: Shard) -> Vec<usize> {
-        self.jobs
-            .iter()
-            .enumerate()
-            .filter(|(_, j)| j.shard == shard.index)
-            .map(|(i, _)| i)
-            .collect()
     }
 
     /// The cell a job refers to.
@@ -416,9 +371,7 @@ pub struct ResumeSummary {
     pub completed_kept: usize,
     /// Previously-failed cells retried.
     pub retried_failed: usize,
-    /// Orphaned `claimed` cells (in flight at crash time) retried.
-    pub retried_claimed: usize,
-    /// Completed cells whose snapshot failed verification and were re-run.
+    /// Completed cells whose record failed verification and were re-run.
     pub verify_failed: usize,
     /// Cells with no prior state.
     pub fresh: usize,
@@ -429,8 +382,8 @@ pub struct ResumeSummary {
     pub simulated: usize,
     /// Cells that failed this run.
     pub failed_now: usize,
-    /// Cells left unclaimed by a `--fail-fast` stop (still fresh in the
-    /// ledger; a later resume runs them).
+    /// Cells a `--fail-fast` stop never ran (still fresh in the ledger;
+    /// a later resume runs them).
     pub skipped_fail_fast: usize,
 }
 
@@ -444,15 +397,9 @@ impl ResumeSummary {
         if self.retried_failed > 0 {
             out.push_str(&format!(", {} failed retried", self.retried_failed));
         }
-        if self.retried_claimed > 0 {
-            out.push_str(&format!(
-                ", {} orphaned claim(s) retried",
-                self.retried_claimed
-            ));
-        }
         if self.verify_failed > 0 {
             out.push_str(&format!(
-                ", {} snapshot(s) failed verification and re-ran",
+                ", {} record(s) failed verification and re-ran",
                 self.verify_failed
             ));
         }
@@ -469,59 +416,53 @@ impl ResumeSummary {
     }
 }
 
-/// The outcome of one shard's batch execution.
+/// The outcome of one batch execution.
 pub struct BatchOutcome {
-    /// Per-job results, indexed like [`BatchPlan::jobs`]; `None` for jobs
-    /// owned by other shards.
-    pub results: Vec<Option<CellResult>>,
+    /// Per-job results, indexed like [`BatchPlan::jobs`].
+    pub results: Vec<CellResult>,
     /// What was kept, retried and run.
     pub summary: ResumeSummary,
-    /// Whether every owned cell completed successfully.
+    /// Whether every cell completed successfully.
     pub all_ok: bool,
 }
 
-/// Executes the cells of `shard` under `plan`, journaling progress into
-/// `dir`. With `prior`, resumes: completed cells are loaded and kept
-/// (after verifying the recorded fingerprint against the snapshot),
-/// failed and orphaned-claimed cells are retried, fresh cells run.
-/// Without `prior`, a new ledger (recording `theme_name`) is created,
-/// truncating any existing one.
+/// Executes `plan`, journaling each finished cell into `dir`. With
+/// `prior`, resumes: completed cells are kept after verifying their
+/// recorded results, failed cells are retried, fresh cells run. Without
+/// `prior`, a new ledger (recording `theme_name`) is created, truncating
+/// any existing one.
 ///
 /// Pending cells run on the executor's worker pool, which simulates each
 /// distinct cell once and hands its twins copies; every cell is still
-/// journaled and snapshotted under its own job id. Per-cell panics are
-/// caught ([`exec::run_cell`]) and journaled as `failed`; the run
-/// continues unless `opts.fail_fast` is set, in which case unclaimed
-/// cells are left un-journaled (fresh) for a later resume.
+/// journaled under its own job id. Per-cell panics are caught
+/// ([`exec::run_cell`]) and journaled as `failed`; the run continues
+/// unless `opts.fail_fast` is set, in which case cells never run are left
+/// un-journaled (fresh) for a later resume.
 ///
 /// # Errors
 ///
-/// Fails on ledger/snapshot filesystem errors — never on a cell failure.
+/// Fails on ledger filesystem errors — never on a cell failure.
 pub fn run_batch(
     reg: &Registry,
     plan: &BatchPlan,
-    shard: Shard,
     dir: &Path,
     prior: Option<&Replay>,
     theme_name: &str,
     opts: &ExecOptions,
 ) -> Result<BatchOutcome, String> {
-    let own = plan.own_jobs(shard);
     let mut results: Vec<Option<CellResult>> = vec![None; plan.jobs.len()];
     let mut summary = ResumeSummary::default();
     let mut pending: Vec<usize> = Vec::new();
 
-    for &ji in &own {
-        let job = &plan.jobs[ji];
+    for (ji, job) in plan.jobs.iter().enumerate() {
         let state = prior.and_then(|r| r.states.get(&job.id));
-        match state.map(|state| ledger::replayed_result(dir, state, plan.cell_of(job))) {
-            Some(Ok(Some(kept))) if kept.stats.is_some() => {
+        match state.map(|state| ledger::replayed_result(state, plan.cell_of(job))) {
+            Some(Ok(kept)) if kept.stats.is_some() => {
                 results[ji] = Some(kept);
                 summary.completed_kept += 1;
                 continue;
             }
-            Some(Ok(Some(_))) => summary.retried_failed += 1,
-            Some(Ok(None)) => summary.retried_claimed += 1,
+            Some(Ok(_)) => summary.retried_failed += 1,
             Some(Err(e)) => {
                 eprintln!("warning: {} — re-running {}", e, job.id);
                 summary.verify_failed += 1;
@@ -533,7 +474,7 @@ pub fn run_batch(
 
     let journal = match prior {
         Some(_) => Journal::open_append(dir)?,
-        None => Journal::create(dir, &plan.manifest(shard, theme_name))?,
+        None => Journal::create(dir, &plan.manifest(theme_name))?,
     };
 
     let jobs: Vec<exec::Job> = pending
@@ -543,34 +484,21 @@ pub fn run_batch(
             (&plan.scenarios[job.scenario], plan.cell_of(job))
         })
         .collect();
-    let ran = exec::run_jobs(
-        reg,
-        &jobs,
-        opts,
-        |k| {
-            journal.append(&Event::Claimed {
-                job: plan.jobs[pending[k]].id.clone(),
-            })
-        },
-        |k, result| {
-            let job = &plan.jobs[pending[k]];
-            match (&result.stats, &result.error) {
-                (Some(_), _) => {
-                    ledger::write_cell_file(dir, &job.file, result)?;
-                    journal.append(&Event::Completed {
-                        job: job.id.clone(),
-                        fingerprint: ledger::cell_fingerprint(result),
-                        wall_ms: result.wall_ms,
-                        results: job.file.clone(),
-                    })
-                }
-                (None, err) => journal.append(&Event::Failed {
-                    job: job.id.clone(),
-                    error: err.clone().unwrap_or_else(|| "unknown".into()),
-                }),
-            }
-        },
-    )?;
+    let ran = exec::run_jobs(reg, &jobs, opts, |k, result| {
+        let job = plan.jobs[pending[k]].id.clone();
+        journal.append(&match (&result.stats, &result.error) {
+            (Some(_), _) => Event::Completed {
+                job,
+                fingerprint: ledger::cell_fingerprint(result),
+                wall_ms: result.wall_ms,
+                result: result.to_json(true),
+            },
+            (None, err) => Event::Failed {
+                job,
+                error: err.clone().unwrap_or_else(|| "unknown".into()),
+            },
+        })
+    })?;
     summary.simulated = ran.simulated;
     for (result, &ji) in ran.results.into_iter().zip(&pending) {
         // A --fail-fast skip was deliberately not journaled (the cell
@@ -586,9 +514,11 @@ pub fn run_batch(
         results[ji] = Some(result);
     }
 
-    let all_ok = own
-        .iter()
-        .all(|&ji| results[ji].as_ref().is_some_and(|r| r.stats.is_some()));
+    let results: Vec<CellResult> = results
+        .into_iter()
+        .map(|r| r.expect("every job is kept or ran"))
+        .collect();
+    let all_ok = results.iter().all(|r| r.stats.is_some());
     Ok(BatchOutcome {
         results,
         summary,
@@ -596,29 +526,18 @@ pub fn run_batch(
     })
 }
 
-/// Assembles full per-scenario [`ResultSet`]s from a complete per-job
-/// result vector (every job `Some` — a whole-grid run or a merge).
-///
-/// # Errors
-///
-/// Fails if any job's result is missing.
-pub fn assemble_sets(
-    plan: &BatchPlan,
-    results: &[Option<CellResult>],
-) -> Result<Vec<ResultSet>, String> {
+/// Assembles per-scenario [`ResultSet`]s from a per-job result vector
+/// (indexed like [`BatchPlan::jobs`]).
+pub fn assemble_sets(plan: &BatchPlan, results: &[CellResult]) -> Vec<ResultSet> {
     let mut per_scenario: Vec<Vec<CellResult>> = plan
         .cells
         .iter()
         .map(|c| Vec::with_capacity(c.len()))
         .collect();
     for (job, result) in plan.jobs.iter().zip(results) {
-        let result = result
-            .as_ref()
-            .ok_or_else(|| format!("missing result for cell {}", job.id))?;
         per_scenario[job.scenario].push(result.clone());
     }
-    Ok(plan
-        .scenarios
+    plan.scenarios
         .iter()
         .zip(per_scenario)
         .map(|(scenario, mut cells)| {
@@ -634,13 +553,13 @@ pub fn assemble_sets(
                 engine: exec::engine_name(1),
             }
         })
-        .collect())
+        .collect()
 }
 
 /// Writes the full report into `dir`: one figure + one canonical results
 /// JSON per scenario, `manifest.json`, and `index.html`. This is the
-/// single emission path shared by `run --all`, whole-grid `--resume` and
-/// `merge`, which is what makes their outputs byte-identical. Returns
+/// single emission path shared by fresh batch runs and `--resume`, which
+/// is what makes their outputs byte-identical. Returns
 /// whether every cell of every scenario succeeded.
 ///
 /// # Errors
@@ -797,30 +716,21 @@ mod tests {
     }
 
     #[test]
-    fn plan_is_deterministic_and_shard_assignment_covers_all_cells() {
+    fn plan_is_deterministic() {
         let reg = registry::global();
         let ov = Overrides {
             threads: Some(vec![1, 2]),
             scale: Some(1),
             ..Overrides::default()
         };
-        let a = BatchPlan::new(reg, "smoke", &ov, 2).unwrap();
-        let b = BatchPlan::new(reg, "smoke", &ov, 2).unwrap();
+        let a = BatchPlan::new(reg, "smoke", &ov).unwrap();
+        let b = BatchPlan::new(reg, "smoke", &ov).unwrap();
         assert_eq!(a.grid_fingerprint, b.grid_fingerprint);
         assert_eq!(
-            a.jobs.iter().map(|j| j.shard).collect::<Vec<_>>(),
-            b.jobs.iter().map(|j| j.shard).collect::<Vec<_>>()
+            a.jobs.iter().map(|j| &j.id).collect::<Vec<_>>(),
+            b.jobs.iter().map(|j| &j.id).collect::<Vec<_>>()
         );
         assert!(!a.jobs.is_empty());
-        // Shard ownership partitions the job set.
-        let s0 = a.own_jobs(Shard { index: 0, total: 2 });
-        let s1 = a.own_jobs(Shard { index: 1, total: 2 });
-        let mut union: Vec<usize> = s0.iter().chain(&s1).copied().collect();
-        union.sort_unstable();
-        assert_eq!(union, (0..a.jobs.len()).collect::<Vec<_>>());
-        // Shard count changes the partition but not the fingerprint.
-        let c = BatchPlan::new(reg, "smoke", &ov, 4).unwrap();
-        assert_eq!(c.grid_fingerprint, a.grid_fingerprint);
         // The grid itself changes the fingerprint.
         let d = BatchPlan::new(
             reg,
@@ -830,7 +740,6 @@ mod tests {
                 scale: Some(1),
                 ..Overrides::default()
             },
-            2,
         )
         .unwrap();
         assert_ne!(d.grid_fingerprint, a.grid_fingerprint);

@@ -5,17 +5,15 @@
 //! commtm-lab workloads                 # registered workloads and defaults
 //! commtm-lab run fig09 --threads-max 16 --out fig09.json
 //! commtm-lab run --all --out-dir report   # every figure + manifest.json
-//! commtm-lab run --all --out-dir s0 --shard 0/2   # half the grid
-//! commtm-lab run --resume s0           # finish a killed run
-//! commtm-lab merge s0 s1 --out-dir report  # combine shard ledgers
+//! commtm-lab run --resume report       # finish a killed run
 //! commtm-lab run sweep.toml --jobs 8 --csv sweep.csv
 //! commtm-lab diff old.json new.json    # regression gate
 //! ```
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
-use commtm_lab::batch::{self, Replay, Shard};
+use commtm_lab::batch::{self, Replay};
 use commtm_lab::exec::{run_scenario, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
@@ -32,10 +30,6 @@ USAGE:
     commtm-lab run <scenario|file.toml> [options]
     commtm-lab run --all [--out-dir DIR] [options]
     commtm-lab run --resume DIR [--jobs N] [--fail-fast] [--progress]
-    commtm-lab merge <dir>... [--out-dir DIR] [--quiet]
-                                            validate shard ledgers and combine
-                                            them into the single report that an
-                                            unsharded run produces
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
@@ -54,28 +48,24 @@ RUN OPTIONS:
                         workload's schema; repeatable; errors list each
                         workload's valid parameters)
     --out-dir DIR       batch-mode artifact directory (default for --all:
-                        lab-report). Batch runs journal per-cell progress
-                        to DIR/ledger.jsonl (crash-safe: a killed run
-                        loses at most its in-flight cells) and snapshot
-                        every cell under DIR/cells/. Naming --out-dir for
-                        a single scenario batches it too. See docs/BATCH.md
+                        lab-report). Batch runs journal every finished
+                        cell, result included, to DIR/ledger.jsonl
+                        (crash-safe: a killed run loses at most its
+                        in-flight cells). Naming --out-dir for a single
+                        scenario batches it too. See docs/BATCH.md
     --resume DIR        replay DIR's ledger: keep completed cells after
                         verifying their recorded fingerprints, retry
-                        failed and orphaned in-flight cells, finish the
-                        grid, and report a resume summary. Takes the grid
+                        failed cells, run the rest of the grid, and
+                        report a resume summary. Takes the grid
                         definition from the ledger — grid flags don't
                         combine with --resume
-    --shard I/N         own only slice I of an N-way deterministic,
-                        cost-balanced cell split (0-based). Each shard is
-                        an independent process writing its own --out-dir;
-                        combine them with `commtm-lab merge`
     --fail-fast         stop claiming new cells after the first failure.
                         Default off in batch mode: a poisoned cell is
                         recorded as failed (figures render a gap) and the
                         sweep continues; cells skipped by a --fail-fast
                         stop stay fresh in the ledger for --resume
     --threads LIST      comma-separated thread counts (e.g. 1,8,32)
-    --threads-max N     drop sweep points above N threads
+    --threads-max N     drop sweep points above N threads (N >= 1)
     --schemes LIST      comma-separated schemes (baseline,commtm)
     --seeds N           run N seed replicas per point (N >= 1)
     --scale N           workload scale factor (paper scale ~ 500)
@@ -97,10 +87,6 @@ RUN OPTIONS:
                         finite and non-negative; run needs --baseline)
     --progress          print per-cell progress to stderr
     --quiet             suppress the figure-style report
-
-MERGE OPTIONS:
-    --out-dir DIR       combined report directory (default: lab-report)
-    --quiet             suppress the figure-style reports
 
 VERIFY OPTIONS:
     --all               both tiers for every label and workload (default
@@ -131,13 +117,6 @@ fn main() -> ExitCode {
             }
         },
         Some("run") => match cmd_run(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("merge") => match cmd_merge(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("error: {e}");
@@ -226,7 +205,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut all = false;
     let mut out_dir: Option<String> = None;
     let mut resume: Option<String> = None;
-    let mut shard: Option<Shard> = None;
     let mut opts = ExecOptions::default();
     let mut ov = batch::Overrides::default();
     let mut out_json: Option<String> = None;
@@ -248,17 +226,18 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--param" => ov.params.push(value("--param")?.clone()),
             "--out-dir" => out_dir = Some(value("--out-dir")?.clone()),
             "--resume" => resume = Some(value("--resume")?.clone()),
-            "--shard" => shard = Some(Shard::parse(value("--shard")?)?),
             "--fail-fast" => opts.fail_fast = true,
             "--threads" => {
                 ov.threads = Some(parse_usize_list(value("--threads")?)?);
             }
             "--threads-max" => {
-                ov.threads_max = Some(
-                    value("--threads-max")?
-                        .parse()
-                        .map_err(|_| "bad --threads-max")?,
-                );
+                let max = value("--threads-max")?
+                    .parse()
+                    .map_err(|_| "bad --threads-max")?;
+                if max == 0 {
+                    return Err("--threads-max must be at least 1".into());
+                }
+                ov.threads_max = Some(max);
             }
             "--schemes" => {
                 ov.schemes = Some(
@@ -320,9 +299,9 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     if let Some(dir) = resume {
         // The ledger manifest is the grid definition: re-specifying any
         // part of it alongside --resume is ambiguous, so reject it all.
-        if target.is_some() || all || out_dir.is_some() || shard.is_some() {
+        if target.is_some() || all || out_dir.is_some() {
             return Err("--resume replays a ledger's own grid; don't also pass a \
-                 scenario, --all, --out-dir or --shard"
+                 scenario, --all or --out-dir"
                 .into());
         }
         if ov != batch::Overrides::default() || single_scenario_outputs {
@@ -333,7 +312,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         return cmd_run_resume(&dir, &opts, quiet_report);
     }
 
-    if all || out_dir.is_some() || shard.is_some() {
+    if all || out_dir.is_some() {
         let target = if all {
             if target.is_some() {
                 return Err("--all runs every built-in scenario; don't also name one".into());
@@ -356,19 +335,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                     .into(),
             );
         }
-        let shard = shard.unwrap_or(Shard::WHOLE);
-        if ov.trace && !shard.is_whole() {
-            return Err(
-                "--trace doesn't combine with --shard: traces are not persisted \
-                 in cell snapshots, so a merge could not reproduce them"
-                    .into(),
-            );
-        }
         return cmd_run_batch(
             target,
             &out_dir.unwrap_or_else(|| "lab-report".to_string()),
             &ov,
-            shard,
             &opts,
             quiet_report,
             &theme_name,
@@ -439,22 +409,20 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(code)
 }
 
-/// A batch (ledger-backed) run: `run --all`, `run <target> --out-dir`, or
-/// any `--shard` slice. Plans the grid, journals per-cell progress into
-/// `dir/ledger.jsonl`, and — for whole-grid runs — emits the full report
-/// (figures, per-scenario results JSON, manifest, index). Shard slices
-/// leave report emission to `commtm-lab merge`.
+/// A batch (ledger-backed) run: `run --all` or `run <target> --out-dir`.
+/// Plans the grid, journals every finished cell into
+/// `dir/ledger.jsonl`, and emits the full report (figures, per-scenario
+/// results JSON, manifest, index).
 fn cmd_run_batch(
     target: &str,
     dir: &str,
     ov: &batch::Overrides,
-    shard: Shard,
     opts: &ExecOptions,
     quiet_report: bool,
     theme_name: &str,
 ) -> Result<ExitCode, String> {
     let reg = registry::global();
-    let plan = batch::BatchPlan::new(reg, target, ov, shard.total)?;
+    let plan = batch::BatchPlan::new(reg, target, ov)?;
     let dir_path = Path::new(dir);
 
     // Starting fresh truncates any ledger already in the directory. If
@@ -462,9 +430,7 @@ fn cmd_run_batch(
     // finish it, not redo it — say so before discarding the work.
     if dir_path.join(batch::ledger::LEDGER_FILE).exists() {
         if let Ok(prior) = Replay::load(dir_path) {
-            if prior.manifest.grid_fingerprint == plan.grid_fingerprint
-                && prior.manifest.shard == shard
-            {
+            if prior.manifest.grid_fingerprint == plan.grid_fingerprint {
                 let done = prior
                     .states
                     .values()
@@ -479,34 +445,24 @@ fn cmd_run_batch(
         }
     }
 
-    let outcome = batch::run_batch(reg, &plan, shard, dir_path, None, theme_name, opts)?;
-    finish_batch(&plan, &outcome, shard, dir, theme_name, quiet_report)
+    let outcome = batch::run_batch(reg, &plan, dir_path, None, theme_name, opts)?;
+    finish_batch(&plan, &outcome, dir, theme_name, quiet_report)
 }
 
-/// Prints a batch run's summary and, for a whole grid, emits its report
-/// (shard slices leave that to `merge`). Fails the exit code when a cell
-/// failed.
+/// Prints a batch run's summary and emits its report. Fails the exit
+/// code when a cell failed.
 fn finish_batch(
     plan: &batch::BatchPlan,
     outcome: &batch::BatchOutcome,
-    shard: Shard,
     dir: &str,
     theme_name: &str,
     quiet_report: bool,
 ) -> Result<ExitCode, String> {
     eprintln!("{}", outcome.summary.render());
-    let ok = if shard.is_whole() {
-        let sets = batch::assemble_sets(plan, &outcome.results)?;
-        let theme = figures::theme_by_name(theme_name)
-            .ok_or_else(|| format!("unknown theme {theme_name:?}"))?;
-        batch::emit_report(Path::new(dir), plan, &sets, theme, quiet_report)?
-    } else {
-        eprintln!(
-            "shard {shard} of the grid is journaled in {dir}; when every shard is done, \
-             combine them: commtm-lab merge <dir>... --out-dir <report>"
-        );
-        outcome.all_ok
-    };
+    let sets = batch::assemble_sets(plan, &outcome.results);
+    let theme = figures::theme_by_name(theme_name)
+        .ok_or_else(|| format!("unknown theme {theme_name:?}"))?;
+    let ok = batch::emit_report(Path::new(dir), plan, &sets, theme, quiet_report)?;
     Ok(if ok {
         ExitCode::SUCCESS
     } else {
@@ -515,8 +471,7 @@ fn finish_batch(
 }
 
 /// `run --resume DIR`: replay DIR's ledger, keep verified completed
-/// cells, retry failed and orphaned in-flight cells, and finish the grid
-/// the ledger describes.
+/// cells, retry failed ones, and finish the grid the ledger describes.
 fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<ExitCode, String> {
     let reg = registry::global();
     let dir_path = Path::new(dir);
@@ -524,8 +479,8 @@ fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<E
     let m = prior.manifest.clone();
     if m.overrides.trace {
         return Err(format!(
-            "{dir}: this ledger captured traces, which are not persisted in cell \
-             snapshots; traced grids must re-run whole (commtm-lab run ... --trace)"
+            "{dir}: this ledger captured traces, which the ledger does not \
+             persist; traced grids must re-run whole (commtm-lab run ... --trace)"
         ));
     }
     if prior.truncated_tail {
@@ -535,38 +490,8 @@ fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<E
         );
     }
     let plan = batch::BatchPlan::from_manifest(reg, &m).map_err(|e| format!("{dir}: {e}"))?;
-    let outcome = batch::run_batch(reg, &plan, m.shard, dir_path, Some(&prior), &m.theme, opts)?;
-    finish_batch(&plan, &outcome, m.shard, dir, &m.theme, quiet_report)
-}
-
-/// `merge <dir>...`: validate shard ledgers (same grid, every shard
-/// present exactly once, every cell finished and verifying) and combine
-/// them into the single report an unsharded run writes.
-fn cmd_merge(args: &[String]) -> Result<ExitCode, String> {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut out_dir = "lab-report".to_string();
-    let mut quiet_report = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--out-dir" => {
-                out_dir = it.next().ok_or("--out-dir needs a value")?.clone();
-            }
-            "--quiet" => quiet_report = true,
-            p if !p.starts_with('-') => dirs.push(PathBuf::from(p)),
-            other => return Err(format!("unknown option {other:?}")),
-        }
-    }
-    if dirs.is_empty() {
-        return Err("merge needs the shard output directories (one per shard)".into());
-    }
-    let ok =
-        batch::merge::merge_dirs(registry::global(), &dirs, Path::new(&out_dir), quiet_report)?;
-    Ok(if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    })
+    let outcome = batch::run_batch(reg, &plan, dir_path, Some(&prior), &m.theme, opts)?;
+    finish_batch(&plan, &outcome, dir, &m.theme, quiet_report)
 }
 
 /// The error for a flag of the retired parallel machine engine.
@@ -786,5 +711,12 @@ mod tests {
     fn zero_seeds_is_rejected() {
         let err = cmd_run(&args(&["fig09", "--seeds", "0"])).expect_err("--seeds 0 is rejected");
         assert!(err.contains("--seeds must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_threads_max_is_rejected() {
+        let err = cmd_run(&args(&["fig09", "--threads-max", "0"]))
+            .expect_err("--threads-max 0 is rejected");
+        assert!(err.contains("--threads-max must be at least 1"), "{err}");
     }
 }

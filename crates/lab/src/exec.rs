@@ -9,7 +9,7 @@
 //! comparing parallel and serial runs byte-for-byte.
 //!
 //! [`run_scenario_in`] and [`crate::batch::run_batch`] both run on this
-//! pool; a batch run journals each cell through its before/after hooks.
+//! pool; a batch run journals each finished cell through its `after` hook.
 //! Cells that agree on everything [`run_cell`] reads share one simulation
 //! per pool run, each getting a copy relabelled with its own cell, so
 //! figures that share cells (fig16–19, Table II) simulate them once.
@@ -143,7 +143,7 @@ pub fn run_scenario_in(
     let cells = scenario.cells();
     let started = Instant::now();
     let jobs: Vec<Job> = cells.iter().map(|cell| (scenario, cell)).collect();
-    let ran = run_jobs(reg, &jobs, opts, |_| Ok(()), |_, _| Ok(()))?;
+    let ran = run_jobs(reg, &jobs, opts, |_, _| Ok(()))?;
     Ok(ResultSet {
         scenario: scenario.name.clone(),
         title: scenario.title.clone(),
@@ -189,17 +189,15 @@ fn cell_key(reg: &registry::Registry, scenario: &Scenario, cell: &spec::Cell) ->
 /// ([`estimated_cost_in`]) by `opts.jobs` workers — and hands every
 /// member of the group a copy of the result carrying its own cell.
 ///
-/// `before` runs for each member of a group before the group simulates,
-/// `after` for each member with its result; either stops the pool by
-/// returning an error, which this function then returns (in-flight
-/// groups finish first). With `opts.fail_fast`, the first failed cell
-/// stops further claims, and every job never claimed is recorded as
-/// skipped without any hook call.
+/// `after` runs for each member of a group with its result; it stops the
+/// pool by returning an error, which this function then returns
+/// (in-flight groups finish first). With `opts.fail_fast`, the first
+/// failed cell stops further claims, and every job never claimed is
+/// recorded as skipped without a hook call.
 pub(crate) fn run_jobs(
     reg: &registry::Registry,
     jobs: &[Job],
     opts: &ExecOptions,
-    before: impl Fn(usize) -> Result<(), String> + Sync,
     after: impl Fn(usize, &CellResult) -> Result<(), String> + Sync,
 ) -> Result<PoolRun, String> {
     install_quiet_cell_hook();
@@ -230,12 +228,9 @@ pub(crate) fn run_jobs(
     let failed = AtomicBool::new(false);
     let error: Mutex<Option<String>> = Mutex::new(None);
 
-    // Runs one group: every member's `before`, one simulation, then every
-    // member's copy of the result through `after` into its slot.
+    // Runs one group: one simulation, then every member's copy of the
+    // result through `after` into its slot.
     let run_group = |group: &[usize]| -> Result<(), String> {
-        for &j in group {
-            before(j)?;
-        }
         let (scenario, cell) = jobs[group[0]];
         let shared = run_cell(reg, cell, scenario);
         simulated.fetch_add(1, Ordering::Relaxed);

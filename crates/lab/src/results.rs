@@ -243,9 +243,9 @@ impl CellResult {
     /// The JSON form of one cell result — identity, parameters, then
     /// stats or error. With `timing` set, host wall-clock and the trace
     /// summary ride along; without it the output is canonical (two runs
-    /// of the same cell emit byte-identical text). This is also the
-    /// format of the batch ledger's per-cell result files (see
-    /// [`crate::batch`]).
+    /// of the same cell emit byte-identical text). The timing form is
+    /// also the record a batch ledger's `completed` lines carry inline
+    /// (see [`crate::batch`]).
     pub fn to_json(&self, timing: bool) -> Json {
         let c = self;
         let mut pairs = vec![

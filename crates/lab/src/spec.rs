@@ -359,13 +359,25 @@ impl Scenario {
         if self.scale == 0 {
             return Err(format!("scenario {:?}: scale must be >= 1", self.name));
         }
-        // Seeds and display labels form each cell's identity (results are
-        // keyed by label × threads × scheme × seed); duplicates would
-        // silently conflate distinct cells in aggregation and diffing.
-        for (i, s) in self.seeds.iter().enumerate() {
-            if self.seeds[..i].contains(s) {
-                return Err(format!("scenario {:?}: duplicate seed {s:#x}", self.name));
-            }
+        // Thread counts, schemes, seeds and display labels form each
+        // cell's identity (results are keyed by label × threads × scheme ×
+        // seed); duplicates would silently conflate distinct cells in
+        // aggregation and diffing.
+        if let Some(t) = first_duplicate(&self.threads) {
+            return Err(format!(
+                "scenario {:?}: duplicate thread count {t}",
+                self.name
+            ));
+        }
+        if let Some(&s) = first_duplicate(&self.schemes) {
+            return Err(format!(
+                "scenario {:?}: duplicate scheme {}",
+                self.name,
+                scheme_name(s)
+            ));
+        }
+        if let Some(s) = first_duplicate(&self.seeds) {
+            return Err(format!("scenario {:?}: duplicate seed {s:#x}", self.name));
         }
         for (i, w) in self.workloads.iter().enumerate() {
             if self.workloads[..i]
@@ -476,6 +488,15 @@ pub struct Cell {
     pub seed_index: usize,
     /// The machine seed.
     pub seed: u64,
+}
+
+/// The first element of `items` that repeats an earlier one.
+fn first_duplicate<T: PartialEq>(items: &[T]) -> Option<&T> {
+    items
+        .iter()
+        .enumerate()
+        .find(|&(i, x)| items[..i].contains(x))
+        .map(|(_, x)| x)
 }
 
 #[cfg(test)]
@@ -597,6 +618,20 @@ mod tests {
             .workload(WorkloadSpec::named("counter"))
             .seeds(&[5, 5]);
         assert!(s.validate().unwrap_err().contains("duplicate seed"));
+        let s = Scenario::new("t", "t")
+            .workload(WorkloadSpec::named("counter"))
+            .threads(&[1, 1]);
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .contains("duplicate thread count 1"));
+        let s = Scenario::new("t", "t")
+            .workload(WorkloadSpec::named("counter"))
+            .schemes(&[Scheme::CommTm, Scheme::CommTm]);
+        assert!(s
+            .validate()
+            .unwrap_err()
+            .contains("duplicate scheme commtm"));
     }
 
     #[test]

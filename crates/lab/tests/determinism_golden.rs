@@ -21,7 +21,7 @@
 
 use std::path::PathBuf;
 
-use commtm_lab::batch::{self, merge, BatchPlan, Overrides, Replay, Shard};
+use commtm_lab::batch::{self, BatchPlan, Overrides, Replay};
 use commtm_lab::exec::{run_scenario_serial, ExecOptions};
 use commtm_lab::spec::{Scenario, WorkloadSpec};
 use commtm_lab::{json, registry, scenarios, CellResult};
@@ -117,46 +117,39 @@ fn pinned_figure(
 }
 
 /// FNV-1a of the single scenario's canonical (timing-free) results JSON.
-fn fingerprint(plan: &BatchPlan, results: &[Option<CellResult>]) -> String {
-    let sets = batch::assemble_sets(plan, results).expect("sets assemble");
+fn fingerprint(plan: &BatchPlan, results: &[CellResult]) -> String {
+    let sets = batch::assemble_sets(plan, results);
     json::fnv1a(&sets[0].canonical_json().pretty())
 }
 
 /// Runs `scenario` once through the ledger-backed batch path and checks
 /// the FNV-1a fingerprint of its canonical results JSON twice: for the
-/// sets assembled in memory, and for the sets reloaded from the ledger
-/// the way `merge` reads them. Storing and reloading results may not
-/// change them.
+/// sets assembled in memory, and for the sets a `--resume` of the
+/// completed ledger rebuilds from its records alone. Storing and
+/// reloading results may not change them.
 fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
     let reg = registry::global();
     let dir =
         std::env::temp_dir().join(format!("commtm-determinism-{}-{grid}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = BatchPlan::from_scenarios(reg, grid, &Overrides::default(), vec![scenario], 1)
+    let plan = BatchPlan::from_scenarios(reg, grid, &Overrides::default(), vec![scenario])
         .expect("pinned grid plans");
-    let outcome = batch::run_batch(
-        reg,
-        &plan,
-        Shard::WHOLE,
-        &dir,
-        None,
-        "light",
-        &ExecOptions::default(),
-    )
-    .expect("pinned grid runs");
+    let opts = ExecOptions::default();
+    let outcome =
+        batch::run_batch(reg, &plan, &dir, None, "light", &opts).expect("pinned grid runs");
     assert!(outcome.all_ok, "{grid}: every cell must complete");
     let in_memory = fingerprint(&plan, &outcome.results);
 
-    let inputs = merge::MergeInputs {
-        plan,
-        shards: vec![(dir.clone(), Replay::load(&dir).expect("ledger replays"))],
-        theme: "light".to_string(),
-    };
-    let reloaded = fingerprint(
-        &inputs.plan,
-        &merge::collect(&inputs).expect("ledger cells reload"),
-    );
+    let prior = Replay::load(&dir).expect("ledger replays");
+    let resumed =
+        batch::run_batch(reg, &plan, &dir, Some(&prior), "light", &opts).expect("ledger resumes");
     let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (resumed.summary.completed_kept, resumed.summary.simulated),
+        (plan.jobs.len(), 0),
+        "{grid}: resuming a completed ledger must keep every cell and simulate none"
+    );
+    let reloaded = fingerprint(&plan, &resumed.results);
 
     assert_eq!(
         in_memory, expected,
