@@ -44,10 +44,11 @@ pub struct FillOutcome<M> {
 /// A handle to a resident line, returned by [`CacheArray::lookup`] and
 /// [`CacheArray::fill`].
 ///
-/// A `Slot` names a (set, way) position, so repeated accesses through it
-/// skip the tag-matching set scan — this is what makes the protocol's
-/// probe-once discipline possible (one [`CacheArray::lookup`] per line per
-/// operation, then index-based access).
+/// A `Slot` is an index into the array's line pool (chunk number in the
+/// high bits, position within the chunk in the low bits), so repeated
+/// accesses through it skip the tag-matching set scan — this is what makes
+/// the protocol's probe-once discipline possible (one
+/// [`CacheArray::lookup`] per line per operation, then index-based access).
 ///
 /// A slot stays valid until the next [`CacheArray::fill`] or
 /// [`CacheArray::remove`] on the array, either of which may vacate or
@@ -73,20 +74,57 @@ pub struct Slot(usize);
 #[derive(Clone, Debug)]
 pub struct CacheArray<M> {
     geom: CacheGeometry,
-    /// Entry storage, one lazily-allocated box per set: a paper-scale L3
-    /// bank has 64K lines, and sweeps build one machine per grid cell, so
-    /// eagerly zeroing every slot would put >100MB of memset on each
-    /// cell's construction. Untouched sets stay `None`.
-    sets: Vec<Option<Box<[Option<Entry<M>>]>>>,
-    /// Tags duplicated in a dense side array ([`EMPTY_TAG`] when vacant):
-    /// a w-way probe reads w consecutive words instead of w scattered
-    /// `Entry` structs, so the per-operation tag scan touches one or two
-    /// host cache lines. Invariant: `tags[set*ways + way]` mirrors
-    /// `sets[set][way]`.
+    /// Per set, the 1-based number of the block holding its ways, or 0
+    /// while the set has never been filled. This is the only per-set
+    /// state, so building an array writes one word per set: a paper-scale
+    /// L3 bank has 64K lines, and sweeps build one machine per grid cell.
+    blocks: Vec<u32>,
+    /// Tags duplicated in a dense side array indexed by [`Slot`]
+    /// ([`EMPTY_TAG`] when vacant): a w-way probe reads w consecutive
+    /// words instead of w scattered `Entry` structs, and reaches them
+    /// without going through a chunk. It grows as blocks are handed out
+    /// (and may reallocate: a tag is a copy, so that moves no line).
+    /// Invariant: `tags[slot]` mirrors the entry at `slot`.
     tags: Vec<u64>,
+    /// The line pool: blocks of `ways` slots, numbered in first-fill
+    /// order and packed `1 << chunk_sets_log2` to a chunk. A chunk is
+    /// allocated when its first block is handed out and never grows past
+    /// its reserved capacity, so a resident line never moves.
+    chunks: Vec<Chunk<M>>,
+    /// log2 of the blocks per chunk.
+    chunk_sets_log2: u32,
+    /// log2 of the slot-index stride between chunks: a [`Slot`] is
+    /// `chunk << slot_shift | offset`.
+    slot_shift: u32,
+    /// Blocks handed out so far (the highest block number in `blocks`).
+    used_blocks: u32,
     tick: u64,
     resident: usize,
 }
+
+/// One fixed-size piece of the line pool's entries.
+#[derive(Debug)]
+struct Chunk<M>(Vec<Option<Entry<M>>>);
+
+/// A derived clone would trim the chunk to its length, so the clone's
+/// next block would reallocate (and move) its last chunk.
+impl<M: Clone> Clone for Chunk<M> {
+    fn clone(&self) -> Self {
+        let mut entries = Vec::with_capacity(self.0.capacity());
+        entries.extend(self.0.iter().cloned());
+        Chunk(entries)
+    }
+}
+
+/// Target line slots per chunk (rounded down to a power-of-two number of
+/// whole sets). Each array's last chunk is partly empty, so larger chunks
+/// cost peak memory, and time does not pay it back: on `perfbench`
+/// (seed 5, 4 interleaved rounds, 2-vCPU host) 64/128/256-slot chunks
+/// gave repro-all `pass_ms` medians of 654/666/639 ms and list-mix
+/// 373/394/373 ms, within the host's noise, while list-mix peaked at
+/// 53.7/55.4/56.5 MiB (`--trace 1`, seed 3; 62.3 MiB for the dense
+/// layout this replaced).
+const CHUNK_SLOTS: usize = 64;
 
 /// Sentinel for a vacant slot in the tag side-array. Line addresses are
 /// line *indices* (byte address / 64), so the top of the u64 range is
@@ -94,14 +132,24 @@ pub struct CacheArray<M> {
 const EMPTY_TAG: u64 = u64::MAX;
 
 impl<M> CacheArray<M> {
-    /// Creates an empty array with the given geometry.
+    /// Creates an empty array with the given geometry. Allocates one word
+    /// per set and no line storage.
     pub fn new(geom: CacheGeometry) -> Self {
-        let mut sets = Vec::new();
-        sets.resize_with(geom.sets(), || None);
+        assert!(
+            u32::try_from(geom.sets()).is_ok(),
+            "set count must fit in 32 bits"
+        );
+        let chunk_sets = (CHUNK_SLOTS / geom.ways()).max(1);
+        let chunk_sets_log2 = chunk_sets.ilog2();
+        let chunk_slots = geom.ways() << chunk_sets_log2;
         CacheArray {
             geom,
-            sets,
-            tags: vec![EMPTY_TAG; geom.lines()],
+            blocks: vec![0; geom.sets()],
+            tags: Vec::new(),
+            chunks: Vec::new(),
+            chunk_sets_log2,
+            slot_shift: chunk_slots.next_power_of_two().trailing_zeros(),
+            used_blocks: 0,
             tick: 0,
             resident: 0,
         }
@@ -112,14 +160,24 @@ impl<M> CacheArray<M> {
         self.geom
     }
 
+    /// Line slots allocated so far: `ways` per set that has ever been
+    /// filled. For tests and diagnostics (a fresh array reports 0).
+    pub fn allocated_slots(&self) -> usize {
+        self.used_blocks as usize * self.geom.ways()
+    }
+
     /// Locates a resident line without updating recency: the single
     /// tag-matching probe of an operation. All further access goes through
     /// the returned [`Slot`] via [`CacheArray::entry`],
     /// [`CacheArray::entry_mut`], and [`CacheArray::touch`].
     pub fn lookup(&self, line: LineAddr) -> Option<Slot> {
-        let (base, ways) = self.set_range(line);
+        let block = self.blocks[self.geom.set_of(line)];
+        if block == 0 {
+            return None;
+        }
+        let base = self.block_base(block);
         let raw = line.raw();
-        self.tags[base..base + ways]
+        self.tags[base..base + self.geom.ways()]
             .iter()
             .position(|&t| t == raw)
             .map(|w| Slot(base + w))
@@ -131,10 +189,7 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn entry(&self, slot: Slot) -> &Entry<M> {
-        let ways = self.geom.ways();
-        self.sets[slot.0 / ways]
-            .as_ref()
-            .expect("stale slot handle")[slot.0 % ways]
+        self.chunks[slot.0 >> self.slot_shift].0[self.offset(slot.0)]
             .as_ref()
             .expect("stale slot handle")
     }
@@ -146,10 +201,8 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn entry_mut(&mut self, slot: Slot) -> &mut Entry<M> {
-        let ways = self.geom.ways();
-        self.sets[slot.0 / ways]
-            .as_mut()
-            .expect("stale slot handle")[slot.0 % ways]
+        let off = self.offset(slot.0);
+        self.chunks[slot.0 >> self.slot_shift].0[off]
             .as_mut()
             .expect("stale slot handle")
     }
@@ -168,7 +221,7 @@ impl<M> CacheArray<M> {
 
     /// The way index of a slot within its set.
     pub fn way_of_slot(&self, slot: Slot) -> usize {
-        slot.0 % self.geom.ways()
+        self.offset(slot.0) % self.geom.ways()
     }
 
     /// Looks up a line without updating recency.
@@ -210,9 +263,19 @@ impl<M> CacheArray<M> {
         class: EvictionClass,
     ) -> FillOutcome<M> {
         debug_assert!(!self.contains(line), "fill of resident line {line}");
+        debug_assert_ne!(
+            line.raw(),
+            EMPTY_TAG,
+            "line index collides with the vacant sentinel"
+        );
         self.tick += 1;
         let tick = self.tick;
-        let (base, ways) = self.set_range(line);
+        let ways = self.geom.ways();
+        let set = self.geom.set_of(line);
+        let base = match self.blocks[set] {
+            0 => self.new_block(set),
+            block => self.block_base(block),
+        };
         let (lo, hi) = match class {
             EvictionClass::Handler if ways > 1 => (0usize, 1usize),
             EvictionClass::Reducible if ways > 1 => (1usize, ways),
@@ -220,11 +283,8 @@ impl<M> CacheArray<M> {
         };
 
         // Prefer an invalid slot in the allowed range.
-        let range = self.sets[base / ways].get_or_insert_with(|| {
-            let mut v = Vec::new();
-            v.resize_with(ways, || None);
-            v.into_boxed_slice()
-        });
+        let off = self.offset(base);
+        let range = &mut self.chunks[base >> self.slot_shift].0[off..off + ways];
         let mut victim_way = None;
         let mut oldest = u64::MAX;
         for (w, slot) in range.iter().enumerate().take(hi).skip(lo) {
@@ -241,18 +301,12 @@ impl<M> CacheArray<M> {
             }
         }
         let way = victim_way.expect("eviction range is never empty");
-        let victim = range[way].take();
-        range[way] = Some(Entry {
+        let victim = range[way].replace(Entry {
             tag: line,
             data,
             meta,
             lru: tick,
         });
-        debug_assert_ne!(
-            line.raw(),
-            EMPTY_TAG,
-            "line index collides with the vacant sentinel"
-        );
         self.tags[base + way] = line.raw();
         if victim.is_none() {
             self.resident += 1;
@@ -275,10 +329,8 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn remove_slot(&mut self, slot: Slot) -> Entry<M> {
-        let ways = self.geom.ways();
-        let e = self.sets[slot.0 / ways]
-            .as_mut()
-            .expect("stale slot handle")[slot.0 % ways]
+        let off = self.offset(slot.0);
+        let e = self.chunks[slot.0 >> self.slot_shift].0[off]
             .take()
             .expect("stale slot handle");
         self.tags[slot.0] = EMPTY_TAG;
@@ -286,21 +338,17 @@ impl<M> CacheArray<M> {
         e
     }
 
-    /// Iterates all resident entries (for invariant checks and recalls).
+    /// Iterates all resident entries in (set, way) order (for invariant
+    /// checks and recalls).
     pub fn iter(&self) -> impl Iterator<Item = &Entry<M>> {
-        self.sets
+        let ways = self.geom.ways();
+        self.blocks
             .iter()
-            .flatten()
-            .flat_map(|set| set.iter())
-            .flatten()
-    }
-
-    /// Iterates all resident entries mutably.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Entry<M>> {
-        self.sets
-            .iter_mut()
-            .flatten()
-            .flat_map(|set| set.iter_mut())
+            .filter(|&&block| block != 0)
+            .flat_map(move |&block| {
+                let base = self.block_base(block);
+                self.chunks[base >> self.slot_shift].0[self.offset(base)..][..ways].iter()
+            })
             .flatten()
     }
 
@@ -329,9 +377,33 @@ impl<M> CacheArray<M> {
         self.geom.set_of(line)
     }
 
-    fn set_range(&self, line: LineAddr) -> (usize, usize) {
+    /// The slot of way 0 of a (1-based) block.
+    fn block_base(&self, block: u32) -> usize {
+        let index = block as usize - 1;
+        let within = index & ((1 << self.chunk_sets_log2) - 1);
+        ((index >> self.chunk_sets_log2) << self.slot_shift) | (within * self.geom.ways())
+    }
+
+    /// Hands the next block to `set`, opening a chunk if the last one is
+    /// full, and returns the block's base slot.
+    fn new_block(&mut self, set: usize) -> usize {
         let ways = self.geom.ways();
-        (self.geom.set_of(line) * ways, ways)
+        if self.used_blocks & ((1 << self.chunk_sets_log2) - 1) == 0 {
+            let capacity = ways << self.chunk_sets_log2;
+            self.chunks.push(Chunk(Vec::with_capacity(capacity)));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
+        chunk.0.extend(std::iter::repeat_with(|| None).take(ways));
+        self.used_blocks += 1;
+        self.blocks[set] = self.used_blocks;
+        let base = self.block_base(self.used_blocks);
+        self.tags.resize(base + ways, EMPTY_TAG);
+        base
+    }
+
+    /// A slot's position within its chunk.
+    fn offset(&self, slot: usize) -> usize {
+        slot & ((1 << self.slot_shift) - 1)
     }
 }
 
@@ -423,6 +495,68 @@ mod tests {
         assert!(c.remove(a).is_none());
     }
 
+    #[test]
+    fn line_storage_is_allocated_per_filled_set() {
+        let sets = 4096;
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(sets as usize, 16));
+        assert_eq!(c.allocated_slots(), 0);
+        for (set, alias, slots) in [(7, 0, 16), (7, 1, 16), (8, 0, 32)] {
+            let l = line(set, alias, sets);
+            c.fill(l, LineData::zeroed(), (), EvictionClass::NonReducible);
+            // One block per filled set: a second line in set 7 reuses it.
+            assert_eq!(c.allocated_slots(), slots, "after filling {l}");
+        }
+    }
+
+    /// Opening new chunks (in the array or in a clone of it) never moves a
+    /// resident line.
+    #[test]
+    fn growth_never_moves_a_line() {
+        let sets = 256u64;
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(sets as usize, 12));
+        let a = line(5, 0, sets);
+        c.fill(a, LineData::zeroed(), (), EvictionClass::NonReducible);
+        let mut copy = c.clone();
+        let before = (
+            c.peek(a).unwrap() as *const Entry<()>,
+            copy.peek(a).unwrap() as *const Entry<()>,
+        );
+        for set in 6..sets {
+            for arr in [&mut c, &mut copy] {
+                let l = line(set, 0, sets);
+                arr.fill(l, LineData::zeroed(), (), EvictionClass::NonReducible);
+            }
+        }
+        assert!(c.chunks.len() > 2 && copy.chunks.len() > 2);
+        let after = (
+            c.peek(a).unwrap() as *const Entry<()>,
+            copy.peek(a).unwrap() as *const Entry<()>,
+        );
+        assert_eq!(before, after);
+    }
+
+    /// `iter()` is set-major whatever order the sets were first filled in,
+    /// so `check_invariants` reports the same first violation as it would
+    /// with a dense array.
+    #[test]
+    fn iter_is_set_major_whatever_the_fill_order() {
+        let sets = 64u64;
+        let mut c: CacheArray<u64> = CacheArray::new(CacheGeometry::new(sets as usize, 12));
+        // Last set first: block numbers run against set order, across chunks.
+        for set in (0..sets).rev() {
+            for alias in 0..2 {
+                let l = line(set, alias, sets);
+                c.fill(l, LineData::zeroed(), l.raw(), EvictionClass::NonReducible);
+            }
+        }
+        assert!(c.chunks.len() > 1);
+        let seen: Vec<u64> = c.iter().map(|e| e.meta).collect();
+        let expected: Vec<u64> = (0..sets)
+            .flat_map(|set| (0..2).map(move |alias| line(set, alias, sets).raw()))
+            .collect();
+        assert_eq!(seen, expected);
+    }
+
     /// One step of the model-equivalence trace: mirrors a [`CacheArray`]
     /// mutation against a naive map model.
     #[derive(Clone, Copy, Debug)]
@@ -443,78 +577,96 @@ mod tests {
         }
     }
 
-    proptest! {
-        /// The probe-once API (`lookup`/`entry`/`entry_mut`/`touch`/
-        /// `remove_slot`) is observably equivalent to the scan-based one
-        /// (`peek`/`get`/`contains`/`remove`): random fill/get/remove
-        /// traces are replayed against a naive map model, and after every
-        /// step both APIs must agree with the model and with each other.
-        #[test]
-        fn probe_once_matches_scan_model(raws in proptest::collection::vec(0u64..256, 1..300)) {
-            let sets = 4u64;
-            let mut c: CacheArray<u64> = CacheArray::new(CacheGeometry::new(sets as usize, 2));
-            let mut model: std::collections::HashMap<LineAddr, u64> =
-                std::collections::HashMap::new();
-            for (i, raw) in raws.into_iter().enumerate() {
-                let meta = i as u64;
-                match trace_op(raw) {
-                    TraceOp::Fill(l) => {
-                        let l = line(l % sets, l / sets, sets);
-                        if !c.contains(l) {
-                            let out = c.fill(l, LineData::zeroed(), meta, EvictionClass::NonReducible);
-                            if let Some(v) = out.victim {
-                                prop_assert_eq!(model.remove(&v.tag), Some(v.meta));
-                            }
-                            model.insert(l, meta);
-                            // The fill's slot handle points at the new entry.
-                            prop_assert_eq!(c.entry(out.slot).tag, l);
-                            prop_assert_eq!(c.lookup(l), Some(out.slot));
+    /// Replays a fill/get/remove/touch trace against a naive map model.
+    /// After every step the probe-once API (`lookup`/`entry`/`entry_mut`/
+    /// `touch`/`remove_slot`) and the scan-based one (`peek`/`get`/
+    /// `contains`/`remove`) must agree with the model and with each other;
+    /// at the end `iter()` must yield exactly the model's lines, in
+    /// (set, way) order. Returns the array for shape checks.
+    fn check_against_model(
+        geom: CacheGeometry,
+        trace: impl IntoIterator<Item = (TraceOp, EvictionClass)>,
+    ) -> Result<CacheArray<u64>, TestCaseError> {
+        let mut c: CacheArray<u64> = CacheArray::new(geom);
+        let mut model: std::collections::HashMap<LineAddr, u64> = std::collections::HashMap::new();
+        for (i, (op, class)) in trace.into_iter().enumerate() {
+            let meta = i as u64;
+            match op {
+                TraceOp::Fill(l) => {
+                    let l = LineAddr::new(l);
+                    if !c.contains(l) {
+                        let out = c.fill(l, LineData::zeroed(), meta, class);
+                        if let Some(v) = out.victim {
+                            prop_assert_eq!(model.remove(&v.tag), Some(v.meta));
                         }
-                    }
-                    TraceOp::Get(l) => {
-                        let l = line(l % sets, l / sets, sets);
-                        let slot = c.lookup(l);
-                        prop_assert_eq!(slot.is_some(), model.contains_key(&l));
-                        if let Some(s) = slot {
-                            let by_slot = (c.entry(s).tag, c.entry(s).meta);
-                            let by_peek = c.peek(l).map(|e| (e.tag, e.meta)).unwrap();
-                            prop_assert_eq!(by_slot, by_peek);
-                            prop_assert_eq!(by_slot.1, model[&l]);
-                            prop_assert_eq!(c.way_of_slot(s), c.way_of(l).unwrap());
-                        } else {
-                            prop_assert!(c.peek(l).is_none());
-                            prop_assert!(c.get(l).is_none());
-                        }
-                    }
-                    TraceOp::Remove(l) => {
-                        let l = line(l % sets, l / sets, sets);
-                        let via_slot = (raw / 4) % 2 == 0;
-                        let removed = if via_slot {
-                            c.lookup(l).map(|s| c.remove_slot(s))
-                        } else {
-                            c.remove(l)
-                        };
-                        prop_assert_eq!(removed.map(|e| e.meta), model.remove(&l));
-                        prop_assert!(!c.contains(l));
-                    }
-                    TraceOp::Touch(l) => {
-                        let l = line(l % sets, l / sets, sets);
-                        // touch + entry_mut must be get, observably.
-                        if let Some(s) = c.lookup(l) {
-                            c.touch(s);
-                            c.entry_mut(s).meta = meta;
-                            model.insert(l, meta);
-                            prop_assert_eq!(c.get(l).map(|e| e.meta), Some(meta));
-                        }
+                        model.insert(l, meta);
+                        // The fill's slot handle points at the new entry.
+                        prop_assert_eq!(c.entry(out.slot).tag, l);
+                        prop_assert_eq!(c.lookup(l), Some(out.slot));
                     }
                 }
-                prop_assert_eq!(c.len(), model.len());
+                TraceOp::Get(l) => {
+                    let l = LineAddr::new(l);
+                    let slot = c.lookup(l);
+                    prop_assert_eq!(slot.is_some(), model.contains_key(&l));
+                    if let Some(s) = slot {
+                        let by_slot = (c.entry(s).tag, c.entry(s).meta);
+                        let by_peek = c.peek(l).map(|e| (e.tag, e.meta)).unwrap();
+                        prop_assert_eq!(by_slot, by_peek);
+                        prop_assert_eq!(by_slot.1, model[&l]);
+                        prop_assert_eq!(c.way_of_slot(s), c.way_of(l).unwrap());
+                    } else {
+                        prop_assert!(c.peek(l).is_none());
+                        prop_assert!(c.get(l).is_none());
+                    }
+                }
+                TraceOp::Remove(l) => {
+                    let via_slot = l % 2 == 0;
+                    let l = LineAddr::new(l);
+                    let removed = if via_slot {
+                        c.lookup(l).map(|s| c.remove_slot(s))
+                    } else {
+                        c.remove(l)
+                    };
+                    prop_assert_eq!(removed.map(|e| e.meta), model.remove(&l));
+                    prop_assert!(!c.contains(l));
+                }
+                TraceOp::Touch(l) => {
+                    let l = LineAddr::new(l);
+                    // touch + entry_mut must be get, observably.
+                    if let Some(s) = c.lookup(l) {
+                        c.touch(s);
+                        c.entry_mut(s).meta = meta;
+                        model.insert(l, meta);
+                        prop_assert_eq!(c.get(l).map(|e| e.meta), Some(meta));
+                    }
+                }
             }
-            // Final state: every modelled line resident, nothing extra.
-            for (&l, &m) in &model {
-                prop_assert_eq!(c.peek(l).map(|e| e.meta), Some(m));
-            }
-            prop_assert_eq!(c.iter().count(), model.len());
+            prop_assert_eq!(c.len(), model.len());
+        }
+        // Final state: every modelled line resident, nothing extra.
+        for (&l, &m) in &model {
+            prop_assert_eq!(c.peek(l).map(|e| e.meta), Some(m));
+        }
+        let order: Vec<(usize, usize)> = c
+            .iter()
+            .map(|e| (c.set_of(e.tag), c.way_of(e.tag).unwrap()))
+            .collect();
+        prop_assert_eq!(order.len(), model.len());
+        prop_assert!(
+            order.windows(2).all(|w| w[0] < w[1]),
+            "iter() left (set, way) order: {order:?}"
+        );
+        Ok(c)
+    }
+
+    proptest! {
+        /// The probe-once API is observably equivalent to the scan-based
+        /// one on a small array (see [`check_against_model`]).
+        #[test]
+        fn probe_once_matches_scan_model(raws in proptest::collection::vec(0u64..256, 1..300)) {
+            let trace = raws.into_iter().map(|r| (trace_op(r), EvictionClass::NonReducible));
+            check_against_model(CacheGeometry::new(4, 2), trace)?;
         }
 
         /// A cache never holds more lines than its capacity, never holds
@@ -535,6 +687,36 @@ mod tests {
             tags.sort();
             tags.dedup();
             prop_assert_eq!(tags.len(), c.len());
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The same model equivalence on arrays spanning several pool
+        /// chunks, with associativities that do not divide a chunk (12 and
+        /// 3 ways) or exceed one (257 ways), and all three fill classes so
+        /// reserved-way evictions happen in every chunk.
+        #[test]
+        fn probe_once_matches_scan_model_across_chunks(
+            shape in 0usize..3,
+            steps in proptest::collection::vec((0u64..4096, 0u8..4), 400..800),
+        ) {
+            let geom = [
+                CacheGeometry::new(64, 12),
+                CacheGeometry::new(256, 3),
+                CacheGeometry::new(8, 257),
+            ][shape];
+            let trace = steps.into_iter().map(|(r, class)| {
+                let class = match class {
+                    0 => EvictionClass::Reducible,
+                    1 => EvictionClass::Handler,
+                    _ => EvictionClass::NonReducible,
+                };
+                (trace_op(r), class)
+            });
+            let c = check_against_model(geom, trace)?;
+            prop_assert!(c.chunks.len() > 1, "trace stayed in one chunk");
         }
     }
 }

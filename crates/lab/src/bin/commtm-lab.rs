@@ -93,7 +93,7 @@ VERIFY OPTIONS:
                         when no filter is given)
     --label NAME        check only one label's algebraic laws
     --workload NAME     check only one workload's commutativity claims
-    --cases N           randomized cases per check (default 32)
+    --cases N           randomized cases per check (N >= 1, default 32)
     --seed N            base seed for every generator (default pinned)
     --json FILE         write the machine-readable report
 ";
@@ -519,6 +519,9 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, String> {
             "--workload" => workload = Some(value("--workload")?.clone()),
             "--cases" => {
                 opts.cases = value("--cases")?.parse().map_err(|_| "bad --cases")?;
+                if opts.cases == 0 {
+                    return Err("--cases must be at least 1".into());
+                }
             }
             "--seed" => {
                 opts.seed = value("--seed")?.parse().map_err(|_| "bad --seed")?;
@@ -711,6 +714,12 @@ mod tests {
     fn zero_seeds_is_rejected() {
         let err = cmd_run(&args(&["fig09", "--seeds", "0"])).expect_err("--seeds 0 is rejected");
         assert!(err.contains("--seeds must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_cases_is_rejected() {
+        let err = cmd_verify(&args(&["--cases", "0"])).expect_err("--cases 0 is rejected");
+        assert!(err.contains("--cases must be at least 1"), "{err}");
     }
 
     #[test]

@@ -752,3 +752,44 @@ impl MemSystem {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Line slots allocated across every private array and L3 bank.
+    fn slots(sys: &MemSystem) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        (
+            sys.privs.iter().map(|p| p.l1.allocated_slots()).collect(),
+            sys.privs.iter().map(|p| p.l2.allocated_slots()).collect(),
+            sys.l3.iter().map(|b| b.allocated_slots()).collect(),
+        )
+    }
+
+    /// Building the paper's Table I machine allocates no line storage, and
+    /// one load allocates exactly one block in each array it fills.
+    #[test]
+    fn paper_machine_allocates_line_storage_on_first_fill() {
+        let cfg = ProtoConfig::paper();
+        let mut sys = MemSystem::new(cfg.clone(), LabelTable::new());
+        let (l1, l2, l3) = slots(&sys);
+        assert_eq!(l3.len(), 16);
+        assert!(l1.iter().chain(&l2).chain(&l3).all(|&n| n == 0));
+
+        let core = CoreId::new(3);
+        let mut txs = TxTable::new(cfg.cores);
+        sys.access(core, MemOp::Load, Addr::new(0x4000), &mut txs);
+        let (l1, l2, l3) = slots(&sys);
+        // One block (one set's ways) in this core's L1 and L2 only.
+        let only_core = |ways: usize| -> Vec<usize> {
+            (0..cfg.cores)
+                .map(|c| if c == core.index() { ways } else { 0 })
+                .collect()
+        };
+        assert_eq!(l1, only_core(cfg.l1.ways()));
+        assert_eq!(l2, only_core(cfg.l2.ways()));
+        // And one block in the line's home bank.
+        let l3_filled: Vec<usize> = l3.into_iter().filter(|&n| n > 0).collect();
+        assert_eq!(l3_filled, [cfg.l3_bank.ways()]);
+    }
+}
