@@ -1,8 +1,7 @@
-//! Microbenchmarks of the protocol hot path: `MemSystem::access_into`
-//! mixes driven directly, without the HTM engine or scheduler on top —
-//! the same entry point and reused-event-buffer discipline as the
-//! production loop (`Machine::run` → `EnginePort`), so what is measured
-//! here is the real steady-state per-operation cost.
+//! Microbenchmarks of the protocol hot path: `MemSystem::access` mixes
+//! driven directly, without the HTM engine or scheduler on top — the same
+//! entry point as the production loop (`Machine::run` → `EnginePort`), so
+//! what is measured here is the real steady-state per-operation cost.
 //!
 //! Each benchmark times a fixed batch of accesses against a paper-geometry
 //! hierarchy, so a regression in the per-operation protocol cost (extra set
@@ -16,7 +15,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use commtm_mem::{Addr, CoreId, LineData, WORDS_PER_LINE};
-use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig, TxTable};
+use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig};
 
 /// Accesses per timed batch: large enough to amortize setup noise.
 const BATCH: usize = 8 * 1024;
@@ -32,10 +31,8 @@ fn add_label_table() -> LabelTable {
     t
 }
 
-fn fresh(cores: usize) -> (MemSystem, TxTable) {
-    let sys = MemSystem::new(ProtoConfig::paper_with_cores(cores), add_label_table());
-    let txs = TxTable::new(cores);
-    (sys, txs)
+fn fresh(cores: usize) -> MemSystem {
+    MemSystem::new(ProtoConfig::paper_with_cores(cores), add_label_table())
 }
 
 fn label_of(sys: &MemSystem) -> commtm_mem::LabelId {
@@ -49,21 +46,16 @@ fn label_of(sys: &MemSystem) -> commtm_mem::LabelId {
 fn l1_hit_load(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(1);
+    let mut sys = fresh(1);
     let core = CoreId::new(0);
     let addr = Addr::new(0x1_0000);
-    let mut events = Vec::new();
-    sys.access(core, MemOp::Load, addr, &mut txs);
+    sys.access(core, MemOp::Load, addr);
     g.bench_function(format!("l1_hit_load x{BATCH}"), |b| {
         b.iter(|| {
             let mut sum = 0u64;
             for _ in 0..BATCH {
-                sum = sum.wrapping_add(
-                    sys.access_into(core, MemOp::Load, addr, &mut txs, &mut events)
-                        .value,
-                );
+                sum = sum.wrapping_add(sys.access(core, MemOp::Load, addr).value);
             }
-            events.clear();
             sum
         })
     });
@@ -74,17 +66,15 @@ fn l1_hit_load(c: &mut Criterion) {
 fn l1_hit_store(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(1);
+    let mut sys = fresh(1);
     let core = CoreId::new(0);
     let addr = Addr::new(0x1_0000);
-    let mut events = Vec::new();
-    sys.access(core, MemOp::Store(1), addr, &mut txs);
+    sys.access(core, MemOp::Store(1), addr);
     g.bench_function(format!("l1_hit_store x{BATCH}"), |b| {
         b.iter(|| {
             for i in 0..BATCH {
-                sys.access_into(core, MemOp::Store(i as u64), addr, &mut txs, &mut events);
+                sys.access(core, MemOp::Store(i as u64), addr);
             }
-            events.clear();
         })
     });
     g.finish();
@@ -95,24 +85,16 @@ fn l1_hit_store(c: &mut Criterion) {
 fn l1_hit_labeled(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(1);
+    let mut sys = fresh(1);
     let core = CoreId::new(0);
     let l = label_of(&sys);
     let addr = Addr::new(0x1_0000);
-    let mut events = Vec::new();
-    sys.access(core, MemOp::LoadL(l), addr, &mut txs);
+    sys.access(core, MemOp::LoadL(l), addr);
     g.bench_function(format!("l1_hit_labeled_store x{BATCH}"), |b| {
         b.iter(|| {
             for i in 0..BATCH {
-                sys.access_into(
-                    core,
-                    MemOp::StoreL(l, i as u64),
-                    addr,
-                    &mut txs,
-                    &mut events,
-                );
+                sys.access(core, MemOp::StoreL(l, i as u64), addr);
             }
-            events.clear();
         })
     });
     g.finish();
@@ -124,25 +106,20 @@ fn l1_hit_labeled(c: &mut Criterion) {
 fn l2_hit_load(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(1);
+    let mut sys = fresh(1);
     let core = CoreId::new(0);
     // 16 lines, all in L1 set 0, spread over four L2 sets (4 ways each).
     let addrs: Vec<Addr> = (0..16u64).map(|i| Addr::new(i * 64 * 64)).collect();
     for &a in &addrs {
-        sys.access(core, MemOp::Load, a, &mut txs);
+        sys.access(core, MemOp::Load, a);
     }
-    let mut events = Vec::new();
     g.bench_function(format!("l2_hit_load x{BATCH}"), |b| {
         b.iter(|| {
             let mut sum = 0u64;
             for i in 0..BATCH {
                 let a = addrs[i % addrs.len()];
-                sum = sum.wrapping_add(
-                    sys.access_into(core, MemOp::Load, a, &mut txs, &mut events)
-                        .value,
-                );
+                sum = sum.wrapping_add(sys.access(core, MemOp::Load, a).value);
             }
-            events.clear();
             sum
         })
     });
@@ -155,17 +132,15 @@ fn l2_hit_load(c: &mut Criterion) {
 fn getx_ping_pong(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(2);
+    let mut sys = fresh(2);
     let a = Addr::new(0x1_0000);
-    let mut events = Vec::new();
-    sys.access(CoreId::new(0), MemOp::Store(1), a, &mut txs);
+    sys.access(CoreId::new(0), MemOp::Store(1), a);
     g.bench_function(format!("getx_ping_pong x{BATCH}"), |b| {
         b.iter(|| {
             for i in 0..BATCH {
                 let core = CoreId::new(i % 2);
-                sys.access_into(core, MemOp::Store(i as u64), a, &mut txs, &mut events);
+                sys.access(core, MemOp::Store(i as u64), a);
             }
-            events.clear();
         })
     });
     g.finish();
@@ -177,16 +152,16 @@ fn getx_ping_pong(c: &mut Criterion) {
 fn reduction_cycle(c: &mut Criterion) {
     let mut g = c.benchmark_group("hotpath");
     g.sample_size(20);
-    let (mut sys, mut txs) = fresh(3);
+    let mut sys = fresh(3);
     let l = label_of(&sys);
     let a = Addr::new(0x1_0000);
     g.bench_function(format!("reduction_cycle x{}", BATCH / 8), |b| {
         b.iter(|| {
             let mut sum = 0u64;
             for _ in 0..BATCH / 8 {
-                sys.access(CoreId::new(0), MemOp::StoreL(l, 1), a, &mut txs);
-                sys.access(CoreId::new(1), MemOp::StoreL(l, 2), a, &mut txs);
-                sum = sum.wrapping_add(sys.access(CoreId::new(2), MemOp::Load, a, &mut txs).value);
+                sys.access(CoreId::new(0), MemOp::StoreL(l, 1), a);
+                sys.access(CoreId::new(1), MemOp::StoreL(l, 2), a);
+                sum = sum.wrapping_add(sys.access(CoreId::new(2), MemOp::Load, a).value);
             }
             sum
         })

@@ -4,7 +4,7 @@
 //! The first pair times the label handlers themselves (reduce =
 //! concatenate partial lists, split = donate the head node) against a
 //! plain map-backed heap, isolating the handler cost from the protocol.
-//! The second pair drives `MemSystem::access_into` with `MemOp::Gather`:
+//! The second pair drives `MemSystem::access` with `MemOp::Gather`:
 //! once down the all-donors path and once against a transactional sharer
 //! that NACKs the request and aborts the gatherer — the most expensive
 //! (and, under contention, most frequent) outcome of a dequeue on an
@@ -16,7 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 
 use commtm_mem::{Addr, CoreId, LineData, WORDS_PER_LINE};
 use commtm_protocol::testing::MapHeap;
-use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig, TxTable};
+use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig};
 
 /// Operations per timed batch: large enough to amortize setup noise.
 const BATCH: usize = 4 * 1024;
@@ -119,25 +119,19 @@ fn gather_donate(c: &mut Criterion) {
     t.register(add_def()).expect("label registers");
     let add = commtm_mem::LabelId::new(0);
     let mut sys = MemSystem::new(ProtoConfig::paper_with_cores(4), t);
-    let mut txs = TxTable::new(4);
     let a = Addr::new(0x1_0000);
     sys.poke_word(a, 0);
     // Cores 0..3 hold committed U copies; core 3 gathers from the other
     // three every iteration (donations flow to it, totals conserved).
     for i in 0..4 {
-        sys.access(CoreId::new(i), MemOp::LoadL(add), a, &mut txs);
+        sys.access(CoreId::new(i), MemOp::LoadL(add), a);
     }
-    sys.access(CoreId::new(0), MemOp::StoreL(add, 1 << 40), a, &mut txs);
-    let mut events = Vec::new();
+    sys.access(CoreId::new(0), MemOp::StoreL(add, 1 << 40), a);
     g.bench_function(format!("gather_donate x{}", BATCH / 4), |b| {
         b.iter(|| {
             let mut got = 0u64;
             for _ in 0..BATCH / 4 {
-                got = got.wrapping_add(
-                    sys.access_into(CoreId::new(3), MemOp::Gather(add), a, &mut txs, &mut events)
-                        .value,
-                );
-                events.clear();
+                got = got.wrapping_add(sys.access(CoreId::new(3), MemOp::Gather(add), a).value);
             }
             got
         })
@@ -157,19 +151,15 @@ fn gather_nack(c: &mut Criterion) {
     t.register(add_def()).expect("label registers");
     let add = commtm_mem::LabelId::new(0);
     let mut sys = MemSystem::new(ProtoConfig::paper_with_cores(4), t);
-    let mut txs = TxTable::new(4);
     let a = Addr::new(0x1_0000);
     sys.poke_word(a, 0);
     // Core 0: committed donor. Core 1: long-lived OLDER tx with a labeled
     // footprint — it NACKs every split request.
-    sys.access(CoreId::new(0), MemOp::LoadL(add), a, &mut txs);
-    sys.access(CoreId::new(0), MemOp::StoreL(add, 64), a, &mut txs);
-    txs.begin(CoreId::new(1), 1);
-    let v = sys
-        .access(CoreId::new(1), MemOp::LoadL(add), a, &mut txs)
-        .value;
-    sys.access(CoreId::new(1), MemOp::StoreL(add, v + 7), a, &mut txs);
-    let mut events = Vec::new();
+    sys.access(CoreId::new(0), MemOp::LoadL(add), a);
+    sys.access(CoreId::new(0), MemOp::StoreL(add, 64), a);
+    sys.tx_begin(CoreId::new(1), 1);
+    let v = sys.access(CoreId::new(1), MemOp::LoadL(add), a).value;
+    sys.access(CoreId::new(1), MemOp::StoreL(add, v + 7), a);
     let mut ts = 10u64;
     g.bench_function(format!("gather_nack x{}", BATCH / 4), |b| {
         b.iter(|| {
@@ -178,14 +168,13 @@ fn gather_nack(c: &mut Criterion) {
                 // A fresh YOUNGER tx gathers, gets NACKed, and aborts;
                 // committing its retained donation keeps state bounded.
                 ts += 1;
-                txs.begin(CoreId::new(2), ts);
-                sys.access_into(CoreId::new(2), MemOp::LoadL(add), a, &mut txs, &mut events);
-                let r =
-                    sys.access_into(CoreId::new(2), MemOp::Gather(add), a, &mut txs, &mut events);
+                sys.tx_begin(CoreId::new(2), ts);
+                sys.access(CoreId::new(2), MemOp::LoadL(add), a);
+                let r = sys.access(CoreId::new(2), MemOp::Gather(add), a);
                 aborts += u64::from(r.self_abort.is_some());
-                sys.commit_core(CoreId::new(2));
-                txs.end(CoreId::new(2));
-                events.clear();
+                if sys.in_tx(CoreId::new(2)) {
+                    sys.tx_commit(CoreId::new(2));
+                }
             }
             aborts
         })

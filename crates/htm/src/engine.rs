@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
 use commtm_mem::CoreId;
-use commtm_protocol::{AbortKind, AccessOp, MemOp, MemSystem, ProtoEvent, TxTable};
+use commtm_protocol::{AbortKind, AccessOp, MemOp, MemSystem};
 use commtm_tx::{
     Block, BlockRunner, Ctl, CtlCtx, Env, MemPort, OpResult, Program, StepOutcome, TxOp, UserState,
 };
@@ -145,23 +145,16 @@ impl CoreExec {
     }
 
     /// Records that another core's request aborted this core's running
-    /// transaction (its cache and [`TxTable`] state were already handled by
-    /// the protocol). The next step performs backoff and restarts the
-    /// block.
+    /// transaction (the protocol already rolled it back and ended it). The
+    /// next step performs backoff and restarts the block.
     pub fn notify_aborted(&mut self, cause: AbortKind) {
         debug_assert!(self.in_tx, "abort notification outside a transaction");
         self.pending_abort.get_or_insert(cause);
     }
 
-    /// Runs one scheduler step, advancing the core's clock.
-    pub fn step(
-        &mut self,
-        sys: &mut MemSystem,
-        txs: &mut TxTable,
-        cfg: &HtmConfig,
-        next_ts: &mut u64,
-        events_out: &mut Vec<ProtoEvent>,
-    ) -> StepResult {
+    /// Runs one scheduler step, advancing the core's clock. Victim aborts
+    /// the step causes queue in `sys` for the driver to drain and deliver.
+    pub fn step(&mut self, sys: &mut MemSystem, cfg: &HtmConfig, next_ts: &mut u64) -> StepResult {
         if self.done {
             return StepResult::Finished;
         }
@@ -182,12 +175,8 @@ impl CoreExec {
                 self.clock += n;
                 self.stats.nontx_cycles += n;
             }
-            Block::Tx(body) => {
-                self.run_body(&program, body, true, sys, txs, cfg, next_ts, events_out)
-            }
-            Block::Plain(body) => {
-                self.run_body(&program, body, false, sys, txs, cfg, next_ts, events_out)
-            }
+            Block::Tx(body) => self.run_body(&program, body, true, sys, cfg, next_ts),
+            Block::Plain(body) => self.run_body(&program, body, false, sys, cfg, next_ts),
         }
         self.program = program;
 
@@ -227,17 +216,14 @@ impl CoreExec {
         n.max(1)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_body(
         &mut self,
         program: &Program,
         body: &commtm_tx::BlockFn,
         is_tx: bool,
         sys: &mut MemSystem,
-        txs: &mut TxTable,
         cfg: &HtmConfig,
         next_ts: &mut u64,
-        events_out: &mut Vec<ProtoEvent>,
     ) {
         if !self.block_started {
             self.block_start_regs.clear();
@@ -254,8 +240,7 @@ impl CoreExec {
                         t
                     }
                 };
-                txs.begin(self.core, ts);
-                sys.tracer_mut().begin(ts);
+                sys.tx_begin(self.core, ts);
                 self.in_tx = true;
                 // tx_begin/tx_end overhead, charged once per attempt.
                 self.clock += cfg.tx_overhead;
@@ -268,12 +253,10 @@ impl CoreExec {
         let out = {
             let mut port = EnginePort {
                 sys,
-                txs,
                 core: self.core,
                 demote,
                 stats: &mut self.stats,
                 rng: &mut self.rng,
-                events: events_out,
                 abort_cause: &mut abort_cause,
             };
             self.runner.step(body, &mut self.env, &mut port)
@@ -291,9 +274,7 @@ impl CoreExec {
             StepOutcome::Yield { .. } => {}
             StepOutcome::Done { .. } => {
                 if is_tx {
-                    sys.tracer_mut().commit();
-                    sys.commit_core(self.core);
-                    txs.end(self.core);
+                    sys.tx_commit(self.core);
                     self.in_tx = false;
                     self.ts = None;
                     self.demote_labels = false;
@@ -321,9 +302,9 @@ impl CoreExec {
         self.runner.reset();
         self.env.regs.copy_from_slice(&self.block_start_regs);
         self.in_tx = false;
-        // The retry must re-enter the transaction (tx_begin again, setting
-        // the TxTable entry); the timestamp in `self.ts` is retained so the
-        // transaction ages and eventually wins arbitration.
+        // The retry must re-enter the transaction (`tx_begin` again); the
+        // timestamp in `self.ts` is retained so the transaction ages and
+        // eventually wins arbitration.
         self.block_started = false;
         self.attempts += 1;
         if cause == AbortKind::SelfDemote {
@@ -375,15 +356,13 @@ impl std::fmt::Debug for CoreExec {
 }
 
 /// Adapter mapping [`TxOp`]s to protocol accesses, applying label demotion
-/// and collecting events.
+/// and recording the self-abort cause.
 struct EnginePort<'a> {
     sys: &'a mut MemSystem,
-    txs: &'a mut TxTable,
     core: CoreId,
     demote: bool,
     stats: &'a mut CoreStats,
     rng: &'a mut StdRng,
-    events: &'a mut Vec<ProtoEvent>,
     abort_cause: &'a mut Option<AbortKind>,
 }
 
@@ -451,11 +430,7 @@ impl MemPort for EnginePort<'_> {
                 labeled && self.demote,
             );
         }
-        // Events append straight into the engine's reusable buffer
-        // (threaded down from `Machine::run`): no per-access allocation.
-        let acc = self
-            .sys
-            .access_into(self.core, mem_op, addr, self.txs, self.events);
+        let acc = self.sys.access(self.core, mem_op, addr);
         if let Some(k) = acc.self_abort {
             *self.abort_cause = Some(k);
         }

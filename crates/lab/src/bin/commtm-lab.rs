@@ -69,8 +69,8 @@ RUN OPTIONS:
     --schemes LIST      comma-separated schemes (baseline,commtm)
     --seeds N           run N seed replicas per point (N >= 1)
     --scale N           workload scale factor (paper scale ~ 500)
-    --jobs N            worker threads (default: one per core)
-    --serial            run cells serially (same numbers, one core)
+    --jobs N            worker threads (default: one per core; 1 runs
+                        cells serially, with the same numbers)
     --trace             capture per-transaction traces (attributed abort
                         causes, conflict hot lines, speculation audit):
                         writes <name>.trace.json and <name>.aborts.svg,
@@ -261,7 +261,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--jobs" => {
                 opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
             }
-            "--serial" => opts.jobs = 1,
             "--trace" => ov.trace = true,
             "--trace-out" => trace_out = Some(value("--trace-out")?.clone()),
             "--out" => out_json = Some(value("--out")?.clone()),
@@ -398,8 +397,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         ExitCode::FAILURE
     };
     if let Some(path) = baseline {
-        let text = std::fs::read_to_string(&path).map_err(|e| format!("reading {path}: {e}"))?;
-        let base = ResultSet::from_json_str(&text)?;
+        let base = read_results(&path)?;
         let d = diff(&base, &set, tol.unwrap_or(0.0));
         print!("{}", d.render());
         if !d.is_clean() {
@@ -592,12 +590,8 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     let [a, b] = paths.as_slice() else {
         return Err("diff needs exactly two JSON files".to_string());
     };
-    let base = ResultSet::from_json_str(
-        &std::fs::read_to_string(a).map_err(|e| format!("reading {a}: {e}"))?,
-    )?;
-    let cur = ResultSet::from_json_str(
-        &std::fs::read_to_string(b).map_err(|e| format!("reading {b}: {e}"))?,
-    )?;
+    let base = read_results(a)?;
+    let cur = read_results(b)?;
     let d = diff(&base, &cur, tol);
     print!("{}", d.render());
     println!(
@@ -613,6 +607,13 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     } else {
         ExitCode::FAILURE
     })
+}
+
+/// Reads a results JSON (a `--baseline` or `diff` input), naming the file
+/// in every error.
+fn read_results(path: &str) -> Result<ResultSet, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    ResultSet::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
 }
 
 fn load_scenario(target: &str) -> Result<Scenario, String> {
@@ -720,6 +721,23 @@ mod tests {
     fn zero_cases_is_rejected() {
         let err = cmd_verify(&args(&["--cases", "0"])).expect_err("--cases 0 is rejected");
         assert!(err.contains("--cases must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn malformed_results_name_the_file() {
+        let path =
+            std::env::temp_dir().join(format!("commtm-lab-empty-{}.json", std::process::id()));
+        std::fs::write(&path, "").expect("temp file writes");
+        let p = path.to_str().expect("utf-8 temp path");
+        // `diff` and `run --baseline` both read through `read_results`.
+        let errs = [
+            cmd_diff(&args(&[p, p])).expect_err("an empty file is rejected"),
+            read_results(p).expect_err("an empty file is rejected"),
+        ];
+        std::fs::remove_file(&path).ok();
+        for err in errs {
+            assert!(err.starts_with(&format!("{p}: ")), "{err}");
+        }
     }
 
     #[test]

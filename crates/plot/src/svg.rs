@@ -71,6 +71,7 @@ impl Doc {
 
     /// Emits a filled rectangle; a non-empty `title` becomes the native
     /// hover tooltip.
+    #[allow(clippy::too_many_arguments)] // thin wrapper over SVG's own attribute list
     pub fn rect(&mut self, x: f64, y: f64, w: f64, h: f64, fill: &str, class: &str, title: &str) {
         let _ = write!(
             self.out,

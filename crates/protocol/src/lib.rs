@@ -9,18 +9,23 @@
 //! synchronously, and returns a latency assembled from NoC hops and
 //! cache/memory latencies.
 //!
-//! The transactional layer above (crate `commtm-htm`) drives it by passing a
-//! [`TxTable`] describing which cores are inside transactions with which
-//! timestamps; `MemSystem` performs eager conflict detection against the
-//! speculative footprints recorded in L1 metadata, arbitrates by timestamp
-//! (the earlier transaction wins, per the paper's Sec. III-B3), rolls back
-//! aborted victims, and reports everything through [`ProtoEvent`]s.
+//! `MemSystem` also owns the transaction lifecycle: which cores are inside
+//! transactions, and with which timestamps. The transactional layer above
+//! (crate `commtm-htm`) opens and closes transactions through it;
+//! `MemSystem` performs eager conflict detection against the speculative
+//! footprints recorded in L1 metadata, arbitrates by timestamp (the earlier
+//! transaction wins, per the paper's Sec. III-B3), rolls back aborted
+//! victims, and queues a [`ProtoEvent`] for each until the driver drains
+//! them.
 //!
 //! Key entry points:
 //!
 //! - [`MemSystem::access`] — perform one memory operation ([`MemOp`]),
-//! - [`MemSystem::commit_core`] / [`MemSystem::rollback_core`] — end a
-//!   transaction,
+//! - [`MemSystem::tx_begin`] / [`MemSystem::tx_commit`] /
+//!   [`MemSystem::tx_abort`] — the only ways a core's transaction state
+//!   changes, so the table, the speculative cache state and the tracer
+//!   cannot drift apart,
+//! - [`MemSystem::drain_events`] — take the queued victim aborts,
 //! - [`LabelTable`] — register user-defined labels with identity values,
 //!   reduction handlers and splitters,
 //! - [`MemSystem::check_invariants`] — whole-hierarchy coherence audit used
@@ -41,6 +46,4 @@ pub use label::{LabelDef, LabelTable, ReduceFn, ReduceOps, SplitFn};
 pub use stats::{CoreProtoStats, ProtoStats};
 pub use system::MemSystem;
 pub use trace::{AccessOp, Trace, TraceEvent, TraceEventKind, Tracer};
-pub use types::{
-    AbortKind, Access, AccessOutcome, MemOp, ProtoEvent, ReqClass, TxEntry, TxTable, WasteBucket,
-};
+pub use types::{AbortKind, AccessOutcome, MemOp, ProtoEvent, ReqClass, WasteBucket};

@@ -5,31 +5,33 @@ use commtm_cache::{CohState, PrivMeta, Slot, SpecBits};
 use commtm_mem::{CoreId, LabelId, LineAddr, LineData, SharerSet};
 
 use crate::dir::DirState;
-use crate::types::{
-    arbitrate, classify_conflict, AbortKind, Arbitration, ProtoEvent, ReqClass, TxTable,
-};
+use crate::types::{arbitrate, classify_conflict, AbortKind, Arbitration, ProtoEvent, ReqClass};
 
 use super::{Acc, MemSystem};
 
 impl MemSystem {
-    /// Aborts `victim`'s transaction if one is active: rolls back its
-    /// speculative cache state, deactivates its [`TxTable`] entry, and
-    /// reports an event. `line` is the line whose conflict or eviction
-    /// forced the abort — recorded (keep-first, so a two-sided conflict's
-    /// richer attribution wins) for the trace's abort attribution.
+    /// Aborts `victim`'s transaction if one is active ([`MemSystem::tx_abort`])
+    /// and queues an event for it; an abort of the requester's own
+    /// transaction is kept in `acc` instead. `line` is the line whose
+    /// conflict or eviction forced the abort — recorded (keep-first, so a
+    /// two-sided conflict's richer attribution wins) for the trace's abort
+    /// attribution.
     pub(crate) fn abort_tx(
         &mut self,
         victim: CoreId,
         kind: AbortKind,
         line: LineAddr,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) {
-        if txs.entry(victim).active {
-            self.tracer.note_abort(victim, None, line);
-            self.rollback_core(victim);
-            txs.end(victim);
-            acc.events.push(ProtoEvent::Aborted {
+        if !self.in_tx(victim) {
+            return;
+        }
+        self.tracer.note_abort(victim, None, line);
+        self.tx_abort(victim);
+        if victim == acc.requester {
+            acc.own_abort.get_or_insert(kind);
+        } else {
+            self.events.push(ProtoEvent::Aborted {
                 core: victim,
                 cause: kind,
             });
@@ -43,6 +45,7 @@ impl MemSystem {
     /// read-only footprint). On a conflict, timestamp arbitration decides:
     /// the victim aborts (Ok) or NACKs, in which case the requester's abort
     /// is recorded and `Err` returned.
+    #[allow(clippy::too_many_arguments)] // two cores, the request's class and timestamp, its filter
     pub(crate) fn conflict_check(
         &mut self,
         requester: CoreId,
@@ -51,10 +54,9 @@ impl MemSystem {
         class: ReqClass,
         req_ts: Option<u64>,
         relevant: impl Fn(SpecBits) -> bool,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) -> Result<(), AbortKind> {
-        let Some(vts) = txs.active_ts(victim) else {
+        let Some(vts) = self.tx_ts(victim) else {
             return Ok(());
         };
         let Some(bits) = self.privs[victim.index()]
@@ -75,7 +77,7 @@ impl MemSystem {
                 // upcoming abort to the requester before the rollback.
                 self.tracer
                     .conflict(requester, victim, line, kind, attacker_labeled, false);
-                self.abort_tx(victim, kind, line, txs, acc);
+                self.abort_tx(victim, kind, line, acc);
                 Ok(())
             }
             Arbitration::Nack => {
@@ -158,28 +160,21 @@ impl MemSystem {
         e.meta.dirty |= dirty;
     }
 
-    fn req_ts(&self, core: CoreId, handler: bool, txs: &TxTable) -> Option<u64> {
+    fn req_ts(&self, core: CoreId, handler: bool) -> Option<u64> {
         if handler {
             None
         } else {
-            txs.active_ts(core)
+            self.tx_ts(core)
         }
     }
 
     /// GETS: conventional read miss.
-    pub(crate) fn dir_gets(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        txs: &mut TxTable,
-        acc: &mut Acc,
-        handler: bool,
-    ) {
+    pub(crate) fn dir_gets(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc, handler: bool) {
         self.stats.core_mut(core).gets += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, txs, acc, handler);
-        let req_ts = self.req_ts(core, handler, txs);
+        let l3 = self.l3_ensure(line, acc, handler);
+        let req_ts = self.req_ts(core, handler);
 
         match self.dir_at(bank, l3, line) {
             DirState::Uncached => {
@@ -191,7 +186,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Shared(mut s) => {
@@ -203,7 +198,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Exclusive(owner) => {
@@ -218,7 +213,6 @@ impl MemSystem {
                         ReqClass::PlainRead,
                         req_ts,
                         |b| b.written || b.labeled,
-                        txs,
                         acc,
                     )
                     .is_err()
@@ -254,7 +248,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, v, meta, txs, acc, handler);
+                self.install_private(core, line, v, meta, acc, handler);
                 acc.lat(
                     self.cfg.mesh.bank_to_core(bank, owner)
                         + self.cfg.l2_latency
@@ -263,25 +257,18 @@ impl MemSystem {
             }
             DirState::Reducible(label, s) => {
                 assert!(!handler, "reduction handler hit reducible line {line}: handlers must not trigger reductions (Sec. III-B4)");
-                self.reduction_flow(core, line, label, s, ReqClass::PlainRead, req_ts, txs, acc);
+                self.reduction_flow(core, line, label, s, ReqClass::PlainRead, req_ts, acc);
             }
         }
     }
 
     /// GETX: conventional write miss or upgrade.
-    pub(crate) fn dir_getx(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        txs: &mut TxTable,
-        acc: &mut Acc,
-        handler: bool,
-    ) {
+    pub(crate) fn dir_getx(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc, handler: bool) {
         self.stats.core_mut(core).getx += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, txs, acc, handler);
-        let req_ts = self.req_ts(core, handler, txs);
+        let l3 = self.l3_ensure(line, acc, handler);
+        let req_ts = self.req_ts(core, handler);
 
         match self.dir_at(bank, l3, line) {
             DirState::Uncached => {
@@ -292,7 +279,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Shared(s) => {
@@ -311,7 +298,6 @@ impl MemSystem {
                         ReqClass::PlainWrite,
                         req_ts,
                         |b| b.any(),
-                        txs,
                         acc,
                     ) {
                         Err(_) => nacked = true,
@@ -346,7 +332,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Exclusive(owner) => {
@@ -359,7 +345,6 @@ impl MemSystem {
                         ReqClass::PlainWrite,
                         req_ts,
                         |b| b.any(),
-                        txs,
                         acc,
                     )
                     .is_err()
@@ -375,7 +360,7 @@ impl MemSystem {
                     label: None,
                     dirty: false,
                 };
-                self.install_private(core, line, v, meta, txs, acc, handler);
+                self.install_private(core, line, v, meta, acc, handler);
                 acc.lat(
                     self.cfg.mesh.bank_to_core(bank, owner)
                         + self.cfg.l2_latency
@@ -384,7 +369,7 @@ impl MemSystem {
             }
             DirState::Reducible(label, s) => {
                 assert!(!handler, "reduction handler hit reducible line {line}: handlers must not trigger reductions (Sec. III-B4)");
-                self.reduction_flow(core, line, label, s, ReqClass::PlainWrite, req_ts, txs, acc);
+                self.reduction_flow(core, line, label, s, ReqClass::PlainWrite, req_ts, acc);
             }
         }
     }
@@ -395,7 +380,6 @@ impl MemSystem {
         core: CoreId,
         label: LabelId,
         line: LineAddr,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) {
@@ -406,8 +390,8 @@ impl MemSystem {
         self.stats.core_mut(core).getu += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, txs, acc, handler);
-        let req_ts = self.req_ts(core, handler, txs);
+        let l3 = self.l3_ensure(line, acc, handler);
+        let req_ts = self.req_ts(core, handler);
 
         match self.dir_at(bank, l3, line) {
             // Case 1: no other private copies — the first requester gets
@@ -425,7 +409,7 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 2: read-only sharers are invalidated, then the data is
@@ -446,7 +430,6 @@ impl MemSystem {
                         ReqClass::Labeled,
                         req_ts,
                         |b| b.any(),
-                        txs,
                         acc,
                     ) {
                         Err(_) => nacked = true,
@@ -486,7 +469,7 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, data, meta, txs, acc, handler);
+                self.install_private(core, line, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 4: same-label sharers — grant U, no data; the requester
@@ -504,21 +487,20 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, identity, meta, txs, acc, handler);
+                self.install_private(core, line, identity, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 3: different-label sharers — reduce, then re-enter U
             // under the new label with the full value.
             DirState::Reducible(other, s) => {
-                let ok =
-                    self.reduction_flow(core, line, other, s, ReqClass::Labeled, req_ts, txs, acc);
+                let ok = self.reduction_flow(core, line, other, s, ReqClass::Labeled, req_ts, acc);
                 if ok {
                     let meta = PrivMeta {
                         state: CohState::U,
                         label: Some(label),
                         dirty: true,
                     };
-                    self.set_priv_meta(core, line, meta, txs, acc);
+                    self.set_priv_meta(core, line, meta, acc);
                     self.set_dir(line, DirState::Reducible(label, SharerSet::single(core)));
                 }
             }
@@ -529,16 +511,7 @@ impl MemSystem {
                 let relevant =
                     |b: SpecBits| b.read || b.written || (b.labeled && b.label != Some(label));
                 if self
-                    .conflict_check(
-                        core,
-                        owner,
-                        line,
-                        ReqClass::Labeled,
-                        req_ts,
-                        relevant,
-                        txs,
-                        acc,
-                    )
+                    .conflict_check(core, owner, line, ReqClass::Labeled, req_ts, relevant, acc)
                     .is_err()
                 {
                     return;
@@ -548,7 +521,7 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.set_priv_meta(owner, line, owner_meta, txs, acc);
+                self.set_priv_meta(owner, line, owner_meta, acc);
                 let mut s = SharerSet::single(owner);
                 s.insert(core);
                 self.set_dir(line, DirState::Reducible(label, s));
@@ -558,7 +531,7 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, identity, meta, txs, acc, handler);
+                self.install_private(core, line, identity, meta, acc, handler);
                 acc.lat(
                     self.cfg
                         .mesh
@@ -575,7 +548,7 @@ impl MemSystem {
     /// completed (requester ends in M with the full value); `false` when a
     /// NACK left the requester with a partial value in U and an abort
     /// pending (Fig. 6b semantics).
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // directory label and sharers, request class and ts
     pub(crate) fn reduction_flow(
         &mut self,
         core: CoreId,
@@ -584,7 +557,6 @@ impl MemSystem {
         sharers: SharerSet,
         class: ReqClass,
         req_ts: Option<u64>,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) -> bool {
         let bank = self.bank_of(line);
@@ -619,10 +591,9 @@ impl MemSystem {
                 .l1
                 .peek(line)
                 .is_some_and(|e| e.meta.spec.dirty_data);
-            if dirty_spec && txs.entry(core).active {
+            if dirty_spec && self.in_tx(core) {
                 self.tracer.note_abort(core, None, line);
-                self.rollback_core(core);
-                txs.end(core);
+                self.tx_abort(core);
                 acc.abort_self(AbortKind::SelfDemote);
             }
             fold = self.priv_nonspec(core, line);
@@ -644,7 +615,7 @@ impl MemSystem {
                 continue;
             }
             if self
-                .conflict_check(core, t, line, class, req_ts, |b| b.any(), txs, acc)
+                .conflict_check(core, t, line, class, req_ts, |b| b.any(), acc)
                 .is_err()
             {
                 nacked = true;
@@ -659,7 +630,7 @@ impl MemSystem {
                     + self.cfg.mesh.core_to_core(t, core),
             );
             if have_acc {
-                self.run_reduce(core, label, &mut fold, &v, txs, acc);
+                self.run_reduce(core, label, &mut fold, &v, acc);
                 merges += 1;
             } else {
                 fold = v;
@@ -679,7 +650,7 @@ impl MemSystem {
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, fold, meta, txs, acc, false);
+                self.install_private(core, line, fold, meta, acc, false);
                 survivors.insert(core);
             }
             self.set_dir(line, DirState::Reducible(label, survivors));
@@ -707,7 +678,7 @@ impl MemSystem {
                 label: None,
                 dirty: true,
             };
-            self.install_private(core, line, fold, meta, txs, acc, false);
+            self.install_private(core, line, fold, meta, acc, false);
         }
         true
     }
@@ -721,7 +692,6 @@ impl MemSystem {
         core: CoreId,
         label: LabelId,
         line: LineAddr,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) {
         self.stats.core_mut(core).gathers += 1;
@@ -745,16 +715,15 @@ impl MemSystem {
             .l1
             .peek(line)
             .is_some_and(|e| e.meta.spec.dirty_data);
-        if dirty_spec && txs.entry(core).active {
+        if dirty_spec && self.in_tx(core) {
             self.tracer.note_abort(core, None, line);
-            self.rollback_core(core);
-            txs.end(core);
+            self.tx_abort(core);
             acc.abort_self(AbortKind::SelfDemote);
         }
         let req_ts = if acc.self_abort.is_some() {
             None
         } else {
-            txs.active_ts(core)
+            self.tx_ts(core)
         };
 
         let def = self.labels.def(label);
@@ -781,27 +750,18 @@ impl MemSystem {
                 continue;
             }
             if self
-                .conflict_check(
-                    core,
-                    t,
-                    line,
-                    ReqClass::Split,
-                    req_ts,
-                    |b| b.any(),
-                    txs,
-                    acc,
-                )
+                .conflict_check(core, t, line, ReqClass::Split, req_ts, |b| b.any(), acc)
                 .is_err()
             {
                 continue;
             }
             let mut local = self.priv_nonspec(t, line);
             let mut donation = identity;
-            self.run_split(t, label, &mut local, &mut donation, nsharers, txs, acc);
+            self.run_split(t, label, &mut local, &mut donation, nsharers, acc);
             self.set_nonspec_value(t, line, local);
             self.stats.core_mut(t).splits += 1;
 
-            self.run_reduce(core, label, &mut mine, &donation, txs, acc);
+            self.run_reduce(core, label, &mut mine, &donation, acc);
             merges += 1;
             par = par.max(
                 self.cfg.mesh.bank_to_core(bank, t)

@@ -6,24 +6,16 @@ use commtm_mem::{CoreId, LineAddr, LineData, SharerSet};
 use rand::RngExt;
 
 use crate::dir::{DirState, L3Meta};
-use crate::types::{AbortKind, TxTable};
+use crate::types::AbortKind;
 
 use super::{Acc, MemSystem};
 
 impl MemSystem {
-    /// Disposes an L1 victim. Evicting speculatively-accessed data aborts
-    /// the core's transaction (the paper's L1-capacity abort rule); dirty
-    /// non-speculative data is pushed to the L2.
+    /// Disposes an L1 victim. Dirty non-speculative data is pushed to the
+    /// L2; evicting speculatively-accessed data aborts the core's
+    /// transaction (the paper's L1-capacity abort rule).
     pub(crate) fn l1_evict(&mut self, core: CoreId, victim: Entry<L1Meta>, acc: &mut Acc) {
-        // Note: the transaction-abort side of a speculative L1 eviction is
-        // handled by the caller through `l1_evict_tx`, because it needs the
-        // TxTable; plain `l1_evict` is only called on paths where the
-        // victim cannot be speculative or the abort was already recorded.
-        debug_assert!(
-            !victim.meta.spec.any(),
-            "speculative L1 victim must go through l1_evict_tx"
-        );
-        if victim.meta.dirty {
+        if victim.meta.dirty && !victim.meta.spec.dirty_data {
             let p = &mut self.privs[core.index()];
             let l2e =
                 p.l2.get(victim.tag)
@@ -31,29 +23,9 @@ impl MemSystem {
             l2e.data = victim.data;
             l2e.meta.dirty = true;
         }
-        let _ = acc;
-    }
-
-    /// L1 victim disposal with transaction awareness.
-    pub(crate) fn l1_evict_tx(
-        &mut self,
-        core: CoreId,
-        victim: Entry<L1Meta>,
-        txs: &mut TxTable,
-        acc: &mut Acc,
-    ) {
         if victim.meta.spec.any() {
-            // Preserve the non-speculative value first.
-            if !victim.meta.spec.dirty_data && victim.meta.dirty {
-                let p = &mut self.privs[core.index()];
-                let l2e = p.l2.get(victim.tag).expect("inclusion");
-                l2e.data = victim.data;
-                l2e.meta.dirty = true;
-            }
-            self.abort_tx(core, AbortKind::Eviction, victim.tag, txs, acc);
-            return;
+            self.abort_tx(core, AbortKind::Eviction, victim.tag, acc);
         }
-        self.l1_evict(core, victim, acc);
     }
 
     /// Disposes a private-L2 victim: the line leaves the core's hierarchy
@@ -61,13 +33,7 @@ impl MemSystem {
     /// back; otherwise the partial value is forwarded to a random co-sharer
     /// and reduced there, aborting that sharer's transaction if it touched
     /// the line.
-    pub(crate) fn l2_evict(
-        &mut self,
-        core: CoreId,
-        victim: Entry<PrivMeta>,
-        txs: &mut TxTable,
-        acc: &mut Acc,
-    ) {
+    pub(crate) fn l2_evict(&mut self, core: CoreId, victim: Entry<PrivMeta>, acc: &mut Acc) {
         let line = victim.tag;
         // Inclusion: drop the L1 copy, salvaging its freshest
         // non-speculative data and aborting our transaction if the line was
@@ -78,7 +44,7 @@ impl MemSystem {
             _ => victim.data,
         };
         if l1e.as_ref().is_some_and(|e| e.meta.spec.any()) {
-            self.abort_tx(core, AbortKind::Eviction, line, txs, acc);
+            self.abort_tx(core, AbortKind::Eviction, line, acc);
         }
 
         // One L3 probe for the whole disposal (inclusion guarantees
@@ -134,10 +100,10 @@ impl MemSystem {
                         .peek(line)
                         .is_some_and(|e| e.meta.spec.any());
                     if touched {
-                        self.abort_tx(t, AbortKind::UEvictionForward, line, txs, acc);
+                        self.abort_tx(t, AbortKind::UEvictionForward, line, acc);
                     }
                     let mut merged = self.priv_nonspec(t, line);
-                    self.run_reduce(t, label, &mut merged, &nonspec, txs, acc);
+                    self.run_reduce(t, label, &mut merged, &nonspec, acc);
                     self.set_nonspec_value(t, line, merged);
                     self.set_dir(line, DirState::Reducible(label, s));
                     self.stats.core_mut(core).u_evict_forwards += 1;
@@ -152,7 +118,6 @@ impl MemSystem {
     pub(crate) fn l3_ensure(
         &mut self,
         line: LineAddr,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) -> commtm_cache::Slot {
@@ -170,7 +135,7 @@ impl MemSystem {
         let out = self.l3[bank].fill(line, data, L3Meta::default(), class);
         let slot = out.slot;
         if let Some(v) = out.victim {
-            self.l3_evict(v, txs, acc);
+            self.l3_evict(v, acc);
             // Disposing the victim can recall lines and run reduction
             // handlers, whose own misses may recursively fill this bank —
             // in the worst case evicting the line just installed. Re-probe
@@ -187,7 +152,7 @@ impl MemSystem {
     /// are recalled; any transaction that accessed the line aborts
     /// (recalls are non-speculative and cannot be NACKed). Reducible
     /// victims are folded before writing back (Sec. III-B5).
-    pub(crate) fn l3_evict(&mut self, victim: Entry<L3Meta>, txs: &mut TxTable, acc: &mut Acc) {
+    pub(crate) fn l3_evict(&mut self, victim: Entry<L3Meta>, acc: &mut Acc) {
         let line = victim.tag;
         match victim.meta.dir {
             DirState::Uncached => {
@@ -197,14 +162,14 @@ impl MemSystem {
             }
             DirState::Shared(s) => {
                 for t in s.iter() {
-                    self.recall(t, line, txs, acc);
+                    self.recall(t, line, acc);
                 }
                 if victim.meta.dirty {
                     self.mem.write_line(line, victim.data);
                 }
             }
             DirState::Exclusive(owner) => {
-                let v = self.recall(owner, line, txs, acc);
+                let v = self.recall(owner, line, acc);
                 self.mem.write_line(line, v);
             }
             DirState::Reducible(label, s) => {
@@ -212,11 +177,11 @@ impl MemSystem {
                 let merge_at = s.iter().next().expect("reducible state with no sharers");
                 let sharers: SharerSet = s;
                 for t in sharers.iter() {
-                    let v = self.recall(t, line, txs, acc);
+                    let v = self.recall(t, line, acc);
                     fold = Some(match fold {
                         None => v,
                         Some(mut f) => {
-                            self.run_reduce(merge_at, label, &mut f, &v, txs, acc);
+                            self.run_reduce(merge_at, label, &mut f, &v, acc);
                             f
                         }
                     });
@@ -230,19 +195,13 @@ impl MemSystem {
     /// Recalls a line from one core for an inclusive-L3 eviction, aborting
     /// its transaction if the line is in its footprint. Returns the core's
     /// non-speculative value.
-    fn recall(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        txs: &mut TxTable,
-        acc: &mut Acc,
-    ) -> LineData {
+    fn recall(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc) -> LineData {
         let touched = self.privs[core.index()]
             .l1
             .peek(line)
             .is_some_and(|e| e.meta.spec.any());
         if touched {
-            self.abort_tx(core, AbortKind::LlcEviction, line, txs, acc);
+            self.abort_tx(core, AbortKind::LlcEviction, line, acc);
         }
         let v = self.priv_nonspec(core, line);
         self.invalidate_private(core, line);

@@ -8,7 +8,7 @@
 use commtm_mem::{Addr, CoreId, LabelId, LineData};
 
 use crate::label::ReduceOps;
-use crate::types::{MemOp, TxTable};
+use crate::types::MemOp;
 
 use super::{Acc, MemSystem};
 
@@ -16,26 +16,18 @@ use super::{Acc, MemSystem};
 struct HandlerOps<'a, 'b> {
     sys: &'a mut MemSystem,
     core: CoreId,
-    txs: &'a mut TxTable,
     acc: &'a mut Acc,
     _marker: std::marker::PhantomData<&'b ()>,
 }
 
 impl ReduceOps for HandlerOps<'_, '_> {
     fn read(&mut self, addr: Addr) -> u64 {
-        self.sys
-            .do_op(self.core, MemOp::Load, addr, self.txs, self.acc, true)
+        self.sys.do_op(self.core, MemOp::Load, addr, self.acc, true)
     }
 
     fn write(&mut self, addr: Addr, value: u64) {
-        self.sys.do_op(
-            self.core,
-            MemOp::Store(value),
-            addr,
-            self.txs,
-            self.acc,
-            true,
-        );
+        self.sys
+            .do_op(self.core, MemOp::Store(value), addr, self.acc, true);
     }
 }
 
@@ -48,14 +40,12 @@ impl MemSystem {
         label: LabelId,
         dst: &mut LineData,
         src: &LineData,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) {
         let f = self.labels.def(label).reduce();
         let mut ops = HandlerOps {
             sys: self,
             core,
-            txs,
             acc,
             _marker: Default::default(),
         };
@@ -75,7 +65,6 @@ impl MemSystem {
         local: &mut LineData,
         out: &mut LineData,
         num_sharers: usize,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) {
         let f =
@@ -85,7 +74,6 @@ impl MemSystem {
         let mut ops = HandlerOps {
             sys: self,
             core,
-            txs,
             acc,
             _marker: Default::default(),
         };

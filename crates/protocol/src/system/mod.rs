@@ -16,7 +16,7 @@ use crate::dir::{DirState, L3Meta};
 use crate::label::LabelTable;
 use crate::stats::ProtoStats;
 use crate::trace::Tracer;
-use crate::types::{AbortKind, Access, AccessOutcome, MemOp, ProtoEvent, TxTable};
+use crate::types::{AbortKind, AccessOutcome, MemOp, ProtoEvent};
 
 /// One core's private cache pair.
 #[derive(Debug)]
@@ -30,11 +30,16 @@ pub(crate) struct PrivCache {
 }
 
 /// Mutable bookkeeping for one in-flight access.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct Acc {
+    /// The core that issued the access.
+    pub requester: CoreId,
     pub latency: u64,
-    pub events: Vec<ProtoEvent>,
     pub self_abort: Option<AbortKind>,
+    /// First cause of an abort of the requester's own transaction through
+    /// the victim path (an eviction or handler collision); it becomes the
+    /// self-abort cause if no direct one was recorded.
+    pub own_abort: Option<AbortKind>,
 }
 
 impl Acc {
@@ -60,9 +65,12 @@ pub struct MemSystem {
     pub(crate) privs: Vec<PrivCache>,
     pub(crate) stats: ProtoStats,
     pub(crate) rng: StdRng,
-    /// Event buffer recycled across accesses ([`MemSystem::access_into`]);
-    /// kept here so the steady-state access loop never allocates.
-    events_scratch: Vec<ProtoEvent>,
+    /// Per-core transaction timestamp, `Some` while the core is inside a
+    /// transaction. Changed only by `tx_begin`/`tx_commit`/`tx_abort`.
+    txs: Vec<Option<u64>>,
+    /// Victim aborts queued until the driver drains them; the buffer is
+    /// reused, so the steady-state access loop never allocates.
+    events: Vec<ProtoEvent>,
     /// Structured per-transaction tracing (see [`crate::trace`]); off by
     /// default — every hook is a single-branch no-op then.
     pub(crate) tracer: Tracer,
@@ -92,6 +100,7 @@ impl MemSystem {
             .collect();
         let stats = ProtoStats::new(cfg.cores);
         let rng = StdRng::seed_from_u64(cfg.seed);
+        let txs = vec![None; cfg.cores];
         MemSystem {
             cfg,
             labels,
@@ -100,13 +109,14 @@ impl MemSystem {
             privs,
             stats,
             rng,
-            events_scratch: Vec::new(),
+            txs,
+            events: Vec::new(),
             tracer: Tracer::default(),
         }
     }
 
     /// The structured tracer (see [`crate::trace`]): the HTM engine emits
-    /// begin/access/abort/commit events through it, the machine driver
+    /// access and abort events through it, the machine driver
     /// starts/stops capture and takes the finished [`crate::trace::Trace`].
     pub fn tracer_mut(&mut self) -> &mut Tracer {
         &mut self.tracer
@@ -135,25 +145,95 @@ impl MemSystem {
     /// Performs one memory operation for `core`, computing its full
     /// protocol effect and latency.
     ///
-    /// `txs` supplies per-core transaction timestamps for eager conflict
-    /// detection; the entry for an aborted victim is deactivated in place
-    /// and an [`ProtoEvent::Aborted`] is reported. If the *requester* must
-    /// abort (NACK, self-demotion, footprint eviction), its speculative
-    /// state is rolled back and [`Access::self_abort`] is set.
+    /// Conflicts are detected eagerly against the other cores' open
+    /// transactions. An aborted victim's transaction is rolled back and
+    /// ended, and a [`ProtoEvent::Aborted`] for it is queued for
+    /// [`MemSystem::drain_events`]. If the *requester* must abort (NACK,
+    /// self-demotion, footprint eviction), its transaction is rolled back
+    /// and ended and [`AccessOutcome::self_abort`] is set.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is not word-aligned, or on API misuse (gather on a
     /// label with no splitter).
-    pub fn access(&mut self, core: CoreId, op: MemOp, addr: Addr, txs: &mut TxTable) -> Access {
-        let mut events = Vec::new();
-        let out = self.access_into(core, op, addr, txs, &mut events);
-        Access {
-            value: out.value,
-            latency: out.latency,
-            self_abort: out.self_abort,
-            events,
+    pub fn access(&mut self, core: CoreId, op: MemOp, addr: Addr) -> AccessOutcome {
+        let mut acc = Acc {
+            requester: core,
+            latency: 0,
+            self_abort: None,
+            own_abort: None,
+        };
+        let value = self.do_op(core, op, addr, &mut acc, false);
+        let self_abort = acc.self_abort.or(acc.own_abort);
+        if self_abort.is_some() {
+            self.tx_abort(core);
         }
+        AccessOutcome {
+            value,
+            latency: acc.latency,
+            self_abort,
+        }
+    }
+
+    /// Takes the victim aborts queued by accesses since the last drain, in
+    /// the order they happened. The driver delivers them to the victims'
+    /// engines; the protocol side of each abort is already done.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, ProtoEvent> {
+        self.events.drain(..)
+    }
+
+    /// Opens a transaction on `core` with arbitration timestamp `ts` (the
+    /// earlier timestamp wins a conflict) and traces its begin.
+    pub fn tx_begin(&mut self, core: CoreId, ts: u64) {
+        self.txs[core.index()] = Some(ts);
+        self.tracer.begin(ts);
+    }
+
+    /// Commits `core`'s transaction: traces the commit, makes its
+    /// speculative L1 data non-speculative (Fig. 5 step 2) and ends it.
+    pub fn tx_commit(&mut self, core: CoreId) {
+        self.tracer.commit();
+        let p = &mut self.privs[core.index()];
+        // Drain in place: `spec_lines` keeps its capacity for the next
+        // transaction instead of reallocating every commit.
+        for line in p.spec_lines.drain(..) {
+            if let Some(e) = p.l1.get(line) {
+                if e.meta.spec.dirty_data {
+                    e.meta.dirty = true;
+                }
+                e.meta.spec.clear();
+            }
+        }
+        self.txs[core.index()] = None;
+    }
+
+    /// Aborts `core`'s transaction: speculatively-written L1 lines are
+    /// restored from the non-speculative L2 copies, footprint bits are
+    /// cleared, and the transaction ends. Idempotent. The abort's trace
+    /// event is the engine's, stamped when the abort is delivered.
+    pub fn tx_abort(&mut self, core: CoreId) {
+        let p = &mut self.privs[core.index()];
+        for line in p.spec_lines.drain(..) {
+            let l2_data = p.l2.peek(line).map(|e| e.data);
+            if let Some(e) = p.l1.get(line) {
+                if e.meta.spec.dirty_data {
+                    e.data = l2_data.expect("inclusion: spec L1 line must be in L2");
+                    e.meta.dirty = false;
+                }
+                e.meta.spec.clear();
+            }
+        }
+        self.txs[core.index()] = None;
+    }
+
+    /// Whether `core` is inside a transaction.
+    pub fn in_tx(&self, core: CoreId) -> bool {
+        self.txs[core.index()].is_some()
+    }
+
+    /// The timestamp of `core`'s open transaction, if any.
+    pub(crate) fn tx_ts(&self, core: CoreId) -> Option<u64> {
+        self.txs[core.index()]
     }
 
     /// The logical word-0 value of a line, independent of where its bits
@@ -171,89 +251,6 @@ impl MemSystem {
             DirState::Uncached | DirState::Shared(_) => e.data[0],
             DirState::Exclusive(o) => self.priv_nonspec(o, line)[0],
             DirState::Reducible(_, s) => s.iter().map(|t| self.priv_nonspec(t, line)[0]).sum(),
-        }
-    }
-
-    /// Like [`MemSystem::access`], but appends the access's events to a
-    /// caller-supplied buffer instead of returning a fresh `Vec`. The
-    /// simulation loop threads one reusable buffer through every core step
-    /// (`Machine::run` → `CoreExec::step` → here), so the steady-state
-    /// access path performs no heap allocation.
-    pub fn access_into(
-        &mut self,
-        core: CoreId,
-        op: MemOp,
-        addr: Addr,
-        txs: &mut TxTable,
-        events_out: &mut Vec<ProtoEvent>,
-    ) -> AccessOutcome {
-        let mut acc = Acc {
-            latency: 0,
-            events: std::mem::take(&mut self.events_scratch),
-            self_abort: None,
-        };
-        debug_assert!(acc.events.is_empty(), "events scratch leaked entries");
-        let value = self.do_op(core, op, addr, txs, &mut acc, false);
-        // An eviction (or handler collision) may have aborted the
-        // requester's own transaction through the event path; promote it to
-        // a self-abort so the caller restarts the transaction, and drop the
-        // redundant event.
-        if acc.self_abort.is_none() {
-            let own = acc.events.iter().find_map(|e| match e {
-                ProtoEvent::Aborted { core: c, cause } if *c == core => Some(*cause),
-                _ => None,
-            });
-            if let Some(cause) = own {
-                acc.self_abort = Some(cause);
-            }
-        }
-        events_out.extend(
-            acc.events
-                .drain(..)
-                .filter(|e| !matches!(e, ProtoEvent::Aborted { core: c, .. } if *c == core)),
-        );
-        self.events_scratch = acc.events;
-        if acc.self_abort.is_some() {
-            self.rollback_core(core);
-            txs.end(core);
-        }
-        AccessOutcome {
-            value,
-            latency: acc.latency,
-            self_abort: acc.self_abort,
-        }
-    }
-
-    /// Commits `core`'s transaction: its speculative L1 data becomes
-    /// non-speculative (Fig. 5 step 2). The caller clears the [`TxTable`].
-    pub fn commit_core(&mut self, core: CoreId) {
-        let p = &mut self.privs[core.index()];
-        // Drain in place: `spec_lines` keeps its capacity for the next
-        // transaction instead of reallocating every commit.
-        for line in p.spec_lines.drain(..) {
-            if let Some(e) = p.l1.get(line) {
-                if e.meta.spec.dirty_data {
-                    e.meta.dirty = true;
-                }
-                e.meta.spec.clear();
-            }
-        }
-    }
-
-    /// Rolls back `core`'s transaction: speculatively-written L1 lines are
-    /// restored from the non-speculative L2 copies and footprint bits are
-    /// cleared. Idempotent.
-    pub fn rollback_core(&mut self, core: CoreId) {
-        let p = &mut self.privs[core.index()];
-        for line in p.spec_lines.drain(..) {
-            let l2_data = p.l2.peek(line).map(|e| e.data);
-            if let Some(e) = p.l1.get(line) {
-                if e.meta.spec.dirty_data {
-                    e.data = l2_data.expect("inclusion: spec L1 line must be in L2");
-                    e.meta.dirty = false;
-                }
-                e.meta.spec.clear();
-            }
         }
     }
 
@@ -280,13 +277,6 @@ impl MemSystem {
     /// that may be cached or reducible.
     pub fn peek_word_raw(&self, addr: Addr) -> u64 {
         self.mem.read_word(addr)
-    }
-
-    /// Performs a non-speculative coherent load at `core` and returns the
-    /// value, triggering reductions as needed. Used by verification code
-    /// after a run.
-    pub fn read_word_coherent(&mut self, core: CoreId, addr: Addr, txs: &mut TxTable) -> u64 {
-        self.access(core, MemOp::Load, addr, txs).value
     }
 
     pub(crate) fn bank_of(&self, line: LineAddr) -> usize {
@@ -340,7 +330,6 @@ impl MemSystem {
         core: CoreId,
         op: MemOp,
         addr: Addr,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) -> u64 {
@@ -348,7 +337,7 @@ impl MemSystem {
         let line = addr.line();
 
         if let MemOp::Gather(label) = op {
-            return self.do_gather(core, label, addr, txs, acc, handler);
+            return self.do_gather(core, label, addr, acc, handler);
         }
 
         // Probe each private level once: the L2 lookup yields the
@@ -392,7 +381,7 @@ impl MemSystem {
                 acc.lat(self.cfg.l2_latency);
             }
             let l2_slot = l2_slot.expect("sufficient permission implies an L2 entry");
-            return self.local_op_at(core, op, addr, l1_slot, l2_slot, txs, acc, handler);
+            return self.local_op_at(core, op, addr, l1_slot, l2_slot, acc, handler);
         }
 
         let cs = self.stats.core_mut(core);
@@ -400,11 +389,9 @@ impl MemSystem {
         cs.l2_misses += 1;
 
         match op {
-            MemOp::Load => self.dir_gets(core, line, txs, acc, handler),
-            MemOp::Store(_) => self.dir_getx(core, line, txs, acc, handler),
-            MemOp::LoadL(l) | MemOp::StoreL(l, _) => {
-                self.dir_getu(core, l, line, txs, acc, handler)
-            }
+            MemOp::Load => self.dir_gets(core, line, acc, handler),
+            MemOp::Store(_) => self.dir_getx(core, line, acc, handler),
+            MemOp::LoadL(l) | MemOp::StoreL(l, _) => self.dir_getu(core, l, line, acc, handler),
             MemOp::Gather(_) => unreachable!(),
         }
 
@@ -417,7 +404,7 @@ impl MemSystem {
         if acc.self_abort.is_some() && !handler {
             return 0;
         }
-        self.local_op(core, op, addr, txs, acc, handler)
+        self.local_op(core, op, addr, acc, handler)
     }
 
     /// Gather: ensure U permission, then run the gather flow (Sec. IV).
@@ -426,7 +413,6 @@ impl MemSystem {
         core: CoreId,
         label: LabelId,
         addr: Addr,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) -> u64 {
@@ -440,7 +426,7 @@ impl MemSystem {
             // Acquire reducible permission first; this may resolve to M/E
             // (e.g. we were the exclusive owner), in which case the local
             // value is already the full value and no gather is needed.
-            let v = self.do_op(core, MemOp::LoadL(label), addr, txs, acc, handler);
+            let v = self.do_op(core, MemOp::LoadL(label), addr, acc, handler);
             if acc.self_abort.is_some() {
                 return 0;
             }
@@ -452,11 +438,11 @@ impl MemSystem {
             self.stats.core_mut(core).l1_misses += 1;
             self.stats.core_mut(core).l2_misses += 1;
         }
-        self.gather_flow(core, label, line, txs, acc);
+        self.gather_flow(core, label, line, acc);
         if acc.self_abort.is_some() {
             return 0;
         }
-        self.local_op(core, MemOp::LoadL(label), addr, txs, acc, handler)
+        self.local_op(core, MemOp::LoadL(label), addr, acc, handler)
     }
 
     /// Completes an operation against the (now sufficient) private copy.
@@ -470,7 +456,6 @@ impl MemSystem {
         core: CoreId,
         op: MemOp,
         addr: Addr,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) -> u64 {
@@ -478,7 +463,7 @@ impl MemSystem {
         let p = &self.privs[core.index()];
         let l1_slot = p.l1.lookup(line);
         let l2_slot = p.l2.lookup(line).expect("local_op without L2 entry");
-        self.local_op_at(core, op, addr, l1_slot, l2_slot, txs, acc, handler)
+        self.local_op_at(core, op, addr, l1_slot, l2_slot, acc, handler)
     }
 
     /// Completes an operation against located private copies: fills the L1
@@ -490,7 +475,7 @@ impl MemSystem {
     /// structural change below is the L1 fill itself (whose eviction path
     /// never removes or fills private-array entries, it only rolls back
     /// footprint bits), so both handles stay live for the whole operation.
-    #[allow(clippy::too_many_arguments)]
+    #[allow(clippy::too_many_arguments)] // both probe slots, so the fast path never rescans a set
     fn local_op_at(
         &mut self,
         core: CoreId,
@@ -498,7 +483,6 @@ impl MemSystem {
         addr: Addr,
         l1_slot: Option<Slot>,
         l2_slot: Slot,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) -> u64 {
@@ -523,13 +507,13 @@ impl MemSystem {
                 let out = p.l1.fill(line, data, L1Meta::default(), class);
                 let slot = out.slot;
                 if let Some(v) = out.victim {
-                    self.l1_evict_tx(core, v, txs, acc);
+                    self.l1_evict(core, v, acc);
                 }
                 slot
             }
         };
 
-        let in_tx = txs.entry(core).active && !handler;
+        let in_tx = self.in_tx(core) && !handler;
 
         // Footprint tracking and non-speculative value preservation.
         if in_tx {
@@ -624,7 +608,6 @@ impl MemSystem {
         line: LineAddr,
         data: LineData,
         meta: PrivMeta,
-        txs: &mut TxTable,
         acc: &mut Acc,
         handler: bool,
     ) {
@@ -646,7 +629,7 @@ impl MemSystem {
                 p.l2.remove_slot(s);
                 let out = p.l2.fill(line, data, meta, class);
                 if let Some(v) = out.victim {
-                    self.l2_evict(core, v, txs, acc);
+                    self.l2_evict(core, v, acc);
                 }
             }
             Some(s) => {
@@ -658,7 +641,7 @@ impl MemSystem {
             None => {
                 let out = p.l2.fill(line, data, meta, class);
                 if let Some(v) = out.victim {
-                    self.l2_evict(core, v, txs, acc);
+                    self.l2_evict(core, v, acc);
                 }
             }
         }
@@ -672,7 +655,7 @@ impl MemSystem {
                 let preserved = p.l1.remove_slot(s).meta;
                 let out = p.l1.fill(line, data, preserved, class);
                 if let Some(v) = out.victim {
-                    self.l1_evict_tx(core, v, txs, acc);
+                    self.l1_evict(core, v, acc);
                 }
             }
             Some(s) => {
@@ -684,7 +667,7 @@ impl MemSystem {
             None => {
                 let out = p.l1.fill(line, data, L1Meta::default(), class);
                 if let Some(v) = out.victim {
-                    self.l1_evict_tx(core, v, txs, acc);
+                    self.l1_evict(core, v, acc);
                 }
             }
         }
@@ -699,7 +682,6 @@ impl MemSystem {
         core: CoreId,
         line: LineAddr,
         meta: PrivMeta,
-        txs: &mut TxTable,
         acc: &mut Acc,
     ) {
         let to_u = meta.state == CohState::U;
@@ -711,7 +693,7 @@ impl MemSystem {
                 e.meta = meta;
                 let out = p.l2.fill(line, e.data, e.meta, EvictionClass::Reducible);
                 if let Some(v) = out.victim {
-                    self.l2_evict(core, v, txs, acc);
+                    self.l2_evict(core, v, acc);
                 }
             }
             Some(s) => {
@@ -729,7 +711,7 @@ impl MemSystem {
                     let e = p.l1.remove_slot(s);
                     let out = p.l1.fill(line, e.data, e.meta, EvictionClass::Reducible);
                     if let Some(v) = out.victim {
-                        self.l1_evict_tx(core, v, txs, acc);
+                        self.l1_evict(core, v, acc);
                     }
                 }
             }
@@ -777,8 +759,7 @@ mod tests {
         assert!(l1.iter().chain(&l2).chain(&l3).all(|&n| n == 0));
 
         let core = CoreId::new(3);
-        let mut txs = TxTable::new(cfg.cores);
-        sys.access(core, MemOp::Load, Addr::new(0x4000), &mut txs);
+        sys.access(core, MemOp::Load, Addr::new(0x4000));
         let (l1, l2, l3) = slots(&sys);
         // One block (one set's ways) in this core's L1 and L2 only.
         let only_core = |ways: usize| -> Vec<usize> {

@@ -195,66 +195,11 @@ pub fn arbitrate(req_ts: Option<u64>, victim_ts: u64) -> Arbitration {
     }
 }
 
-/// Per-core transaction visibility the HTM layer shares with the protocol.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct TxEntry {
-    /// Whether the core is currently inside a transaction.
-    pub active: bool,
-    /// The transaction's timestamp (valid when `active`).
-    pub ts: u64,
-}
-
-/// The table of per-core transaction states.
-#[derive(Clone, Debug, Default)]
-pub struct TxTable {
-    entries: Vec<TxEntry>,
-}
-
-impl TxTable {
-    /// Creates a table for `cores` cores, all idle.
-    pub fn new(cores: usize) -> Self {
-        TxTable {
-            entries: vec![TxEntry::default(); cores],
-        }
-    }
-
-    /// The entry for a core.
-    pub fn entry(&self, core: CoreId) -> TxEntry {
-        self.entries[core.index()]
-    }
-
-    /// Marks a core as inside a transaction with timestamp `ts`.
-    pub fn begin(&mut self, core: CoreId, ts: u64) {
-        self.entries[core.index()] = TxEntry { active: true, ts };
-    }
-
-    /// Marks a core as idle (commit or abort).
-    pub fn end(&mut self, core: CoreId) {
-        self.entries[core.index()].active = false;
-    }
-
-    /// The timestamp of the core's transaction, if one is active.
-    pub fn active_ts(&self, core: CoreId) -> Option<u64> {
-        let e = self.entries[core.index()];
-        e.active.then_some(e.ts)
-    }
-
-    /// Number of cores tracked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the table tracks zero cores.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
 /// A protocol-side event the HTM layer must react to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ProtoEvent {
     /// A victim core's transaction was aborted (its cache state has already
-    /// been rolled back and its [`TxTable`] entry deactivated).
+    /// been rolled back and it is no longer [`crate::MemSystem::in_tx`]).
     Aborted {
         /// The aborted core.
         core: CoreId,
@@ -263,10 +208,9 @@ pub enum ProtoEvent {
     },
 }
 
-/// The result of one [`crate::MemSystem::access_into`]: everything in
-/// [`Access`] except the event list, which is appended to the caller's
-/// reusable buffer instead of allocated per access. This is what keeps the
-/// simulator's access loop allocation-free in steady state.
+/// The result of one [`crate::MemSystem::access`]. Victim aborts are not
+/// part of it: they queue in the memory system until the driver takes them
+/// with [`crate::MemSystem::drain_events`].
 #[derive(Clone, Copy, Debug)]
 pub struct AccessOutcome {
     /// The value loaded (stores echo the stored value; a NACKed requester
@@ -274,24 +218,10 @@ pub struct AccessOutcome {
     pub value: u64,
     /// Cycles the access took beyond the 1-cycle issue cost.
     pub latency: u64,
-    /// If set, the *requesting* transaction must abort with this cause.
-    pub self_abort: Option<AbortKind>,
-}
-
-/// The result of one [`crate::MemSystem::access`].
-#[derive(Clone, Debug)]
-pub struct Access {
-    /// The value loaded (stores echo the stored value; a NACKed requester
-    /// gets an unspecified value and must retry after aborting).
-    pub value: u64,
-    /// Cycles the access took beyond the 1-cycle issue cost.
-    pub latency: u64,
     /// If set, the *requesting* transaction must abort with this cause
-    /// (NACKed request, self-demotion, or own-footprint eviction). Cache
-    /// state for the requester has already been rolled back.
+    /// (NACKed request, self-demotion, or own-footprint eviction). Its
+    /// cache state has already been rolled back and its transaction ended.
     pub self_abort: Option<AbortKind>,
-    /// Victim aborts and other events produced by the access.
-    pub events: Vec<ProtoEvent>,
 }
 
 #[cfg(test)]
@@ -368,24 +298,6 @@ mod tests {
         assert_eq!(arbitrate(Some(7), 7), Arbitration::Nack);
         // Non-speculative requests cannot be NACKed.
         assert_eq!(arbitrate(None, 0), Arbitration::VictimAborts);
-    }
-
-    #[test]
-    fn tx_table_lifecycle() {
-        let mut t = TxTable::new(2);
-        let c = CoreId::new(1);
-        assert_eq!(t.active_ts(c), None);
-        t.begin(c, 42);
-        assert_eq!(t.active_ts(c), Some(42));
-        assert_eq!(
-            t.entry(c),
-            TxEntry {
-                active: true,
-                ts: 42
-            }
-        );
-        t.end(c);
-        assert_eq!(t.active_ts(c), None);
     }
 
     #[test]

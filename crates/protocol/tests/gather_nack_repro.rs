@@ -4,7 +4,7 @@
 
 use commtm_cache::CohState;
 use commtm_mem::{Addr, CoreId, LineData, WORDS_PER_LINE};
-use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig, TxTable};
+use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig};
 
 fn table() -> LabelTable {
     let mut t = LabelTable::new();
@@ -35,31 +35,27 @@ fn c(i: usize) -> CoreId {
 
 #[test]
 fn nacked_gather_retains_donations_visibly() {
-    let (mut m, mut txs) = (
-        MemSystem::new(ProtoConfig::paper_with_cores(4), table()),
-        TxTable::new(4),
-    );
+    let mut m = MemSystem::new(ProtoConfig::paper_with_cores(4), table());
     m.poke_word(A, 0);
     // Core 0: committed value 12 in its U copy.
-    m.access(c(0), MemOp::LoadL(ADD), A, &mut txs);
-    m.access(c(0), MemOp::StoreL(ADD, 12), A, &mut txs);
+    m.access(c(0), MemOp::LoadL(ADD), A);
+    m.access(c(0), MemOp::StoreL(ADD, 12), A);
     // Core 1: OLDER tx with a labeled footprint (will NACK splits).
-    txs.begin(c(1), 1);
-    let v = m.access(c(1), MemOp::LoadL(ADD), A, &mut txs).value;
-    m.access(c(1), MemOp::StoreL(ADD, v + 7), A, &mut txs);
+    m.tx_begin(c(1), 1);
+    let v = m.access(c(1), MemOp::LoadL(ADD), A).value;
+    m.access(c(1), MemOp::StoreL(ADD, v + 7), A);
     // Core 2: YOUNGER tx gathers: core 0 donates, core 1 NACKs -> core 2
     // aborts but must retain the donation.
-    txs.begin(c(2), 9);
-    m.access(c(2), MemOp::LoadL(ADD), A, &mut txs);
-    let r = m.access(c(2), MemOp::Gather(ADD), A, &mut txs);
+    m.tx_begin(c(2), 9);
+    m.access(c(2), MemOp::LoadL(ADD), A);
+    let r = m.access(c(2), MemOp::Gather(ADD), A);
     assert!(r.self_abort.is_some());
     assert_eq!(m.line_state(c(2), A.line()).0, CohState::U);
     // Retry outside tx: the local labeled load must see the retained donation (ceil(12/3)=4).
-    let v = m.access(c(2), MemOp::LoadL(ADD), A, &mut txs).value;
+    let v = m.access(c(2), MemOp::LoadL(ADD), A).value;
     assert_eq!(v, 4, "retained donation must be visible to the retry");
     m.check_invariants().unwrap();
     // Total conserved.
-    m.commit_core(c(1));
-    txs.end(c(1));
-    assert_eq!(m.access(c(3), MemOp::Load, A, &mut txs).value, 19);
+    m.tx_commit(c(1));
+    assert_eq!(m.access(c(3), MemOp::Load, A).value, 19);
 }

@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 
 use commtm_mem::{Addr, CoreId, LineData, WORDS_PER_LINE};
-use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig, TxTable};
+use commtm_protocol::{LabelDef, LabelTable, MemOp, MemSystem, ProtoConfig};
 
 fn add_table() -> LabelTable {
     let mut t = LabelTable::new();
@@ -75,7 +75,6 @@ proptest! {
         actions in proptest::collection::vec(action_strategy(4), 1..120),
     ) {
         let mut m = MemSystem::new(ProtoConfig::paper_with_cores(4), add_table());
-        let mut txs = TxTable::new(4);
         let base = Addr::new(0x4000);
         let mut oracle = [0u64; WORDS_PER_LINE];
 
@@ -83,23 +82,23 @@ proptest! {
             match *a {
                 Action::LabeledAdd { core, word, delta } => {
                     let addr = base.offset_words(word as u64);
-                    let v = m.access(CoreId::new(core), MemOp::LoadL(ADD), addr, &mut txs).value;
-                    m.access(CoreId::new(core), MemOp::StoreL(ADD, v.wrapping_add(delta)), addr, &mut txs);
+                    let v = m.access(CoreId::new(core), MemOp::LoadL(ADD), addr).value;
+                    m.access(CoreId::new(core), MemOp::StoreL(ADD, v.wrapping_add(delta)), addr);
                     oracle[word] = oracle[word].wrapping_add(delta);
                 }
                 Action::PlainRead { core, word } => {
                     let addr = base.offset_words(word as u64);
-                    let v = m.access(CoreId::new(core), MemOp::Load, addr, &mut txs).value;
+                    let v = m.access(CoreId::new(core), MemOp::Load, addr).value;
                     prop_assert_eq!(v, oracle[word], "plain read must observe the oracle");
                 }
                 Action::PlainWrite { core, word, value } => {
                     let addr = base.offset_words(word as u64);
-                    m.access(CoreId::new(core), MemOp::Store(value), addr, &mut txs);
+                    m.access(CoreId::new(core), MemOp::Store(value), addr);
                     oracle[word] = value;
                 }
                 Action::Gather { core, word } => {
                     let addr = base.offset_words(word as u64);
-                    m.access(CoreId::new(core), MemOp::Gather(ADD), addr, &mut txs);
+                    m.access(CoreId::new(core), MemOp::Gather(ADD), addr);
                     // Redistribution must not change totals (checked below).
                 }
             }
@@ -107,7 +106,7 @@ proptest! {
 
         // Final state: every word reduces to the oracle.
         for (w, want) in oracle.iter().enumerate() {
-            let v = m.access(CoreId::new(0), MemOp::Load, base.offset_words(w as u64), &mut txs).value;
+            let v = m.access(CoreId::new(0), MemOp::Load, base.offset_words(w as u64)).value;
             prop_assert_eq!(v, *want, "word {} must fold to the oracle", w);
         }
         m.check_invariants().map_err(TestCaseError::fail)?;
@@ -124,7 +123,6 @@ proptest! {
         steps in proptest::collection::vec((0usize..3, 0u32..4), 1..80),
     ) {
         let mut m = MemSystem::new(ProtoConfig::paper_with_cores(3), add_table());
-        let mut txs = TxTable::new(3);
         let addr = Addr::new(0xC000);
         m.poke_word(addr, init);
         let mut count = init;
@@ -134,60 +132,56 @@ proptest! {
             match kind {
                 // Committed transactional increment.
                 0 => {
-                    txs.begin(c, step as u64 + 1);
-                    let v = m.access(c, MemOp::LoadL(ADD), addr, &mut txs).value;
-                    let r = m.access(c, MemOp::StoreL(ADD, v + 1), addr, &mut txs);
-                    if r.self_abort.is_none() && txs.entry(c).active {
-                        m.commit_core(c);
-                        txs.end(c);
+                    m.tx_begin(c, step as u64 + 1);
+                    let v = m.access(c, MemOp::LoadL(ADD), addr).value;
+                    let r = m.access(c, MemOp::StoreL(ADD, v + 1), addr);
+                    if r.self_abort.is_none() && m.in_tx(c) {
+                        m.tx_commit(c);
                         count += 1;
-                    } else if txs.entry(c).active {
-                        m.rollback_core(c);
-                        txs.end(c);
+                    } else if m.in_tx(c) {
+                        m.tx_abort(c);
                     }
                 }
                 // Bounded decrement: labeled load, gather if the local
                 // partial is dry, plain load as the last resort. Only a
                 // positive observed value permits the decrement.
                 1 => {
-                    txs.begin(c, step as u64 + 1);
-                    let mut v = m.access(c, MemOp::LoadL(ADD), addr, &mut txs).value;
+                    m.tx_begin(c, step as u64 + 1);
+                    let mut v = m.access(c, MemOp::LoadL(ADD), addr).value;
                     let mut aborted = false;
                     if v == 0 {
-                        let r = m.access(c, MemOp::Gather(ADD), addr, &mut txs);
+                        let r = m.access(c, MemOp::Gather(ADD), addr);
                         aborted |= r.self_abort.is_some();
                         v = r.value;
                     }
                     if v == 0 && !aborted {
-                        let r = m.access(c, MemOp::Load, addr, &mut txs);
+                        let r = m.access(c, MemOp::Load, addr);
                         aborted |= r.self_abort.is_some();
                         v = r.value;
                     }
                     let mut decremented = false;
                     if v > 0 && !aborted {
-                        let r = m.access(c, MemOp::StoreL(ADD, v - 1), addr, &mut txs);
+                        let r = m.access(c, MemOp::StoreL(ADD, v - 1), addr);
                         aborted |= r.self_abort.is_some();
                         decremented = !aborted;
                     }
-                    if !aborted && txs.entry(c).active {
-                        m.commit_core(c);
-                        txs.end(c);
+                    if !aborted && m.in_tx(c) {
+                        m.tx_commit(c);
                         if decremented {
                             count -= 1;
                         }
-                    } else if txs.entry(c).active {
-                        m.rollback_core(c);
-                        txs.end(c);
+                    } else if m.in_tx(c) {
+                        m.tx_abort(c);
                     }
                 }
                 // Non-transactional gather: pure redistribution.
                 2 => {
-                    m.access(c, MemOp::Gather(ADD), addr, &mut txs);
+                    m.access(c, MemOp::Gather(ADD), addr);
                 }
                 // Non-transactional plain read: forces a reduction and
                 // must observe the exact logical count.
                 _ => {
-                    let v = m.access(c, MemOp::Load, addr, &mut txs).value;
+                    let v = m.access(c, MemOp::Load, addr).value;
                     prop_assert_eq!(v, count, "plain read must fold to the count");
                 }
             }
@@ -207,7 +201,6 @@ proptest! {
         schedule in proptest::collection::vec((0usize..3, 1u64..20), 1..60),
     ) {
         let mut m = MemSystem::new(ProtoConfig::paper_with_cores(3), add_table());
-        let mut txs = TxTable::new(3);
         let addr = Addr::new(0x8000);
         let mut committed = 0u64;
 
@@ -215,16 +208,15 @@ proptest! {
             let c = CoreId::new(core);
             // One short transaction per step (sequentialized here; conflict
             // paths are exercised by the engine tests).
-            txs.begin(c, step as u64 + 1);
-            let v = m.access(c, MemOp::LoadL(ADD), addr, &mut txs).value;
-            let r = m.access(c, MemOp::StoreL(ADD, v.wrapping_add(delta)), addr, &mut txs);
-            if r.self_abort.is_none() && txs.entry(c).active {
-                m.commit_core(c);
-                txs.end(c);
+            m.tx_begin(c, step as u64 + 1);
+            let v = m.access(c, MemOp::LoadL(ADD), addr).value;
+            let r = m.access(c, MemOp::StoreL(ADD, v.wrapping_add(delta)), addr);
+            if r.self_abort.is_none() && m.in_tx(c) {
+                m.tx_commit(c);
                 committed += delta;
             }
         }
-        let v = m.access(CoreId::new(0), MemOp::Load, addr, &mut txs).value;
+        let v = m.access(CoreId::new(0), MemOp::Load, addr).value;
         prop_assert_eq!(v, committed);
     }
 }

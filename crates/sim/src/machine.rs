@@ -6,7 +6,7 @@ use std::fmt;
 
 use commtm_htm::{CoreExec, CoreStats, HtmConfig, Scheme, StepResult};
 use commtm_mem::{Addr, CoreId, Heap};
-use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, ProtoEvent, Trace, TxTable};
+use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, ProtoEvent, Trace};
 use commtm_tx::Program;
 
 use crate::report::RunReport;
@@ -160,7 +160,6 @@ impl std::error::Error for SimError {}
 pub struct Machine {
     cfg: MachineConfig,
     sys: MemSystem,
-    txs: TxTable,
     cores: Vec<Option<CoreExec>>,
     heap: Heap,
     next_ts: u64,
@@ -171,14 +170,12 @@ impl Machine {
     /// labels.
     pub fn new(cfg: MachineConfig, labels: LabelTable) -> Self {
         let sys = MemSystem::new(cfg.proto.clone(), labels);
-        let txs = TxTable::new(cfg.threads);
         let cores = (0..cfg.threads).map(|_| None).collect();
         // Simulated data lives above the first 64KB (avoids the null page).
         let heap = Heap::new(Addr::new(0x1_0000), 1 << 40);
         Machine {
             cfg,
             sys,
-            txs,
             cores,
             heap,
             next_ts: 1,
@@ -271,12 +268,11 @@ impl Machine {
 
     /// The min-clock scheduling loop behind [`Machine::run`].
     fn run_min_clock(&mut self) -> Result<(), SimError> {
-        // Split borrows once: stepping a core needs `&mut` to the core,
-        // the memory system, and the transaction table at the same time.
+        // Split borrows once: stepping a core needs `&mut` to the core and
+        // the memory system at the same time.
         let Machine {
             cfg,
             sys,
-            txs,
             cores,
             next_ts,
             ..
@@ -293,10 +289,6 @@ impl Machine {
             .map(|(i, c)| Reverse((c.clock(), i)))
             .collect();
 
-        // One event buffer threaded through every step (and from there through
-        // `MemSystem::access_into`): the steady-state loop reuses it instead
-        // of allocating per access.
-        let mut events: Vec<ProtoEvent> = Vec::new();
         while let Some(Reverse((_, idx))) = heap.pop() {
             // Run-to-completion batching: keep stepping this core while it
             // remains the minimum-(clock, index) core. The step sequence is
@@ -305,11 +297,11 @@ impl Machine {
             // the heap traffic entirely.
             loop {
                 let core = &mut *cores[idx];
-                let result = core.step(sys, txs, &cfg.htm, next_ts, &mut events);
+                let result = core.step(sys, &cfg.htm, next_ts);
                 let clock = core.clock();
 
                 // Deliver asynchronous aborts to their victims.
-                for ev in events.drain(..) {
+                for ev in sys.drain_events() {
                     match ev {
                         ProtoEvent::Aborted {
                             core: victim,
@@ -359,15 +351,13 @@ impl Machine {
     /// Coherently reads a word after a run (triggers reductions as
     /// needed), from core 0's perspective, outside any transaction.
     pub fn read_word(&mut self, addr: Addr) -> u64 {
-        self.sys
-            .read_word_coherent(CoreId::new(0), addr, &mut self.txs)
+        self.sys.access(CoreId::new(0), MemOp::Load, addr).value
     }
 
     /// Coherently writes a word outside any transaction (rarely needed;
     /// prefer [`Machine::poke`] before the run).
     pub fn write_word(&mut self, addr: Addr, value: u64) {
-        self.sys
-            .access(CoreId::new(0), MemOp::Store(value), addr, &mut self.txs);
+        self.sys.access(CoreId::new(0), MemOp::Store(value), addr);
     }
 
     /// Borrows a core's execution environment (post-run user state

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use commtm_mem::{Addr, LabelId};
 
-use crate::runner::{Env, LogEntry, MemPort, PassResult, TxOp};
+use crate::runner::{Defer, Env, LogEntry, MemPort, PassResult, TxOp};
 
 /// The context a [`crate::Block::Tx`] or [`crate::Block::Plain`] closure
 /// runs against: simulated memory operations, registers, read-only user
@@ -21,7 +21,7 @@ pub struct TxCtx<'a, 'p> {
     performed_new: bool,
     op_latency: u64,
     work_seen: u64,
-    defers: Vec<Box<dyn FnOnce(&mut (dyn Any + Send))>>,
+    defers: Vec<Defer>,
 }
 
 impl<'a, 'p> TxCtx<'a, 'p> {

@@ -214,6 +214,9 @@ impl BlockRunner {
     }
 }
 
+/// A deferred user-state action, applied once when its block completes.
+pub(crate) type Defer = Box<dyn FnOnce(&mut (dyn Any + Send))>;
+
 /// What one pass of a block closure observed (built by [`TxCtx::finish`]).
 pub(crate) struct PassResult {
     /// The pass tried to go beyond its one new operation.
@@ -225,5 +228,5 @@ pub(crate) struct PassResult {
     /// Cumulative `work()` cycles seen up to the blocking point.
     pub work_seen: u64,
     /// Deferred user-state actions registered by the pass.
-    pub defers: Vec<Box<dyn FnOnce(&mut (dyn Any + Send))>>,
+    pub defers: Vec<Defer>,
 }

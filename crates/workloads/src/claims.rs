@@ -21,15 +21,14 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use commtm::{Addr, CoreId, LabelDef, LabelId};
-use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, TxTable};
+use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
 /// A live machine a claim's operations run against: a [`MemSystem`] plus
-/// the transaction table and timestamp counter needed to drive it.
+/// the timestamp counter needed to drive its transactions.
 pub struct ClaimCtx {
     sys: MemSystem,
-    txs: TxTable,
     cores: usize,
     next_ts: u64,
 }
@@ -49,7 +48,6 @@ impl ClaimCtx {
         }
         ClaimCtx {
             sys: MemSystem::new(ProtoConfig::paper_with_cores(cores), table),
-            txs: TxTable::new(cores),
             cores,
             next_ts: 1,
         }
@@ -72,8 +70,7 @@ impl ClaimCtx {
     /// Non-transactional coherent read at `core`; triggers reductions, so
     /// it observes (and collapses) the full logical value.
     pub fn read(&mut self, core: usize, addr: Addr) -> u64 {
-        self.sys
-            .read_word_coherent(CoreId::new(core), addr, &mut self.txs)
+        self.sys.access(CoreId::new(core), MemOp::Load, addr).value
     }
 
     /// The logical word-0 value of `addr`'s line without perturbing any
@@ -107,25 +104,20 @@ impl ClaimCtx {
         for _ in 0..MAX_ATTEMPTS {
             let ts = self.next_ts;
             self.next_ts += 1;
-            self.txs.begin(c, ts);
+            self.sys.tx_begin(c, ts);
             let mut ops = TxOps {
                 ctx: self,
                 core: c,
                 aborted: false,
             };
             body(&mut ops);
-            let aborted = ops.aborted;
-            if !aborted && self.txs.entry(c).active {
-                self.sys.commit_core(c);
-                self.txs.end(c);
+            if !ops.aborted {
+                self.sys.tx_commit(c);
                 return;
             }
-            // The protocol rolled the speculative state back; clear the
-            // table entry (if still marked active) and retry.
-            if self.txs.entry(c).active {
-                self.sys.rollback_core(c);
-                self.txs.end(c);
-            }
+            // The self-abort already rolled the transaction back and ended
+            // it; retry.
+            debug_assert!(!self.sys.in_tx(c));
         }
         panic!("claim transaction on core {core} aborted {MAX_ATTEMPTS} times");
     }
@@ -143,10 +135,10 @@ impl ClaimCtx {
             let core = CoreId::new(rng.random_range(0..self.cores as u64) as usize);
             let addr = Addr::new(SCRATCH + 64 * rng.random_range(0..32u64));
             if rng.random_range(0..2u32) == 0 {
-                self.sys.access(core, MemOp::Load, addr, &mut self.txs);
+                self.sys.access(core, MemOp::Load, addr);
             } else {
                 let v = rng.random_range(0..1000u64);
-                self.sys.access(core, MemOp::Store(v), addr, &mut self.txs);
+                self.sys.access(core, MemOp::Store(v), addr);
             }
         }
     }
@@ -166,7 +158,7 @@ impl TxOps<'_> {
         if self.aborted {
             return 0;
         }
-        let acc = self.ctx.sys.access(self.core, op, addr, &mut self.ctx.txs);
+        let acc = self.ctx.sys.access(self.core, op, addr);
         if acc.self_abort.is_some() {
             self.aborted = true;
         }
