@@ -248,6 +248,9 @@ impl CoreExec {
             }
         }
 
+        // A deterministic pass replays the whole log before its one new
+        // operation.
+        self.stats.replayed_entries += self.runner.log_len() as u64;
         let demote = cfg.scheme == Scheme::Baseline || self.demote_labels;
         let mut abort_cause = None;
         let out = {

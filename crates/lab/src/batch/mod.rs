@@ -15,9 +15,9 @@
 //!   prior journal: completed cells are kept after verifying their
 //!   recorded fingerprints, failed cells are retried), and
 //! - [`emit_report`] writes the report (`index.html`, figures,
-//!   per-scenario results JSON) — byte-identical whether the run was
-//!   interrupted and resumed or not, which the batch tests and the CI
-//!   kill/resume smoke enforce.
+//!   per-scenario results JSON, Table I) — byte-identical whether the
+//!   run was interrupted and resumed or not, which the batch tests and
+//!   the CI kill/resume smoke enforce.
 //!
 //! Results files written here are *canonical* (timing-free) JSON: that
 //! is what makes an interrupted-resumed grid byte-identical to an
@@ -557,10 +557,10 @@ pub fn assemble_sets(plan: &BatchPlan, results: &[CellResult]) -> Vec<ResultSet>
 }
 
 /// Writes the full report into `dir`: one figure + one canonical results
-/// JSON per scenario, `manifest.json`, and `index.html`. This is the
-/// single emission path shared by fresh batch runs and `--resume`, which
-/// is what makes their outputs byte-identical. Returns
-/// whether every cell of every scenario succeeded.
+/// JSON per scenario, Table I (`table1.html`), `manifest.json`, and
+/// `index.html`. This is the single emission path shared by fresh batch
+/// runs and `--resume`, which is what makes their outputs byte-identical.
+/// Returns whether every cell of every scenario succeeded.
 ///
 /// # Errors
 ///
@@ -667,10 +667,15 @@ pub fn emit_report(
         }
         entries.push(Json::obj(entry));
     }
+    // Table I describes the machine every cell simulates, so every report
+    // carries it.
+    let config_table = "table1.html";
+    write_artifact(dir, config_table, &figures::table1_html(theme))?;
     // Scale and seeds are per-figure fields: built-ins may declare their
     // own grids, so run-wide values would misdescribe the report.
     let manifest = Json::obj(vec![
         ("generator", Json::Str(ledger::GENERATOR.to_string())),
+        ("config_table", Json::Str(config_table.to_string())),
         ("figures", Json::Arr(entries)),
     ]);
     write_artifact(dir, "manifest.json", &manifest.pretty())?;

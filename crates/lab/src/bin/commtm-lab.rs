@@ -69,8 +69,8 @@ RUN OPTIONS:
     --schemes LIST      comma-separated schemes (baseline,commtm)
     --seeds N           run N seed replicas per point (N >= 1)
     --scale N           workload scale factor (paper scale ~ 500)
-    --jobs N            worker threads (default: one per core; 1 runs
-                        cells serially, with the same numbers)
+    --jobs N            worker threads (N >= 1; default: one per core;
+                        1 runs cells serially, with the same numbers)
     --trace             capture per-transaction traces (attributed abort
                         causes, conflict hot lines, speculation audit):
                         writes <name>.trace.json and <name>.aborts.svg,
@@ -100,59 +100,37 @@ VERIFY OPTIONS:
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("list") => {
-            println!("built-in scenarios:");
-            for name in scenarios::builtin_names() {
-                let scn = scenarios::builtin(name).expect("listed scenario exists");
-                println!("  {name:<8} {} ({} cells)", scn.title, scn.cells().len());
-            }
-            ExitCode::SUCCESS
-        }
-        Some("workloads") => match cmd_workloads(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("run") => match cmd_run(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("verify") => match cmd_verify(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("diff") => match cmd_diff(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Some("trace-validate") => match cmd_trace_validate(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
+    let rest = args.get(1..).unwrap_or_default();
+    let result = match args.first().map(String::as_str) {
+        Some("list") => cmd_list(rest),
+        Some("workloads") => cmd_workloads(rest),
+        Some("run") => cmd_run(rest),
+        Some("verify") => cmd_verify(rest),
+        Some("diff") => cmd_diff(rest),
+        Some("trace-validate") => cmd_trace_validate(rest),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some(other) => {
-            eprintln!("error: unknown command {other:?}\n\n{USAGE}");
-            ExitCode::FAILURE
-        }
+        Some(other) => Err(format!("unknown command {other:?}\n\n{USAGE}")),
+    };
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        ExitCode::FAILURE
+    })
+}
+
+/// `list`: the built-in scenarios with their titles and cell counts.
+fn cmd_list(args: &[String]) -> Result<ExitCode, String> {
+    if let Some(other) = args.first() {
+        return Err(format!("unknown option {other:?}"));
     }
+    println!("built-in scenarios:");
+    for name in scenarios::builtin_names() {
+        let scn = scenarios::builtin(name).expect("listed scenario exists");
+        println!("  {name:<8} {} ({} cells)", scn.title, scn.cells().len());
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 /// `workloads`: the registered workloads with their declared parameter
@@ -259,7 +237,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             }
             "--machine-threads" => return Err(removed_flag(arg)),
             "--jobs" => {
-                opts.jobs = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
+                let n = value("--jobs")?.parse().map_err(|_| "bad --jobs")?;
+                if n == 0 {
+                    return Err("--jobs must be at least 1".into());
+                }
+                opts.jobs = n;
             }
             "--trace" => ov.trace = true,
             "--trace-out" => trace_out = Some(value("--trace-out")?.clone()),
@@ -715,6 +697,18 @@ mod tests {
     fn zero_seeds_is_rejected() {
         let err = cmd_run(&args(&["fig09", "--seeds", "0"])).expect_err("--seeds 0 is rejected");
         assert!(err.contains("--seeds must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn zero_jobs_is_rejected() {
+        let err = cmd_run(&args(&["fig09", "--jobs", "0"])).expect_err("--jobs 0 is rejected");
+        assert!(err.contains("--jobs must be at least 1"), "{err}");
+    }
+
+    #[test]
+    fn list_rejects_extra_arguments() {
+        let err = cmd_list(&args(&["extra"])).expect_err("extra arguments are rejected");
+        assert!(err.contains("unknown option \"extra\""), "{err}");
     }
 
     #[test]

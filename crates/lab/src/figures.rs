@@ -19,7 +19,7 @@
 
 use std::fmt::Write as _;
 
-use commtm::Scheme;
+use commtm::{ProtoConfig, Scheme, WORDS_PER_LINE};
 use commtm_plot::{palette, Bar, BarChart, BarGroup, LineChart, Series};
 
 use crate::report::{norm_scheme, serial_reference};
@@ -292,6 +292,73 @@ fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> S
             cell(frac),
         );
     }
+    html_table(
+        &format!("{}: {}", set.scenario, set.title),
+        &subtitle(scenario, set),
+        "<th>workload</th><th>commits</th><th>aborts</th>\
+         <th>gathers</th><th>reductions</th><th>labeled ops</th>",
+        &rows,
+        "",
+        theme,
+    )
+}
+
+/// Table I's heading, in its own document and in the report index.
+const TABLE1_TITLE: &str = "Table I: configuration of the simulated system";
+
+/// Table I as a standalone HTML document: the simulated system's
+/// configuration, read from [`ProtoConfig::paper`] and its mesh.
+/// Every grid cell builds this machine, with as many active cores as the
+/// cell has threads.
+pub fn table1_html(theme: palette::Theme) -> String {
+    let c = ProtoConfig::paper();
+    let rows = format!(
+        "<tr><td>Cores</td><td>{cores} cores, IPC-1 except on L1 misses (simulated)</td></tr>\n\
+         <tr><td>L1 caches</td><td>{l1_kb}KB, private per-core, {l1_ways}-way \
+         set-associative</td></tr>\n\
+         <tr><td>L2 caches</td><td>{l2_kb}KB, private per-core, {l2_ways}-way, inclusive, \
+         {l2_lat}-cycle latency</td></tr>\n\
+         <tr><td>L3 cache</td><td>{l3_mb}MB, shared, {banks} x {bank_mb}MB banks, \
+         {l3_ways}-way, inclusive, {l3_lat}-cycle bank latency, in-cache directory</td></tr>\n\
+         <tr><td>Coherence</td><td>MESI/CommTM, {line}B lines, no silent drops</td></tr>\n\
+         <tr><td>NoC</td><td>{tiles}-tile mesh, 2-cycle routers, 1-cycle links</td></tr>\n\
+         <tr><td>Main mem</td><td>{mem_lat}-cycle latency</td></tr>\n",
+        cores = c.cores,
+        l1_kb = c.l1.size_bytes() >> 10,
+        l1_ways = c.l1.ways(),
+        l2_kb = c.l2.size_bytes() >> 10,
+        l2_ways = c.l2.ways(),
+        l2_lat = c.l2_latency,
+        l3_mb = (c.l3_bank.size_bytes() * c.l3_banks) >> 20,
+        banks = c.l3_banks,
+        bank_mb = c.l3_bank.size_bytes() >> 20,
+        l3_ways = c.l3_bank.ways(),
+        l3_lat = c.l3_latency,
+        line = WORDS_PER_LINE * 8,
+        tiles = c.mesh.tiles(),
+        mem_lat = c.mem_latency,
+    );
+    html_table(
+        TABLE1_TITLE,
+        "the machine every grid cell simulates, with one active core per thread",
+        "<th>component</th><th>configuration</th>",
+        &rows,
+        "th, td { text-align: left; }\n",
+        theme,
+    )
+}
+
+/// A standalone HTML document holding one table: `head` is the header
+/// row's `<th>` cells, `rows` the rendered `<tr>` lines and `css` is
+/// appended to the shared style sheet.
+fn html_table(
+    title: &str,
+    sub_line: &str,
+    head: &str,
+    rows: &str,
+    css: &str,
+    theme: palette::Theme,
+) -> String {
     format!(
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n\
          <title>{title}</title>\n<style>\n\
@@ -304,18 +371,16 @@ fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> S
          th {{ color: {sub}; font-weight: 600; }}\n\
          td:first-child, th:first-child {{ text-align: left; }}\n\
          td.err {{ color: #d03b3b; text-align: left; }}\n\
-         </style></head><body>\n<h1>{title}</h1>\n<p class=\"sub\">{sub_line}</p>\n\
-         <table>\n<thead><tr><th>workload</th><th>commits</th><th>aborts</th>\
-         <th>gathers</th><th>reductions</th><th>labeled ops</th></tr></thead>\n\
+         {css}</style></head><body>\n<h1>{title}</h1>\n<p class=\"sub\">{sub_line}</p>\n\
+         <table>\n<thead><tr>{head}</tr></thead>\n\
          <tbody>\n{rows}</tbody>\n</table>\n</body></html>\n",
-        title = commtm_plot::svg::esc(&format!("{}: {}", set.scenario, set.title)),
-        sub_line = commtm_plot::svg::esc(&subtitle(scenario, set)),
+        title = commtm_plot::svg::esc(title),
+        sub_line = commtm_plot::svg::esc(sub_line),
         font = palette::FONT,
         surface = theme.surface,
         ink = theme.ink,
         sub = theme.ink_secondary,
         grid = theme.grid,
-        rows = rows,
     )
 }
 
@@ -398,12 +463,20 @@ pub fn abort_causes_figure(
 /// Renders the `run --all` report index: one HTML page linking every
 /// figure and results file listed in the manifest (the `manifest.json`
 /// document `commtm-lab run --all` writes). SVG figures embed inline via
-/// `<img>`; the Table II HTML report links through. Deterministic — the
-/// page is a pure function of the manifest.
+/// `<img>`; the Table I and Table II HTML reports link through.
+/// Deterministic — the page is a pure function of the manifest.
 pub fn render_index(manifest: &crate::json::Json) -> String {
     use crate::json::Json;
     let esc = commtm_plot::svg::esc;
     let mut sections = String::new();
+    if let Some(table) = manifest.get("config_table").and_then(Json::as_str) {
+        let _ = writeln!(
+            sections,
+            "<section>\n<h2>{TABLE1_TITLE}</h2>\n\
+             <p><a href=\"{0}\">open {0}</a></p>\n</section>",
+            esc(table)
+        );
+    }
     let figures = manifest
         .get("figures")
         .and_then(Json::as_arr)

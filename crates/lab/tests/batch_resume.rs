@@ -112,13 +112,17 @@ fn killed_resumed_grid_is_byte_identical() {
     // (manifest.json carries wall times and is exempt).
     let sets = batch::assemble_sets(&plan, &resumed.results);
     assert!(batch::emit_report(&dir, &plan, &sets, theme, true).unwrap());
-    for file in ["smoke.json", "smoke.svg", "index.html"] {
+    for file in ["smoke.json", "smoke.svg", "table1.html", "index.html"] {
         assert_eq!(
             read(&ref_dir, file),
             read(&dir, file),
             "{file} differs between direct and kill/resume runs"
         );
     }
+    // Every report carries Table I: the manifest names it, the index
+    // links it.
+    assert!(read(&dir, "manifest.json").contains("\"config_table\": \"table1.html\""));
+    assert!(read(&dir, "index.html").contains("<a href=\"table1.html\">"));
 
     for d in [ref_dir, dir] {
         let _ = std::fs::remove_dir_all(&d);

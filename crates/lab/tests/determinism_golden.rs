@@ -3,20 +3,24 @@
 //! A pinned scenario's full canonical results JSON (every cycle count,
 //! abort, and per-cell protocol counter — everything except host
 //! wall-clock) is compared byte-for-byte against a committed golden file,
-//! and three pinned grids must reproduce their committed fingerprints.
+//! and three pinned grids must reproduce their committed fingerprints and
+//! work counters.
 //!
 //! These are the tests that let hot-path refactors claim "same seeds in,
 //! byte-identical results out": any change to protocol behavior, LRU
 //! ordering, conflict arbitration, scheduling order, or RNG consumption
-//! shows up as a golden diff or a fingerprint mismatch. The two larger
+//! shows up as a golden diff or a fingerprint mismatch. The work counters
+//! add what the fingerprint leaves out, including the host work no
+//! simulated cycle shows (replayed log entries), so extra work fails here
+//! with no timing. The two larger
 //! grids are release-only; CI's perf-smoke job runs them with
 //! `cargo test --release -p commtm-lab --test determinism_golden --
 //! --include-ignored`.
 //!
 //! To bless a *deliberate* behavior change, regenerate the golden with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test
-//! determinism_golden`, update the fingerprint constants from the
-//! failure messages, and review the numeric diff like any other code
+//! determinism_golden`, update the fingerprint and counter constants
+//! from the failure messages, and review the numeric diff like any other code
 //! change — the diff IS the behavior change.
 
 use std::path::PathBuf;
@@ -186,4 +190,121 @@ fn counter_scale4_fingerprint_is_pinned() {
 fn list_quick_fingerprint_is_pinned() {
     let scn = pinned_figure("fig12", Some(&[1, 8, 32]), Some(&[0xC0FFEE]), 2);
     assert_grid_fingerprint("list-quick", scn, "f6dc1424eea45c0a");
+}
+
+/// The deterministic counters the fingerprint leaves out, index-aligned
+/// with [`work_counters`]: host replay work, then backoff and the cache
+/// traffic.
+const WORK_COUNTERS: [&str; 8] = [
+    "replayed_entries",
+    "backoff_cycles",
+    "invalidations",
+    "writebacks",
+    "l1_hits",
+    "l1_misses",
+    "l2_hits",
+    "l2_misses",
+];
+
+/// [`WORK_COUNTERS`] summed over every cell of `scenario`.
+fn work_counters(scenario: &Scenario) -> [u64; WORK_COUNTERS.len()] {
+    let reg = registry::global();
+    let mut sums = [0; WORK_COUNTERS.len()];
+    for cell in scenario.cells() {
+        let (report, _) = reg
+            .run_cell(&cell, scenario.scale, scenario.tuning)
+            .expect("pinned cell runs");
+        let core = report.core_totals();
+        let proto = report.proto_totals();
+        let counts = [
+            core.replayed_entries,
+            core.backoff_cycles,
+            proto.invalidations,
+            proto.writebacks,
+            proto.l1_hits,
+            proto.l1_misses,
+            proto.l2_hits,
+            proto.l2_misses,
+        ];
+        for (sum, n) in sums.iter_mut().zip(counts) {
+            *sum += n;
+        }
+    }
+    sums
+}
+
+/// Runs `scenario` cell by cell and checks each of its work counters
+/// against the pinned value, naming every counter that moved.
+fn assert_work_counters(grid: &str, scenario: Scenario, expected: [u64; WORK_COUNTERS.len()]) {
+    let moved: Vec<String> = WORK_COUNTERS
+        .iter()
+        .zip(work_counters(&scenario))
+        .zip(expected)
+        .filter(|((_, actual), pinned)| actual != pinned)
+        .map(|((name, actual), pinned)| format!("{grid}: {name} {actual} != pinned {pinned}"))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "{} — the simulator does different work; see docs/PERFORMANCE.md",
+        moved.join("; ")
+    );
+}
+
+#[test]
+fn counter_quick_work_counters_are_pinned() {
+    let scn = pinned_figure("fig09", Some(&[1, 8, 32]), Some(&[0xC0FFEE]), 1);
+    assert_work_counters(
+        "counter-quick",
+        scn,
+        [
+            187_180,    // replayed_entries
+            71_235_721, // backoff_cycles
+            237_333,    // invalidations
+            39_937,     // writebacks
+            196_451,    // l1_hits
+            344_496,    // l1_misses
+            0,          // l2_hits
+            344_496,    // l2_misses
+        ],
+    );
+}
+
+#[test]
+#[ignore = "release-only; CI runs them with --include-ignored"]
+fn counter_scale4_work_counters_are_pinned() {
+    let scn = pinned_figure("fig09", None, None, 4);
+    assert_work_counters(
+        "counter-scale4",
+        scn,
+        [
+            1_409_428,     // replayed_entries
+            1_787_116_544, // backoff_cycles
+            2_675_960,     // invalidations
+            319_714,       // writebacks
+            1_227_135,     // l1_hits
+            3_605_344,     // l1_misses
+            0,             // l2_hits
+            3_605_344,     // l2_misses
+        ],
+    );
+}
+
+#[test]
+#[ignore = "release-only; CI runs them with --include-ignored"]
+fn list_quick_work_counters_are_pinned() {
+    let scn = pinned_figure("fig12", Some(&[1, 8, 32]), Some(&[0xC0FFEE]), 2);
+    assert_work_counters(
+        "list-quick",
+        scn,
+        [
+            4_061_485,   // replayed_entries
+            141_235_124, // backoff_cycles
+            433_213,     // invalidations
+            123_191,     // writebacks
+            1_031_364,   // l1_hits
+            876_765,     // l1_misses
+            2_819,       // l2_hits
+            873_946,     // l2_misses
+        ],
+    );
 }

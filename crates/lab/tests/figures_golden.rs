@@ -90,6 +90,16 @@ fn table2_matches_golden() {
     assert_golden("table2.html", &html);
 }
 
+/// Table I is a pure function of the paper configuration: no scenario,
+/// no simulation.
+#[test]
+fn table1_matches_golden() {
+    use commtm_lab::figures::{table1_html, theme_by_name};
+    let html = table1_html(theme_by_name("light").expect("light theme"));
+    assert!(html.contains("<td>128 cores, IPC-1 except on L1 misses (simulated)</td>"));
+    assert_golden("table1.html", &html);
+}
+
 /// The dark theme re-skins every surface and ink while leaving the data
 /// geometry untouched: same polylines and markers, different colors. The
 /// light golden files above stay the compatibility anchor; this pins the

@@ -182,6 +182,12 @@ impl BlockRunner {
         self.work_charged = 0;
     }
 
+    /// Entries in the replay log: the operations and random draws the
+    /// next [`BlockRunner::step`] replays before its one new operation.
+    pub fn log_len(&self) -> usize {
+        self.log.len()
+    }
+
     /// Runs one step of the block: exactly one new memory operation (plus
     /// any random draws up to the next operation).
     pub fn step(&mut self, body: &BlockFn, env: &mut Env, port: &mut dyn MemPort) -> StepOutcome {
