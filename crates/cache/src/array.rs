@@ -5,7 +5,7 @@ use commtm_mem::{LineAddr, LineData};
 use crate::geometry::CacheGeometry;
 
 /// One resident cache line: tag, data, caller-defined metadata.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct Entry<M> {
     /// The line address this entry caches.
     pub tag: LineAddr,
@@ -13,7 +13,6 @@ pub struct Entry<M> {
     pub data: LineData,
     /// Level-specific metadata (state, spec bits, directory info...).
     pub meta: M,
-    lru: u64,
 }
 
 /// How a fill is classified for the paper's reserved-way policy
@@ -44,22 +43,29 @@ pub struct FillOutcome<M> {
 /// A handle to a resident line, returned by [`CacheArray::lookup`] and
 /// [`CacheArray::fill`].
 ///
-/// A `Slot` is an index into the array's line pool (chunk number in the
-/// high bits, position within the chunk in the low bits), so repeated
-/// accesses through it skip the tag-matching set scan — this is what makes
-/// the protocol's probe-once discipline possible (one
+/// A `Slot` names one way of one set: `(block - 1) * ways + way`, an index
+/// into the array's dense per-way arrays (tag, LRU stamp, pool index).
+/// Repeated accesses through it skip the tag-matching set scan — this is
+/// what makes the protocol's probe-once discipline possible (one
 /// [`CacheArray::lookup`] per line per operation, then index-based access).
 ///
 /// A slot stays valid until the next [`CacheArray::fill`] or
 /// [`CacheArray::remove`] on the array, either of which may vacate or
-/// repopulate the position; the `entry`/`entry_mut`/`touch` accessors check
-/// occupancy (and, in debug builds, callers are expected to re-`lookup`
-/// after any structural change).
+/// repopulate the way. The `entry`/`entry_mut`/`touch`/`remove_slot`
+/// accessors panic on a slot whose way has been vacated, even once the
+/// line's pooled entry has been reused by another set; callers re-`lookup`
+/// after any structural change.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot(usize);
 
 /// A set-associative array with LRU replacement, generic over per-line
 /// metadata.
+///
+/// Line storage grows with the lines resident, not with the sets filled:
+/// each set that has been filled owns a block of `ways` slots in three
+/// dense per-way arrays (tag, LRU stamp, pool index, 20 bytes a way), and
+/// each resident line owns one [`Entry`] in a pool whose freed entries are
+/// reused by later fills in any set.
 ///
 /// # Example
 ///
@@ -79,77 +85,65 @@ pub struct CacheArray<M> {
     /// state, so building an array writes one word per set: a paper-scale
     /// L3 bank has 64K lines, and sweeps build one machine per grid cell.
     blocks: Vec<u32>,
-    /// Tags duplicated in a dense side array indexed by [`Slot`]
-    /// ([`EMPTY_TAG`] when vacant): a w-way probe reads w consecutive
-    /// words instead of w scattered `Entry` structs, and reaches them
-    /// without going through a chunk. It grows as blocks are handed out
-    /// (and may reallocate: a tag is a copy, so that moves no line).
-    /// Invariant: `tags[slot]` mirrors the entry at `slot`.
+    /// Per slot, the tag of the resident line, or [`EMPTY_TAG`] when the
+    /// way is vacant: the only occupancy record. A w-way probe reads w
+    /// consecutive words and never touches an `Entry`.
     tags: Vec<u64>,
-    /// The line pool: blocks of `ways` slots, numbered in first-fill
-    /// order and packed `1 << chunk_sets_log2` to a chunk. A chunk is
-    /// allocated when its first block is handed out and never grows past
-    /// its reserved capacity, so a resident line never moves.
-    chunks: Vec<Chunk<M>>,
-    /// log2 of the blocks per chunk.
-    chunk_sets_log2: u32,
-    /// log2 of the slot-index stride between chunks: a [`Slot`] is
-    /// `chunk << slot_shift | offset`.
-    slot_shift: u32,
-    /// Blocks handed out so far (the highest block number in `blocks`).
-    used_blocks: u32,
+    /// Per slot, the LRU stamp of the resident line (stale when vacant).
+    lru: Vec<u64>,
+    /// Per slot, the pool index of the resident line (stale when vacant).
+    lines: Vec<u32>,
+    /// The line pool: `CHUNK_LINES` entries to a chunk. A chunk is
+    /// allocated when its first entry is handed out and never grows past
+    /// its reserved capacity, so a pooled line never moves.
+    pool: Vec<Chunk<M>>,
+    /// Pool indices freed by removals, reused last-in first-out.
+    free: Vec<u32>,
     tick: u64,
     resident: usize,
 }
 
-/// One fixed-size piece of the line pool's entries.
+/// One fixed-size piece of the line pool.
 #[derive(Debug)]
-struct Chunk<M>(Vec<Option<Entry<M>>>);
+struct Chunk<M>(Vec<Entry<M>>);
 
 /// A derived clone would trim the chunk to its length, so the clone's
-/// next block would reallocate (and move) its last chunk.
+/// next fill would reallocate (and move) its last chunk.
 impl<M: Clone> Clone for Chunk<M> {
     fn clone(&self) -> Self {
-        let mut entries = Vec::with_capacity(self.0.capacity());
-        entries.extend(self.0.iter().cloned());
+        let mut entries = Vec::with_capacity(CHUNK_LINES);
+        entries.extend_from_slice(&self.0);
         Chunk(entries)
     }
 }
 
-/// Target line slots per chunk (rounded down to a power-of-two number of
-/// whole sets). Each array's last chunk is partly empty, so larger chunks
-/// cost peak memory, and time does not pay it back: on `perfbench`
-/// (seed 5, 4 interleaved rounds, 2-vCPU host) 64/128/256-slot chunks
-/// gave repro-all `pass_ms` medians of 654/666/639 ms and list-mix
-/// 373/394/373 ms, within the host's noise, while list-mix peaked at
-/// 53.7/55.4/56.5 MiB (`--trace 1`, seed 3; 62.3 MiB for the dense
-/// layout this replaced).
-const CHUNK_SLOTS: usize = 64;
+/// log2 of the pool entries per chunk. Growing the pool opens a chunk and
+/// copies no line; an array's last chunk is partly empty, so larger
+/// chunks cost peak memory.
+const CHUNK_LINES_LOG2: u32 = 6;
+const CHUNK_LINES: usize = 1 << CHUNK_LINES_LOG2;
 
-/// Sentinel for a vacant slot in the tag side-array. Line addresses are
-/// line *indices* (byte address / 64), so the top of the u64 range is
+/// Sentinel for a vacant slot in the tag array. Line addresses are line
+/// *indices* (byte address / 64), so the top of the u64 range is
 /// unreachable by construction.
 const EMPTY_TAG: u64 = u64::MAX;
 
-impl<M> CacheArray<M> {
+impl<M: Copy> CacheArray<M> {
     /// Creates an empty array with the given geometry. Allocates one word
     /// per set and no line storage.
     pub fn new(geom: CacheGeometry) -> Self {
         assert!(
-            u32::try_from(geom.sets()).is_ok(),
-            "set count must fit in 32 bits"
+            u32::try_from(geom.lines()).is_ok(),
+            "line count must fit in 32 bits"
         );
-        let chunk_sets = (CHUNK_SLOTS / geom.ways()).max(1);
-        let chunk_sets_log2 = chunk_sets.ilog2();
-        let chunk_slots = geom.ways() << chunk_sets_log2;
         CacheArray {
             geom,
             blocks: vec![0; geom.sets()],
             tags: Vec::new(),
-            chunks: Vec::new(),
-            chunk_sets_log2,
-            slot_shift: chunk_slots.next_power_of_two().trailing_zeros(),
-            used_blocks: 0,
+            lru: Vec::new(),
+            lines: Vec::new(),
+            pool: Vec::new(),
+            free: Vec::new(),
             tick: 0,
             resident: 0,
         }
@@ -160,10 +154,17 @@ impl<M> CacheArray<M> {
         self.geom
     }
 
-    /// Line slots allocated so far: `ways` per set that has ever been
-    /// filled. For tests and diagnostics (a fresh array reports 0).
+    /// Slots allocated so far: `ways` per set that has ever been filled.
+    /// For tests and diagnostics (a fresh array reports 0).
     pub fn allocated_slots(&self) -> usize {
-        self.used_blocks as usize * self.geom.ways()
+        self.tags.len()
+    }
+
+    /// Pool entries allocated so far: the most lines ever resident at
+    /// once, since a fill reuses a freed entry before it grows the pool.
+    /// For tests and diagnostics (a fresh array reports 0).
+    pub fn pooled_lines(&self) -> usize {
+        self.resident + self.free.len()
     }
 
     /// Locates a resident line without updating recency: the single
@@ -189,9 +190,8 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn entry(&self, slot: Slot) -> &Entry<M> {
-        self.chunks[slot.0 >> self.slot_shift].0[self.offset(slot.0)]
-            .as_ref()
-            .expect("stale slot handle")
+        let i = self.pool_index(slot);
+        &self.pool[i >> CHUNK_LINES_LOG2].0[i & (CHUNK_LINES - 1)]
     }
 
     /// The entry at a slot, mutably. Does not update recency; pair with
@@ -201,10 +201,8 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn entry_mut(&mut self, slot: Slot) -> &mut Entry<M> {
-        let off = self.offset(slot.0);
-        self.chunks[slot.0 >> self.slot_shift].0[off]
-            .as_mut()
-            .expect("stale slot handle")
+        let i = self.pool_index(slot);
+        &mut self.pool[i >> CHUNK_LINES_LOG2].0[i & (CHUNK_LINES - 1)]
     }
 
     /// Marks the entry at a slot most-recently used (the recency side of
@@ -214,14 +212,14 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn touch(&mut self, slot: Slot) {
+        self.pool_index(slot); // the stale-handle check
         self.tick += 1;
-        let tick = self.tick;
-        self.entry_mut(slot).lru = tick;
+        self.lru[slot.0] = self.tick;
     }
 
     /// The way index of a slot within its set.
     pub fn way_of_slot(&self, slot: Slot) -> usize {
-        self.offset(slot.0) % self.geom.ways()
+        slot.0 % self.geom.ways()
     }
 
     /// Looks up a line without updating recency.
@@ -269,7 +267,6 @@ impl<M> CacheArray<M> {
             "line index collides with the vacant sentinel"
         );
         self.tick += 1;
-        let tick = self.tick;
         let ways = self.geom.ways();
         let set = self.geom.set_of(line);
         let base = match self.blocks[set] {
@@ -282,38 +279,36 @@ impl<M> CacheArray<M> {
             _ => (0usize, ways),
         };
 
-        // Prefer an invalid slot in the allowed range.
-        let off = self.offset(base);
-        let range = &mut self.chunks[base >> self.slot_shift].0[off..off + ways];
-        let mut victim_way = None;
-        let mut oldest = u64::MAX;
-        for (w, slot) in range.iter().enumerate().take(hi).skip(lo) {
-            match slot {
-                None => {
-                    victim_way = Some(w);
-                    break;
-                }
-                Some(e) if e.lru < oldest => {
-                    oldest = e.lru;
-                    victim_way = Some(w);
-                }
-                Some(_) => {}
-            }
-        }
-        let way = victim_way.expect("eviction range is never empty");
-        let victim = range[way].replace(Entry {
+        // The first vacant way in the allowed range, else the least
+        // recently used one.
+        let range = base + lo..base + hi;
+        let vacant = self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == EMPTY_TAG);
+        let slot = match vacant {
+            Some(w) => range.start + w,
+            None => range
+                .min_by_key(|&s| self.lru[s])
+                .expect("eviction range is never empty"),
+        };
+        let entry = Entry {
             tag: line,
             data,
             meta,
-            lru: tick,
-        });
-        self.tags[base + way] = line.raw();
-        if victim.is_none() {
+        };
+        let victim = if self.tags[slot] == EMPTY_TAG {
+            let index = self.pool_push(entry);
+            self.lines[slot] = index;
             self.resident += 1;
-        }
+            None
+        } else {
+            Some(std::mem::replace(self.entry_mut(Slot(slot)), entry))
+        };
+        self.tags[slot] = line.raw();
+        self.lru[slot] = self.tick;
         FillOutcome {
             victim,
-            slot: Slot(base + way),
+            slot: Slot(slot),
         }
     }
 
@@ -329,10 +324,8 @@ impl<M> CacheArray<M> {
     ///
     /// Panics if the slot has been vacated since the lookup.
     pub fn remove_slot(&mut self, slot: Slot) -> Entry<M> {
-        let off = self.offset(slot.0);
-        let e = self.chunks[slot.0 >> self.slot_shift].0[off]
-            .take()
-            .expect("stale slot handle");
+        let e = *self.entry(slot);
+        self.free.push(self.lines[slot.0]);
         self.tags[slot.0] = EMPTY_TAG;
         self.resident -= 1;
         e
@@ -347,9 +340,10 @@ impl<M> CacheArray<M> {
             .filter(|&&block| block != 0)
             .flat_map(move |&block| {
                 let base = self.block_base(block);
-                self.chunks[base >> self.slot_shift].0[self.offset(base)..][..ways].iter()
+                base..base + ways
             })
-            .flatten()
+            .filter(|&s| self.tags[s] != EMPTY_TAG)
+            .map(|s| self.entry(Slot(s)))
     }
 
     /// Number of resident lines. O(1): maintained on fill and remove.
@@ -379,31 +373,43 @@ impl<M> CacheArray<M> {
 
     /// The slot of way 0 of a (1-based) block.
     fn block_base(&self, block: u32) -> usize {
-        let index = block as usize - 1;
-        let within = index & ((1 << self.chunk_sets_log2) - 1);
-        ((index >> self.chunk_sets_log2) << self.slot_shift) | (within * self.geom.ways())
+        (block as usize - 1) * self.geom.ways()
     }
 
-    /// Hands the next block to `set`, opening a chunk if the last one is
-    /// full, and returns the block's base slot.
+    /// Hands the next block to `set` and returns its base slot.
     fn new_block(&mut self, set: usize) -> usize {
-        let ways = self.geom.ways();
-        if self.used_blocks & ((1 << self.chunk_sets_log2) - 1) == 0 {
-            let capacity = ways << self.chunk_sets_log2;
-            self.chunks.push(Chunk(Vec::with_capacity(capacity)));
-        }
-        let chunk = self.chunks.last_mut().expect("a chunk was just ensured");
-        chunk.0.extend(std::iter::repeat_with(|| None).take(ways));
-        self.used_blocks += 1;
-        self.blocks[set] = self.used_blocks;
-        let base = self.block_base(self.used_blocks);
-        self.tags.resize(base + ways, EMPTY_TAG);
+        let base = self.tags.len();
+        let end = base + self.geom.ways();
+        self.tags.resize(end, EMPTY_TAG);
+        self.lru.resize(end, 0);
+        self.lines.resize(end, 0);
+        self.blocks[set] = (end / self.geom.ways()) as u32;
         base
     }
 
-    /// A slot's position within its chunk.
-    fn offset(&self, slot: usize) -> usize {
-        slot & ((1 << self.slot_shift) - 1)
+    /// The pool index of the line at a slot. The tag check is the stale
+    /// handle check: the pool entry itself may since have been reused by
+    /// another set.
+    fn pool_index(&self, slot: Slot) -> usize {
+        assert_ne!(self.tags[slot.0], EMPTY_TAG, "stale slot handle");
+        self.lines[slot.0] as usize
+    }
+
+    /// Stores an entry in the most recently freed pool index, or else at
+    /// the end of the pool (opening a chunk if the last one is full), and
+    /// returns its index.
+    fn pool_push(&mut self, entry: Entry<M>) -> u32 {
+        if let Some(i) = self.free.pop() {
+            self.pool[i as usize >> CHUNK_LINES_LOG2].0[i as usize & (CHUNK_LINES - 1)] = entry;
+            return i;
+        }
+        let i = self.pooled_lines();
+        if i & (CHUNK_LINES - 1) == 0 {
+            self.pool.push(Chunk(Vec::with_capacity(CHUNK_LINES)));
+        }
+        let chunk = self.pool.last_mut().expect("a chunk was just ensured");
+        chunk.0.push(entry);
+        i as u32
     }
 }
 
@@ -495,21 +501,81 @@ mod tests {
         assert!(c.remove(a).is_none());
     }
 
+    /// Line storage is one pooled entry per resident line: on a Table I
+    /// L3 bank's geometry, one line in each of N sets pools N entries (not
+    /// 16·N), and a fill after a remove reuses the freed entry whatever
+    /// set it lands in.
     #[test]
-    fn line_storage_is_allocated_per_filled_set() {
-        let sets = 4096;
-        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(sets as usize, 16));
-        assert_eq!(c.allocated_slots(), 0);
-        for (set, alias, slots) in [(7, 0, 16), (7, 1, 16), (8, 0, 32)] {
-            let l = line(set, alias, sets);
+    fn pool_holds_one_entry_per_resident_line() {
+        let (sets, ways) = (4096u64, 16);
+        let mut c: CacheArray<()> = CacheArray::new(CacheGeometry::new(sets as usize, ways));
+        assert_eq!((c.allocated_slots(), c.pooled_lines()), (0, 0));
+        let n = 300;
+        for set in 0..n {
+            let l = line(set * 13 % sets, 0, sets);
             c.fill(l, LineData::zeroed(), (), EvictionClass::NonReducible);
-            // One block per filled set: a second line in set 7 reuses it.
-            assert_eq!(c.allocated_slots(), slots, "after filling {l}");
         }
+        assert_eq!(c.pooled_lines(), n as usize);
+        assert_eq!(c.allocated_slots(), n as usize * ways);
+        // A second line in a filled set pools one more entry, no slots.
+        c.fill(
+            line(0, 1, sets),
+            LineData::zeroed(),
+            (),
+            EvictionClass::NonReducible,
+        );
+        assert_eq!(c.pooled_lines(), n as usize + 1);
+        assert_eq!(c.allocated_slots(), n as usize * ways);
+        // Remove then fill in a fresh set: the freed entry is reused.
+        c.remove(line(0, 1, sets)).unwrap();
+        c.remove(line(13, 0, sets)).unwrap();
+        for l in [line(4000, 0, sets), line(4001, 0, sets)] {
+            c.fill(l, LineData::zeroed(), (), EvictionClass::NonReducible);
+            assert_eq!(c.pooled_lines(), n as usize + 1, "after filling {l}");
+        }
+        assert_eq!(c.len(), n as usize + 1);
     }
 
-    /// Opening new chunks (in the array or in a clone of it) never moves a
-    /// resident line.
+    /// Whether `f` panics.
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
+    }
+
+    /// A `Slot` kept across `remove_slot` is refused by every slot
+    /// accessor, also once its freed pool entry holds another set's line:
+    /// the check is on the slot's tag, not on the pool entry.
+    #[test]
+    fn stale_slot_handles_panic_even_after_the_entry_is_reused() {
+        let sets = 64u64;
+        let mut c: CacheArray<u64> = CacheArray::new(CacheGeometry::new(sets as usize, 4));
+        let a = line(5, 0, sets);
+        let slot = c
+            .fill(a, LineData::zeroed(), 1, EvictionClass::NonReducible)
+            .slot;
+        let assert_stale = |c: &mut CacheArray<u64>| {
+            assert!(panics(|| {
+                c.entry(slot);
+            }));
+            assert!(panics(|| {
+                c.entry_mut(slot);
+            }));
+            assert!(panics(|| c.touch(slot)));
+            assert!(panics(|| {
+                c.remove_slot(slot);
+            }));
+        };
+        c.remove_slot(slot);
+        assert_stale(&mut c);
+        let b = line(9, 0, sets);
+        c.fill(b, LineData::splat(2), 2, EvictionClass::NonReducible);
+        assert_eq!(c.pooled_lines(), 1, "b took a's freed entry");
+        assert_stale(&mut c);
+        assert_eq!(c.peek(b).map(|e| (e.tag, e.meta)), Some((b, 2)));
+        assert_eq!(c.len(), 1);
+    }
+
+    /// Opening new pool chunks (in the array or in a clone of it) never
+    /// moves a resident line.
     #[test]
     fn growth_never_moves_a_line() {
         let sets = 256u64;
@@ -527,7 +593,7 @@ mod tests {
                 arr.fill(l, LineData::zeroed(), (), EvictionClass::NonReducible);
             }
         }
-        assert!(c.chunks.len() > 2 && copy.chunks.len() > 2);
+        assert!(c.pool.len() > 2 && copy.pool.len() > 2);
         let after = (
             c.peek(a).unwrap() as *const Entry<()>,
             copy.peek(a).unwrap() as *const Entry<()>,
@@ -542,14 +608,15 @@ mod tests {
     fn iter_is_set_major_whatever_the_fill_order() {
         let sets = 64u64;
         let mut c: CacheArray<u64> = CacheArray::new(CacheGeometry::new(sets as usize, 12));
-        // Last set first: block numbers run against set order, across chunks.
+        // Last set first: block numbers and pool indices run against set
+        // order, across pool chunks.
         for set in (0..sets).rev() {
             for alias in 0..2 {
                 let l = line(set, alias, sets);
                 c.fill(l, LineData::zeroed(), l.raw(), EvictionClass::NonReducible);
             }
         }
-        assert!(c.chunks.len() > 1);
+        assert!(c.pool.len() > 1);
         let seen: Vec<u64> = c.iter().map(|e| e.meta).collect();
         let expected: Vec<u64> = (0..sets)
             .flat_map(|set| (0..2).map(move |alias| line(set, alias, sets).raw()))
@@ -716,7 +783,7 @@ mod tests {
                 (trace_op(r), class)
             });
             let c = check_against_model(geom, trace)?;
-            prop_assert!(c.chunks.len() > 1, "trace stayed in one chunk");
+            prop_assert!(c.pool.len() > 1, "trace stayed in one pool chunk");
         }
     }
 }

@@ -345,7 +345,11 @@ fn tuning_from_json(v: &Json) -> Result<Tuning, String> {
             .ok_or_else(|| format!("tuning.{key} must be an integer"))?;
         match key.as_str() {
             "backoff_base" => t.backoff_base = Some(int),
-            "backoff_cap" => t.backoff_cap = Some(int as u32),
+            "backoff_cap" => {
+                let cap = u32::try_from(int)
+                    .map_err(|_| format!("tuning.backoff_cap = {int} does not fit in 32 bits"))?;
+                t.backoff_cap = Some(cap);
+            }
             "tx_overhead" => t.tx_overhead = Some(int),
             "l2_latency" => t.l2_latency = Some(int),
             "l3_latency" => t.l3_latency = Some(int),
@@ -471,6 +475,25 @@ gather = 0
         assert!(scenario_from_toml(bad_tuning)
             .unwrap_err()
             .contains("warp_factor"));
+    }
+
+    /// An out-of-range `backoff_cap` is an error, not a truncated cap
+    /// (4294967297 would otherwise load as 1).
+    #[test]
+    fn rejects_backoff_cap_beyond_32_bits() {
+        let scenario = |cap: u64| {
+            let text = format!(
+                "name = \"x\"\n[tuning]\nbackoff_cap = {cap}\n[[workload]]\nname = \"counter\"\n"
+            );
+            scenario_from_toml(&text)
+        };
+        let err = scenario(4_294_967_297).unwrap_err();
+        assert!(
+            err.contains("tuning.backoff_cap") && err.contains("4294967297"),
+            "{err}"
+        );
+        let max = scenario(u64::from(u32::MAX)).unwrap();
+        assert_eq!(max.tuning.backoff_cap, Some(u32::MAX));
     }
 
     #[test]

@@ -748,14 +748,26 @@ mod tests {
         )
     }
 
+    /// Lines pooled across every private array and L3 bank.
+    fn pooled(sys: &MemSystem) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        (
+            sys.privs.iter().map(|p| p.l1.pooled_lines()).collect(),
+            sys.privs.iter().map(|p| p.l2.pooled_lines()).collect(),
+            sys.l3.iter().map(|b| b.pooled_lines()).collect(),
+        )
+    }
+
     /// Building the paper's Table I machine allocates no line storage, and
-    /// one load allocates exactly one block in each array it fills.
+    /// one load allocates exactly one block (one set's slots) and pools
+    /// exactly one line in each array it fills.
     #[test]
     fn paper_machine_allocates_line_storage_on_first_fill() {
         let cfg = ProtoConfig::paper();
         let mut sys = MemSystem::new(cfg.clone(), LabelTable::new());
         let (l1, l2, l3) = slots(&sys);
         assert_eq!(l3.len(), 16);
+        assert!(l1.iter().chain(&l2).chain(&l3).all(|&n| n == 0));
+        let (l1, l2, l3) = pooled(&sys);
         assert!(l1.iter().chain(&l2).chain(&l3).all(|&n| n == 0));
 
         let core = CoreId::new(3);
@@ -770,7 +782,15 @@ mod tests {
         assert_eq!(l1, only_core(cfg.l1.ways()));
         assert_eq!(l2, only_core(cfg.l2.ways()));
         // And one block in the line's home bank.
-        let l3_filled: Vec<usize> = l3.into_iter().filter(|&n| n > 0).collect();
+        let l3_filled: Vec<usize> = l3.iter().copied().filter(|&n| n > 0).collect();
         assert_eq!(l3_filled, [cfg.l3_bank.ways()]);
+        // One pooled line in each of the same arrays.
+        let home = l3.iter().position(|&n| n > 0).unwrap();
+        let (l1, l2, l3) = pooled(&sys);
+        assert_eq!(l1, only_core(1));
+        assert_eq!(l2, only_core(1));
+        let mut home_only = vec![0; l3.len()];
+        home_only[home] = 1;
+        assert_eq!(l3, home_only);
     }
 }
