@@ -308,3 +308,62 @@ fn list_quick_work_counters_are_pinned() {
         ],
     );
 }
+
+/// FNV-1a over every event of each traced cell of `scenario`: its
+/// scheduling key (clock, core) and its kind with all fields. One
+/// `(label, scheme, events, hash)` row per cell.
+fn trace_stream_hashes(mut scenario: Scenario) -> Vec<(String, String, usize, String)> {
+    scenario.tuning.trace = Some(true);
+    let reg = registry::global();
+    scenario
+        .cells()
+        .iter()
+        .map(|cell| {
+            let (_, trace) = reg
+                .run_cell(cell, scenario.scale, scenario.tuning)
+                .expect("pinned cell runs");
+            let trace = trace.expect("tracing was requested");
+            assert_eq!(trace.dropped, 0, "the pinned cells fit in the trace ring");
+            let mut text = String::new();
+            for ev in &trace.events {
+                text.push_str(&format!("{} {} {:?}\n", ev.clock, ev.core, ev.kind));
+            }
+            (
+                cell.label.clone(),
+                commtm_lab::spec::scheme_name(cell.scheme).to_string(),
+                trace.events.len(),
+                json::fnv1a(&text),
+            )
+        })
+        .collect()
+}
+
+/// Every trace event keeps its (clock, core) key: nothing else checks
+/// the clocks the engine stamps on a step's events. Fig. 9's counter at
+/// 8 threads and Fig. 12's 50/50 list mix at 8 threads, both schemes.
+#[test]
+fn trace_streams_are_pinned() {
+    // Sized so that every event fits in the trace ring.
+    let mut counter = pinned_figure("fig09", Some(&[8]), Some(&[0xC0FFEE]), 1);
+    counter.workloads[0].params.set("total_incs", 2_000);
+    let mut list = pinned_figure("fig12", Some(&[8]), Some(&[0xC0FFEE]), 1);
+    list.workloads.retain(|w| w.display() == "list 50/50 mix");
+    list.workloads[0].params.set("total_ops", 1_000);
+    let mut actual = trace_stream_hashes(counter);
+    actual.extend(trace_stream_hashes(list));
+    let actual: Vec<String> = actual
+        .iter()
+        .map(|(label, scheme, n, hash)| format!("{label}/{scheme}: {n} events {hash}"))
+        .collect();
+    let expected = [
+        "counter/baseline: 49876 events 5efebb81f1c04bef",
+        "counter/commtm: 8000 events 721b6f46aa7218bb",
+        "list 50/50 mix/baseline: 21324 events fd9d48ee9b4555ae",
+        "list 50/50 mix/commtm: 7018 events 5ff54b005d1727d9",
+    ];
+    assert_eq!(
+        actual, expected,
+        "trace event streams drifted: an event's (clock, core) key or its \
+         contents changed; see docs/PERFORMANCE.md"
+    );
+}

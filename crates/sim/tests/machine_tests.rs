@@ -202,16 +202,22 @@ fn cycle_limit_catches_runaways() {
     let mut cfg = MachineConfig::new(1, Scheme::CommTm);
     cfg.max_cycles = 500;
     let mut m = Machine::new(cfg, add_labels());
-    let a = m.heap_mut().alloc_lines(1);
+    let a = m.heap_mut().alloc_lines(2);
+    let c = a.offset(64);
     let mut b = Program::builder();
     let top = b.here();
     b.tx(move |t| {
         let v = t.load(a);
+        t.work(3);
         t.store(a, v + 1);
+        let w = t.load(c);
+        t.store(c, w + v);
     });
     b.ctl(move |_| Ctl::Jump(top)); // infinite loop
     m.set_program(0, b.build(), ());
-    assert!(matches!(m.run(), Err(SimError::CycleLimit { .. })));
+    // The step that crosses the limit reports it, with the clock at which
+    // it ended: no step may run on past `max_cycles`.
+    assert_eq!(m.run(), Err(SimError::CycleLimit { core: 0, clock: 520 }));
 }
 
 #[test]
