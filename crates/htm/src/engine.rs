@@ -64,8 +64,9 @@ pub enum StepResult {
 /// One simulated core executing a [`Program`] transactionally.
 ///
 /// The scheduler steps cores in minimum-clock order; each step runs one
-/// replay pass of the current block (at most one new memory operation) or
-/// handles a pending abort. Asynchronous aborts (this core lost a conflict
+/// replay pass of the current block or handles a pending abort. A pass
+/// performs new memory operations for as long as the core stays the
+/// scheduler's minimum (see [`CoreExec::step`]). Asynchronous aborts (this core lost a conflict
 /// to another core's request) arrive via [`CoreExec::notify_aborted`].
 pub struct CoreExec {
     core: CoreId,
@@ -154,7 +155,19 @@ impl CoreExec {
 
     /// Runs one scheduler step, advancing the core's clock. Victim aborts
     /// the step causes queue in `sys` for the driver to drain and deliver.
-    pub fn step(&mut self, sys: &mut MemSystem, cfg: &HtmConfig, next_ts: &mut u64) -> StepResult {
+    ///
+    /// `horizon` is the `(clock, core index)` key below which this core
+    /// stays the scheduler's next choice. A block pass goes on to its next
+    /// operation only while the finished operation leaves the core's key
+    /// below it, so one step performs exactly the operations successive
+    /// steps would have, in the same order and at the same clocks.
+    pub fn step(
+        &mut self,
+        sys: &mut MemSystem,
+        cfg: &HtmConfig,
+        next_ts: &mut u64,
+        horizon: (u64, usize),
+    ) -> StepResult {
         if self.done {
             return StepResult::Finished;
         }
@@ -175,8 +188,16 @@ impl CoreExec {
                 self.clock += n;
                 self.stats.nontx_cycles += n;
             }
-            Block::Tx(body) => self.run_body(&program, body, true, sys, cfg, next_ts),
-            Block::Plain(body) => self.run_body(&program, body, false, sys, cfg, next_ts),
+            Block::Tx(body) => {
+                if self.run_body(body, true, sys, cfg, next_ts, horizon) {
+                    self.advance_to(self.block_idx + 1, program.len());
+                }
+            }
+            Block::Plain(body) => {
+                if self.run_body(body, false, sys, cfg, next_ts, horizon) {
+                    self.advance_to(self.block_idx + 1, program.len());
+                }
+            }
         }
         self.program = program;
 
@@ -216,15 +237,17 @@ impl CoreExec {
         n.max(1)
     }
 
+    /// Runs one pass of a Tx or Plain block; returns whether the block
+    /// completed.
     fn run_body(
         &mut self,
-        program: &Program,
         body: &commtm_tx::BlockFn,
         is_tx: bool,
         sys: &mut MemSystem,
         cfg: &HtmConfig,
         next_ts: &mut u64,
-    ) {
+        horizon: (u64, usize),
+    ) -> bool {
         if !self.block_started {
             self.block_start_regs.clear();
             self.block_start_regs.extend_from_slice(&self.env.regs);
@@ -248,8 +271,9 @@ impl CoreExec {
             }
         }
 
-        // A deterministic pass replays the whole log before its one new
+        // A deterministic pass replays the whole log before its first new
         // operation.
+        self.stats.passes += 1;
         self.stats.replayed_entries += self.runner.log_len() as u64;
         let demote = cfg.scheme == Scheme::Baseline || self.demote_labels;
         let mut abort_cause = None;
@@ -258,6 +282,10 @@ impl CoreExec {
                 sys,
                 core: self.core,
                 demote,
+                is_tx,
+                clock: &mut self.clock,
+                attempt_cycles: &mut self.attempt_cycles,
+                horizon,
                 stats: &mut self.stats,
                 rng: &mut self.rng,
                 abort_cause: &mut abort_cause,
@@ -274,7 +302,7 @@ impl CoreExec {
         }
 
         match out {
-            StepOutcome::Yield { .. } => {}
+            StepOutcome::Yield { .. } => false,
             StepOutcome::Done { .. } => {
                 if is_tx {
                     sys.tx_commit(self.core);
@@ -286,12 +314,13 @@ impl CoreExec {
                     self.stats.committed_cycles += self.attempt_cycles;
                     self.attempt_cycles = 0;
                 }
-                self.advance_to(self.block_idx + 1, program.len());
+                true
             }
             StepOutcome::Abort { .. } => {
                 assert!(is_tx, "a non-transactional block cannot abort");
                 let cause = abort_cause.unwrap_or(AbortKind::Eviction);
                 self.handle_abort(cause, cfg, sys);
+                false
             }
         }
     }
@@ -314,8 +343,7 @@ impl CoreExec {
             // Sec. III-B4: retry with labeled operations demoted.
             self.demote_labels = true;
         }
-        let exp = self.attempts.min(cfg.backoff_cap);
-        let window = cfg.backoff_base.checked_shl(exp).unwrap_or(u64::MAX).max(2);
+        let window = backoff_window(cfg, self.attempts);
         let backoff = self.rng.random_range(1..window);
         let wasted = self.attempt_cycles + backoff;
         let bucket = CoreStats::bucket_index(cause.bucket());
@@ -358,12 +386,30 @@ impl std::fmt::Debug for CoreExec {
     }
 }
 
+/// The randomized backoff window after `attempts` aborts:
+/// `backoff_base << min(attempts, backoff_cap)`, saturating at `u64::MAX`
+/// once bits would shift out, and at least 2 so the draw `1..window` is
+/// never empty.
+fn backoff_window(cfg: &HtmConfig, attempts: u32) -> u64 {
+    let exp = attempts.min(cfg.backoff_cap);
+    let window = match cfg.backoff_base.checked_shl(exp) {
+        Some(w) if w >> exp == cfg.backoff_base => w,
+        _ => u64::MAX,
+    };
+    window.max(2)
+}
+
 /// Adapter mapping [`TxOp`]s to protocol accesses, applying label demotion
-/// and recording the self-abort cause.
+/// and recording the self-abort cause. It charges the cycles of each
+/// operation a pass goes on from (see [`MemPort::advance`]) to the core.
 struct EnginePort<'a> {
     sys: &'a mut MemSystem,
     core: CoreId,
     demote: bool,
+    is_tx: bool,
+    clock: &'a mut u64,
+    attempt_cycles: &'a mut u64,
+    horizon: (u64, usize),
     stats: &'a mut CoreStats,
     rng: &'a mut StdRng,
     abort_cause: &'a mut Option<AbortKind>,
@@ -444,7 +490,58 @@ impl MemPort for EnginePort<'_> {
         }
     }
 
+    fn advance(&mut self, cycles: u64) -> bool {
+        let clock = *self.clock + cycles;
+        if (clock, self.core.index()) >= self.horizon {
+            return false;
+        }
+        *self.clock = clock;
+        if self.is_tx {
+            *self.attempt_cycles += cycles;
+        } else {
+            self.stats.nontx_cycles += cycles;
+        }
+        // The next operation starts a new scheduling step: its trace
+        // events carry that step's (clock, core) key.
+        self.sys.tracer_mut().step(self.core, clock);
+        true
+    }
+
     fn rand(&mut self) -> u64 {
         self.rng.next_u64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn backoff_window_saturates_instead_of_wrapping() {
+        let cfg = HtmConfig {
+            backoff_cap: 62,
+            ..HtmConfig::new(Scheme::CommTm)
+        };
+        assert_eq!(backoff_window(&cfg, 0), 16);
+        assert_eq!(backoff_window(&cfg, 8), 16 << 8);
+        assert_eq!(backoff_window(&cfg, 59), 1 << 63);
+        // 16 << 60 shifts the only set bit out: the window must saturate,
+        // not wrap to 0 (which `.max(2)` turned into a 1-cycle backoff).
+        for attempts in 60..=70 {
+            assert_eq!(backoff_window(&cfg, attempts), u64::MAX, "{attempts}");
+        }
+        let windows: Vec<u64> = (0..=70).map(|a| backoff_window(&cfg, a)).collect();
+        assert!(windows.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn backoff_window_respects_the_cap() {
+        let cfg = HtmConfig::new(Scheme::CommTm);
+        assert_eq!(backoff_window(&cfg, 100), 16 << 8);
+        let zero = HtmConfig {
+            backoff_base: 0,
+            ..cfg
+        };
+        assert_eq!(backoff_window(&zero, 3), 2);
     }
 }

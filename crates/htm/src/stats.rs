@@ -35,10 +35,13 @@ pub struct CoreStats {
     pub labeled_ops: u64,
     /// Gather requests issued by the program (subset of `labeled_ops`).
     pub gather_ops: u64,
-    /// Replay log entries read back by block passes: each pass re-runs
-    /// its block from the top and replays every logged operation and
-    /// random draw before performing one new operation. Host work only;
-    /// it costs no simulated cycles.
+    /// Block passes: closure runs. A pass re-runs its block from the top
+    /// and performs new operations while its core stays the scheduler's
+    /// minimum. Host work only; it costs no simulated cycles.
+    pub passes: u64,
+    /// Replay log entries read back by block passes: each pass replays
+    /// every logged operation and random draw before its first new
+    /// operation. Host work only; it costs no simulated cycles.
     pub replayed_entries: u64,
     /// The core's clock when its program finished (0 if still running).
     pub finish_cycle: u64,
@@ -73,6 +76,7 @@ impl CoreStats {
         self.plain_ops += other.plain_ops;
         self.labeled_ops += other.labeled_ops;
         self.gather_ops += other.gather_ops;
+        self.passes += other.passes;
         self.replayed_entries += other.replayed_entries;
         self.finish_cycle = self.finish_cycle.max(other.finish_cycle);
     }

@@ -195,7 +195,8 @@ fn list_quick_fingerprint_is_pinned() {
 /// The deterministic counters the fingerprint leaves out, index-aligned
 /// with [`work_counters`]: host replay work, then backoff and the cache
 /// traffic.
-const WORK_COUNTERS: [&str; 8] = [
+const WORK_COUNTERS: [&str; 9] = [
+    "passes",
     "replayed_entries",
     "backoff_cycles",
     "invalidations",
@@ -217,6 +218,7 @@ fn work_counters(scenario: &Scenario) -> [u64; WORK_COUNTERS.len()] {
         let core = report.core_totals();
         let proto = report.proto_totals();
         let counts = [
+            core.passes,
             core.replayed_entries,
             core.backoff_cycles,
             proto.invalidations,
@@ -257,7 +259,8 @@ fn counter_quick_work_counters_are_pinned() {
         "counter-quick",
         scn,
         [
-            187_180,    // replayed_entries
+            495_816,    // passes
+            142_049,    // replayed_entries
             71_235_721, // backoff_cycles
             237_333,    // invalidations
             39_937,     // writebacks
@@ -277,7 +280,8 @@ fn counter_scale4_work_counters_are_pinned() {
         "counter-scale4",
         scn,
         [
-            1_409_428,     // replayed_entries
+            4_649_113,     // passes
+            1_226_062,     // replayed_entries
             1_787_116_544, // backoff_cycles
             2_675_960,     // invalidations
             319_714,       // writebacks
@@ -297,7 +301,8 @@ fn list_quick_work_counters_are_pinned() {
         "list-quick",
         scn,
         [
-            4_061_485,   // replayed_entries
+            1_312_731,   // passes
+            2_298_494,   // replayed_entries
             141_235_124, // backoff_cycles
             433_213,     // invalidations
             123_191,     // writebacks

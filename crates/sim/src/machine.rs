@@ -289,18 +289,24 @@ impl Machine {
             .map(|(i, c)| Reverse((c.clock(), i)))
             .collect();
 
+        // A core key at or past this one breaks the cycle limit.
+        let limit = (cfg.max_cycles, usize::MAX);
         while let Some(Reverse((_, idx))) = heap.pop() {
             // Run-to-completion batching: keep stepping this core while it
             // remains the minimum-(clock, index) core. The step sequence is
             // identical to push-then-pop scheduling — the heap would hand the
             // same core straight back — but the common uncontended case skips
-            // the heap traffic entirely.
+            // the heap traffic entirely. Within a step, a block pass goes on
+            // issuing operations below the same horizon.
+            let horizon = heap.peek().map_or(limit, |&Reverse(next)| next.min(limit));
             loop {
                 let core = &mut *cores[idx];
-                let result = core.step(sys, &cfg.htm, next_ts);
+                let result = core.step(sys, &cfg.htm, next_ts, horizon);
                 let clock = core.clock();
 
-                // Deliver asynchronous aborts to their victims.
+                // Deliver asynchronous aborts to their victims. A victim is
+                // never the stepping core, and delivery only flags it for
+                // its next step, so a step may queue several.
                 for ev in sys.drain_events() {
                     match ev {
                         ProtoEvent::Aborted {

@@ -217,7 +217,13 @@ fn cycle_limit_catches_runaways() {
     m.set_program(0, b.build(), ());
     // The step that crosses the limit reports it, with the clock at which
     // it ended: no step may run on past `max_cycles`.
-    assert_eq!(m.run(), Err(SimError::CycleLimit { core: 0, clock: 520 }));
+    assert_eq!(
+        m.run(),
+        Err(SimError::CycleLimit {
+            core: 0,
+            clock: 520
+        })
+    );
 }
 
 #[test]

@@ -21,6 +21,7 @@ pub struct TxCtx<'a, 'p> {
     performed_new: bool,
     op_latency: u64,
     work_seen: u64,
+    work_charged: u64,
     defers: Vec<Defer>,
 }
 
@@ -29,6 +30,7 @@ impl<'a, 'p> TxCtx<'a, 'p> {
         log: &'a mut Vec<LogEntry>,
         env: &'a mut Env,
         port: &'a mut (dyn MemPort + 'p),
+        work_charged: u64,
     ) -> Self {
         TxCtx {
             log,
@@ -40,6 +42,7 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             performed_new: false,
             op_latency: 0,
             work_seen: 0,
+            work_charged,
             defers: Vec::new(),
         }
     }
@@ -50,6 +53,7 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             aborted: self.aborted,
             op_latency: self.op_latency,
             work_seen: self.work_seen,
+            work_charged: self.work_charged,
             defers: self.defers,
         }
     }
@@ -180,8 +184,15 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             return value;
         }
         if self.performed_new {
-            self.blocked = true;
-            return 0;
+            // The step that performed the previous new operation ends
+            // here. Charge it and go on if the port allows; otherwise
+            // block, and the next pass performs this operation.
+            let cycles = 1 + self.op_latency + self.work_seen.saturating_sub(self.work_charged);
+            if !self.port.advance(cycles) {
+                self.blocked = true;
+                return 0;
+            }
+            self.work_charged = self.work_seen;
         }
         let res = self.port.op(op);
         self.performed_new = true;

@@ -13,10 +13,14 @@
 //! `load_l`/`store_l`/`load_gather` methods issue simulated memory
 //! operations. To interleave different cores at *single-operation*
 //! granularity — which is what makes baseline-HTM conflicts exist at all —
-//! each block executes by **replay** ([`BlockRunner`]): every scheduler
-//! step re-runs the closure from the top, feeding logged results to
-//! already-performed operations and performing exactly one new operation,
-//! then yields. See DESIGN.md §3.1.
+//! each block executes by **replay** ([`BlockRunner`]): a scheduler step
+//! re-runs the closure from the top, feeding logged results to
+//! already-performed operations, and performs one new operation. Before
+//! each further new operation the pass asks the port
+//! ([`MemPort::advance`]) whether it may go on. The HTM engine grants this
+//! while the core stays the scheduler's minimum, so the pass performs
+//! exactly the operations the following steps would have; otherwise the
+//! pass yields.
 //!
 //! # Rules for block closures
 //!
@@ -24,8 +28,8 @@
 //!    issue the same operation sequence. Replay verifies this and panics on
 //!    divergence. Draw randomness with [`TxCtx::rand`] (memoized) or in Ctl
 //!    blocks, never from ambient state.
-//! 2. **Termination under zeros**: after the one new operation of a pass,
-//!    subsequent operations return 0 without executing ("satiated" mode);
+//! 2. **Termination under zeros**: once a pass yields, subsequent
+//!    operations return 0 without executing ("satiated" mode);
 //!    closures must terminate when any suffix of their reads returns 0.
 //! 3. **User-state writes are deferred**: closures read per-thread scratch
 //!    via [`TxCtx::user`] but mutate it only through [`TxCtx::defer`],

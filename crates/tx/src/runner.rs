@@ -39,6 +39,15 @@ pub struct OpResult {
 pub trait MemPort {
     /// Performs one operation.
     fn op(&mut self, op: TxOp) -> OpResult;
+    /// Called when a pass reaches a new operation after already having
+    /// performed one: the step that performed it took `cycles` (issue,
+    /// latency and `work` since the last charge). Returning `true` charges
+    /// those cycles and lets the pass perform the next operation too;
+    /// `false` (the default, for ports that do not schedule) ends the pass,
+    /// and [`BlockRunner::step`] returns the cycles instead.
+    fn advance(&mut self, _cycles: u64) -> bool {
+        false
+    }
     /// Draws one word of randomness (memoized in the replay log, so blocks
     /// may call it freely).
     fn rand(&mut self) -> u64;
@@ -120,12 +129,14 @@ pub(crate) enum LogEntry {
     Rand(u64),
 }
 
-/// The outcome of one [`BlockRunner::step`].
+/// The outcome of one [`BlockRunner::step`]. Its `cycles` are those the
+/// port has not already been charged through [`MemPort::advance`]: the
+/// issue, latency and newly-executed `work` of the last operation the
+/// pass performed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StepOutcome {
-    /// One new memory operation was performed; the block has more to do.
-    /// `cycles` covers the operation's issue + latency and newly-executed
-    /// `work`.
+    /// The pass stopped before its next new operation; the block has more
+    /// to do.
     Yield {
         /// Cycles consumed by this step.
         cycles: u64,
@@ -155,17 +166,18 @@ impl StepOutcome {
     }
 }
 
-/// Executes one block one memory operation per [`BlockRunner::step`].
+/// Executes one block by replay passes, one per [`BlockRunner::step`].
 ///
-/// Blocks run by *replay*: each step re-runs the closure, replaying logged
-/// results and performing exactly one new operation (see the crate docs
-/// for the model and its rules).
+/// Each step re-runs the closure from the top, replaying logged results,
+/// and performs one new operation. It goes on to perform the next ones as
+/// long as the port's [`MemPort::advance`] grants them (see the crate
+/// docs for the model and its rules).
 #[derive(Debug, Default)]
 pub struct BlockRunner {
     pub(crate) log: Vec<LogEntry>,
     work_charged: u64,
-    // Register snapshot reused across passes: a block runs one pass per
-    // memory operation, so cloning `env.regs` here would put one heap
+    // Register snapshot reused across passes: a block may run one pass
+    // per memory operation, so cloning `env.regs` here would put one heap
     // allocation on every simulated access.
     saved_regs: Vec<u64>,
 }
@@ -183,31 +195,33 @@ impl BlockRunner {
     }
 
     /// Entries in the replay log: the operations and random draws the
-    /// next [`BlockRunner::step`] replays before its one new operation.
+    /// next [`BlockRunner::step`] replays before its first new operation.
     pub fn log_len(&self) -> usize {
         self.log.len()
     }
 
-    /// Runs one step of the block: exactly one new memory operation (plus
-    /// any random draws up to the next operation).
+    /// Runs one pass of the block: one new memory operation (plus any
+    /// random draws up to the next operation), then one more for each
+    /// [`MemPort::advance`] the port grants.
     pub fn step(&mut self, body: &BlockFn, env: &mut Env, port: &mut dyn MemPort) -> StepOutcome {
         self.saved_regs.clear();
         self.saved_regs.extend_from_slice(&env.regs);
-        let mut ctx = TxCtx::new(&mut self.log, env, port);
+        let mut ctx = TxCtx::new(&mut self.log, env, port, self.work_charged);
         body(&mut ctx);
         let pass = ctx.finish();
 
-        let new_work = pass.work_seen.saturating_sub(self.work_charged);
+        let new_work = pass.work_seen.saturating_sub(pass.work_charged);
         let cycles = 1 + pass.op_latency + new_work;
         if pass.aborted {
             // The enclosing transaction is gone; the caller resets us.
             env.regs.copy_from_slice(&self.saved_regs);
             return StepOutcome::Abort { cycles };
         }
-        self.work_charged += new_work;
+        self.work_charged = pass.work_charged + new_work;
         if pass.blocked {
-            // The pass went past its one new operation: discard its
-            // side effects (they re-run deterministically next pass).
+            // The pass stopped at a new operation it may not perform:
+            // discard its side effects (they re-run deterministically
+            // next pass).
             env.regs.copy_from_slice(&self.saved_regs);
             return StepOutcome::Yield { cycles };
         }
@@ -225,14 +239,17 @@ pub(crate) type Defer = Box<dyn FnOnce(&mut (dyn Any + Send))>;
 
 /// What one pass of a block closure observed (built by [`TxCtx::finish`]).
 pub(crate) struct PassResult {
-    /// The pass tried to go beyond its one new operation.
+    /// The pass reached a new operation the port did not let it perform.
     pub blocked: bool,
     /// An operation reported a transaction abort.
     pub aborted: bool,
-    /// Latency of the newly-performed operation (0 if none).
+    /// Latency of the last newly-performed operation (0 if none).
     pub op_latency: u64,
     /// Cumulative `work()` cycles seen up to the blocking point.
     pub work_seen: u64,
+    /// Cumulative `work()` cycles charged, by earlier passes or through
+    /// [`MemPort::advance`] in this one.
+    pub work_charged: u64,
     /// Deferred user-state actions registered by the pass.
     pub defers: Vec<Defer>,
 }

@@ -1,12 +1,14 @@
-//! Tests of the replay execution model: one new operation per step,
-//! register rollback, deferred user-state writes, determinism checking,
-//! work accounting, and abort handling.
+//! Tests of the replay execution model: one new operation per step for
+//! ports that do not schedule, passes that go on while the port grants
+//! `advance`, register rollback, deferred user-state writes, determinism
+//! checking, work accounting, and abort handling.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use commtm_mem::Addr;
-use commtm_tx::{BlockFn, BlockRunner, Env, MemPort, OpResult, StepOutcome, TxOp};
+use commtm_mem::{Addr, LabelId};
+use commtm_tx::{BlockFn, BlockRunner, Env, MemPort, OpResult, StepOutcome, TxCtx, TxOp};
+use proptest::prelude::*;
 
 /// A mock memory: flat word map, fixed 3-cycle latency, scriptable aborts.
 #[derive(Default)]
@@ -327,4 +329,283 @@ fn labeled_ops_flow_through_port() {
         port.ops,
         vec![TxOp::LoadL(l, A), TxOp::StoreL(l, A, 1), TxOp::Gather(l, A)]
     );
+}
+
+/// One action of a generated block (see [`shaped_block`]).
+#[derive(Clone, Copy, Debug)]
+enum Act {
+    Load(u64),
+    Store(u64),
+    LoadL(u64),
+    StoreL(u64),
+    Gather(u64),
+    /// Stores only when the running value is odd: the operation sequence
+    /// depends on loaded values.
+    StoreIfOdd(u64),
+    Work(u64),
+    Rand,
+    Defer(u64),
+}
+
+impl Act {
+    fn from_raw((kind, arg): (u8, u64)) -> Act {
+        match kind {
+            0 => Act::Load(arg),
+            1 => Act::Store(arg),
+            2 => Act::LoadL(arg),
+            3 => Act::StoreL(arg),
+            4 => Act::Gather(arg),
+            5 => Act::StoreIfOdd(arg),
+            6 => Act::Work(arg * 5),
+            7 => Act::Rand,
+            _ => Act::Defer(arg),
+        }
+    }
+}
+
+fn word(i: u64) -> Addr {
+    Addr::new(0x1000 + 8 * i)
+}
+
+/// A block running `acts` in order. It folds every loaded value and draw
+/// into register 0 and counts its operations in register 1.
+fn shaped_block(acts: Vec<Act>) -> BlockFn {
+    let l = LabelId::new(1);
+    body(move |t: &mut TxCtx<'_, '_>| {
+        let mut acc = t.reg(0);
+        let mut ops = t.reg(1);
+        for &a in &acts {
+            match a {
+                Act::Load(i) => acc = acc.wrapping_mul(31).wrapping_add(t.load(word(i))),
+                Act::Store(i) => t.store(word(i), acc),
+                Act::LoadL(i) => acc = acc.wrapping_add(t.load_l(l, word(i))),
+                Act::StoreL(i) => t.store_l(l, word(i), acc | 1),
+                Act::Gather(i) => acc ^= t.load_gather(l, word(i)),
+                Act::StoreIfOdd(i) => {
+                    if acc % 2 == 1 {
+                        t.store(word(i), acc);
+                        ops += 1;
+                    }
+                }
+                Act::Work(n) => t.work(n),
+                Act::Rand => acc = acc.wrapping_add(t.rand() % 1000),
+                Act::Defer(k) => t.defer(move |log: &mut Vec<u64>| log.push(k)),
+            }
+            if matches!(
+                a,
+                Act::Load(_) | Act::Store(_) | Act::LoadL(_) | Act::StoreL(_) | Act::Gather(_)
+            ) {
+                ops += 1;
+            }
+        }
+        t.set_reg(0, acc);
+        t.set_reg(1, ops);
+    })
+}
+
+/// A port that keeps a clock and grants `advance` calls by a bit pattern
+/// (bit `i % 64` of `grants` answers the `i`-th call). Latencies vary by
+/// operation index, and one operation may be scripted to abort.
+struct SchedPort {
+    mem: HashMap<u64, u64>,
+    clock: u64,
+    grants: u64,
+    advances: u32,
+    abort_on_op: Option<usize>,
+    draws: u64,
+    /// Each operation performed, with the clock at which it issued.
+    issued: Vec<(TxOp, u64)>,
+}
+
+impl SchedPort {
+    fn new(grants: u64, abort_on_op: Option<usize>) -> Self {
+        let mem = (0..8).map(|i| (word(i).raw(), i * 3 + 1)).collect();
+        SchedPort {
+            mem,
+            clock: 0,
+            grants,
+            advances: 0,
+            abort_on_op,
+            draws: 0,
+            issued: Vec::new(),
+        }
+    }
+}
+
+impl MemPort for SchedPort {
+    fn op(&mut self, op: TxOp) -> OpResult {
+        let n = self.issued.len();
+        self.issued.push((op, self.clock));
+        let latency = 2 + (n as u64 * 7) % 11;
+        if self.abort_on_op == Some(n) {
+            return OpResult {
+                value: 0,
+                latency,
+                aborted: true,
+            };
+        }
+        let value = match op {
+            TxOp::Load(a) | TxOp::LoadL(_, a) | TxOp::Gather(_, a) => {
+                *self.mem.get(&a.raw()).unwrap_or(&0)
+            }
+            TxOp::Store(a, v) | TxOp::StoreL(_, a, v) => {
+                self.mem.insert(a.raw(), v);
+                v
+            }
+        };
+        OpResult {
+            value,
+            latency,
+            aborted: false,
+        }
+    }
+
+    fn advance(&mut self, cycles: u64) -> bool {
+        let grant = (self.grants >> (self.advances % 64)) & 1 == 1;
+        self.advances += 1;
+        if grant {
+            self.clock += cycles;
+        }
+        grant
+    }
+
+    fn rand(&mut self) -> u64 {
+        self.draws += 1;
+        self.draws.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+    }
+}
+
+/// Everything a run of one block attempt leaves behind.
+#[derive(Debug, PartialEq)]
+struct Attempt {
+    issued: Vec<(TxOp, u64)>,
+    cycles: u64,
+    regs: Vec<u64>,
+    defers: Vec<u64>,
+    draws: u64,
+    aborted: bool,
+    steps: usize,
+}
+
+/// Steps `blk` until it completes or aborts, charging each step's cycles
+/// to the port's clock as the engine does.
+fn attempt(blk: &BlockFn, grants: u64, abort_on_op: Option<usize>) -> Attempt {
+    let mut port = SchedPort::new(grants, abort_on_op);
+    let mut env = Env::new(2, Vec::<u64>::new());
+    env.regs[0] = 5;
+    let mut runner = BlockRunner::new();
+    let mut steps = 0;
+    let aborted = loop {
+        let out = runner.step(blk, &mut env, &mut port);
+        port.clock += out.cycles();
+        steps += 1;
+        assert!(steps < 1_000, "block must finish");
+        match out {
+            StepOutcome::Yield { .. } => {}
+            StepOutcome::Done { .. } => break false,
+            StepOutcome::Abort { .. } => break true,
+        }
+    };
+    Attempt {
+        issued: port.issued,
+        cycles: port.clock,
+        regs: env.regs.clone(),
+        defers: env.user::<Vec<u64>>().clone(),
+        draws: port.draws,
+        aborted,
+        steps,
+    }
+}
+
+#[test]
+fn granting_port_runs_a_block_in_one_pass() {
+    let blk = shaped_block(vec![
+        Act::Work(10),
+        Act::Load(0),
+        Act::Rand,
+        Act::Work(5),
+        Act::Store(1),
+        Act::Defer(7),
+        Act::Gather(2),
+    ]);
+    let one_op = attempt(&blk, 0, None);
+    let granted = attempt(&blk, u64::MAX, None);
+    assert_eq!(one_op.steps, 3);
+    assert_eq!(granted.steps, 1);
+    assert_eq!(
+        Attempt {
+            steps: one_op.steps,
+            ..granted
+        },
+        one_op
+    );
+    assert_eq!(one_op.defers, vec![7]);
+}
+
+#[test]
+fn abort_in_a_continued_operation_wastes_the_same_cycles() {
+    let blk = shaped_block(vec![
+        Act::Load(0),
+        Act::Work(4),
+        Act::Store(1),
+        Act::Load(2),
+        Act::Defer(1),
+    ]);
+    // The third operation aborts: one op per pass takes three steps, a
+    // granting port one.
+    let one_op = attempt(&blk, 0, Some(2));
+    let granted = attempt(&blk, u64::MAX, Some(2));
+    assert!(one_op.aborted && granted.aborted);
+    assert_eq!((one_op.steps, granted.steps), (3, 1));
+    assert_eq!(granted.cycles, one_op.cycles);
+    assert_eq!(granted.issued, one_op.issued);
+    assert_eq!(
+        granted.regs,
+        vec![5, 0],
+        "aborted attempt rolls registers back"
+    );
+    assert!(granted.defers.is_empty(), "aborted attempt runs no defers");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// However a port grants `advance`, a block performs the same
+    /// operations in the same order at the same clocks, takes the same
+    /// cycles, leaves the same registers, draws the same randomness and
+    /// applies its defers exactly once, as with one new operation per
+    /// pass. This holds for an aborted attempt too.
+    #[test]
+    fn continuation_matches_one_op_per_pass(
+        raw in proptest::collection::vec((0u8..9, 0u64..8), 0..24),
+        grants in 0u64..u64::MAX,
+        abort_at in 0usize..32,
+    ) {
+        let acts: Vec<Act> = raw.into_iter().map(Act::from_raw).collect();
+        let blk = shaped_block(acts.clone());
+        let abort_on_op = (abort_at < 16).then_some(abort_at);
+        let one_op = attempt(&blk, 0, abort_on_op);
+        for g in [grants, u64::MAX] {
+            let run = attempt(&blk, g, abort_on_op);
+            prop_assert!(run.steps <= one_op.steps);
+            prop_assert_eq!(
+                Attempt { steps: one_op.steps, ..run },
+                one_op,
+                "grants {:#x}",
+                g
+            );
+        }
+        if !one_op.aborted {
+            let deferred: Vec<u64> = acts
+                .iter()
+                .filter_map(|a| match a {
+                    Act::Defer(k) => Some(*k),
+                    _ => None,
+                })
+                .collect();
+            prop_assert_eq!(&one_op.defers, &deferred);
+            prop_assert_eq!(one_op.regs[1], one_op.issued.len() as u64);
+            prop_assert_eq!(attempt(&blk, u64::MAX, None).steps, 1);
+        }
+    }
 }
