@@ -66,8 +66,9 @@ pub enum StepResult {
 /// The scheduler steps cores in minimum-clock order; each step runs one
 /// replay pass of the current block or handles a pending abort. A pass
 /// performs new memory operations for as long as the core stays the
-/// scheduler's minimum (see [`CoreExec::step`]). Asynchronous aborts (this core lost a conflict
-/// to another core's request) arrive via [`CoreExec::notify_aborted`].
+/// scheduler's minimum (see [`CoreExec::step`]). Asynchronous aborts
+/// (this core lost a conflict to another core's request) arrive via
+/// [`CoreExec::notify_aborted`].
 pub struct CoreExec {
     core: CoreId,
     program: Program,
@@ -172,7 +173,8 @@ impl CoreExec {
             return StepResult::Finished;
         }
         // Stamp the step's scheduling key: every trace event this step
-        // emits carries (clock-at-entry, core), the commit-order key.
+        // emits carries (clock-at-entry, core), the commit-order key, until
+        // `EnginePort::advance` re-stamps it for a further operation.
         sys.tracer_mut().step(self.core, self.clock);
         if let Some(cause) = self.pending_abort.take() {
             self.handle_abort(cause, cfg, sys);
@@ -182,22 +184,18 @@ impl CoreExec {
         // Borrow the program through a temporary move instead of cloning
         // the block (an `Arc` bump/release pair on every scheduler step).
         let program = std::mem::take(&mut self.program);
-        match program.block(self.block_idx) {
+        let completed = match program.block(self.block_idx) {
             Block::Ctl(_) => {
                 let n = self.run_ctl_chain(&program);
                 self.clock += n;
                 self.stats.nontx_cycles += n;
+                false
             }
-            Block::Tx(body) => {
-                if self.run_body(body, true, sys, cfg, next_ts, horizon) {
-                    self.advance_to(self.block_idx + 1, program.len());
-                }
-            }
-            Block::Plain(body) => {
-                if self.run_body(body, false, sys, cfg, next_ts, horizon) {
-                    self.advance_to(self.block_idx + 1, program.len());
-                }
-            }
+            Block::Tx(body) => self.run_body(body, true, sys, cfg, next_ts, horizon),
+            Block::Plain(body) => self.run_body(body, false, sys, cfg, next_ts, horizon),
+        };
+        if completed {
+            self.advance_to(self.block_idx + 1, program.len());
         }
         self.program = program;
 

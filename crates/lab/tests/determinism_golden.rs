@@ -11,11 +11,10 @@
 //! ordering, conflict arbitration, scheduling order, or RNG consumption
 //! shows up as a golden diff or a fingerprint mismatch. The work counters
 //! add what the fingerprint leaves out, including the host work no
-//! simulated cycle shows (replayed log entries), so extra work fails here
-//! with no timing. The two larger
-//! grids are release-only; CI's perf-smoke job runs them with
-//! `cargo test --release -p commtm-lab --test determinism_golden --
-//! --include-ignored`.
+//! simulated cycle shows (closure passes, replayed log entries), so extra
+//! work fails here with no timing. The two larger grids are
+//! release-only; CI's perf-smoke job runs them with `cargo test --release
+//! -p commtm-lab --test determinism_golden -- --include-ignored`.
 //!
 //! To bless a *deliberate* behavior change, regenerate the golden with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test
@@ -193,8 +192,8 @@ fn list_quick_fingerprint_is_pinned() {
 }
 
 /// The deterministic counters the fingerprint leaves out, index-aligned
-/// with [`work_counters`]: host replay work, then backoff and the cache
-/// traffic.
+/// with [`work_counters`]: host replay work (closure passes and the log
+/// entries they replay), then backoff and the cache traffic.
 const WORK_COUNTERS: [&str; 9] = [
     "passes",
     "replayed_entries",

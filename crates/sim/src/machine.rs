@@ -289,7 +289,8 @@ impl Machine {
             .map(|(i, c)| Reverse((c.clock(), i)))
             .collect();
 
-        // A core key at or past this one breaks the cycle limit.
+        // Every key at or above this one has passed `max_cycles`, so no
+        // pass goes on into it: the step ends and the check below fires.
         let limit = (cfg.max_cycles, usize::MAX);
         while let Some(Reverse((_, idx))) = heap.pop() {
             // Run-to-completion batching: keep stepping this core while it
