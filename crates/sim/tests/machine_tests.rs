@@ -64,6 +64,16 @@ fn counter_correct_under_both_schemes() {
     run_counter(4, 50, Scheme::CommTm);
 }
 
+/// A lone core is always the scheduler's minimum, so each block runs in
+/// one closure pass that replays nothing.
+#[test]
+fn lone_core_runs_each_block_in_one_pass() {
+    let (_, report) = run_counter(1, 50, Scheme::CommTm);
+    let core = report.core_totals();
+    assert_eq!(core.commits, 50);
+    assert_eq!((core.passes, core.replayed_entries), (50, 0));
+}
+
 #[test]
 fn commtm_eliminates_counter_aborts_baseline_does_not() {
     let (_, base) = run_counter(8, 40, Scheme::Baseline);
