@@ -5,7 +5,6 @@
 //! commtm-lab workloads                 # registered workloads and defaults
 //! commtm-lab run fig09 --threads-max 16 --out fig09.json
 //! commtm-lab run --all --out-dir report   # every figure + manifest.json
-//! commtm-lab run --resume report       # finish a killed run
 //! commtm-lab run sweep.toml --jobs 8 --csv sweep.csv
 //! commtm-lab diff old.json new.json    # regression gate
 //! ```
@@ -13,8 +12,8 @@
 use std::path::Path;
 use std::process::ExitCode;
 
-use commtm_lab::batch::{self, Replay};
-use commtm_lab::exec::{run_scenario, ExecOptions};
+use commtm_lab::batch;
+use commtm_lab::exec::{run_scenario, run_scenarios_in, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
 use commtm_lab::spec::{parse_scheme, scheme_name, Scenario};
@@ -29,7 +28,6 @@ USAGE:
                                             typed parameter schemas
     commtm-lab run <scenario|file.toml> [options]
     commtm-lab run --all [--out-dir DIR] [options]
-    commtm-lab run --resume DIR [--jobs N] [--fail-fast] [--progress]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
@@ -47,23 +45,12 @@ RUN OPTIONS:
     --param KEY=VALUE   override one workload parameter (typed via the
                         workload's schema; repeatable; errors list each
                         workload's valid parameters)
-    --out-dir DIR       batch-mode artifact directory (default for --all:
-                        lab-report). Batch runs journal every finished
-                        cell, result included, to DIR/ledger.jsonl
-                        (crash-safe: a killed run loses at most its
-                        in-flight cells). Naming --out-dir for a single
-                        scenario batches it too. See docs/BATCH.md
-    --resume DIR        replay DIR's ledger: keep completed cells after
-                        verifying their recorded fingerprints, retry
-                        failed cells, run the rest of the grid, and
-                        report a resume summary. Takes the grid
-                        definition from the ledger — grid flags don't
-                        combine with --resume
-    --fail-fast         stop claiming new cells after the first failure.
-                        Default off in batch mode: a poisoned cell is
-                        recorded as failed (figures render a gap) and the
-                        sweep continues; cells skipped by a --fail-fast
-                        stop stay fresh in the ledger for --resume
+    --out-dir DIR       batch-mode report directory (default for --all:
+                        lab-report). Naming --out-dir for a single
+                        scenario batches it too. A failed cell is listed
+                        in manifest.json and leaves a gap in its figure;
+                        the run continues and exits 1. See
+                        docs/SCENARIOS.md
     --threads LIST      comma-separated thread counts (e.g. 1,8,32)
     --threads-max N     drop sweep points above N threads (N >= 1)
     --schemes LIST      comma-separated schemes (baseline,commtm)
@@ -182,7 +169,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut target: Option<&str> = None;
     let mut all = false;
     let mut out_dir: Option<String> = None;
-    let mut resume: Option<String> = None;
     let mut opts = ExecOptions::default();
     let mut ov = batch::Overrides::default();
     let mut out_json: Option<String> = None;
@@ -192,7 +178,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut baseline: Option<String> = None;
     let mut tol: Option<f64> = None;
     let mut quiet_report = false;
-    let mut theme_name = "light".to_string();
+    let mut theme = figures::theme_by_name("light").expect("the light theme exists");
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -203,8 +189,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--all" => all = true,
             "--param" => ov.params.push(value("--param")?.clone()),
             "--out-dir" => out_dir = Some(value("--out-dir")?.clone()),
-            "--resume" => resume = Some(value("--resume")?.clone()),
-            "--fail-fast" => opts.fail_fast = true,
             "--threads" => {
                 ov.threads = Some(parse_usize_list(value("--threads")?)?);
             }
@@ -251,10 +235,8 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
             "--baseline" => baseline = Some(value("--baseline")?.clone()),
             "--theme" => {
                 let name = value("--theme")?;
-                if commtm_lab::figures::theme_by_name(name).is_none() {
-                    return Err(format!("unknown theme {name:?} (light or dark)"));
-                }
-                theme_name = name.clone();
+                theme = figures::theme_by_name(name)
+                    .ok_or_else(|| format!("unknown theme {name:?} (light or dark)"))?;
             }
             "--tol" => tol = Some(parse_tol(value("--tol")?)?),
             "--progress" => opts.quiet = false,
@@ -276,22 +258,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         || trace_out.is_some()
         || baseline.is_some()
         || tol.is_some();
-
-    if let Some(dir) = resume {
-        // The ledger manifest is the grid definition: re-specifying any
-        // part of it alongside --resume is ambiguous, so reject it all.
-        if target.is_some() || all || out_dir.is_some() {
-            return Err("--resume replays a ledger's own grid; don't also pass a \
-                 scenario, --all or --out-dir"
-                .into());
-        }
-        if ov != batch::Overrides::default() || single_scenario_outputs {
-            return Err("--resume takes the grid and output definitions from the \
-                 ledger; grid and output flags don't combine with it"
-                .into());
-        }
-        return cmd_run_resume(&dir, &opts, quiet_report);
-    }
 
     if all || out_dir.is_some() {
         let target = if all {
@@ -316,17 +282,10 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                     .into(),
             );
         }
-        return cmd_run_batch(
-            target,
-            &out_dir.unwrap_or_else(|| "lab-report".to_string()),
-            &ov,
-            &opts,
-            quiet_report,
-            &theme_name,
-        );
+        let dir = out_dir.unwrap_or_else(|| "lab-report".to_string());
+        return cmd_run_batch(target, Path::new(&dir), &ov, &opts, theme, quiet_report);
     }
 
-    let theme = figures::theme_by_name(&theme_name).expect("validated when parsed");
     let target = target.ok_or("run needs a scenario name, a .toml file, or --all")?;
     let mut scenario = load_scenario(target)?;
     ov.apply(registry::global(), &mut scenario)?;
@@ -389,89 +348,30 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     Ok(code)
 }
 
-/// A batch (ledger-backed) run: `run --all` or `run <target> --out-dir`.
-/// Plans the grid, journals every finished cell into
-/// `dir/ledger.jsonl`, and emits the full report (figures, per-scenario
-/// results JSON, manifest, index).
+/// A batch run: `run --all` or `run <target> --out-dir`. Runs every
+/// cell of the target's scenarios on one pool and writes the full report
+/// (figures, per-scenario results JSON, Table I, manifest, index) into
+/// `dir`. Fails the exit code when a cell failed.
 fn cmd_run_batch(
     target: &str,
-    dir: &str,
+    dir: &Path,
     ov: &batch::Overrides,
     opts: &ExecOptions,
+    theme: commtm_plot::palette::Theme,
     quiet_report: bool,
-    theme_name: &str,
 ) -> Result<ExitCode, String> {
     let reg = registry::global();
-    let plan = batch::BatchPlan::new(reg, target, ov)?;
-    let dir_path = Path::new(dir);
-
-    // Starting fresh truncates any ledger already in the directory. If
-    // that ledger describes this very grid, the user probably wanted to
-    // finish it, not redo it — say so before discarding the work.
-    if dir_path.join(batch::ledger::LEDGER_FILE).exists() {
-        if let Ok(prior) = Replay::load(dir_path) {
-            if prior.manifest.grid_fingerprint == plan.grid_fingerprint {
-                let done = prior
-                    .states
-                    .values()
-                    .filter(|s| matches!(s, batch::CellState::Completed { .. }))
-                    .count();
-                eprintln!(
-                    "warning: {dir} holds a compatible ledger with {done} completed \
-                     cell(s); starting fresh discards them — \
-                     `commtm-lab run --resume {dir}` would keep them"
-                );
-            }
-        }
+    let mut scenarios = batch::resolve_target(reg, target)?;
+    for scenario in &mut scenarios {
+        ov.apply(reg, scenario)?;
     }
-
-    let outcome = batch::run_batch(reg, &plan, dir_path, None, theme_name, opts)?;
-    finish_batch(&plan, &outcome, dir, theme_name, quiet_report)
-}
-
-/// Prints a batch run's summary and emits its report. Fails the exit
-/// code when a cell failed.
-fn finish_batch(
-    plan: &batch::BatchPlan,
-    outcome: &batch::BatchOutcome,
-    dir: &str,
-    theme_name: &str,
-    quiet_report: bool,
-) -> Result<ExitCode, String> {
-    eprintln!("{}", outcome.summary.render());
-    let sets = batch::assemble_sets(plan, &outcome.results);
-    let theme = figures::theme_by_name(theme_name)
-        .ok_or_else(|| format!("unknown theme {theme_name:?}"))?;
-    let ok = batch::emit_report(Path::new(dir), plan, &sets, theme, quiet_report)?;
+    let sets = run_scenarios_in(reg, &scenarios, opts)?;
+    let ok = batch::emit_report(dir, &scenarios, &sets, theme, quiet_report)?;
     Ok(if ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     })
-}
-
-/// `run --resume DIR`: replay DIR's ledger, keep verified completed
-/// cells, retry failed ones, and finish the grid the ledger describes.
-fn cmd_run_resume(dir: &str, opts: &ExecOptions, quiet_report: bool) -> Result<ExitCode, String> {
-    let reg = registry::global();
-    let dir_path = Path::new(dir);
-    let prior = Replay::load(dir_path)?;
-    let m = prior.manifest.clone();
-    if m.overrides.trace {
-        return Err(format!(
-            "{dir}: this ledger captured traces, which the ledger does not \
-             persist; traced grids must re-run whole (commtm-lab run ... --trace)"
-        ));
-    }
-    if prior.truncated_tail {
-        eprintln!(
-            "note: {dir}: ledger ends mid-record (the previous run died while \
-             appending); the partial record was ignored"
-        );
-    }
-    let plan = batch::BatchPlan::from_manifest(reg, &m).map_err(|e| format!("{dir}: {e}"))?;
-    let outcome = batch::run_batch(reg, &plan, dir_path, Some(&prior), &m.theme, opts)?;
-    finish_batch(&plan, &outcome, dir, &m.theme, quiet_report)
 }
 
 /// The error for a flag of the retired parallel machine engine.
@@ -672,6 +572,20 @@ mod tests {
         let err =
             cmd_run(&args(&["fig09", "--machine-threads", "2"])).expect_err("the flag is rejected");
         assert!(err.contains("--machine-threads was removed"), "{err}");
+    }
+
+    #[test]
+    fn resume_and_fail_fast_are_unknown_options() {
+        for (argv, flag) in [
+            (&["--resume", "lab-report"][..], "--resume"),
+            (
+                &["fig09", "--out-dir", "lab-report", "--fail-fast"][..],
+                "--fail-fast",
+            ),
+        ] {
+            let err = cmd_run(&args(argv)).expect_err("the flag is rejected");
+            assert_eq!(err, format!("unknown option {flag:?}"));
+        }
     }
 
     #[test]

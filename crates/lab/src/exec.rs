@@ -8,11 +8,11 @@
 //! run or how the OS schedules them. The determinism tests assert this by
 //! comparing parallel and serial runs byte-for-byte.
 //!
-//! [`run_scenario_in`] and [`crate::batch::run_batch`] both run on this
-//! pool; a batch run journals each finished cell through its `after` hook.
-//! Cells that agree on everything [`run_cell`] reads share one simulation
-//! per pool run, each getting a copy relabelled with its own cell, so
-//! figures that share cells (fig16–19, Table II) simulate them once.
+//! [`run_scenarios_in`] runs every cell of any number of scenarios on this
+//! pool; [`run_scenario_in`] is its one-scenario case. Cells that agree on
+//! everything [`run_cell`] reads share one simulation per pool run, each
+//! getting a copy relabelled with its own cell, so figures that share
+//! cells (fig16–19, Table II) simulate them once.
 //!
 //! Cells are *claimed* longest-first (see [`schedule_order_in`]): a sweep
 //! mixing 128-thread full-scale cells with tiny 1-thread cells would
@@ -27,7 +27,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
 
@@ -42,12 +42,6 @@ pub struct ExecOptions {
     pub jobs: usize,
     /// Suppress per-cell progress lines on stderr.
     pub quiet: bool,
-    /// Stop claiming new cells after the first failure (in-flight cells
-    /// finish). Off by default: a poisoned cell is recorded and the rest
-    /// of the sweep continues — in batch mode its ledger row stays
-    /// `failed` and the figure renders a gap. Unclaimed cells are
-    /// recorded as skipped, never as failed.
-    pub fail_fast: bool,
 }
 
 impl Default for ExecOptions {
@@ -55,7 +49,6 @@ impl Default for ExecOptions {
         ExecOptions {
             jobs: 0,
             quiet: true,
-            fail_fast: false,
         }
     }
 }
@@ -139,34 +132,54 @@ pub fn run_scenario_in(
     scenario: &Scenario,
     opts: &ExecOptions,
 ) -> Result<ResultSet, String> {
-    scenario.validate_in(reg)?;
-    let cells = scenario.cells();
-    let started = Instant::now();
-    let jobs: Vec<Job> = cells.iter().map(|cell| (scenario, cell)).collect();
-    let ran = run_jobs(reg, &jobs, opts, |_, _| Ok(()))?;
-    Ok(ResultSet {
-        scenario: scenario.name.clone(),
-        title: scenario.title.clone(),
-        scale: scenario.scale,
-        cells: ran.results,
-        wall_ms: started.elapsed().as_millis() as u64,
-        jobs: opts.effective_jobs(cells.len()),
-        engine: engine_name(1),
-    })
+    let mut sets = run_scenarios_in(reg, std::slice::from_ref(scenario), opts)?;
+    Ok(sets.remove(0))
+}
+
+/// Runs every cell of every scenario on one pool and returns one result
+/// set per scenario, in order. Cells shared across scenarios are
+/// simulated once. Each set's `wall_ms` is the sum of its cells'.
+///
+/// # Errors
+///
+/// Fails fast if a scenario does not validate; individual cell failures
+/// are recorded in the result sets instead.
+pub fn run_scenarios_in(
+    reg: &registry::Registry,
+    scenarios: &[Scenario],
+    opts: &ExecOptions,
+) -> Result<Vec<ResultSet>, String> {
+    for scenario in scenarios {
+        scenario.validate_in(reg)?;
+    }
+    let cells: Vec<Vec<spec::Cell>> = scenarios.iter().map(Scenario::cells).collect();
+    let jobs: Vec<Job> = scenarios
+        .iter()
+        .zip(&cells)
+        .flat_map(|(scenario, cells)| cells.iter().map(move |cell| (scenario, cell)))
+        .collect();
+    let mut results = run_jobs(reg, &jobs, opts).into_iter();
+    Ok(scenarios
+        .iter()
+        .zip(&cells)
+        .map(|(scenario, cells)| {
+            let cells: Vec<CellResult> = results.by_ref().take(cells.len()).collect();
+            ResultSet {
+                scenario: scenario.name.clone(),
+                title: scenario.title.clone(),
+                scale: scenario.scale,
+                wall_ms: cells.iter().map(|c| c.wall_ms).sum(),
+                jobs: opts.effective_jobs(cells.len()),
+                cells,
+                engine: engine_name(1),
+            }
+        })
+        .collect())
 }
 
 /// One unit of pool work: a cell and the scenario it belongs to (which
 /// supplies the scale and tuning it runs under).
-pub(crate) type Job<'a> = (&'a Scenario, &'a spec::Cell);
-
-/// What [`run_jobs`] produced.
-pub(crate) struct PoolRun {
-    /// One result per job, in job order. Jobs a `--fail-fast` stop left
-    /// unclaimed carry the [`SKIPPED_FAIL_FAST`] error.
-    pub results: Vec<CellResult>,
-    /// Distinct cells actually simulated (at most `results.len()`).
-    pub simulated: usize,
-}
+type Job<'a> = (&'a Scenario, &'a spec::Cell);
 
 /// The identity of a simulation: everything [`run_cell`] reads. Jobs
 /// with equal keys produce byte-identical statistics, whatever their
@@ -184,23 +197,9 @@ fn cell_key(reg: &registry::Registry, scenario: &Scenario, cell: &spec::Cell) ->
     )
 }
 
-/// The crate's one worker pool. Groups `jobs` by [`cell_key`], simulates
-/// one representative per group — groups claimed longest-first
-/// ([`estimated_cost_in`]) by `opts.jobs` workers — and hands every
-/// member of the group a copy of the result carrying its own cell.
-///
-/// `after` runs for each member of a group with its result; it stops the
-/// pool by returning an error, which this function then returns
-/// (in-flight groups finish first). With `opts.fail_fast`, the first
-/// failed cell stops further claims, and every job never claimed is
-/// recorded as skipped without a hook call.
-pub(crate) fn run_jobs(
-    reg: &registry::Registry,
-    jobs: &[Job],
-    opts: &ExecOptions,
-    after: impl Fn(usize, &CellResult) -> Result<(), String> + Sync,
-) -> Result<PoolRun, String> {
-    install_quiet_cell_hook();
+/// Groups job indices by [`cell_key`], in order of first appearance:
+/// each group is one simulation.
+fn group_jobs(reg: &registry::Registry, jobs: &[Job]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     let mut group_of = HashMap::new();
     for (j, &(scenario, cell)) in jobs.iter().enumerate() {
@@ -212,6 +211,17 @@ pub(crate) fn run_jobs(
             });
         groups[g].push(j);
     }
+    groups
+}
+
+/// The crate's one worker pool. Simulates one representative per
+/// [`group_jobs`] group — groups claimed longest-first
+/// ([`estimated_cost_in`]) by `opts.jobs` workers — and hands every
+/// member of the group a copy of the result carrying its own cell.
+/// Returns one result per job, in job order.
+fn run_jobs(reg: &registry::Registry, jobs: &[Job], opts: &ExecOptions) -> Vec<CellResult> {
+    install_quiet_cell_hook();
+    let groups = group_jobs(reg, jobs);
     let costs: Vec<u64> = groups
         .iter()
         .map(|g| {
@@ -224,78 +234,45 @@ pub(crate) fn run_jobs(
     let slots: Vec<Mutex<Option<CellResult>>> = jobs.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let simulated = AtomicUsize::new(0);
-    let failed = AtomicBool::new(false);
-    let error: Mutex<Option<String>> = Mutex::new(None);
 
     // Runs one group: one simulation, then every member's copy of the
-    // result through `after` into its slot.
-    let run_group = |group: &[usize]| -> Result<(), String> {
+    // result into its slot.
+    let run_group = |group: &[usize]| {
         let (scenario, cell) = jobs[group[0]];
         let shared = run_cell(reg, cell, scenario);
-        simulated.fetch_add(1, Ordering::Relaxed);
-        if shared.stats.is_none() {
-            failed.store(true, Ordering::Relaxed);
-        }
         for &j in group {
             let result = CellResult {
                 cell: jobs[j].1.clone(),
                 ..shared.clone()
             };
-            after(j, &result)?;
             let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
             if !opts.quiet {
                 progress_line(jobs[j].0, &result, finished, jobs.len());
             }
             *slots[j].lock().expect("slot lock") = Some(result);
         }
-        Ok(())
     };
 
     std::thread::scope(|scope| {
         for _ in 0..opts.effective_jobs(groups.len()) {
             scope.spawn(|| loop {
-                if opts.fail_fast && failed.load(Ordering::Relaxed) {
-                    return;
-                }
                 let claim = cursor.fetch_add(1, Ordering::Relaxed);
-                if claim >= groups.len() {
+                let Some(group) = order.get(claim) else {
                     return;
-                }
-                if let Err(e) = run_group(&groups[order[claim]]) {
-                    // A hook failure poisons the run itself, not one
-                    // cell: stop every worker and surface it.
-                    error.lock().expect("error lock").get_or_insert(e);
-                    cursor.store(groups.len(), Ordering::Relaxed);
-                    return;
-                }
+                };
+                run_group(&groups[*group]);
             });
         }
     });
 
-    if let Some(e) = error.into_inner().expect("error lock") {
-        return Err(e);
-    }
-    let results = slots
+    slots
         .into_iter()
-        .zip(jobs)
-        .map(|(slot, &(_, cell))| {
-            // Jobs left unclaimed by a --fail-fast stop are recorded as
-            // skipped (the shape of the result set never changes), never
-            // as failed: a batch ledger must not mark them failed either.
-            slot.into_inner().expect("slot lock").unwrap_or(CellResult {
-                cell: cell.clone(),
-                stats: None,
-                error: Some(SKIPPED_FAIL_FAST.to_string()),
-                wall_ms: 0,
-                trace: None,
-            })
+        .map(|slot| {
+            slot.into_inner()
+                .expect("slot lock")
+                .expect("every group runs")
         })
-        .collect();
-    Ok(PoolRun {
-        results,
-        simulated: simulated.into_inner(),
-    })
+        .collect()
 }
 
 /// The machine engine label result sets carry: always `"serial"`, the
@@ -304,12 +281,6 @@ pub(crate) fn run_jobs(
 pub fn engine_name(_machine_threads: usize) -> String {
     "serial".to_string()
 }
-
-/// The error string recorded for cells a `--fail-fast` stop never ran.
-/// Distinguishable from real failures: the batch layer leaves these cells
-/// fresh in the ledger so a later `--resume` runs them.
-pub const SKIPPED_FAIL_FAST: &str =
-    "skipped: --fail-fast stopped the sweep after an earlier failure";
 
 /// Runs every cell serially on the calling thread (reference mode for
 /// determinism checks; also useful under debuggers).
@@ -346,8 +317,7 @@ fn install_quiet_cell_hook() {
 
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
 /// `reg`, simulate, check the oracle, catch panics into the cell's error.
-/// This is the unit of work the pool above fans out, for sweeps and batch
-/// runs alike.
+/// This is the unit of work the pool above fans out.
 pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario) -> CellResult {
     let started = Instant::now();
     IN_CELL.with(|f| f.set(true));
@@ -554,22 +524,48 @@ mod tests {
             "one run per distinct key"
         );
 
-        // Each spec as a scenario of its own: no cell is shared, and the
-        // results are the same, cell for cell.
-        let mut separate = shared.clone();
-        separate.cells = specs
+        // Each spec as a scenario of its own, all on one pool: a and b
+        // still share their simulations, and each twin carries its own
+        // cell.
+        let alone: Vec<Scenario> = specs
             .iter()
-            .flat_map(|spec| {
-                run_scenario_in(&reg, &grid(std::slice::from_ref(spec)), &opts)
-                    .unwrap()
-                    .cells
-            })
+            .map(|spec| grid(std::slice::from_ref(spec)))
+            .collect();
+        let pooled = run_scenarios_in(&reg, &alone, &opts).unwrap();
+        assert_eq!(
+            runs.swap(0, Ordering::Relaxed),
+            8,
+            "shared across scenarios"
+        );
+        for (set, label) in pooled.iter().zip(["a", "b", "c"]) {
+            assert!(set.cells.iter().all(|c| c.cell.label == label), "{label}");
+        }
+
+        // Each scenario run alone: no cell is shared, and the results are
+        // the same, cell for cell.
+        let mut separate = shared.clone();
+        separate.cells = alone
+            .iter()
+            .flat_map(|scenario| run_scenario_in(&reg, scenario, &opts).unwrap().cells)
             .collect();
         assert_eq!(runs.load(Ordering::Relaxed), 12);
         assert_eq!(
             shared.canonical_json().pretty(),
             separate.canonical_json().pretty()
         );
+    }
+
+    #[test]
+    fn all_target_simulates_shared_figure_cells_once() {
+        let reg = registry::global();
+        let scenarios = crate::batch::resolve_target(reg, crate::batch::ALL_TARGET).unwrap();
+        let cells: Vec<Vec<spec::Cell>> = scenarios.iter().map(Scenario::cells).collect();
+        let jobs: Vec<Job> = scenarios
+            .iter()
+            .zip(&cells)
+            .flat_map(|(scenario, cells)| cells.iter().map(move |cell| (scenario, cell)))
+            .collect();
+        assert_eq!((jobs.len(), group_jobs(reg, &jobs).len()), (198, 116));
     }
 
     #[test]

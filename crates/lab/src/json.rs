@@ -9,8 +9,8 @@
 use std::fmt::Write as _;
 
 /// FNV-1a over a text, rendered as 16 hex digits. The workspace's
-/// determinism fingerprints (pinned grids, batch ledger cells) all hash
-/// canonical JSON through this: stable, dependency-free, and plenty for
+/// determinism fingerprints (pinned grids, traced event streams) all
+/// hash through this: stable, dependency-free, and plenty for
 /// change *detection* — these fingerprints gate determinism, not
 /// security.
 pub fn fnv1a(text: &str) -> String {

@@ -20,6 +20,9 @@
 //! - [`exec`]: a parallel executor that fans independent
 //!   `sim::Machine` runs across host threads with deterministic
 //!   per-cell seeding — results are byte-identical to a serial run,
+//! - [`batch`]: `commtm-lab run --all` and `--out-dir` runs — every
+//!   scenario's cells on one pool ([`exec::run_scenarios_in`]), the
+//!   report written once ([`batch::emit_report`]),
 //! - [`results`]: structured per-cell statistics with multi-seed
 //!   mean ± stddev aggregation ([`results::Summary`]), JSON/CSV export
 //!   and baseline diffing for regression gating,

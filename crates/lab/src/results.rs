@@ -118,8 +118,15 @@ impl CellStats {
             .and_then(Json::as_arr)
             .ok_or("stats missing \"wasted\"")?;
         let mut wasted = [0u64; 4];
-        for (i, w) in wasted_arr.iter().take(4).enumerate() {
-            wasted[i] = w.as_u64().ok_or("non-integer wasted bucket")?;
+        if wasted_arr.len() != wasted.len() {
+            return Err(format!(
+                "stats \"wasted\" has {} bucket(s), want {}",
+                wasted_arr.len(),
+                wasted.len()
+            ));
+        }
+        for (slot, w) in wasted.iter_mut().zip(wasted_arr) {
+            *slot = w.as_u64().ok_or("non-integer \"wasted\" bucket")?;
         }
         Ok(CellStats {
             total_cycles: u("total_cycles")?,
@@ -140,9 +147,7 @@ impl CellStats {
                 .get("labeled_fraction")
                 .and_then(Json::as_f64)
                 .ok_or("stats missing \"labeled_fraction\"")?,
-            // Absent in result files written before the bench subcommand
-            // existed; those still diff cleanly on every other field.
-            total_ops: v.get("total_ops").and_then(Json::as_u64).unwrap_or(0),
+            total_ops: u("total_ops")?,
         })
     }
 }
@@ -243,9 +248,7 @@ impl CellResult {
     /// The JSON form of one cell result — identity, parameters, then
     /// stats or error. With `timing` set, host wall-clock and the trace
     /// summary ride along; without it the output is canonical (two runs
-    /// of the same cell emit byte-identical text). The timing form is
-    /// also the record a batch ledger's `completed` lines carry inline
-    /// (see [`crate::batch`]).
+    /// of the same cell emit byte-identical text).
     pub fn to_json(&self, timing: bool) -> Json {
         let c = self;
         let mut pairs = vec![
@@ -361,7 +364,7 @@ pub struct ResultSet {
     pub scale: u64,
     /// Cell results, ordered by cell index.
     pub cells: Vec<CellResult>,
-    /// Total host wall-clock milliseconds for the sweep.
+    /// Host wall-clock milliseconds: the sum of the cells' `wall_ms`.
     pub wall_ms: u64,
     /// Worker threads used.
     pub jobs: usize,
@@ -702,7 +705,7 @@ pub fn diff(baseline: &ResultSet, current: &ResultSet, rel_tol: f64) -> DiffRepo
             }
             continue;
         };
-        let fields: [(&'static str, f64, f64); 19] = [
+        let fields: [(&'static str, f64, f64); 20] = [
             (
                 "total_cycles",
                 bs.total_cycles as f64,
@@ -738,6 +741,7 @@ pub fn diff(baseline: &ResultSet, current: &ResultSet, rel_tol: f64) -> DiffRepo
             ("nacks_sent", bs.nacks_sent as f64, cs.nacks_sent as f64),
             ("total_gets", bs.total_gets() as f64, cs.total_gets() as f64),
             ("labeled_fraction", bs.labeled_fraction, cs.labeled_fraction),
+            ("total_ops", bs.total_ops as f64, cs.total_ops as f64),
         ];
         for (field, old, new) in fields {
             if !within(old, new) {
@@ -854,6 +858,36 @@ mod tests {
         let d = diff(&a, &b, 0.0);
         assert_eq!(d.missing.len(), 1);
         assert_eq!(d.extra.len(), 1);
+    }
+
+    #[test]
+    fn diff_catches_a_total_ops_change_alone() {
+        let a = sample_set();
+        let mut b = sample_set();
+        b.cells[0].stats.as_mut().unwrap().total_ops += 1;
+        let d = diff(&a, &b, 0.0);
+        let fields: Vec<&str> = d.changed.iter().map(|x| x.field).collect();
+        assert_eq!(fields, ["total_ops"]);
+    }
+
+    #[test]
+    fn malformed_stats_are_rejected_naming_the_field() {
+        let text = sample_set().to_json().compact();
+        for (from, to, want) in [
+            ("[1,2,3,4]", "[1,2]", "\"wasted\" has 2 bucket(s), want 4"),
+            (
+                "[1,2,3,4]",
+                "[1,2,3,4,5]",
+                "\"wasted\" has 5 bucket(s), want 4",
+            ),
+            ("[1,2,3,4]", "[1,2,3,-4]", "non-integer \"wasted\" bucket"),
+            (",\"total_ops\":0", "", "stats missing \"total_ops\""),
+        ] {
+            let edited = text.replacen(from, to, 1);
+            assert_ne!(edited, text, "{from} is in the sample");
+            let err = ResultSet::from_json_str(&edited).expect_err("malformed stats");
+            assert!(err.contains(want), "{to}: {err}");
+        }
     }
 
     #[test]

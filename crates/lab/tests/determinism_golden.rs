@@ -24,10 +24,9 @@
 
 use std::path::PathBuf;
 
-use commtm_lab::batch::{self, BatchPlan, Overrides, Replay};
-use commtm_lab::exec::{run_scenario_serial, ExecOptions};
+use commtm_lab::exec::{run_scenario_serial, run_scenarios_in, ExecOptions};
 use commtm_lab::spec::{Scenario, WorkloadSpec};
-use commtm_lab::{json, registry, scenarios, CellResult};
+use commtm_lab::{batch, figures, json, registry, scenarios, ResultSet};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -119,40 +118,32 @@ fn pinned_figure(
     s
 }
 
-/// FNV-1a of the single scenario's canonical (timing-free) results JSON.
-fn fingerprint(plan: &BatchPlan, results: &[CellResult]) -> String {
-    let sets = batch::assemble_sets(plan, results);
-    json::fnv1a(&sets[0].canonical_json().pretty())
+/// FNV-1a of a result set's canonical (timing-free) JSON.
+fn fingerprint(set: &ResultSet) -> String {
+    json::fnv1a(&set.canonical_json().pretty())
 }
 
-/// Runs `scenario` once through the ledger-backed batch path and checks
-/// the FNV-1a fingerprint of its canonical results JSON twice: for the
-/// sets assembled in memory, and for the sets a `--resume` of the
-/// completed ledger rebuilds from its records alone. Storing and
-/// reloading results may not change them.
+/// Runs `scenario` once through the batch path and checks the FNV-1a
+/// fingerprint of its canonical results JSON twice: for the set in
+/// memory, and for the set reloaded from the `<name>.json` the report
+/// writes. Writing and reloading results may not change them.
 fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
     let reg = registry::global();
     let dir =
         std::env::temp_dir().join(format!("commtm-determinism-{}-{grid}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = BatchPlan::from_scenarios(reg, grid, &Overrides::default(), vec![scenario])
-        .expect("pinned grid plans");
-    let opts = ExecOptions::default();
-    let outcome =
-        batch::run_batch(reg, &plan, &dir, None, "light", &opts).expect("pinned grid runs");
-    assert!(outcome.all_ok, "{grid}: every cell must complete");
-    let in_memory = fingerprint(&plan, &outcome.results);
+    let scenarios = [scenario];
+    let sets =
+        run_scenarios_in(reg, &scenarios, &ExecOptions::default()).expect("pinned grid runs");
+    assert!(sets[0].all_ok(), "{grid}: every cell must complete");
+    let in_memory = fingerprint(&sets[0]);
 
-    let prior = Replay::load(&dir).expect("ledger replays");
-    let resumed =
-        batch::run_batch(reg, &plan, &dir, Some(&prior), "light", &opts).expect("ledger resumes");
+    let theme = figures::theme_by_name("light").expect("the light theme exists");
+    batch::emit_report(&dir, &scenarios, &sets, theme, true).expect("report writes");
+    let written = std::fs::read_to_string(dir.join(format!("{}.json", scenarios[0].name)))
+        .expect("results file reads");
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        (resumed.summary.completed_kept, resumed.summary.simulated),
-        (plan.jobs.len(), 0),
-        "{grid}: resuming a completed ledger must keep every cell and simulate none"
-    );
-    let reloaded = fingerprint(&plan, &resumed.results);
+    let reloaded = fingerprint(&ResultSet::from_json_str(&written).expect("results file parses"));
 
     assert_eq!(
         in_memory, expected,
@@ -161,8 +152,8 @@ fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
     );
     assert_eq!(
         reloaded, expected,
-        "{grid}: ledger-reloaded fingerprint {reloaded} != pinned {expected} — \
-         storing and reloading results through the ledger changed them"
+        "{grid}: reloaded fingerprint {reloaded} != pinned {expected} — \
+         writing and reloading the results file changed them"
     );
 }
 
