@@ -80,7 +80,6 @@ pub fn estimated_cost_in(reg: &registry::Registry, cell: &spec::Cell, scale: u64
         .map(|params| {
             let (sum, count) = params.iter().fold((0u64, 0u64), |(s, n), (_, v)| match v {
                 spec::ParamValue::U64(x) => (s.saturating_add(*x), n + 1),
-                spec::ParamValue::F64(x) => (s.saturating_add(*x as u64), n + 1),
                 spec::ParamValue::Bool(b) => (s.saturating_add(u64::from(*b)), n + 1),
                 spec::ParamValue::Str(_) => (s, n),
             });
@@ -373,7 +372,7 @@ fn progress_line(scenario: &Scenario, result: &CellResult, finished: usize, tota
 mod tests {
     use super::*;
     use crate::spec::WorkloadSpec;
-    use commtm_workloads::micro::counter;
+    use commtm_workloads::micro::counter::Counter;
     use commtm_workloads::{BaseCfg, ParamSchema, Params, RunOutcome, Workload, WorkloadKind};
     use std::sync::Arc;
 
@@ -481,10 +480,10 @@ mod tests {
         }
         fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
             self.0.fetch_add(1, Ordering::Relaxed);
-            counter::execute(&counter::Cfg::new(base, params.u64("total_incs")))
+            Counter.run(base, params)
         }
         fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-            counter::check(&counter::Cfg::new(*base, params.u64("total_incs")), run);
+            Counter.oracle(base, params, run);
         }
     }
 

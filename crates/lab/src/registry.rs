@@ -269,10 +269,6 @@ fn parse_cli_value(ty: commtm_workloads::ParamType, raw: &str) -> Result<ParamVa
             .parse::<u64>()
             .map(ParamValue::U64)
             .map_err(|_| format!("{raw:?} is not a u64")),
-        ParamType::F64 => raw
-            .parse::<f64>()
-            .map(ParamValue::F64)
-            .map_err(|_| format!("{raw:?} is not an f64")),
         ParamType::Bool => match raw {
             "true" | "1" => Ok(ParamValue::Bool(true)),
             "false" | "0" => Ok(ParamValue::Bool(false)),
@@ -385,6 +381,19 @@ mod tests {
     }
 
     #[test]
+    fn float_params_are_rejected_naming_the_parameter() {
+        // No workload declares a float parameter: a float from TOML or
+        // `--param` fails before any cell runs, naming the parameter.
+        let toml = "name = \"x\"\n[[workload]]\nname = \"counter\"\ntotal_incs = 1.5\n";
+        let err = crate::toml::scenario_from_toml(toml).unwrap_err();
+        assert!(err.contains("\"total_incs\""), "{err}");
+        let mut scn = Scenario::new("t", "t").workload(WorkloadSpec::named("counter"));
+        let err = apply_param_override(global(), &mut scn, "total_incs=1.5").unwrap_err();
+        assert!(err.contains("--param total_incs:"), "{err}");
+        assert!(scn.workloads[0].params.is_empty());
+    }
+
+    #[test]
     fn cli_param_overrides_refuse_to_flatten_differentiated_specs() {
         let reg = global();
         // bank.toml-shaped: three specs deliberately distinct on `mix`.
@@ -420,6 +429,7 @@ mod tests {
 
     #[test]
     fn registries_are_extensible_and_shadowable() {
+        use commtm_workloads::micro::counter::Counter;
         struct Twice;
         impl Workload for Twice {
             fn name(&self) -> &'static str {
@@ -435,9 +445,7 @@ mod tests {
                 commtm_workloads::ParamSchema::new().u64("total_incs", 10, "n")
             }
             fn run(&self, base: BaseCfg, params: &Params) -> commtm_workloads::RunOutcome {
-                commtm_workloads::micro::counter::execute(
-                    &commtm_workloads::micro::counter::Cfg::new(base, 2 * params.u64("total_incs")),
-                )
+                Counter.run(base, &doubled(base.threads, params))
             }
             fn oracle(
                 &self,
@@ -445,14 +453,16 @@ mod tests {
                 params: &Params,
                 run: &mut commtm_workloads::RunOutcome,
             ) {
-                commtm_workloads::micro::counter::check(
-                    &commtm_workloads::micro::counter::Cfg::new(
-                        *base,
-                        2 * params.u64("total_incs"),
-                    ),
-                    run,
-                );
+                Counter.oracle(base, &doubled(base.threads, params), run);
             }
+        }
+        /// The builtin counter's parameters at twice `params`' increments.
+        fn doubled(threads: usize, params: &Params) -> Params {
+            let over = Params::from_iter([("total_incs", 2 * params.u64("total_incs"))]);
+            Counter
+                .schema()
+                .resolve(1, threads, &over)
+                .expect("overrides fit the schema")
         }
         let mut reg = Registry::with_builtins();
         reg.register(Box::new(Twice));

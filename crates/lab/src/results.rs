@@ -158,7 +158,6 @@ impl CellStats {
 fn param_to_json(v: &ParamValue) -> Json {
     match v {
         ParamValue::U64(x) => Json::U64(*x),
-        ParamValue::F64(x) => Json::F64(*x),
         ParamValue::Bool(b) => Json::Bool(*b),
         ParamValue::Str(s) => Json::Str(s.clone()),
     }
@@ -167,7 +166,6 @@ fn param_to_json(v: &ParamValue) -> Json {
 fn param_from_json(v: &Json) -> Result<ParamValue, String> {
     Ok(match v {
         Json::U64(x) => ParamValue::U64(*x),
-        Json::F64(x) => ParamValue::F64(*x),
         Json::Bool(b) => ParamValue::Bool(*b),
         Json::Str(s) => ParamValue::Str(s.clone()),
         other => return Err(format!("unsupported param value {other:?}")),

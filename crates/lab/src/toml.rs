@@ -402,13 +402,12 @@ fn workload_from_json(v: &Json) -> Result<WorkloadSpec, String> {
             param => {
                 let typed = match value {
                     Json::U64(v) => commtm_workloads::ParamValue::U64(*v),
-                    Json::F64(v) => commtm_workloads::ParamValue::F64(*v),
                     Json::Bool(b) => commtm_workloads::ParamValue::Bool(*b),
                     Json::Str(s) => commtm_workloads::ParamValue::Str(s.clone()),
                     other => {
                         return Err(format!(
-                            "workload param {param:?} must be an integer, float, bool or \
-                             string (got {other:?})"
+                            "workload param {param:?} must be an integer, bool or string \
+                             (got {other:?})"
                         ))
                     }
                 };

@@ -24,38 +24,16 @@ use crate::ds::emit_barrier;
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, ParamValue, Params};
 
-/// Configuration for boruvka.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Grid side (nodes = side * side).
-    pub side: usize,
-    /// Probability (percent) of adding a diagonal shortcut per cell.
-    pub diagonal_pct: u64,
-}
-
-impl Cfg {
-    /// A scaled-down road-like default.
-    pub fn new(base: BaseCfg) -> Self {
-        Cfg {
-            base,
-            side: 12,
-            diagonal_pct: 30,
-        }
-    }
-}
-
 /// A host-side graph: `edges[e] = (u, v, w)` with distinct weights.
-pub struct Graph {
+struct Graph {
     /// Number of nodes.
-    pub nodes: usize,
+    nodes: usize,
     /// Edge list with distinct weights.
-    pub edges: Vec<(u64, u64, u64)>,
+    edges: Vec<(u64, u64, u64)>,
 }
 
 /// Generates the grid-plus-diagonals road-like graph.
-pub fn road_graph(side: usize, diagonal_pct: u64, seed: u64) -> Graph {
+fn road_graph(side: usize, diagonal_pct: u64, seed: u64) -> Graph {
     use rand::{rngs::StdRng, RngExt, SeedableRng};
     let mut rng = StdRng::seed_from_u64(seed ^ 0x726f_6164);
     let nodes = side * side;
@@ -88,39 +66,8 @@ pub fn road_graph(side: usize, diagonal_pct: u64, seed: u64) -> Graph {
     Graph { nodes, edges }
 }
 
-/// The set of edge indices in the (unique) MST, by Kruskal.
-pub fn kruskal_set(g: &Graph) -> std::collections::HashSet<usize> {
-    let mut parent: Vec<usize> = (0..g.nodes).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]];
-            x = parent[x];
-        }
-        x
-    }
-    let mut idx: Vec<usize> = (0..g.edges.len()).collect();
-    idx.sort_by_key(|&e| g.edges[e].2);
-    let mut set = std::collections::HashSet::new();
-    for e in idx {
-        let (u, v, _) = g.edges[e];
-        let (ru, rv) = (find(&mut parent, u as usize), find(&mut parent, v as usize));
-        if ru != rv {
-            parent[ru] = rv;
-            set.insert(e);
-        }
-    }
-    set
-}
-
-/// Like [`run`] but returns the marked edge set without asserting (debug
-/// aid).
-pub fn run_collect(cfg: &Cfg) -> std::collections::HashSet<usize> {
-    let mut out = execute(cfg);
-    marked_edges(&mut out)
-}
-
 /// Kruskal's algorithm on the host graph (the oracle).
-pub fn kruskal_weight(g: &Graph) -> u64 {
+fn kruskal_weight(g: &Graph) -> u64 {
     let mut parent: Vec<usize> = (0..g.nodes).collect();
     fn find(parent: &mut [usize], mut x: usize) -> usize {
         while parent[x] != x {
@@ -168,18 +115,6 @@ fn find_label(c: &mut TxCtx<'_, '_>, labels_base: Addr, mut x: u64, nodes: u64) 
     x
 }
 
-/// Runs boruvka; verifies the MST weight against Kruskal and the edge
-/// count against `nodes - 1`.
-///
-/// # Panics
-///
-/// Panics if the computed spanning tree differs from the oracle.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     weight: Addr,
@@ -190,235 +125,8 @@ struct Aux {
     oracle_weight: u64,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let g = road_graph(cfg.side, cfg.diagonal_pct, cfg.base.seed);
-    let oracle = kruskal_weight(&g);
-    let (nodes, nedges) = (g.nodes as u64, g.edges.len() as u64);
-
-    let mut b = cfg.base.builder();
-    let oput = b.register_label(labels::oput()).expect("label budget");
-    let min = b.register_label(labels::min()).expect("label budget");
-    let max = b.register_label(labels::max()).expect("label budget");
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    // Layout.
-    let labels_arr = m.heap_mut().alloc(nodes * 8, 64);
-    let edge_u = m.heap_mut().alloc(nedges * 8, 64);
-    let edge_v = m.heap_mut().alloc(nedges * 8, 64);
-    let edge_w = m.heap_mut().alloc(nedges * 8, 64);
-    // One OPUT (key, value) pair per component, line-aligned to keep the
-    // baseline free of false sharing (the pair fits one line).
-    let minedge: Vec<Addr> = (0..nodes).map(|_| m.heap_mut().alloc_lines(1)).collect();
-    // One mark per line: this transaction mixes plain reads (which fold
-    // the line into a full M copy) with MAX-labeled updates; padding keeps
-    // every line single-writer-of-one-word so the mixed access pattern
-    // cannot interleave stale full copies with partials.
-    let marks = m.heap_mut().alloc(nedges * 64, 64);
-    let weight = m.heap_mut().alloc_lines(1);
-    let changed = m.heap_mut().alloc(MAX_ROUNDS * 8, 64);
-    let barrier = m.heap_mut().alloc_lines(1);
-
-    for x in 0..nodes {
-        m.poke(labels_arr.offset_words(x), x);
-    }
-    for (e, &(u, v, w)) in g.edges.iter().enumerate() {
-        m.poke(edge_u.offset_words(e as u64), u);
-        m.poke(edge_v.offset_words(e as u64), v);
-        m.poke(edge_w.offset_words(e as u64), w);
-    }
-    for me in &minedge {
-        m.poke(*me, u64::MAX); // OPUT identity key
-    }
-
-    let threads = cfg.base.threads;
-    for t in 0..threads {
-        let e_lo = (nedges as usize) * t / threads;
-        let e_hi = (nedges as usize) * (t + 1) / threads;
-        let minedge = minedge.clone();
-        let mut p = Program::builder();
-
-        let round_top = p.here();
-        // ---- Phase A: ordered-put each cross edge into both components.
-        p.ctl(move |c| {
-            c.regs[R_E] = e_lo as u64;
-            Ctl::Next
-        });
-        if e_hi > e_lo {
-            let scan_top = p.here();
-            let me_a = minedge.clone();
-            p.tx(move |c| {
-                let e = c.reg(R_E);
-                let u = c.load(edge_u.offset_words(e));
-                let v = c.load(edge_v.offset_words(e));
-                let w = c.load(edge_w.offset_words(e));
-                let lu = find_label(c, labels_arr, u, nodes);
-                let lv = find_label(c, labels_arr, v, nodes);
-                if lu != lv && lu < nodes && lv < nodes {
-                    let key = w * (nedges + 1) + e; // distinct keys
-                    for comp in [lu, lv] {
-                        let slot = me_a[comp as usize];
-                        let cur = c.load_l(oput, slot);
-                        if key < cur {
-                            c.store_l(oput, slot, key);
-                            c.store_l(oput, slot.offset_words(1), e);
-                        }
-                    }
-                }
-                c.work(8);
-            });
-            p.ctl(move |c| {
-                c.regs[R_E] += 1;
-                if (c.regs[R_E] as usize) < e_hi {
-                    Ctl::Jump(scan_top)
-                } else {
-                    Ctl::Next
-                }
-            });
-        }
-        emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
-
-        // ---- Phase B: add selected edges, union components.
-        p.ctl(move |c| {
-            c.regs[R_C] = t as u64;
-            Ctl::Next
-        });
-        let comp_top = p.here();
-        let me_b = minedge.clone();
-        p.tx(move |c| {
-            let comp = c.reg(R_C);
-            if comp < nodes {
-                let slot = me_b[comp as usize];
-                let key = c.load(slot); // plain read: reduces the OPUT slot
-                if key != u64::MAX && key != 0 {
-                    let e = c.load(slot.offset_words(1));
-                    let u = c.load(edge_u.offset_words(e));
-                    let v = c.load(edge_v.offset_words(e));
-                    let w = c.load(edge_w.offset_words(e));
-                    let lu = find_label(c, labels_arr, u, nodes);
-                    let lv = find_label(c, labels_arr, v, nodes);
-                    if lu != lv && lu < nodes && lv < nodes {
-                        let (lo, hi) = (lu.min(lv), lu.max(lv));
-                        // Union: labels only ever decrease (MIN commutes).
-                        c.store_l(min, labels_arr.offset_words(hi), lo);
-                        // Both endpoint components may have selected this
-                        // edge; a *plain* read of the mark serializes the
-                        // two adders through ordinary conflict detection,
-                        // so the weight is counted exactly once. The mark
-                        // itself is a commutative MAX.
-                        let mk = c.load(marks.offset_words(e * 8));
-                        if mk == 0 {
-                            c.store_l(max, marks.offset_words(e * 8), 1);
-                            let tot = c.load_l(add, weight);
-                            c.store_l(add, weight, tot + w);
-                            let round = c.reg(R_ROUND);
-                            let ch = c.load_l(add, changed.offset_words(round));
-                            c.store_l(add, changed.offset_words(round), ch + 1);
-                        }
-                    }
-                }
-            }
-            c.work(8);
-        });
-        p.ctl(move |c| {
-            c.regs[R_C] += threads as u64;
-            if c.regs[R_C] < nodes {
-                Ctl::Jump(comp_top)
-            } else {
-                Ctl::Next
-            }
-        });
-        emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
-
-        // ---- Phase C: reset owned min-edge slots; check for termination.
-        let me_c = minedge.clone();
-        p.plain(move |c| {
-            let mut comp = t as u64;
-            while comp < nodes {
-                c.store(me_c[comp as usize], u64::MAX);
-                c.store(me_c[comp as usize].offset_words(1), 0);
-                comp += threads as u64;
-            }
-            let round = c.reg(R_ROUND);
-            let ch = c.load(changed.offset_words(round));
-            c.set_reg(R_DONE, u64::from(ch == 0));
-        });
-        emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
-        p.ctl(move |c| {
-            c.regs[R_ROUND] += 1;
-            if c.regs[R_DONE] == 1 || c.regs[R_ROUND] >= MAX_ROUNDS {
-                Ctl::Done
-            } else {
-                Ctl::Jump(round_top)
-            }
-        });
-        m.set_program(t, p.build(), ());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux {
-            weight,
-            marks,
-            nodes,
-            nedges,
-            oracle_weight: oracle,
-        }),
-    }
-}
-
-/// The edge indices marked as MST members by the finished run.
-fn marked_edges(out: &mut RunOutcome) -> std::collections::HashSet<usize> {
-    let &Aux { marks, nedges, .. } = out.aux.downcast_ref::<Aux>().expect("boruvka aux");
-    let mut marked = std::collections::HashSet::new();
-    for e in 0..nedges {
-        if out.machine.read_word(marks.offset_words(e * 8)) != 0 {
-            marked.insert(e as usize);
-        }
-    }
-    marked
-}
-
-/// The oracle: MST weight equals Kruskal's and the marked edges form a
-/// spanning tree (`nodes - 1` of them for a connected graph).
-///
-/// # Panics
-///
-/// Panics if the computed spanning tree differs from the oracle.
-pub fn check(_cfg: &Cfg, out: &mut RunOutcome) {
-    let &Aux {
-        weight,
-        nodes,
-        oracle_weight,
-        ..
-    } = out.aux.downcast_ref::<Aux>().expect("boruvka aux");
-    let got = out.machine.read_word(weight);
-    let marked = marked_edges(out);
-    assert_eq!(got, oracle_weight, "MST weight must match Kruskal");
-    assert_eq!(
-        marked.len() as u64,
-        nodes - 1,
-        "a connected graph's MST has n-1 edges"
-    );
-    out.machine
-        .check_invariants()
-        .expect("coherence invariants");
-}
-
 /// The registered boruvka application (Table II).
 pub struct Boruvka;
-
-impl Boruvka {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mut cfg = Cfg::new(base);
-        cfg.side = p.u64("side") as usize;
-        cfg.diagonal_pct = p.u64("diagonal_pct");
-        cfg
-    }
-}
 
 impl Workload for Boruvka {
     fn name(&self) -> &'static str {
@@ -495,11 +203,206 @@ impl Workload for Boruvka {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let g = road_graph(
+            params.u64("side") as usize,
+            params.u64("diagonal_pct"),
+            base.seed,
+        );
+        let oracle = kruskal_weight(&g);
+        let (nodes, nedges) = (g.nodes as u64, g.edges.len() as u64);
+
+        let mut b = base.builder();
+        let oput = b.register_label(labels::oput()).expect("label budget");
+        let min = b.register_label(labels::min()).expect("label budget");
+        let max = b.register_label(labels::max()).expect("label budget");
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        // Layout.
+        let labels_arr = m.heap_mut().alloc(nodes * 8, 64);
+        let edge_u = m.heap_mut().alloc(nedges * 8, 64);
+        let edge_v = m.heap_mut().alloc(nedges * 8, 64);
+        let edge_w = m.heap_mut().alloc(nedges * 8, 64);
+        // One OPUT (key, value) pair per component, line-aligned to keep the
+        // baseline free of false sharing (the pair fits one line).
+        let minedge: Vec<Addr> = (0..nodes).map(|_| m.heap_mut().alloc_lines(1)).collect();
+        // One mark per line: this transaction mixes plain reads (which fold
+        // the line into a full M copy) with MAX-labeled updates; padding keeps
+        // every line single-writer-of-one-word so the mixed access pattern
+        // cannot interleave stale full copies with partials.
+        let marks = m.heap_mut().alloc(nedges * 64, 64);
+        let weight = m.heap_mut().alloc_lines(1);
+        let changed = m.heap_mut().alloc(MAX_ROUNDS * 8, 64);
+        let barrier = m.heap_mut().alloc_lines(1);
+
+        for x in 0..nodes {
+            m.poke(labels_arr.offset_words(x), x);
+        }
+        for (e, &(u, v, w)) in g.edges.iter().enumerate() {
+            m.poke(edge_u.offset_words(e as u64), u);
+            m.poke(edge_v.offset_words(e as u64), v);
+            m.poke(edge_w.offset_words(e as u64), w);
+        }
+        for me in &minedge {
+            m.poke(*me, u64::MAX); // OPUT identity key
+        }
+
+        let threads = base.threads;
+        for t in 0..threads {
+            let e_lo = (nedges as usize) * t / threads;
+            let e_hi = (nedges as usize) * (t + 1) / threads;
+            let minedge = minedge.clone();
+            let mut p = Program::builder();
+
+            let round_top = p.here();
+            // ---- Phase A: ordered-put each cross edge into both components.
+            p.ctl(move |c| {
+                c.regs[R_E] = e_lo as u64;
+                Ctl::Next
+            });
+            if e_hi > e_lo {
+                let scan_top = p.here();
+                let me_a = minedge.clone();
+                p.tx(move |c| {
+                    let e = c.reg(R_E);
+                    let u = c.load(edge_u.offset_words(e));
+                    let v = c.load(edge_v.offset_words(e));
+                    let w = c.load(edge_w.offset_words(e));
+                    let lu = find_label(c, labels_arr, u, nodes);
+                    let lv = find_label(c, labels_arr, v, nodes);
+                    if lu != lv && lu < nodes && lv < nodes {
+                        let key = w * (nedges + 1) + e; // distinct keys
+                        for comp in [lu, lv] {
+                            let slot = me_a[comp as usize];
+                            let cur = c.load_l(oput, slot);
+                            if key < cur {
+                                c.store_l(oput, slot, key);
+                                c.store_l(oput, slot.offset_words(1), e);
+                            }
+                        }
+                    }
+                    c.work(8);
+                });
+                p.ctl(move |c| {
+                    c.regs[R_E] += 1;
+                    if (c.regs[R_E] as usize) < e_hi {
+                        Ctl::Jump(scan_top)
+                    } else {
+                        Ctl::Next
+                    }
+                });
+            }
+            emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
+
+            // ---- Phase B: add selected edges, union components.
+            p.ctl(move |c| {
+                c.regs[R_C] = t as u64;
+                Ctl::Next
+            });
+            let comp_top = p.here();
+            let me_b = minedge.clone();
+            p.tx(move |c| {
+                let comp = c.reg(R_C);
+                if comp < nodes {
+                    let slot = me_b[comp as usize];
+                    let key = c.load(slot); // plain read: reduces the OPUT slot
+                    if key != u64::MAX && key != 0 {
+                        let e = c.load(slot.offset_words(1));
+                        let u = c.load(edge_u.offset_words(e));
+                        let v = c.load(edge_v.offset_words(e));
+                        let w = c.load(edge_w.offset_words(e));
+                        let lu = find_label(c, labels_arr, u, nodes);
+                        let lv = find_label(c, labels_arr, v, nodes);
+                        if lu != lv && lu < nodes && lv < nodes {
+                            let (lo, hi) = (lu.min(lv), lu.max(lv));
+                            // Union: labels only ever decrease (MIN commutes).
+                            c.store_l(min, labels_arr.offset_words(hi), lo);
+                            // Both endpoint components may have selected this
+                            // edge; a *plain* read of the mark serializes the
+                            // two adders through ordinary conflict detection,
+                            // so the weight is counted exactly once. The mark
+                            // itself is a commutative MAX.
+                            let mk = c.load(marks.offset_words(e * 8));
+                            if mk == 0 {
+                                c.store_l(max, marks.offset_words(e * 8), 1);
+                                let tot = c.load_l(add, weight);
+                                c.store_l(add, weight, tot + w);
+                                let round = c.reg(R_ROUND);
+                                let ch = c.load_l(add, changed.offset_words(round));
+                                c.store_l(add, changed.offset_words(round), ch + 1);
+                            }
+                        }
+                    }
+                }
+                c.work(8);
+            });
+            p.ctl(move |c| {
+                c.regs[R_C] += threads as u64;
+                if c.regs[R_C] < nodes {
+                    Ctl::Jump(comp_top)
+                } else {
+                    Ctl::Next
+                }
+            });
+            emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
+
+            // ---- Phase C: reset owned min-edge slots; check for termination.
+            let me_c = minedge.clone();
+            p.plain(move |c| {
+                let mut comp = t as u64;
+                while comp < nodes {
+                    c.store(me_c[comp as usize], u64::MAX);
+                    c.store(me_c[comp as usize].offset_words(1), 0);
+                    comp += threads as u64;
+                }
+                let round = c.reg(R_ROUND);
+                let ch = c.load(changed.offset_words(round));
+                c.set_reg(R_DONE, u64::from(ch == 0));
+            });
+            emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
+            p.ctl(move |c| {
+                c.regs[R_ROUND] += 1;
+                if c.regs[R_DONE] == 1 || c.regs[R_ROUND] >= MAX_ROUNDS {
+                    Ctl::Done
+                } else {
+                    Ctl::Jump(round_top)
+                }
+            });
+            m.set_program(t, p.build(), ());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux {
+                weight,
+                marks,
+                nodes,
+                nedges,
+                oracle_weight: oracle,
+            }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: MST weight equals Kruskal's and the marked edges form a
+    /// spanning tree (`nodes - 1` of them for a connected graph).
+    fn oracle(&self, _base: &BaseCfg, _params: &Params, out: &mut RunOutcome) {
+        let &Aux {
+            weight,
+            marks,
+            nodes,
+            nedges,
+            oracle_weight,
+        } = out.aux.downcast_ref::<Aux>().expect("boruvka aux");
+        let m = &mut out.machine;
+        let got = m.read_word(weight);
+        let marked = (0..nedges)
+            .filter(|&e| m.read_word(marks.offset_words(e * 8)) != 0)
+            .count() as u64;
+        assert_eq!(got, oracle_weight, "MST weight must match Kruskal");
+        assert_eq!(marked, nodes - 1, "a connected graph's MST has n-1 edges");
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -527,19 +430,27 @@ mod tests {
         assert_eq!(ws.len(), g.edges.len(), "weights must be distinct");
     }
 
+    /// Runs and oracle-checks the MST of a `side`×`side` road graph on
+    /// `threads` cores.
+    fn run(threads: usize, scheme: Scheme, side: u64) -> RunReport {
+        let params = Boruvka
+            .schema()
+            .resolve(1, threads, &Params::from_iter([("side", side)]))
+            .expect("overrides fit the schema");
+        Boruvka
+            .run_checked(BaseCfg::new(threads, scheme), &params)
+            .0
+    }
+
     #[test]
     fn mst_matches_kruskal_under_both_schemes() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            let mut cfg = Cfg::new(BaseCfg::new(4, scheme));
-            cfg.side = 6;
-            run(&cfg);
+            run(4, scheme, 6);
         }
     }
 
     #[test]
     fn single_thread_mst() {
-        let mut cfg = Cfg::new(BaseCfg::new(1, Scheme::CommTm));
-        cfg.side = 5;
-        run(&cfg);
+        run(1, Scheme::CommTm, 5);
     }
 }

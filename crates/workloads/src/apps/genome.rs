@@ -16,32 +16,6 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for genome (the paper runs -g4096 -s64 -n640000; scaled
-/// defaults keep the duplicate ratio).
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total segments processed (with duplicates).
-    pub segments: u64,
-    /// Number of distinct segment values.
-    pub unique: u64,
-    /// Hash-set buckets.
-    pub buckets: u64,
-}
-
-impl Cfg {
-    /// A scaled default with the paper's roughly 10:1 duplicate ratio.
-    pub fn new(base: BaseCfg) -> Self {
-        Cfg {
-            base,
-            segments: 600,
-            unique: 64,
-            buckets: 128,
-        }
-    }
-}
-
 /// Per-thread tallies for the oracle.
 #[derive(Clone, Default)]
 struct Tally {
@@ -54,19 +28,6 @@ const R_I: usize = 0;
 const R_CUR: usize = 1;
 const NODE_BYTES: u64 = 64; // key at +0, next at +8
 
-/// Runs genome's dedup phase; verifies set contents and counter
-/// conservation.
-///
-/// # Panics
-///
-/// Panics if the set doesn't contain exactly the unique segments, or the
-/// remaining-space counter breaks conservation.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     buckets: Addr,
@@ -75,191 +36,8 @@ struct Aux {
     host_segments: Vec<u64>,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    let buckets = m.heap_mut().alloc(cfg.buckets * 8, 64);
-    let remaining = m.heap_mut().alloc_lines(1);
-    // Capacity: the paper's tables (-g4096) are sized well above the
-    // insert count, so the remaining-space counter stays comfortably
-    // positive and gathers are needed only when per-core partials run
-    // low — twice the unique count models that.
-    let capacity = cfg.unique * 2 + 16;
-    m.poke(remaining, capacity);
-
-    // Host-side segment stream: unique values interleaved, every value
-    // appearing at least once.
-    let seg_stream = m.heap_mut().alloc(cfg.segments * 8, 64);
-    let mut host_segments = Vec::with_capacity(cfg.segments as usize);
-    {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(cfg.base.seed ^ 0x6765_6e6f);
-        for i in 0..cfg.segments {
-            let u = if i < cfg.unique {
-                i
-            } else {
-                rng.random_range(0..cfg.unique)
-            };
-            let value = u.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1; // non-zero keys
-            host_segments.push(value);
-            m.poke(seg_stream.offset_words(i), value);
-        }
-    }
-
-    let threads = cfg.base.threads;
-    let nbuckets = cfg.buckets;
-    for t in 0..threads {
-        let lo = (cfg.segments as usize) * t / threads;
-        let hi = (cfg.segments as usize) * (t + 1) / threads;
-        let pool = m
-            .heap_mut()
-            .alloc(((hi - lo).max(1) as u64) * NODE_BYTES, 64);
-        let mut p = Program::builder();
-        if hi > lo {
-            let pool_base = pool.raw();
-            p.ctl(move |c| {
-                c.regs[R_I] = lo as u64;
-                c.regs[R_CUR] = pool_base;
-                Ctl::Next
-            });
-            let top = p.here();
-            p.tx(move |c| {
-                let i = c.reg(R_I);
-                let key = c.load(seg_stream.offset_words(i));
-                let h = key.wrapping_mul(0xff51_afd7_ed55_8ccd) % nbuckets;
-                let bucket = buckets.offset_words(h);
-                // Probe the chain for a duplicate.
-                let mut node = c.load(bucket);
-                let mut dup = false;
-                let mut hops = 0;
-                while node != 0 && hops < 128 {
-                    if c.load(Addr::new(node)) == key {
-                        dup = true;
-                        break;
-                    }
-                    node = c.load(Addr::new(node + 8));
-                    hops += 1;
-                }
-                c.work(12);
-                if dup {
-                    c.defer(|s: &mut Tally| s.duplicates += 1);
-                } else {
-                    // Bounded decrement of the remaining-space counter
-                    // (paper Sec. IV), then link a fresh node.
-                    let mut v = c.load_l(add, remaining);
-                    if v == 0 {
-                        v = c.load_gather(add, remaining);
-                    }
-                    if v == 0 {
-                        v = c.load(remaining);
-                    }
-                    if v == 0 {
-                        c.defer(|s: &mut Tally| s.overflows += 1);
-                    } else {
-                        c.store_l(add, remaining, v - 1);
-                        let node = c.reg(R_CUR);
-                        c.set_reg(R_CUR, node + NODE_BYTES);
-                        c.store(Addr::new(node), key);
-                        let head = c.load(bucket);
-                        c.store(Addr::new(node + 8), head);
-                        c.store(bucket, node);
-                        c.defer(|s: &mut Tally| s.inserted += 1);
-                    }
-                }
-            });
-            p.ctl(move |c| {
-                c.regs[R_I] += 1;
-                if (c.regs[R_I] as usize) < hi {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(t, p.build(), Tally::default());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux {
-            buckets,
-            remaining,
-            capacity,
-            host_segments,
-        }),
-    }
-}
-
-/// The oracle: the set contains exactly the unique segments once each,
-/// and the remaining-space counter conserves capacity.
-///
-/// # Panics
-///
-/// Panics on lost/duplicated keys or a conservation violation.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let aux = out.aux.downcast_ref::<Aux>().expect("genome aux");
-    let (buckets, remaining, capacity) = (aux.buckets, aux.remaining, aux.capacity);
-    let host_segments = aux.host_segments.clone();
-    let m = &mut out.machine;
-    let threads = cfg.base.threads;
-    let mut found = std::collections::HashSet::new();
-    for h in 0..cfg.buckets {
-        let mut node = m.read_word(buckets.offset_words(h));
-        let mut hops = 0;
-        while node != 0 {
-            let key = m.read_word(Addr::new(node));
-            assert!(found.insert(key), "duplicate key {key:#x} in the set");
-            node = m.read_word(Addr::new(node + 8));
-            hops += 1;
-            assert!(hops <= cfg.segments, "bucket chain must be acyclic");
-        }
-    }
-    let expected: std::collections::HashSet<u64> = host_segments.iter().copied().collect();
-    assert_eq!(
-        found, expected,
-        "set contents must equal the unique segments"
-    );
-
-    let mut inserted = 0u64;
-    let mut overflows = 0u64;
-    let mut processed = 0u64;
-    for t in 0..threads {
-        let s = m.env(t).user::<Tally>();
-        inserted += s.inserted;
-        overflows += s.overflows;
-        processed += s.inserted + s.duplicates + s.overflows;
-    }
-    assert_eq!(processed, cfg.segments);
-    assert_eq!(
-        overflows, 0,
-        "capacity has slack; overflow means lost space"
-    );
-    assert_eq!(inserted, expected.len() as u64);
-    assert_eq!(
-        m.read_word(remaining),
-        capacity - inserted,
-        "remaining-space conservation"
-    );
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered genome application (Table II).
 pub struct Genome;
-
-impl Genome {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mut cfg = Cfg::new(base);
-        cfg.segments = p.u64("segments");
-        cfg.unique = p.u64("unique");
-        cfg.buckets = p.u64("buckets");
-        cfg
-    }
-}
 
 impl Workload for Genome {
     fn name(&self) -> &'static str {
@@ -332,11 +110,174 @@ impl Workload for Genome {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let segments = params.u64("segments");
+        let unique = params.u64("unique");
+        let nbuckets = params.u64("buckets");
+        let mut b = base.builder();
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        let buckets = m.heap_mut().alloc(nbuckets * 8, 64);
+        let remaining = m.heap_mut().alloc_lines(1);
+        // Capacity: the paper's tables (-g4096) are sized well above the
+        // insert count, so the remaining-space counter stays comfortably
+        // positive and gathers are needed only when per-core partials run
+        // low — twice the unique count models that.
+        let capacity = unique * 2 + 16;
+        m.poke(remaining, capacity);
+
+        // Host-side segment stream: unique values interleaved, every value
+        // appearing at least once.
+        let seg_stream = m.heap_mut().alloc(segments * 8, 64);
+        let mut host_segments = Vec::with_capacity(segments as usize);
+        {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(base.seed ^ 0x6765_6e6f);
+            for i in 0..segments {
+                let u = if i < unique {
+                    i
+                } else {
+                    rng.random_range(0..unique)
+                };
+                let value = u.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1; // non-zero keys
+                host_segments.push(value);
+                m.poke(seg_stream.offset_words(i), value);
+            }
+        }
+
+        let threads = base.threads;
+        for t in 0..threads {
+            let lo = (segments as usize) * t / threads;
+            let hi = (segments as usize) * (t + 1) / threads;
+            let pool = m
+                .heap_mut()
+                .alloc(((hi - lo).max(1) as u64) * NODE_BYTES, 64);
+            let mut p = Program::builder();
+            if hi > lo {
+                let pool_base = pool.raw();
+                p.ctl(move |c| {
+                    c.regs[R_I] = lo as u64;
+                    c.regs[R_CUR] = pool_base;
+                    Ctl::Next
+                });
+                let top = p.here();
+                p.tx(move |c| {
+                    let i = c.reg(R_I);
+                    let key = c.load(seg_stream.offset_words(i));
+                    let h = key.wrapping_mul(0xff51_afd7_ed55_8ccd) % nbuckets;
+                    let bucket = buckets.offset_words(h);
+                    // Probe the chain for a duplicate.
+                    let mut node = c.load(bucket);
+                    let mut dup = false;
+                    let mut hops = 0;
+                    while node != 0 && hops < 128 {
+                        if c.load(Addr::new(node)) == key {
+                            dup = true;
+                            break;
+                        }
+                        node = c.load(Addr::new(node + 8));
+                        hops += 1;
+                    }
+                    c.work(12);
+                    if dup {
+                        c.defer(|s: &mut Tally| s.duplicates += 1);
+                    } else {
+                        // Bounded decrement of the remaining-space counter
+                        // (paper Sec. IV), then link a fresh node.
+                        let mut v = c.load_l(add, remaining);
+                        if v == 0 {
+                            v = c.load_gather(add, remaining);
+                        }
+                        if v == 0 {
+                            v = c.load(remaining);
+                        }
+                        if v == 0 {
+                            c.defer(|s: &mut Tally| s.overflows += 1);
+                        } else {
+                            c.store_l(add, remaining, v - 1);
+                            let node = c.reg(R_CUR);
+                            c.set_reg(R_CUR, node + NODE_BYTES);
+                            c.store(Addr::new(node), key);
+                            let head = c.load(bucket);
+                            c.store(Addr::new(node + 8), head);
+                            c.store(bucket, node);
+                            c.defer(|s: &mut Tally| s.inserted += 1);
+                        }
+                    }
+                });
+                p.ctl(move |c| {
+                    c.regs[R_I] += 1;
+                    if (c.regs[R_I] as usize) < hi {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(t, p.build(), Tally::default());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux {
+                buckets,
+                remaining,
+                capacity,
+                host_segments,
+            }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: the set contains exactly the unique segments once
+    /// each, and the remaining-space counter conserves capacity.
+    fn oracle(&self, base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let segments = params.u64("segments");
+        let aux = out.aux.downcast_ref::<Aux>().expect("genome aux");
+        let (buckets, remaining, capacity) = (aux.buckets, aux.remaining, aux.capacity);
+        let host_segments = aux.host_segments.clone();
+        let m = &mut out.machine;
+        let threads = base.threads;
+        let mut found = std::collections::HashSet::new();
+        for h in 0..params.u64("buckets") {
+            let mut node = m.read_word(buckets.offset_words(h));
+            let mut hops = 0;
+            while node != 0 {
+                let key = m.read_word(Addr::new(node));
+                assert!(found.insert(key), "duplicate key {key:#x} in the set");
+                node = m.read_word(Addr::new(node + 8));
+                hops += 1;
+                assert!(hops <= segments, "bucket chain must be acyclic");
+            }
+        }
+        let expected: std::collections::HashSet<u64> = host_segments.iter().copied().collect();
+        assert_eq!(
+            found, expected,
+            "set contents must equal the unique segments"
+        );
+
+        let mut inserted = 0u64;
+        let mut overflows = 0u64;
+        let mut processed = 0u64;
+        for t in 0..threads {
+            let s = m.env(t).user::<Tally>();
+            inserted += s.inserted;
+            overflows += s.overflows;
+            processed += s.inserted + s.duplicates + s.overflows;
+        }
+        assert_eq!(processed, segments);
+        assert_eq!(
+            overflows, 0,
+            "capacity has slack; overflow means lost space"
+        );
+        assert_eq!(inserted, expected.len() as u64);
+        assert_eq!(
+            m.read_word(remaining),
+            capacity - inserted,
+            "remaining-space conservation"
+        );
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -345,30 +286,33 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `segments` segments of `unique` distinct
+    /// values over 128 buckets on `threads` cores.
+    fn run(threads: usize, scheme: Scheme, segments: u64, unique: u64) -> RunReport {
+        let over =
+            Params::from_iter([("segments", segments), ("unique", unique), ("buckets", 128)]);
+        let params = Genome
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        Genome.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
+
     #[test]
     fn dedup_correct_under_both_schemes() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            let mut cfg = Cfg::new(BaseCfg::new(4, scheme));
-            cfg.segments = 200;
-            cfg.unique = 32;
-            run(&cfg);
+            run(4, scheme, 200, 32);
         }
     }
 
     #[test]
     fn single_thread_dedup() {
-        let mut cfg = Cfg::new(BaseCfg::new(1, Scheme::CommTm));
-        cfg.segments = 100;
-        cfg.unique = 16;
-        run(&cfg);
+        run(1, Scheme::CommTm, 100, 16);
     }
 
     #[test]
     fn gathers_fire_under_commtm() {
-        let mut cfg = Cfg::new(BaseCfg::new(8, Scheme::CommTm));
-        cfg.segments = 400;
-        cfg.unique = 128;
-        let r = run(&cfg);
+        let r = run(8, Scheme::CommTm, 400, 128);
         assert!(r.core_totals().labeled_ops > 0);
     }
 }

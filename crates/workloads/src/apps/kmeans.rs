@@ -17,55 +17,11 @@ use crate::ds::emit_barrier;
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for kmeans (the paper runs n16384-d24-c16 for up to 15
-/// iterations; defaults here are scaled for simulation time).
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Number of points.
-    pub n: usize,
-    /// Dimensions per point (≤ 16).
-    pub d: usize,
-    /// Number of clusters.
-    pub k: usize,
-    /// Iterations (fixed, for determinism; the paper uses a convergence
-    /// threshold).
-    pub iters: usize,
-}
-
-impl Cfg {
-    /// A scaled-down default shaped like the paper's input.
-    pub fn new(base: BaseCfg) -> Self {
-        Cfg {
-            base,
-            n: 256,
-            d: 4,
-            k: 8,
-            iters: 3,
-        }
-    }
-}
-
 // Register assignments (R_PHASE also uses R_PHASE+1 as barrier scratch).
 const R_PHASE: usize = 0;
 const R_P: usize = 2;
 const R_C: usize = 3;
 const R_ITER: usize = 4;
-
-/// Runs kmeans; verifies the final centroids against a host-side
-/// recomputation from the recorded assignments.
-///
-/// # Panics
-///
-/// Panics if any final centroid deviates from the oracle beyond
-/// floating-point reassociation tolerance, or if assignments don't sum to
-/// `n`.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
 
 /// What the oracle needs from the simulation setup.
 struct Aux {
@@ -74,203 +30,8 @@ struct Aux {
     host_points: Vec<f64>,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    assert!(cfg.k <= cfg.n, "need at least one point per cluster seed");
-    assert!(cfg.d <= 16, "dimension cap for the assignment closure");
-    let mut b = cfg.base.builder();
-    let fpadd = b.register_label(labels::fp_add()).expect("label budget");
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    let (n, d, k) = (cfg.n, cfg.d, cfg.k);
-    let points = m.heap_mut().alloc(n as u64 * d as u64 * 8, 64);
-    let assign = m.heap_mut().alloc(n as u64 * 8, 64);
-    let centers = m.heap_mut().alloc(k as u64 * d as u64 * 8, 64);
-    let sums: Vec<Addr> = (0..k)
-        .map(|_| m.heap_mut().alloc(d as u64 * 8, 64))
-        .collect();
-    let counts: Vec<Addr> = (0..k).map(|_| m.heap_mut().alloc_lines(1)).collect();
-    let barrier = m.heap_mut().alloc_lines(1);
-
-    // Host-side input generation: blobs around k anchors.
-    let mut host_points = vec![0f64; n * d];
-    {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(cfg.base.seed ^ 0x6b6d_6561_6e73);
-        for p in 0..n {
-            let anchor = p % k;
-            for dim in 0..d {
-                let v = (anchor * 10 + dim) as f64 + rng.random_range(-2.0..2.0);
-                host_points[p * d + dim] = v;
-                m.poke(points.offset_words((p * d + dim) as u64), v.to_bits());
-            }
-        }
-    }
-    // Seed centers with the first k points.
-    for c in 0..k {
-        for dim in 0..d {
-            m.poke(
-                centers.offset_words((c * d + dim) as u64),
-                host_points[c * d + dim].to_bits(),
-            );
-        }
-    }
-
-    let threads = cfg.base.threads;
-    for t in 0..threads {
-        let lo = n * t / threads;
-        let hi = n * (t + 1) / threads;
-        let mut p = Program::builder();
-
-        let iter_top = p.here();
-        p.ctl(move |c| {
-            c.regs[R_P] = lo as u64;
-            Ctl::Next
-        });
-        let point_top = p.here();
-        // Assignment: read the point and every center, pick the nearest.
-        p.plain(move |c| {
-            let pi = c.reg(R_P) as usize;
-            let mut coords = [0f64; 16];
-            for (dim, coord) in coords.iter_mut().enumerate().take(d) {
-                *coord = f64::from_bits(c.load(points.offset_words((pi * d + dim) as u64)));
-            }
-            let mut best = (f64::INFINITY, 0usize);
-            for cl in 0..k {
-                let mut dist = 0f64;
-                for (dim, coord) in coords.iter().enumerate().take(d) {
-                    let cv = f64::from_bits(c.load(centers.offset_words((cl * d + dim) as u64)));
-                    let delta = coord - cv;
-                    dist += delta * delta;
-                }
-                if dist < best.0 {
-                    best = (dist, cl);
-                }
-            }
-            c.work(4 * (k * d) as u64); // distance arithmetic
-            c.store(assign.offset_words(pi as u64), best.1 as u64);
-            c.set_reg(R_C, best.1 as u64);
-        });
-        // Accumulate into the chosen cluster (the commutative hotspot).
-        let sums_tx = sums.clone();
-        let counts_tx = counts.clone();
-        p.tx(move |c| {
-            let pi = c.reg(R_P) as usize;
-            let cl = (c.reg(R_C) as usize).min(k - 1);
-            for dim in 0..d {
-                let a = sums_tx[cl].offset_words(dim as u64);
-                let cur = f64::from_bits(c.load_l(fpadd, a));
-                let pv = f64::from_bits(c.load(points.offset_words((pi * d + dim) as u64)));
-                c.store_l(fpadd, a, (cur + pv).to_bits());
-            }
-            let cnt = c.load_l(add, counts_tx[cl]);
-            c.store_l(add, counts_tx[cl], cnt + 1);
-        });
-        p.ctl(move |c| {
-            c.regs[R_P] += 1;
-            if (c.regs[R_P] as usize) < hi {
-                Ctl::Jump(point_top)
-            } else {
-                Ctl::Next
-            }
-        });
-        emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
-        // Recompute owned clusters' centers and reset accumulators.
-        let sums_rc = sums.clone();
-        let counts_rc = counts.clone();
-        p.plain(move |c| {
-            for cl in (t..k).step_by(threads.max(1)) {
-                let cnt = c.load(counts_rc[cl]);
-                for dim in 0..d {
-                    let s = f64::from_bits(c.load(sums_rc[cl].offset_words(dim as u64)));
-                    if cnt > 0 {
-                        let mean = s / cnt as f64;
-                        c.store(centers.offset_words((cl * d + dim) as u64), mean.to_bits());
-                    }
-                    c.store(sums_rc[cl].offset_words(dim as u64), 0);
-                }
-                c.store(counts_rc[cl], 0);
-            }
-        });
-        emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
-        let iters = cfg.iters as u64;
-        p.ctl(move |c| {
-            c.regs[R_ITER] += 1;
-            if c.regs[R_ITER] < iters {
-                Ctl::Jump(iter_top)
-            } else {
-                Ctl::Done
-            }
-        });
-        m.set_program(t, p.build(), ());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux {
-            assign,
-            centers,
-            host_points,
-        }),
-    }
-}
-
-/// The oracle: recompute the final centers from the recorded assignments.
-///
-/// # Panics
-///
-/// Panics if any final centroid deviates beyond floating-point
-/// reassociation tolerance.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let (n, d, k) = (cfg.n, cfg.d, cfg.k);
-    let aux = out.aux.downcast_ref::<Aux>().expect("kmeans aux");
-    let (assign, centers) = (aux.assign, aux.centers);
-    let host_points = aux.host_points.clone();
-    let m = &mut out.machine;
-    let mut sums_h = vec![0f64; k * d];
-    let mut counts_h = vec![0u64; k];
-    for pi in 0..n {
-        let cl = m.read_word(assign.offset_words(pi as u64)) as usize;
-        assert!(cl < k, "assignment out of range");
-        counts_h[cl] += 1;
-        for dim in 0..d {
-            sums_h[cl * d + dim] += host_points[pi * d + dim];
-        }
-    }
-    assert_eq!(counts_h.iter().sum::<u64>(), n as u64);
-    for cl in 0..k {
-        if counts_h[cl] == 0 {
-            continue;
-        }
-        for dim in 0..d {
-            let want = sums_h[cl * d + dim] / counts_h[cl] as f64;
-            let got = f64::from_bits(m.read_word(centers.offset_words((cl * d + dim) as u64)));
-            let tol = 1e-6 * want.abs().max(1.0);
-            assert!(
-                (got - want).abs() <= tol,
-                "center[{cl}][{dim}]: got {got}, want {want}"
-            );
-        }
-    }
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered kmeans application (Table II).
 pub struct Kmeans;
-
-impl Kmeans {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mut cfg = Cfg::new(base);
-        cfg.n = p.u64("n") as usize;
-        cfg.d = p.u64("d") as usize;
-        cfg.k = p.u64("k") as usize;
-        cfg.iters = p.u64("iters") as usize;
-        cfg
-    }
-}
 
 impl Workload for Kmeans {
     fn name(&self) -> &'static str {
@@ -328,11 +89,187 @@ impl Workload for Kmeans {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let n = params.u64("n") as usize;
+        let d = params.u64("d") as usize;
+        let k = params.u64("k") as usize;
+        let iters = params.u64("iters");
+        assert!(k <= n, "need at least one point per cluster seed");
+        assert!(d <= 16, "dimension cap for the assignment closure");
+        let mut b = base.builder();
+        let fpadd = b.register_label(labels::fp_add()).expect("label budget");
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        let points = m.heap_mut().alloc(n as u64 * d as u64 * 8, 64);
+        let assign = m.heap_mut().alloc(n as u64 * 8, 64);
+        let centers = m.heap_mut().alloc(k as u64 * d as u64 * 8, 64);
+        let sums: Vec<Addr> = (0..k)
+            .map(|_| m.heap_mut().alloc(d as u64 * 8, 64))
+            .collect();
+        let counts: Vec<Addr> = (0..k).map(|_| m.heap_mut().alloc_lines(1)).collect();
+        let barrier = m.heap_mut().alloc_lines(1);
+
+        // Host-side input generation: blobs around k anchors.
+        let mut host_points = vec![0f64; n * d];
+        {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(base.seed ^ 0x6b6d_6561_6e73);
+            for p in 0..n {
+                let anchor = p % k;
+                for dim in 0..d {
+                    let v = (anchor * 10 + dim) as f64 + rng.random_range(-2.0..2.0);
+                    host_points[p * d + dim] = v;
+                    m.poke(points.offset_words((p * d + dim) as u64), v.to_bits());
+                }
+            }
+        }
+        // Seed centers with the first k points.
+        for c in 0..k {
+            for dim in 0..d {
+                m.poke(
+                    centers.offset_words((c * d + dim) as u64),
+                    host_points[c * d + dim].to_bits(),
+                );
+            }
+        }
+
+        let threads = base.threads;
+        for t in 0..threads {
+            let lo = n * t / threads;
+            let hi = n * (t + 1) / threads;
+            let mut p = Program::builder();
+
+            let iter_top = p.here();
+            p.ctl(move |c| {
+                c.regs[R_P] = lo as u64;
+                Ctl::Next
+            });
+            let point_top = p.here();
+            // Assignment: read the point and every center, pick the nearest.
+            p.plain(move |c| {
+                let pi = c.reg(R_P) as usize;
+                let mut coords = [0f64; 16];
+                for (dim, coord) in coords.iter_mut().enumerate().take(d) {
+                    *coord = f64::from_bits(c.load(points.offset_words((pi * d + dim) as u64)));
+                }
+                let mut best = (f64::INFINITY, 0usize);
+                for cl in 0..k {
+                    let mut dist = 0f64;
+                    for (dim, coord) in coords.iter().enumerate().take(d) {
+                        let cv =
+                            f64::from_bits(c.load(centers.offset_words((cl * d + dim) as u64)));
+                        let delta = coord - cv;
+                        dist += delta * delta;
+                    }
+                    if dist < best.0 {
+                        best = (dist, cl);
+                    }
+                }
+                c.work(4 * (k * d) as u64); // distance arithmetic
+                c.store(assign.offset_words(pi as u64), best.1 as u64);
+                c.set_reg(R_C, best.1 as u64);
+            });
+            // Accumulate into the chosen cluster (the commutative hotspot).
+            let sums_tx = sums.clone();
+            let counts_tx = counts.clone();
+            p.tx(move |c| {
+                let pi = c.reg(R_P) as usize;
+                let cl = (c.reg(R_C) as usize).min(k - 1);
+                for dim in 0..d {
+                    let a = sums_tx[cl].offset_words(dim as u64);
+                    let cur = f64::from_bits(c.load_l(fpadd, a));
+                    let pv = f64::from_bits(c.load(points.offset_words((pi * d + dim) as u64)));
+                    c.store_l(fpadd, a, (cur + pv).to_bits());
+                }
+                let cnt = c.load_l(add, counts_tx[cl]);
+                c.store_l(add, counts_tx[cl], cnt + 1);
+            });
+            p.ctl(move |c| {
+                c.regs[R_P] += 1;
+                if (c.regs[R_P] as usize) < hi {
+                    Ctl::Jump(point_top)
+                } else {
+                    Ctl::Next
+                }
+            });
+            emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
+            // Recompute owned clusters' centers and reset accumulators.
+            let sums_rc = sums.clone();
+            let counts_rc = counts.clone();
+            p.plain(move |c| {
+                for cl in (t..k).step_by(threads.max(1)) {
+                    let cnt = c.load(counts_rc[cl]);
+                    for dim in 0..d {
+                        let s = f64::from_bits(c.load(sums_rc[cl].offset_words(dim as u64)));
+                        if cnt > 0 {
+                            let mean = s / cnt as f64;
+                            c.store(centers.offset_words((cl * d + dim) as u64), mean.to_bits());
+                        }
+                        c.store(sums_rc[cl].offset_words(dim as u64), 0);
+                    }
+                    c.store(counts_rc[cl], 0);
+                }
+            });
+            emit_barrier(&mut p, barrier, threads as u64, R_PHASE);
+            p.ctl(move |c| {
+                c.regs[R_ITER] += 1;
+                if c.regs[R_ITER] < iters {
+                    Ctl::Jump(iter_top)
+                } else {
+                    Ctl::Done
+                }
+            });
+            m.set_program(t, p.build(), ());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux {
+                assign,
+                centers,
+                host_points,
+            }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: recompute the final centers from the recorded
+    /// assignments, within floating-point reassociation tolerance.
+    fn oracle(&self, _base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let n = params.u64("n") as usize;
+        let d = params.u64("d") as usize;
+        let k = params.u64("k") as usize;
+        let aux = out.aux.downcast_ref::<Aux>().expect("kmeans aux");
+        let (assign, centers) = (aux.assign, aux.centers);
+        let host_points = aux.host_points.clone();
+        let m = &mut out.machine;
+        let mut sums_h = vec![0f64; k * d];
+        let mut counts_h = vec![0u64; k];
+        for pi in 0..n {
+            let cl = m.read_word(assign.offset_words(pi as u64)) as usize;
+            assert!(cl < k, "assignment out of range");
+            counts_h[cl] += 1;
+            for dim in 0..d {
+                sums_h[cl * d + dim] += host_points[pi * d + dim];
+            }
+        }
+        assert_eq!(counts_h.iter().sum::<u64>(), n as u64);
+        for cl in 0..k {
+            if counts_h[cl] == 0 {
+                continue;
+            }
+            for dim in 0..d {
+                let want = sums_h[cl * d + dim] / counts_h[cl] as f64;
+                let got = f64::from_bits(m.read_word(centers.offset_words((cl * d + dim) as u64)));
+                let tol = 1e-6 * want.abs().max(1.0);
+                assert!(
+                    (got - want).abs() <= tol,
+                    "center[{cl}][{dim}]: got {got}, want {want}"
+                );
+            }
+        }
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -341,33 +278,33 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `iters` iterations over `n` points on
+    /// `threads` cores.
+    fn run(threads: usize, scheme: Scheme, n: u64, iters: u64) -> RunReport {
+        let over = Params::from_iter([("n", n), ("iters", iters)]);
+        let params = Kmeans
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        Kmeans.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
+
     #[test]
     fn clusters_match_oracle_under_both_schemes() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            let mut cfg = Cfg::new(BaseCfg::new(4, scheme));
-            cfg.n = 64;
-            cfg.iters = 2;
-            run(&cfg);
+            run(4, scheme, 64, 2);
         }
     }
 
     #[test]
     fn single_thread_matches_oracle() {
-        let mut cfg = Cfg::new(BaseCfg::new(1, Scheme::CommTm));
-        cfg.n = 32;
-        cfg.iters = 2;
-        run(&cfg);
+        run(1, Scheme::CommTm, 32, 2);
     }
 
     #[test]
     fn commtm_wastes_no_more_than_baseline() {
-        let mut base_cfg = Cfg::new(BaseCfg::new(8, Scheme::Baseline));
-        base_cfg.n = 96;
-        base_cfg.iters = 2;
-        let mut comm_cfg = base_cfg;
-        comm_cfg.base = BaseCfg::new(8, Scheme::CommTm);
-        let base = run(&base_cfg);
-        let comm = run(&comm_cfg);
+        let base = run(8, Scheme::Baseline, 96, 2);
+        let comm = run(8, Scheme::CommTm, 96, 2);
         assert!(comm.cycle_breakdown().aborted <= base.cycle_breakdown().aborted);
     }
 }

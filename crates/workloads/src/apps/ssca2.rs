@@ -16,49 +16,8 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for ssca2 (the paper runs -s16, i.e. 2^16 nodes; scaled
-/// defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Number of nodes.
-    pub nodes: usize,
-    /// Number of edges.
-    pub edges: usize,
-    /// Edges per global-metadata batch update.
-    pub batch: usize,
-    /// Non-memory work cycles per edge (hashing, generation).
-    pub work_per_edge: u64,
-}
-
-impl Cfg {
-    /// A scaled-down default shaped like the paper's input.
-    pub fn new(base: BaseCfg) -> Self {
-        Cfg {
-            base,
-            nodes: 1024,
-            edges: 2048,
-            batch: 16,
-            work_per_edge: 24,
-        }
-    }
-}
-
 const R_E: usize = 0; // edge index
 const R_BATCH: usize = 1; // edges since last metadata update
-
-/// Runs ssca2; verifies degree sums and the global edge counter.
-///
-/// # Panics
-///
-/// Panics if the per-node degrees don't sum to the edge count, or the
-/// global metadata counter disagrees.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
 
 /// What the oracle needs from the simulation setup.
 struct Aux {
@@ -67,139 +26,8 @@ struct Aux {
     host_deg: Vec<u64>,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    let (nodes, edges) = (cfg.nodes, cfg.edges);
-    let deg = m.heap_mut().alloc(nodes as u64 * 8, 64);
-    let edge_src = m.heap_mut().alloc(edges as u64 * 8, 64);
-    let total_edges = m.heap_mut().alloc_lines(1);
-
-    // Synthetic scale-free-ish edge endpoints (preferential towards low
-    // node ids, like RMAT output).
-    let mut host_deg = vec![0u64; nodes];
-    {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(cfg.base.seed ^ 0x5543_4132);
-        for e in 0..edges {
-            let r: f64 = rng.random_range(0.0..1.0);
-            let u = ((r * r) * nodes as f64) as usize % nodes;
-            host_deg[u] += 1;
-            m.poke(edge_src.offset_words(e as u64), u as u64);
-        }
-    }
-
-    let threads = cfg.base.threads;
-    for t in 0..threads {
-        let lo = edges * t / threads;
-        let hi = edges * (t + 1) / threads;
-        let batch = cfg.batch as u64;
-        let work = cfg.work_per_edge;
-        let mut p = Program::builder();
-        p.ctl(move |c| {
-            c.regs[R_E] = lo as u64;
-            c.regs[R_BATCH] = 0;
-            Ctl::Next
-        });
-        if hi > lo {
-            let top = p.here();
-            // Per-edge transaction: bump the endpoint's degree (plain RMW;
-            // rarely contended across 1024 nodes).
-            p.tx(move |c| {
-                c.work(work);
-                let e = c.reg(R_E);
-                let u = c.load(edge_src.offset_words(e));
-                let a = deg.offset_words(u % nodes as u64);
-                let dv = c.load(a);
-                c.store(a, dv + 1);
-            });
-            // Every `batch` edges, update global metadata (the commutative
-            // op of Table II). Layout: [decide] [meta tx] [advance], so the
-            // skip target is two blocks past the decision.
-            let decide = p.here();
-            let advance = decide + 2;
-            p.ctl(move |c| {
-                c.regs[R_BATCH] += 1;
-                if c.regs[R_BATCH] >= batch || c.regs[R_E] + 1 >= hi as u64 {
-                    Ctl::Next // fall through to the metadata tx
-                } else {
-                    Ctl::Jump(advance)
-                }
-            });
-            p.tx(move |c| {
-                let n = c.reg(R_BATCH);
-                let v = c.load_l(add, total_edges);
-                c.store_l(add, total_edges, v + n);
-                c.set_reg(R_BATCH, 0);
-            });
-            debug_assert_eq!(p.here(), advance);
-            p.ctl(move |c| {
-                c.regs[R_E] += 1;
-                if (c.regs[R_E] as usize) < hi {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(t, p.build(), ());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux {
-            deg,
-            total_edges,
-            host_deg,
-        }),
-    }
-}
-
-/// The oracle: per-node degrees match the host-side tally and sum to the
-/// edge count, which the global metadata counter must also equal.
-///
-/// # Panics
-///
-/// Panics on any mismatch.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let aux = out.aux.downcast_ref::<Aux>().expect("ssca2 aux");
-    let (deg, total_edges) = (aux.deg, aux.total_edges);
-    let host_deg = aux.host_deg.clone();
-    let m = &mut out.machine;
-    let edges = cfg.edges;
-    let total = m.read_word(total_edges);
-    assert_eq!(
-        total, edges as u64,
-        "global metadata counter must equal edge count"
-    );
-    let mut sum = 0u64;
-    for (u, &hd) in host_deg.iter().enumerate() {
-        let dv = m.read_word(deg.offset_words(u as u64));
-        assert_eq!(dv, hd, "degree of node {u}");
-        sum += dv;
-    }
-    assert_eq!(sum, edges as u64);
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered ssca2 application (Table II).
 pub struct Ssca2;
-
-impl Ssca2 {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mut cfg = Cfg::new(base);
-        cfg.nodes = p.u64("nodes") as usize;
-        cfg.edges = p.u64("edges") as usize;
-        cfg.batch = p.u64("batch") as usize;
-        cfg.work_per_edge = p.u64("work_per_edge");
-        cfg
-    }
-}
 
 impl Workload for Ssca2 {
     fn name(&self) -> &'static str {
@@ -255,11 +83,119 @@ impl Workload for Ssca2 {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let nodes = params.u64("nodes") as usize;
+        let edges = params.u64("edges") as usize;
+        let batch = params.u64("batch");
+        let work = params.u64("work_per_edge");
+        let mut b = base.builder();
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        let deg = m.heap_mut().alloc(nodes as u64 * 8, 64);
+        let edge_src = m.heap_mut().alloc(edges as u64 * 8, 64);
+        let total_edges = m.heap_mut().alloc_lines(1);
+
+        // Synthetic scale-free-ish edge endpoints (preferential towards low
+        // node ids, like RMAT output).
+        let mut host_deg = vec![0u64; nodes];
+        {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(base.seed ^ 0x5543_4132);
+            for e in 0..edges {
+                let r: f64 = rng.random_range(0.0..1.0);
+                let u = ((r * r) * nodes as f64) as usize % nodes;
+                host_deg[u] += 1;
+                m.poke(edge_src.offset_words(e as u64), u as u64);
+            }
+        }
+
+        let threads = base.threads;
+        for t in 0..threads {
+            let lo = edges * t / threads;
+            let hi = edges * (t + 1) / threads;
+            let mut p = Program::builder();
+            p.ctl(move |c| {
+                c.regs[R_E] = lo as u64;
+                c.regs[R_BATCH] = 0;
+                Ctl::Next
+            });
+            if hi > lo {
+                let top = p.here();
+                // Per-edge transaction: bump the endpoint's degree (plain RMW;
+                // rarely contended across 1024 nodes).
+                p.tx(move |c| {
+                    c.work(work);
+                    let e = c.reg(R_E);
+                    let u = c.load(edge_src.offset_words(e));
+                    let a = deg.offset_words(u % nodes as u64);
+                    let dv = c.load(a);
+                    c.store(a, dv + 1);
+                });
+                // Every `batch` edges, update global metadata (the commutative
+                // op of Table II). Layout: [decide] [meta tx] [advance], so the
+                // skip target is two blocks past the decision.
+                let decide = p.here();
+                let advance = decide + 2;
+                p.ctl(move |c| {
+                    c.regs[R_BATCH] += 1;
+                    if c.regs[R_BATCH] >= batch || c.regs[R_E] + 1 >= hi as u64 {
+                        Ctl::Next // fall through to the metadata tx
+                    } else {
+                        Ctl::Jump(advance)
+                    }
+                });
+                p.tx(move |c| {
+                    let n = c.reg(R_BATCH);
+                    let v = c.load_l(add, total_edges);
+                    c.store_l(add, total_edges, v + n);
+                    c.set_reg(R_BATCH, 0);
+                });
+                debug_assert_eq!(p.here(), advance);
+                p.ctl(move |c| {
+                    c.regs[R_E] += 1;
+                    if (c.regs[R_E] as usize) < hi {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(t, p.build(), ());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux {
+                deg,
+                total_edges,
+                host_deg,
+            }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: per-node degrees match the host-side tally and sum to
+    /// the edge count, which the global metadata counter must also equal.
+    fn oracle(&self, _base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let aux = out.aux.downcast_ref::<Aux>().expect("ssca2 aux");
+        let (deg, total_edges) = (aux.deg, aux.total_edges);
+        let host_deg = aux.host_deg.clone();
+        let m = &mut out.machine;
+        let edges = params.u64("edges");
+        let total = m.read_word(total_edges);
+        assert_eq!(
+            total, edges,
+            "global metadata counter must equal edge count"
+        );
+        let mut sum = 0u64;
+        for (u, &hd) in host_deg.iter().enumerate() {
+            let dv = m.read_word(deg.offset_words(u as u64));
+            assert_eq!(dv, hd, "degree of node {u}");
+            sum += dv;
+        }
+        assert_eq!(sum, edges);
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -268,21 +204,26 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `edges` edges over `nodes` nodes on
+    /// `threads` cores.
+    fn run(threads: usize, scheme: Scheme, nodes: u64, edges: u64) -> RunReport {
+        let over = Params::from_iter([("nodes", nodes), ("edges", edges)]);
+        let params = Ssca2
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        Ssca2.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
+
     #[test]
     fn degrees_and_metadata_match_under_both_schemes() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            let mut cfg = Cfg::new(BaseCfg::new(4, scheme));
-            cfg.nodes = 128;
-            cfg.edges = 256;
-            run(&cfg);
+            run(4, scheme, 128, 256);
         }
     }
 
     #[test]
     fn single_thread() {
-        let mut cfg = Cfg::new(BaseCfg::new(1, Scheme::CommTm));
-        cfg.nodes = 64;
-        cfg.edges = 100;
-        run(&cfg);
+        run(1, Scheme::CommTm, 64, 100);
     }
 }

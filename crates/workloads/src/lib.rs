@@ -2,23 +2,27 @@
 //!
 //! # Microbenchmarks (paper Sec. VI)
 //!
-//! - [`micro::counter`] — concurrent increments to one shared counter
-//!   (Fig. 9),
-//! - [`micro::refcount`] — bounded non-negative reference counters, with
-//!   and without gather requests (Fig. 10),
-//! - [`micro::list`] — concurrent linked-list enqueues/dequeues (Fig. 12),
-//! - [`micro::oput`] — ordered puts / priority updates (Fig. 13),
-//! - [`micro::topk`] — top-K set insertions (Fig. 14).
+//! - [`micro::counter::Counter`] — concurrent increments to one shared
+//!   counter (Fig. 9),
+//! - [`micro::refcount::Refcount`] — bounded non-negative reference
+//!   counters, with and without gather requests (Fig. 10),
+//! - [`micro::list::List`] — concurrent linked-list enqueues/dequeues
+//!   (Fig. 12),
+//! - [`micro::oput::Oput`] — ordered puts / priority updates (Fig. 13),
+//! - [`micro::topk::TopK`] — top-K set insertions (Fig. 14).
 //!
 //! # Full applications (paper Sec. VII, Table II)
 //!
-//! - [`apps::boruvka`] — minimum spanning tree with OPUT/MIN/MAX/ADD,
-//! - [`apps::kmeans`] — clustering with commutative centroid updates,
-//! - [`apps::ssca2`] — graph kernel with rare global metadata updates,
-//! - [`apps::genome`] — sequence dedup over a hash set with a bounded
-//!   remaining-space counter (uses gathers),
-//! - [`apps::vacation`] — travel reservations over relations with bounded
-//!   remaining-space counters (uses gathers).
+//! - [`apps::boruvka::Boruvka`] — minimum spanning tree with
+//!   OPUT/MIN/MAX/ADD,
+//! - [`apps::kmeans::Kmeans`] — clustering with commutative centroid
+//!   updates,
+//! - [`apps::ssca2::Ssca2`] — graph kernel with rare global metadata
+//!   updates,
+//! - [`apps::genome::Genome`] — sequence dedup over a hash set with a
+//!   bounded remaining-space counter (uses gathers),
+//! - [`apps::vacation::Vacation`] — travel reservations over relations
+//!   with bounded remaining-space counters (uses gathers).
 //!
 //! Every workload runs on both [`commtm::Scheme`]s from the *same* program
 //! (labels demote under the baseline), exposes a sequential **oracle**
@@ -27,12 +31,14 @@
 //!
 //! # The workload API
 //!
-//! Each module also ships a unit struct implementing the [`Workload`]
-//! trait — name, kind, summary, a typed declarative [`ParamSchema`], a
-//! `run` over [`BaseCfg`] + resolved [`Params`], and the explicit
-//! `oracle` hook. [`builtins`] enumerates them for registries; beyond the
-//! paper's ten, [`micro::bank`] demonstrates a string-valued `mix`
-//! parameter.
+//! Each module's only public item is a unit struct implementing the
+//! [`Workload`] trait — name, kind, summary, a typed declarative
+//! [`ParamSchema`] (the one place its parameter defaults live), a `run`
+//! over [`BaseCfg`] + resolved [`Params`], and the explicit `oracle`
+//! hook. Callers, tests included, resolve overrides against the schema
+//! with [`ParamSchema::resolve`] and go through the trait. [`builtins`]
+//! enumerates the workloads for registries; beyond the paper's ten,
+//! [`micro::bank::Bank`] demonstrates a string-valued `mix` parameter.
 
 pub mod apps;
 pub mod claims;

@@ -23,12 +23,12 @@ use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
 /// The named operation mixes `bank` accepts for its `mix` parameter.
-pub const MIXES: &[&str] = &["transfer-heavy", "mixed", "audit-heavy"];
+const MIXES: &[&str] = &["transfer-heavy", "mixed", "audit-heavy"];
 
 /// Operation mix: how often an operation is an audit instead of a
 /// transfer.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mix {
+enum Mix {
     /// 1% audits: transfers dominate, audits are rare consistency probes.
     TransferHeavy,
     /// 20% audits: the balanced default.
@@ -41,10 +41,10 @@ impl Mix {
     /// Every mix, in [`MIXES`] order (a conformance test pins the two
     /// lists together, so the schema's choices and the parser cannot
     /// drift apart).
-    pub const ALL: [Mix; 3] = [Mix::TransferHeavy, Mix::Mixed, Mix::AuditHeavy];
+    const ALL: [Mix; 3] = [Mix::TransferHeavy, Mix::Mixed, Mix::AuditHeavy];
 
     /// The mix's `mix`-parameter spelling.
-    pub fn name(self) -> &'static str {
+    fn name(self) -> &'static str {
         match self {
             Mix::TransferHeavy => "transfer-heavy",
             Mix::Mixed => "mixed",
@@ -57,7 +57,7 @@ impl Mix {
     /// # Errors
     ///
     /// Returns the accepted-name list for anything else.
-    pub fn parse(name: &str) -> Result<Mix, String> {
+    fn parse(name: &str) -> Result<Mix, String> {
         Mix::ALL
             .into_iter()
             .find(|m| m.name() == name)
@@ -70,39 +70,11 @@ impl Mix {
     }
 
     /// Percent of operations that are audits.
-    pub fn audit_pct(self) -> u64 {
+    fn audit_pct(self) -> u64 {
         match self {
             Mix::TransferHeavy => 1,
             Mix::Mixed => 20,
             Mix::AuditHeavy => 50,
-        }
-    }
-}
-
-/// Configuration for the bank microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total operations (transfers + audits) across all threads.
-    pub total_ops: u64,
-    /// Number of accounts (each on its own cache line; at least 2).
-    pub accounts: u64,
-    /// Starting balance per account.
-    pub initial_balance: u64,
-    /// Operation mix.
-    pub mix: Mix,
-}
-
-impl Cfg {
-    /// A configuration with the default footprint.
-    pub fn new(base: BaseCfg, total_ops: u64, mix: Mix) -> Self {
-        Cfg {
-            base,
-            total_ops,
-            accounts: 16,
-            initial_balance: 128,
-            mix,
         }
     }
 }
@@ -128,218 +100,13 @@ const R_AMT: usize = 4;
 const R_ACCT: usize = 5;
 const R_BAR: usize = 6; // and R_BAR + 1, barrier scratch
 
-/// Runs the benchmark; verifies balance conservation and audit
-/// consistency.
-///
-/// # Panics
-///
-/// Panics if any balance disagrees with the committed transfers, or any
-/// audit observed a non-conserved total.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     accounts: Vec<Addr>,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    assert!(cfg.accounts >= 2, "transfers need at least two accounts");
-    let mut b = cfg.base.builder();
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    // One balance per account, each on its own line (no false sharing
-    // under the baseline). Balances start at zero and are *seeded by the
-    // programs* below, so under CommTM every thread begins holding its
-    // own partial share of every account.
-    let accounts: Vec<Addr> = (0..cfg.accounts)
-        .map(|_| m.heap_mut().alloc_lines(1))
-        .collect();
-    let barrier = m.heap_mut().alloc_lines(1);
-    let expected_total = cfg.initial_balance * cfg.accounts;
-    let audit_pct = cfg.mix.audit_pct();
-    let naccounts = cfg.accounts;
-    let threads = cfg.base.threads;
-
-    for t in 0..threads {
-        let iters = cfg.base.share(cfg.total_ops, t);
-        let accounts = accounts.clone();
-        let mut p = Program::builder();
-        // Seeding phase: each thread credits its share of every account's
-        // initial balance with labeled ADDs — the deposits land in *its*
-        // partial values, the same way refcount starts every thread with
-        // `initial_refs` of its own (a central poke would hand the whole
-        // balance to whichever core touched the line first, and every
-        // other thread's debits would gather from the start).
-        let my_share = cfg.base.share(cfg.initial_balance, t);
-        if my_share > 0 {
-            let accounts_seed = accounts.clone();
-            let seed_top = p.here();
-            p.tx(move |c| {
-                let a = accounts_seed[c.reg(R_ACCT) as usize];
-                let v = c.load_l(add, a);
-                c.store_l(add, a, v + my_share);
-            });
-            p.ctl(move |c| {
-                c.regs[R_ACCT] += 1;
-                if c.regs[R_ACCT] < naccounts {
-                    Ctl::Jump(seed_top)
-                } else {
-                    Ctl::Next
-                }
-            });
-        }
-        // Audits must only ever observe the fully-seeded total.
-        emit_barrier(&mut p, barrier, threads as u64, R_BAR);
-        if iters > 0 {
-            let top = p.here();
-            // Choose the operation: audit or a (src, dst, amount) triple.
-            p.ctl(move |c| {
-                c.regs[R_AUDIT] = u64::from(c.rand_below(100) < audit_pct);
-                let src = c.rand_below(naccounts);
-                c.regs[R_SRC] = src;
-                c.regs[R_DST] = (src + 1 + c.rand_below(naccounts - 1)) % naccounts;
-                c.regs[R_AMT] = 1 + c.rand_below(3);
-                Ctl::Next
-            });
-            let accounts_tx = accounts.clone();
-            p.tx(move |c| {
-                if c.reg(R_AUDIT) == 1 {
-                    // Audit: a plain read of every balance reduces all
-                    // U-state partials; the snapshot must be conserved.
-                    let mut sum = 0u64;
-                    for &a in &accounts_tx {
-                        sum += c.load(a);
-                    }
-                    c.work(4 * accounts_tx.len() as u64);
-                    c.defer(move |s: &mut Tally| {
-                        s.audits += 1;
-                        s.bad_audits += u64::from(sum != expected_total);
-                    });
-                } else {
-                    let src = c.reg(R_SRC) as usize;
-                    let dst = c.reg(R_DST) as usize;
-                    let amt = c.reg(R_AMT);
-                    // Debit: the paper's bounded decrement (Sec. IV) —
-                    // commutes while the local partial covers the amount,
-                    // then gathers from other partials, then falls back
-                    // to a plain reducing read. A transfer whose source
-                    // truly cannot cover the amount is *declined*
-                    // (counted, and part of the oracle's arithmetic).
-                    let mut v = c.load_l(add, accounts_tx[src]);
-                    if v < amt {
-                        v = c.load_gather(add, accounts_tx[src]);
-                    }
-                    if v < amt {
-                        v = c.load(accounts_tx[src]);
-                    }
-                    if v < amt {
-                        c.defer(|s: &mut Tally| s.skipped += 1);
-                    } else {
-                        c.store_l(add, accounts_tx[src], v - amt);
-                        // Credit: increments always commute.
-                        let w = c.load_l(add, accounts_tx[dst]);
-                        c.store_l(add, accounts_tx[dst], w + amt);
-                        c.defer(move |s: &mut Tally| {
-                            s.transfers += 1;
-                            s.net[src] -= amt as i64;
-                            s.net[dst] += amt as i64;
-                        });
-                    }
-                }
-            });
-            p.ctl(move |c| {
-                c.regs[R_I] += 1;
-                if c.regs[R_I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(
-            t,
-            p.build(),
-            Tally {
-                net: vec![0; cfg.accounts as usize],
-                ..Tally::default()
-            },
-        );
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux { accounts }),
-    }
-}
-
-/// The oracle: every balance equals its initial value plus the committed
-/// net transfers against it, the grand total is conserved, every audit
-/// observed the conserved total, and every operation is accounted for.
-///
-/// # Panics
-///
-/// Panics on a conservation or audit-consistency violation.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let accounts = out
-        .aux
-        .downcast_ref::<Aux>()
-        .expect("bank aux")
-        .accounts
-        .clone();
-    let m = &mut out.machine;
-    let threads = cfg.base.threads;
-
-    let mut total = 0u64;
-    for (i, &a) in accounts.iter().enumerate() {
-        let net: i64 = (0..threads).map(|t| m.env(t).user::<Tally>().net[i]).sum();
-        let want = cfg.initial_balance as i64 + net;
-        let got = m.read_word(a);
-        assert_eq!(
-            got as i64, want,
-            "account {i}: balance must equal initial + committed net transfers"
-        );
-        total += got;
-    }
-    assert_eq!(
-        total,
-        cfg.initial_balance * cfg.accounts,
-        "grand total must be conserved"
-    );
-    let mut ops = 0u64;
-    let mut bad_audits = 0u64;
-    for t in 0..threads {
-        let s = m.env(t).user::<Tally>();
-        ops += s.transfers + s.skipped + s.audits;
-        bad_audits += s.bad_audits;
-    }
-    assert_eq!(ops, cfg.total_ops, "every operation committed exactly once");
-    assert_eq!(
-        bad_audits, 0,
-        "every audit must observe the conserved grand total"
-    );
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered bank workload.
 pub struct Bank;
-
-impl Bank {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mix = Mix::parse(p.text("mix")).expect("mix validated by schema choices");
-        let mut cfg = Cfg::new(base, p.u64("total_ops"), mix);
-        cfg.accounts = p.u64("accounts");
-        cfg.initial_balance = p.u64("initial_balance");
-        cfg
-    }
-}
 
 impl Workload for Bank {
     fn name(&self) -> &'static str {
@@ -444,40 +211,232 @@ impl Workload for Bank {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let total_ops = params.u64("total_ops");
+        let naccounts = params.u64("accounts");
+        let initial_balance = params.u64("initial_balance");
+        let mix = Mix::parse(params.text("mix")).expect("mix validated by schema choices");
+        assert!(naccounts >= 2, "transfers need at least two accounts");
+        let mut b = base.builder();
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        // One balance per account, each on its own line (no false sharing
+        // under the baseline). Balances start at zero and are *seeded by
+        // the programs* below, so under CommTM every thread begins holding
+        // its own partial share of every account.
+        let accounts: Vec<Addr> = (0..naccounts)
+            .map(|_| m.heap_mut().alloc_lines(1))
+            .collect();
+        let barrier = m.heap_mut().alloc_lines(1);
+        let expected_total = initial_balance * naccounts;
+        let audit_pct = mix.audit_pct();
+        let threads = base.threads;
+
+        for t in 0..threads {
+            let iters = base.share(total_ops, t);
+            let accounts = accounts.clone();
+            let mut p = Program::builder();
+            // Seeding phase: each thread credits its share of every
+            // account's initial balance with labeled ADDs — the deposits
+            // land in *its* partial values, the same way refcount starts
+            // every thread with `initial_refs` of its own (a central poke
+            // would hand the whole balance to whichever core touched the
+            // line first, and every other thread's debits would gather
+            // from the start).
+            let my_share = base.share(initial_balance, t);
+            if my_share > 0 {
+                let accounts_seed = accounts.clone();
+                let seed_top = p.here();
+                p.tx(move |c| {
+                    let a = accounts_seed[c.reg(R_ACCT) as usize];
+                    let v = c.load_l(add, a);
+                    c.store_l(add, a, v + my_share);
+                });
+                p.ctl(move |c| {
+                    c.regs[R_ACCT] += 1;
+                    if c.regs[R_ACCT] < naccounts {
+                        Ctl::Jump(seed_top)
+                    } else {
+                        Ctl::Next
+                    }
+                });
+            }
+            // Audits must only ever observe the fully-seeded total.
+            emit_barrier(&mut p, barrier, threads as u64, R_BAR);
+            if iters > 0 {
+                let top = p.here();
+                // Choose the operation: audit or a (src, dst, amount)
+                // triple.
+                p.ctl(move |c| {
+                    c.regs[R_AUDIT] = u64::from(c.rand_below(100) < audit_pct);
+                    let src = c.rand_below(naccounts);
+                    c.regs[R_SRC] = src;
+                    c.regs[R_DST] = (src + 1 + c.rand_below(naccounts - 1)) % naccounts;
+                    c.regs[R_AMT] = 1 + c.rand_below(3);
+                    Ctl::Next
+                });
+                let accounts_tx = accounts.clone();
+                p.tx(move |c| {
+                    if c.reg(R_AUDIT) == 1 {
+                        // Audit: a plain read of every balance reduces all
+                        // U-state partials; the snapshot must be conserved.
+                        let mut sum = 0u64;
+                        for &a in &accounts_tx {
+                            sum += c.load(a);
+                        }
+                        c.work(4 * accounts_tx.len() as u64);
+                        c.defer(move |s: &mut Tally| {
+                            s.audits += 1;
+                            s.bad_audits += u64::from(sum != expected_total);
+                        });
+                    } else {
+                        let src = c.reg(R_SRC) as usize;
+                        let dst = c.reg(R_DST) as usize;
+                        let amt = c.reg(R_AMT);
+                        // Debit: the paper's bounded decrement (Sec. IV) —
+                        // commutes while the local partial covers the
+                        // amount, then gathers from other partials, then
+                        // falls back to a plain reducing read. A transfer
+                        // whose source truly cannot cover the amount is
+                        // *declined* (counted, and part of the oracle's
+                        // arithmetic).
+                        let mut v = c.load_l(add, accounts_tx[src]);
+                        if v < amt {
+                            v = c.load_gather(add, accounts_tx[src]);
+                        }
+                        if v < amt {
+                            v = c.load(accounts_tx[src]);
+                        }
+                        if v < amt {
+                            c.defer(|s: &mut Tally| s.skipped += 1);
+                        } else {
+                            c.store_l(add, accounts_tx[src], v - amt);
+                            // Credit: increments always commute.
+                            let w = c.load_l(add, accounts_tx[dst]);
+                            c.store_l(add, accounts_tx[dst], w + amt);
+                            c.defer(move |s: &mut Tally| {
+                                s.transfers += 1;
+                                s.net[src] -= amt as i64;
+                                s.net[dst] += amt as i64;
+                            });
+                        }
+                    }
+                });
+                p.ctl(move |c| {
+                    c.regs[R_I] += 1;
+                    if c.regs[R_I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(
+                t,
+                p.build(),
+                Tally {
+                    net: vec![0; naccounts as usize],
+                    ..Tally::default()
+                },
+            );
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux { accounts }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: every balance equals its initial value plus the
+    /// committed net transfers against it, the grand total is conserved,
+    /// every audit observed the conserved total, and every operation is
+    /// accounted for.
+    fn oracle(&self, base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let total_ops = params.u64("total_ops");
+        let initial_balance = params.u64("initial_balance");
+        let accounts = out
+            .aux
+            .downcast_ref::<Aux>()
+            .expect("bank aux")
+            .accounts
+            .clone();
+        let m = &mut out.machine;
+        let threads = base.threads;
+
+        let mut total = 0u64;
+        for (i, &a) in accounts.iter().enumerate() {
+            let net: i64 = (0..threads).map(|t| m.env(t).user::<Tally>().net[i]).sum();
+            let want = initial_balance as i64 + net;
+            let got = m.read_word(a);
+            assert_eq!(
+                got as i64, want,
+                "account {i}: balance must equal initial + committed net transfers"
+            );
+            total += got;
+        }
+        assert_eq!(
+            total,
+            initial_balance * accounts.len() as u64,
+            "grand total must be conserved"
+        );
+        let mut ops = 0u64;
+        let mut bad_audits = 0u64;
+        for t in 0..threads {
+            let s = m.env(t).user::<Tally>();
+            ops += s.transfers + s.skipped + s.audits;
+            bad_audits += s.bad_audits;
+        }
+        assert_eq!(ops, total_ops, "every operation committed exactly once");
+        assert_eq!(
+            bad_audits, 0,
+            "every audit must observe the conserved grand total"
+        );
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamValue;
     use commtm::Scheme;
+
+    /// Runs and oracle-checks `total_ops` operations of `mix` over
+    /// `accounts` accounts on `threads` cores.
+    fn run(threads: usize, scheme: Scheme, total_ops: u64, mix: Mix, accounts: u64) -> RunReport {
+        let over = Params::from_iter([
+            ("total_ops", ParamValue::U64(total_ops)),
+            ("mix", ParamValue::from(mix.name())),
+            ("accounts", ParamValue::U64(accounts)),
+        ]);
+        let params = Bank
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        Bank.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
 
     #[test]
     fn balances_conserve_under_both_schemes_and_all_mixes() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            for mix in [Mix::TransferHeavy, Mix::Mixed, Mix::AuditHeavy] {
-                run(&Cfg::new(BaseCfg::new(4, scheme), 200, mix));
+            for mix in Mix::ALL {
+                run(4, scheme, 200, mix, 16);
             }
         }
     }
 
     #[test]
     fn audits_fire_and_stay_consistent() {
-        let mut cfg = Cfg::new(BaseCfg::new(8, Scheme::CommTm), 400, Mix::AuditHeavy);
-        cfg.accounts = 4;
-        let r = run(&cfg);
+        let r = run(8, Scheme::CommTm, 400, Mix::AuditHeavy, 4);
         assert!(r.commits() >= 400);
     }
 
     #[test]
     fn single_thread_each_mix() {
-        for mix in [Mix::TransferHeavy, Mix::Mixed, Mix::AuditHeavy] {
-            run(&Cfg::new(BaseCfg::new(1, Scheme::CommTm), 80, mix));
+        for mix in Mix::ALL {
+            run(1, Scheme::CommTm, 80, mix, 16);
         }
     }
 
@@ -496,16 +455,8 @@ mod tests {
 
     #[test]
     fn commtm_beats_baseline_on_transfer_heavy() {
-        let base = run(&Cfg::new(
-            BaseCfg::new(8, Scheme::Baseline),
-            400,
-            Mix::TransferHeavy,
-        ));
-        let comm = run(&Cfg::new(
-            BaseCfg::new(8, Scheme::CommTm),
-            400,
-            Mix::TransferHeavy,
-        ));
+        let base = run(8, Scheme::Baseline, 400, Mix::TransferHeavy, 16);
+        let comm = run(8, Scheme::CommTm, 400, Mix::TransferHeavy, 16);
         assert!(
             comm.total_cycles < base.total_cycles,
             "CommTM should win on commutative transfers ({} vs {})",

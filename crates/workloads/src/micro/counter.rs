@@ -9,108 +9,13 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for the counter microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total increments across all threads (the paper uses 10M).
-    pub total_incs: u64,
-}
-
-impl Cfg {
-    /// Default size for quick runs.
-    pub fn new(base: BaseCfg, total_incs: u64) -> Self {
-        Cfg { base, total_incs }
-    }
-}
-
-/// Runs the benchmark and verifies that every increment was applied
-/// exactly once.
-///
-/// # Panics
-///
-/// Panics if the final counter value differs from the number of committed
-/// increments (a lost or duplicated update).
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     counter: Addr,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-    let counter = m.heap_mut().alloc_lines(1);
-
-    for t in 0..cfg.base.threads {
-        let iters = cfg.base.share(cfg.total_incs, t);
-        const I: usize = 0;
-        let mut p = Program::builder();
-        if iters > 0 {
-            let top = p.here();
-            p.tx(move |c| {
-                let v = c.load_l(add, counter);
-                c.store_l(add, counter, v + 1);
-            });
-            p.ctl(move |c| {
-                c.regs[I] += 1;
-                if c.regs[I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(t, p.build(), ());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux { counter }),
-    }
-}
-
-/// The sequential oracle: the counter equals the number of increments and
-/// every increment committed exactly once.
-///
-/// # Panics
-///
-/// Panics on a lost or duplicated update.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let counter = out.aux.downcast_ref::<Aux>().expect("counter aux").counter;
-    let v = out.machine.read_word(counter);
-    assert_eq!(
-        v, cfg.total_incs,
-        "counter must equal the number of increments"
-    );
-    assert_eq!(
-        out.report.commits(),
-        cfg.total_incs,
-        "one commit per increment"
-    );
-    out.machine
-        .check_invariants()
-        .expect("coherence invariants");
-}
-
 /// The registered Fig. 9 counter workload.
 pub struct Counter;
-
-impl Counter {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        Cfg::new(base, p.u64("total_incs"))
-    }
-}
 
 impl Workload for Counter {
     fn name(&self) -> &'static str {
@@ -160,11 +65,53 @@ impl Workload for Counter {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let total_incs = params.u64("total_incs");
+        let mut b = base.builder();
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+        let counter = m.heap_mut().alloc_lines(1);
+
+        for t in 0..base.threads {
+            let iters = base.share(total_incs, t);
+            const I: usize = 0;
+            let mut p = Program::builder();
+            if iters > 0 {
+                let top = p.here();
+                p.tx(move |c| {
+                    let v = c.load_l(add, counter);
+                    c.store_l(add, counter, v + 1);
+                });
+                p.ctl(move |c| {
+                    c.regs[I] += 1;
+                    if c.regs[I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(t, p.build(), ());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux { counter }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The sequential oracle: the counter equals the number of increments
+    /// and every increment committed exactly once.
+    fn oracle(&self, _base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let total_incs = params.u64("total_incs");
+        let counter = out.aux.downcast_ref::<Aux>().expect("counter aux").counter;
+        let v = out.machine.read_word(counter);
+        assert_eq!(v, total_incs, "counter must equal the number of increments");
+        assert_eq!(out.report.commits(), total_incs, "one commit per increment");
+        out.machine
+            .check_invariants()
+            .expect("coherence invariants");
     }
 }
 
@@ -173,28 +120,39 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `total_incs` increments on `threads` cores.
+    fn run(threads: usize, scheme: Scheme, total_incs: u64) -> RunReport {
+        let params = Counter
+            .schema()
+            .resolve(1, threads, &Params::from_iter([("total_incs", total_incs)]))
+            .expect("overrides fit the schema");
+        Counter
+            .run_checked(BaseCfg::new(threads, scheme), &params)
+            .0
+    }
+
     #[test]
     fn both_schemes_are_correct() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            run(&Cfg::new(BaseCfg::new(4, scheme), 200));
+            run(4, scheme, 200);
         }
     }
 
     #[test]
     fn commtm_avoids_all_aborts() {
-        let r = run(&Cfg::new(BaseCfg::new(8, Scheme::CommTm), 400));
+        let r = run(8, Scheme::CommTm, 400);
         assert_eq!(r.aborts(), 0);
-        let r = run(&Cfg::new(BaseCfg::new(8, Scheme::Baseline), 400));
+        let r = run(8, Scheme::Baseline, 400);
         assert!(r.aborts() > 0);
     }
 
     #[test]
     fn single_thread_works() {
-        run(&Cfg::new(BaseCfg::new(1, Scheme::CommTm), 50));
+        run(1, Scheme::CommTm, 50);
     }
 
     #[test]
     fn uneven_split_is_exact() {
-        run(&Cfg::new(BaseCfg::new(3, Scheme::CommTm), 100));
+        run(3, Scheme::CommTm, 100);
     }
 }

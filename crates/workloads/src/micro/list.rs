@@ -15,49 +15,6 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Operation mix (the two Fig. 12 panels).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Mix {
-    /// 100% enqueues (Fig. 12a).
-    EnqueueOnly,
-    /// 50% enqueues / 50% dequeues, randomly interleaved (Fig. 12b).
-    Mixed,
-}
-
-/// Configuration for the linked-list microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total operations (the paper uses 10M).
-    pub total_ops: u64,
-    /// Operation mix.
-    pub mix: Mix,
-    /// Elements pre-populated into the list before the run. The paper's
-    /// 10M-op mixed run keeps the list thousands of elements deep; scaled
-    /// runs use a warm start so dequeues aren't dominated by empty-list
-    /// gathers (a scale artifact, not a scheme property).
-    pub warm_start: u64,
-}
-
-impl Cfg {
-    /// Creates a configuration.
-    pub fn new(base: BaseCfg, total_ops: u64, mix: Mix) -> Self {
-        Cfg {
-            base,
-            total_ops,
-            mix,
-            warm_start: 0,
-        }
-    }
-
-    /// Sets the warm-start population.
-    pub fn with_warm_start(mut self, warm_start: u64) -> Self {
-        self.warm_start = warm_start;
-        self
-    }
-}
-
 /// Per-thread tallies for the conservation oracle.
 #[derive(Clone, Default)]
 struct Tally {
@@ -70,219 +27,18 @@ struct Tally {
 
 const NODE_BYTES: u64 = 64; // one line per node: next at +0, value at +8
 
-/// Runs the benchmark; verifies element conservation by walking the final
-/// list.
-///
-/// # Panics
-///
-/// Panics if the surviving elements don't equal enqueues minus successful
-/// dequeues (in count and value sum).
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     head_addr: Addr,
+    /// Elements pre-populated before the run, and their value sum.
+    warm_start: u64,
     warm_sum: u64,
-}
-
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let list = b.register_label(labels::list()).expect("label budget");
-    let mut m = b.build();
-
-    // Descriptor layout depends on the scheme (see module docs).
-    let (head_addr, tail_addr) = match cfg.base.scheme {
-        Scheme::CommTm => {
-            let d = m.heap_mut().alloc_lines(1);
-            (d, d.offset_words(1))
-        }
-        Scheme::Baseline => (m.heap_mut().alloc_lines(1), m.heap_mut().alloc_lines(1)),
-    };
-
-    // Warm-start population: a pre-built chain behind the descriptor.
-    let mut warm_sum = 0u64;
-    if cfg.warm_start > 0 {
-        let pool = m.heap_mut().alloc(cfg.warm_start * NODE_BYTES, 64);
-        let mut prev = 0u64;
-        for i in 0..cfg.warm_start {
-            let node = pool.raw() + i * NODE_BYTES;
-            let value = (0x57_41_52_4Du64 ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            warm_sum = warm_sum.wrapping_add(value);
-            m.poke(Addr::new(node), 0);
-            m.poke(Addr::new(node + 8), value);
-            if prev != 0 {
-                m.poke(Addr::new(prev), node);
-            } else {
-                m.poke(head_addr, node);
-            }
-            prev = node;
-        }
-        m.poke(tail_addr, prev);
-    }
-
-    // Per-thread node pools; a register-held cursor allocates (registers
-    // roll back with the transaction, so aborted enqueues don't leak).
-    const I: usize = 0;
-    const CUR: usize = 1;
-    const DO_ENQ: usize = 2;
-    let mixed = cfg.mix == Mix::Mixed;
-
-    for t in 0..cfg.base.threads {
-        let iters = cfg.base.share(cfg.total_ops, t);
-        let pool = m.heap_mut().alloc(iters.max(1) * NODE_BYTES, 64);
-        let mut p = Program::builder();
-        if iters > 0 {
-            let pool_base = pool.raw();
-            p.ctl(move |c| {
-                c.regs[CUR] = pool_base;
-                Ctl::Next
-            });
-            let top = p.here();
-            p.ctl(move |c| {
-                c.regs[DO_ENQ] = if mixed { c.rand_below(2) } else { 1 };
-                Ctl::Next
-            });
-            p.tx(move |c| {
-                if c.reg(DO_ENQ) == 1 {
-                    // Enqueue: append a fresh node to the local partial
-                    // list.
-                    let node = c.reg(CUR);
-                    c.set_reg(CUR, node + NODE_BYTES);
-                    let value = c.rand() | 1; // non-zero sentinel-safe value
-                    c.store(Addr::new(node), 0); // node.next
-                    c.store(Addr::new(node + 8), value);
-                    let tail = c.load_l(list, tail_addr);
-                    if tail == 0 {
-                        c.store_l(list, head_addr, node);
-                        c.store_l(list, tail_addr, node);
-                    } else {
-                        c.store(Addr::new(tail), node); // tail.next = node
-                        c.store_l(list, tail_addr, node);
-                    }
-                    c.defer(move |s: &mut Tally| {
-                        s.enq_count += 1;
-                        s.enq_sum = s.enq_sum.wrapping_add(value);
-                    });
-                } else {
-                    // Dequeue: take the local head; gather from other
-                    // partial lists when empty; a plain read (reduction)
-                    // settles true emptiness.
-                    let mut head = c.load_l(list, head_addr);
-                    if head == 0 {
-                        head = c.load_gather(list, head_addr);
-                    }
-                    if head == 0 {
-                        head = c.load(head_addr);
-                    }
-                    if head == 0 {
-                        c.defer(|s: &mut Tally| s.deq_empty += 1);
-                    } else {
-                        let next = c.load(Addr::new(head));
-                        c.store_l(list, head_addr, next);
-                        if next == 0 {
-                            c.store_l(list, tail_addr, 0);
-                        }
-                        let value = c.load(Addr::new(head + 8));
-                        c.defer(move |s: &mut Tally| {
-                            s.deq_count += 1;
-                            s.deq_sum = s.deq_sum.wrapping_add(value);
-                        });
-                    }
-                }
-            });
-            p.ctl(move |c| {
-                c.regs[I] += 1;
-                if c.regs[I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(t, p.build(), Tally::default());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux {
-            head_addr,
-            warm_sum,
-        }),
-    }
-}
-
-/// The conservation oracle: walking the merged list must account for
-/// every enqueue minus every successful dequeue, in count and value sum.
-///
-/// # Panics
-///
-/// Panics on lost or duplicated elements (or a cyclic list).
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let &Aux {
-        head_addr,
-        warm_sum,
-    } = out.aux.downcast_ref::<Aux>().expect("list aux");
-    let m = &mut out.machine;
-
-    // Walk the merged list (the plain read of the head reduces all partial
-    // lists first).
-    let mut remaining_count = 0u64;
-    let mut remaining_sum = 0u64;
-    let mut node = m.read_word(head_addr);
-    while node != 0 {
-        remaining_count += 1;
-        remaining_sum = remaining_sum.wrapping_add(m.read_word(Addr::new(node + 8)));
-        node = m.read_word(Addr::new(node));
-        assert!(
-            remaining_count <= cfg.total_ops + cfg.warm_start,
-            "list must be acyclic"
-        );
-    }
-
-    let mut enq = 0u64;
-    let mut deq = 0u64;
-    let mut enq_sum = 0u64;
-    let mut deq_sum = 0u64;
-    for t in 0..cfg.base.threads {
-        let s = m.env(t).user::<Tally>();
-        enq += s.enq_count;
-        deq += s.deq_count;
-        enq_sum = enq_sum.wrapping_add(s.enq_sum);
-        deq_sum = deq_sum.wrapping_add(s.deq_sum);
-    }
-    assert_eq!(
-        remaining_count,
-        cfg.warm_start + enq - deq,
-        "length conservation"
-    );
-    assert_eq!(
-        remaining_sum,
-        warm_sum.wrapping_add(enq_sum).wrapping_sub(deq_sum),
-        "value conservation: every enqueued element is dequeued or present exactly once"
-    );
-    m.check_invariants().expect("coherence invariants");
 }
 
 /// The registered Fig. 12 linked-list workload. `mixed` selects the
 /// 50/50 enqueue/dequeue mix vs. enqueue-only; `warm_start` only applies
 /// to the mixed variant (enqueue-only starts empty, as in the paper).
 pub struct List;
-
-impl List {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let mixed = p.flag("mixed");
-        let mix = if mixed { Mix::Mixed } else { Mix::EnqueueOnly };
-        let warm = if mixed { p.u64("warm_start") } else { 0 };
-        Cfg::new(base, p.u64("total_ops"), mix).with_warm_start(warm)
-    }
-}
 
 impl Workload for List {
     fn name(&self) -> &'static str {
@@ -365,23 +121,218 @@ impl Workload for List {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let total_ops = params.u64("total_ops");
+        let mixed = params.flag("mixed");
+        // The paper's 10M-op mixed run keeps the list thousands of
+        // elements deep; scaled runs use a warm start so dequeues aren't
+        // dominated by empty-list gathers (a scale artifact, not a scheme
+        // property).
+        let warm_start = if mixed { params.u64("warm_start") } else { 0 };
+        let mut b = base.builder();
+        let list = b.register_label(labels::list()).expect("label budget");
+        let mut m = b.build();
+
+        // Descriptor layout depends on the scheme (see module docs).
+        let (head_addr, tail_addr) = match base.scheme {
+            Scheme::CommTm => {
+                let d = m.heap_mut().alloc_lines(1);
+                (d, d.offset_words(1))
+            }
+            Scheme::Baseline => (m.heap_mut().alloc_lines(1), m.heap_mut().alloc_lines(1)),
+        };
+
+        // Warm-start population: a pre-built chain behind the descriptor.
+        let mut warm_sum = 0u64;
+        if warm_start > 0 {
+            let pool = m.heap_mut().alloc(warm_start * NODE_BYTES, 64);
+            let mut prev = 0u64;
+            for i in 0..warm_start {
+                let node = pool.raw() + i * NODE_BYTES;
+                let value = (0x57_41_52_4Du64 ^ i).wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+                warm_sum = warm_sum.wrapping_add(value);
+                m.poke(Addr::new(node), 0);
+                m.poke(Addr::new(node + 8), value);
+                if prev != 0 {
+                    m.poke(Addr::new(prev), node);
+                } else {
+                    m.poke(head_addr, node);
+                }
+                prev = node;
+            }
+            m.poke(tail_addr, prev);
+        }
+
+        // Per-thread node pools; a register-held cursor allocates
+        // (registers roll back with the transaction, so aborted enqueues
+        // don't leak).
+        const I: usize = 0;
+        const CUR: usize = 1;
+        const DO_ENQ: usize = 2;
+
+        for t in 0..base.threads {
+            let iters = base.share(total_ops, t);
+            let pool = m.heap_mut().alloc(iters.max(1) * NODE_BYTES, 64);
+            let mut p = Program::builder();
+            if iters > 0 {
+                let pool_base = pool.raw();
+                p.ctl(move |c| {
+                    c.regs[CUR] = pool_base;
+                    Ctl::Next
+                });
+                let top = p.here();
+                p.ctl(move |c| {
+                    c.regs[DO_ENQ] = if mixed { c.rand_below(2) } else { 1 };
+                    Ctl::Next
+                });
+                p.tx(move |c| {
+                    if c.reg(DO_ENQ) == 1 {
+                        // Enqueue: append a fresh node to the local partial
+                        // list.
+                        let node = c.reg(CUR);
+                        c.set_reg(CUR, node + NODE_BYTES);
+                        let value = c.rand() | 1; // non-zero sentinel-safe value
+                        c.store(Addr::new(node), 0); // node.next
+                        c.store(Addr::new(node + 8), value);
+                        let tail = c.load_l(list, tail_addr);
+                        if tail == 0 {
+                            c.store_l(list, head_addr, node);
+                            c.store_l(list, tail_addr, node);
+                        } else {
+                            c.store(Addr::new(tail), node); // tail.next = node
+                            c.store_l(list, tail_addr, node);
+                        }
+                        c.defer(move |s: &mut Tally| {
+                            s.enq_count += 1;
+                            s.enq_sum = s.enq_sum.wrapping_add(value);
+                        });
+                    } else {
+                        // Dequeue: take the local head; gather from other
+                        // partial lists when empty; a plain read
+                        // (reduction) settles true emptiness.
+                        let mut head = c.load_l(list, head_addr);
+                        if head == 0 {
+                            head = c.load_gather(list, head_addr);
+                        }
+                        if head == 0 {
+                            head = c.load(head_addr);
+                        }
+                        if head == 0 {
+                            c.defer(|s: &mut Tally| s.deq_empty += 1);
+                        } else {
+                            let next = c.load(Addr::new(head));
+                            c.store_l(list, head_addr, next);
+                            if next == 0 {
+                                c.store_l(list, tail_addr, 0);
+                            }
+                            let value = c.load(Addr::new(head + 8));
+                            c.defer(move |s: &mut Tally| {
+                                s.deq_count += 1;
+                                s.deq_sum = s.deq_sum.wrapping_add(value);
+                            });
+                        }
+                    }
+                });
+                p.ctl(move |c| {
+                    c.regs[I] += 1;
+                    if c.regs[I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(t, p.build(), Tally::default());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux {
+                head_addr,
+                warm_start,
+                warm_sum,
+            }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The conservation oracle: walking the merged list must account for
+    /// every enqueue minus every successful dequeue, in count and value
+    /// sum.
+    fn oracle(&self, base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let total_ops = params.u64("total_ops");
+        let &Aux {
+            head_addr,
+            warm_start,
+            warm_sum,
+        } = out.aux.downcast_ref::<Aux>().expect("list aux");
+        let m = &mut out.machine;
+
+        // Walk the merged list (the plain read of the head reduces all
+        // partial lists first).
+        let mut remaining_count = 0u64;
+        let mut remaining_sum = 0u64;
+        let mut node = m.read_word(head_addr);
+        while node != 0 {
+            remaining_count += 1;
+            remaining_sum = remaining_sum.wrapping_add(m.read_word(Addr::new(node + 8)));
+            node = m.read_word(Addr::new(node));
+            assert!(
+                remaining_count <= total_ops + warm_start,
+                "list must be acyclic"
+            );
+        }
+
+        let mut enq = 0u64;
+        let mut deq = 0u64;
+        let mut enq_sum = 0u64;
+        let mut deq_sum = 0u64;
+        for t in 0..base.threads {
+            let s = m.env(t).user::<Tally>();
+            enq += s.enq_count;
+            deq += s.deq_count;
+            enq_sum = enq_sum.wrapping_add(s.enq_sum);
+            deq_sum = deq_sum.wrapping_add(s.deq_sum);
+        }
+        assert_eq!(
+            remaining_count,
+            warm_start + enq - deq,
+            "length conservation"
+        );
+        assert_eq!(
+            remaining_sum,
+            warm_sum.wrapping_add(enq_sum).wrapping_sub(deq_sum),
+            "value conservation: every enqueued element is dequeued or present exactly once"
+        );
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamValue;
     use commtm::Scheme;
+
+    /// Runs and oracle-checks `total_ops` operations (the 50/50 mix when
+    /// `mixed`, else enqueue-only) on `threads` cores, from an empty list.
+    fn run(threads: usize, scheme: Scheme, total_ops: u64, mixed: bool) -> RunReport {
+        let over = Params::from_iter([
+            ("total_ops", ParamValue::U64(total_ops)),
+            ("mixed", ParamValue::Bool(mixed)),
+            ("warm_start", ParamValue::U64(0)),
+        ]);
+        let params = List
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        List.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
 
     #[test]
     fn enqueue_only_conserves_elements() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            let r = run(&Cfg::new(BaseCfg::new(4, scheme), 200, Mix::EnqueueOnly));
+            let r = run(4, scheme, 200, false);
             assert!(r.commits() >= 200);
         }
     }
@@ -389,22 +340,14 @@ mod tests {
     #[test]
     fn mixed_ops_conserve_elements() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            run(&Cfg::new(BaseCfg::new(4, scheme), 300, Mix::Mixed));
+            run(4, scheme, 300, true);
         }
     }
 
     #[test]
     fn commtm_beats_baseline_on_enqueues() {
-        let base = run(&Cfg::new(
-            BaseCfg::new(8, Scheme::Baseline),
-            400,
-            Mix::EnqueueOnly,
-        ));
-        let comm = run(&Cfg::new(
-            BaseCfg::new(8, Scheme::CommTm),
-            400,
-            Mix::EnqueueOnly,
-        ));
+        let base = run(8, Scheme::Baseline, 400, false);
+        let comm = run(8, Scheme::CommTm, 400, false);
         assert!(
             comm.total_cycles < base.total_cycles,
             "CommTM should win on concurrent enqueues ({} vs {})",
@@ -415,6 +358,6 @@ mod tests {
 
     #[test]
     fn single_thread_mixed() {
-        run(&Cfg::new(BaseCfg::new(1, Scheme::CommTm), 100, Mix::Mixed));
+        run(1, Scheme::CommTm, 100, true);
     }
 }

@@ -10,39 +10,11 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for the ordered-put microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total puts across all threads (the paper uses 10M).
-    pub total_puts: u64,
-}
-
-impl Cfg {
-    /// Creates a configuration.
-    pub fn new(base: BaseCfg, total_puts: u64) -> Self {
-        Cfg { base, total_puts }
-    }
-}
-
 /// Per-thread record of the minimum pair this thread attempted.
 #[derive(Clone, Default)]
 struct Tally {
     min_key: u64,
     min_val: u64,
-}
-
-/// Runs the benchmark; verifies the surviving pair is the global minimum.
-///
-/// # Panics
-///
-/// Panics if the final pair is not the minimum-key pair over every
-/// committed put.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
 }
 
 /// What the oracle needs from the simulation setup.
@@ -51,95 +23,8 @@ struct Aux {
     val_addr: Addr,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let oput = b.register_label(labels::oput()).expect("label budget");
-    let mut m = b.build();
-    let pair = m.heap_mut().alloc_lines(1);
-    let key_addr = pair;
-    let val_addr = pair.offset_words(1);
-    // Initialize to the identity (key = MAX) so the first put always wins.
-    m.poke(key_addr, u64::MAX);
-
-    for t in 0..cfg.base.threads {
-        let iters = cfg.base.share(cfg.total_puts, t);
-        const I: usize = 0;
-        let mut p = Program::builder();
-        if iters > 0 {
-            let top = p.here();
-            p.tx(move |c| {
-                // Keys leave headroom below u64::MAX (the identity).
-                let k = c.rand() >> 8;
-                let v = c.rand();
-                let cur = c.load_l(oput, key_addr);
-                if k < cur {
-                    c.store_l(oput, key_addr, k);
-                    c.store_l(oput, val_addr, v);
-                }
-                c.defer(move |t: &mut Tally| {
-                    if k < t.min_key {
-                        t.min_key = k;
-                        t.min_val = v;
-                    }
-                });
-            });
-            p.ctl(move |c| {
-                c.regs[I] += 1;
-                if c.regs[I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(
-            t,
-            p.build(),
-            Tally {
-                min_key: u64::MAX,
-                min_val: 0,
-            },
-        );
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux { key_addr, val_addr }),
-    }
-}
-
-/// The oracle: the surviving pair is the global minimum over every
-/// thread's committed draws.
-///
-/// # Panics
-///
-/// Panics if a higher-key put survived.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let &Aux { key_addr, val_addr } = out.aux.downcast_ref::<Aux>().expect("oput aux");
-    let m = &mut out.machine;
-    let mut best = (u64::MAX, 0u64);
-    for t in 0..cfg.base.threads {
-        let tally = m.env(t).user::<Tally>();
-        if tally.min_key < best.0 {
-            best = (tally.min_key, tally.min_val);
-        }
-    }
-    let (k, v) = (m.read_word(key_addr), m.read_word(val_addr));
-    assert_eq!((k, v), best, "surviving pair must be the global minimum");
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered Fig. 13 ordered-put workload.
 pub struct Oput;
-
-impl Oput {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        Cfg::new(base, p.u64("total_puts"))
-    }
-}
 
 impl Workload for Oput {
     fn name(&self) -> &'static str {
@@ -196,11 +81,80 @@ impl Workload for Oput {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let total_puts = params.u64("total_puts");
+        let mut b = base.builder();
+        let oput = b.register_label(labels::oput()).expect("label budget");
+        let mut m = b.build();
+        let pair = m.heap_mut().alloc_lines(1);
+        let key_addr = pair;
+        let val_addr = pair.offset_words(1);
+        // Initialize to the identity (key = MAX) so the first put always wins.
+        m.poke(key_addr, u64::MAX);
+
+        for t in 0..base.threads {
+            let iters = base.share(total_puts, t);
+            const I: usize = 0;
+            let mut p = Program::builder();
+            if iters > 0 {
+                let top = p.here();
+                p.tx(move |c| {
+                    // Keys leave headroom below u64::MAX (the identity).
+                    let k = c.rand() >> 8;
+                    let v = c.rand();
+                    let cur = c.load_l(oput, key_addr);
+                    if k < cur {
+                        c.store_l(oput, key_addr, k);
+                        c.store_l(oput, val_addr, v);
+                    }
+                    c.defer(move |t: &mut Tally| {
+                        if k < t.min_key {
+                            t.min_key = k;
+                            t.min_val = v;
+                        }
+                    });
+                });
+                p.ctl(move |c| {
+                    c.regs[I] += 1;
+                    if c.regs[I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(
+                t,
+                p.build(),
+                Tally {
+                    min_key: u64::MAX,
+                    min_val: 0,
+                },
+            );
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux { key_addr, val_addr }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: the surviving pair is the global minimum over every
+    /// thread's committed draws.
+    fn oracle(&self, base: &BaseCfg, _params: &Params, out: &mut RunOutcome) {
+        let &Aux { key_addr, val_addr } = out.aux.downcast_ref::<Aux>().expect("oput aux");
+        let m = &mut out.machine;
+        let mut best = (u64::MAX, 0u64);
+        for t in 0..base.threads {
+            let tally = m.env(t).user::<Tally>();
+            if tally.min_key < best.0 {
+                best = (tally.min_key, tally.min_val);
+            }
+        }
+        let (k, v) = (m.read_word(key_addr), m.read_word(val_addr));
+        assert_eq!((k, v), best, "surviving pair must be the global minimum");
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -209,17 +163,26 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `total_puts` puts on `threads` cores.
+    fn run(threads: usize, scheme: Scheme, total_puts: u64) -> RunReport {
+        let params = Oput
+            .schema()
+            .resolve(1, threads, &Params::from_iter([("total_puts", total_puts)]))
+            .expect("overrides fit the schema");
+        Oput.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
+
     #[test]
     fn both_schemes_keep_global_minimum() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            run(&Cfg::new(BaseCfg::new(4, scheme), 200));
+            run(4, scheme, 200);
         }
     }
 
     #[test]
     fn commtm_reduces_aborts() {
-        let base = run(&Cfg::new(BaseCfg::new(8, Scheme::Baseline), 400));
-        let comm = run(&Cfg::new(BaseCfg::new(8, Scheme::CommTm), 400));
+        let base = run(8, Scheme::Baseline, 400);
+        let comm = run(8, Scheme::CommTm, 400);
         assert!(comm.aborts() <= base.aborts());
     }
 }

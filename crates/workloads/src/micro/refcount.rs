@@ -11,58 +11,6 @@ use crate::claims::{Claim, ClaimCtx, Inputs};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Which system variant to run (the three Fig. 10 series).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Variant {
-    /// Conventional HTM (labels demoted).
-    Baseline,
-    /// CommTM, but `decrement` falls straight back to a plain load
-    /// (reduction) when the local value is zero.
-    NoGather,
-    /// CommTM with `load_gather` rebalancing (the paper's full design).
-    Gather,
-}
-
-impl Variant {
-    fn scheme(self) -> Scheme {
-        match self {
-            Variant::Baseline => Scheme::Baseline,
-            Variant::NoGather | Variant::Gather => Scheme::CommTm,
-        }
-    }
-}
-
-/// Configuration for the reference-counting microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads and seed (the scheme is set by `variant`).
-    pub base: BaseCfg,
-    /// System variant.
-    pub variant: Variant,
-    /// Total acquire/release operations (the paper uses 1M).
-    pub total_ops: u64,
-    /// Number of reference-counted objects (the paper uses 16).
-    pub objects: usize,
-    /// Initial references held per thread per object (the paper uses 3).
-    pub initial_refs: u64,
-    /// Maximum references a thread holds per object (the paper uses 10).
-    pub max_refs: u64,
-}
-
-impl Cfg {
-    /// The paper's parameters at a given op count.
-    pub fn new(base: BaseCfg, variant: Variant, total_ops: u64) -> Self {
-        Cfg {
-            base,
-            variant,
-            total_ops,
-            objects: 16,
-            initial_refs: 3,
-            max_refs: 10,
-        }
-    }
-}
-
 /// Per-thread state: references currently held per object, plus a count of
 /// decrements that observed a globally-zero counter (conservation makes
 /// these impossible; the oracle asserts none happened).
@@ -72,170 +20,15 @@ struct Held {
     failed_decrements: u64,
 }
 
-/// Runs the benchmark; verifies reference conservation.
-///
-/// # Panics
-///
-/// Panics if any counter's final value differs from the references held
-/// against it, or if a decrement ever observed a zero global count (which
-/// conservation makes impossible).
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     counters: Vec<Addr>,
-}
-
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let scheme = cfg.variant.scheme();
-    let mut b = cfg.base.builder_for(scheme);
-    let add = b.register_label(labels::add()).expect("label budget");
-    let mut m = b.build();
-
-    // One counter per object, each on its own line.
-    let counters: Vec<Addr> = (0..cfg.objects)
-        .map(|_| m.heap_mut().alloc_lines(1))
-        .collect();
-    for &c in &counters {
-        m.poke(c, cfg.initial_refs * cfg.base.threads as u64);
-    }
-
-    let use_gather = cfg.variant == Variant::Gather;
-
-    // Registers: I = iteration, OBJ = chosen object, DO_INC = op kind.
-    const I: usize = 0;
-    const OBJ: usize = 1;
-    const DO_INC: usize = 2;
-
-    for t in 0..cfg.base.threads {
-        let iters = cfg.base.share(cfg.total_ops, t);
-        let counters = counters.clone();
-        let objects = cfg.objects as u64;
-        let max_refs = cfg.max_refs;
-        let mut p = Program::builder();
-        if iters > 0 {
-            let top = p.here();
-            // Pick an object and an operation: p(increment) falls linearly
-            // with the references held (1.0 at 0 refs, 0.0 at max).
-            p.ctl(move |c| {
-                let obj = c.rand_below(objects);
-                c.regs[OBJ] = obj;
-                let held = c.user::<Held>().refs[obj as usize];
-                let p_inc_num = max_refs.saturating_sub(held);
-                let draw = c.rand_below(max_refs);
-                c.regs[DO_INC] = u64::from(draw < p_inc_num);
-                Ctl::Next
-            });
-            let counters_tx = counters.clone();
-            p.tx(move |c| {
-                let obj = c.reg(OBJ) as usize;
-                let addr = counters_tx[obj];
-                if c.reg(DO_INC) == 1 {
-                    // Acquire: increments always commute.
-                    let v = c.load_l(add, addr);
-                    c.store_l(add, addr, v + 1);
-                    c.defer(move |h: &mut Held| h.refs[obj] += 1);
-                } else {
-                    // Release: the paper's bounded decrement (Sec. IV).
-                    let mut v = c.load_l(add, addr);
-                    if v == 0 && use_gather {
-                        v = c.load_gather(add, addr);
-                    }
-                    if v == 0 {
-                        v = c.load(addr); // triggers a reduction
-                    }
-                    if v > 0 {
-                        c.store_l(add, addr, v - 1);
-                        c.defer(move |h: &mut Held| h.refs[obj] -= 1);
-                    } else {
-                        // Impossible under conservation; counted and
-                        // asserted zero by the oracle.
-                        c.defer(move |h: &mut Held| h.failed_decrements += 1);
-                    }
-                }
-            });
-            p.ctl(move |c| {
-                c.regs[I] += 1;
-                if c.regs[I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(
-            t,
-            p.build(),
-            Held {
-                refs: vec![cfg.initial_refs; cfg.objects],
-                failed_decrements: 0,
-            },
-        );
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux { counters }),
-    }
-}
-
-/// The conservation oracle: each counter equals the sum of references
-/// held, and no decrement ever saw a zero global count.
-///
-/// # Panics
-///
-/// Panics on a conservation violation.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let counters = out
-        .aux
-        .downcast_ref::<Aux>()
-        .expect("refcount aux")
-        .counters
-        .clone();
-    let m = &mut out.machine;
-    for (o, &c) in counters.iter().enumerate() {
-        let held: u64 = (0..cfg.base.threads)
-            .map(|t| m.env(t).user::<Held>().refs[o])
-            .sum();
-        let v = m.read_word(c);
-        assert_eq!(v, held, "object {o}: counter must equal held references");
-    }
-    let failed: u64 = (0..cfg.base.threads)
-        .map(|t| m.env(t).user::<Held>().failed_decrements)
-        .sum();
-    assert_eq!(
-        failed, 0,
-        "conservation: a held reference implies a positive count"
-    );
-    m.check_invariants().expect("coherence invariants");
 }
 
 /// The registered Fig. 10 reference-counting workload. The `gather`
 /// flag selects between the paper's full design and the no-gather
 /// variant; under the baseline scheme it is ignored.
 pub struct Refcount;
-
-impl Refcount {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        let variant = match base.scheme {
-            Scheme::Baseline => Variant::Baseline,
-            Scheme::CommTm if p.flag("gather") => Variant::Gather,
-            Scheme::CommTm => Variant::NoGather,
-        };
-        let mut cfg = Cfg::new(base, variant, p.u64("total_ops"));
-        cfg.objects = p.u64("objects") as usize;
-        cfg.initial_refs = p.u64("initial_refs");
-        cfg.max_refs = p.u64("max_refs");
-        cfg
-    }
-}
 
 impl Workload for Refcount {
     fn name(&self) -> &'static str {
@@ -314,33 +107,175 @@ impl Workload for Refcount {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let total_ops = params.u64("total_ops");
+        let objects = params.u64("objects");
+        let initial_refs = params.u64("initial_refs");
+        let max_refs = params.u64("max_refs");
+        // The three Fig. 10 series: the baseline, CommTM whose decrement
+        // falls straight back to a reducing plain load on an empty local
+        // count, and CommTM with `load_gather` rebalancing.
+        let use_gather = base.scheme == Scheme::CommTm && params.flag("gather");
+        let mut b = base.builder();
+        let add = b.register_label(labels::add()).expect("label budget");
+        let mut m = b.build();
+
+        // One counter per object, each on its own line.
+        let counters: Vec<Addr> = (0..objects).map(|_| m.heap_mut().alloc_lines(1)).collect();
+        for &c in &counters {
+            m.poke(c, initial_refs * base.threads as u64);
+        }
+
+        // Registers: I = iteration, OBJ = chosen object, DO_INC = op kind.
+        const I: usize = 0;
+        const OBJ: usize = 1;
+        const DO_INC: usize = 2;
+
+        for t in 0..base.threads {
+            let iters = base.share(total_ops, t);
+            let counters = counters.clone();
+            let mut p = Program::builder();
+            if iters > 0 {
+                let top = p.here();
+                // Pick an object and an operation: p(increment) falls
+                // linearly with the references held (1.0 at 0 refs, 0.0 at
+                // max).
+                p.ctl(move |c| {
+                    let obj = c.rand_below(objects);
+                    c.regs[OBJ] = obj;
+                    let held = c.user::<Held>().refs[obj as usize];
+                    let p_inc_num = max_refs.saturating_sub(held);
+                    let draw = c.rand_below(max_refs);
+                    c.regs[DO_INC] = u64::from(draw < p_inc_num);
+                    Ctl::Next
+                });
+                let counters_tx = counters.clone();
+                p.tx(move |c| {
+                    let obj = c.reg(OBJ) as usize;
+                    let addr = counters_tx[obj];
+                    if c.reg(DO_INC) == 1 {
+                        // Acquire: increments always commute.
+                        let v = c.load_l(add, addr);
+                        c.store_l(add, addr, v + 1);
+                        c.defer(move |h: &mut Held| h.refs[obj] += 1);
+                    } else {
+                        // Release: the paper's bounded decrement (Sec. IV).
+                        let mut v = c.load_l(add, addr);
+                        if v == 0 && use_gather {
+                            v = c.load_gather(add, addr);
+                        }
+                        if v == 0 {
+                            v = c.load(addr); // triggers a reduction
+                        }
+                        if v > 0 {
+                            c.store_l(add, addr, v - 1);
+                            c.defer(move |h: &mut Held| h.refs[obj] -= 1);
+                        } else {
+                            // Impossible under conservation; counted and
+                            // asserted zero by the oracle.
+                            c.defer(move |h: &mut Held| h.failed_decrements += 1);
+                        }
+                    }
+                });
+                p.ctl(move |c| {
+                    c.regs[I] += 1;
+                    if c.regs[I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(
+                t,
+                p.build(),
+                Held {
+                    refs: vec![initial_refs; objects as usize],
+                    failed_decrements: 0,
+                },
+            );
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux { counters }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The conservation oracle: each counter equals the sum of references
+    /// held, and no decrement ever saw a zero global count.
+    fn oracle(&self, base: &BaseCfg, _params: &Params, out: &mut RunOutcome) {
+        let counters = out
+            .aux
+            .downcast_ref::<Aux>()
+            .expect("refcount aux")
+            .counters
+            .clone();
+        let m = &mut out.machine;
+        for (o, &c) in counters.iter().enumerate() {
+            let held: u64 = (0..base.threads)
+                .map(|t| m.env(t).user::<Held>().refs[o])
+                .sum();
+            let v = m.read_word(c);
+            assert_eq!(v, held, "object {o}: counter must equal held references");
+        }
+        let failed: u64 = (0..base.threads)
+            .map(|t| m.env(t).user::<Held>().failed_decrements)
+            .sum();
+        assert_eq!(
+            failed, 0,
+            "conservation: a held reference implies a positive count"
+        );
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ParamValue;
+
+    /// The three Fig. 10 series: the baseline, CommTM without gathers and
+    /// CommTM with gathers.
+    const VARIANTS: [(Scheme, bool); 3] = [
+        (Scheme::Baseline, false),
+        (Scheme::CommTm, false),
+        (Scheme::CommTm, true),
+    ];
+
+    /// Runs and oracle-checks `total_ops` acquires/releases over `objects`
+    /// counters on `threads` cores.
+    fn run(
+        threads: usize,
+        (scheme, gather): (Scheme, bool),
+        total_ops: u64,
+        objects: u64,
+    ) -> RunReport {
+        let over = Params::from_iter([
+            ("total_ops", ParamValue::U64(total_ops)),
+            ("gather", ParamValue::Bool(gather)),
+            ("objects", ParamValue::U64(objects)),
+        ]);
+        let params = Refcount
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        Refcount
+            .run_checked(BaseCfg::new(threads, scheme), &params)
+            .0
+    }
 
     #[test]
     fn all_variants_conserve_references() {
-        for variant in [Variant::Baseline, Variant::NoGather, Variant::Gather] {
-            let base = BaseCfg::new(4, variant.scheme());
-            run(&Cfg::new(base, variant, 400));
+        for variant in VARIANTS {
+            run(4, variant, 400, 16);
         }
     }
 
     #[test]
     fn gather_requests_are_issued() {
-        let base = BaseCfg::new(8, Scheme::CommTm);
-        let r = run(&Cfg {
-            objects: 2,
-            ..Cfg::new(base, Variant::Gather, 800)
-        });
+        let r = run(8, (Scheme::CommTm, true), 800, 2);
         assert!(
             r.core_totals().gather_ops > 0,
             "low counters should trigger gathers"
@@ -349,9 +284,8 @@ mod tests {
 
     #[test]
     fn single_thread_each_variant() {
-        for variant in [Variant::Baseline, Variant::NoGather, Variant::Gather] {
-            let base = BaseCfg::new(1, variant.scheme());
-            run(&Cfg::new(base, variant, 100));
+        for variant in VARIANTS {
+            run(1, variant, 100, 16);
         }
     }
 }

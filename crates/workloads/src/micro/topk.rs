@@ -12,147 +12,13 @@ use crate::ds::{simheap, topk_label, TxWords, Words};
 use crate::workload::{RunOutcome, Workload, WorkloadKind};
 use crate::{BaseCfg, ParamSchema, Params};
 
-/// Configuration for the top-K microbenchmark.
-#[derive(Clone, Copy, Debug)]
-pub struct Cfg {
-    /// Threads, scheme, seed.
-    pub base: BaseCfg,
-    /// Total insertions (the paper uses 10M).
-    pub total_inserts: u64,
-    /// K (the paper uses a top-1000 set).
-    pub k: u64,
-}
-
-impl Cfg {
-    /// Creates a configuration.
-    pub fn new(base: BaseCfg, total_inserts: u64, k: u64) -> Self {
-        Cfg {
-            base,
-            total_inserts,
-            k,
-        }
-    }
-}
-
-/// Runs the benchmark; verifies the retained set equals the K largest
-/// committed insertions.
-///
-/// # Panics
-///
-/// Panics if the final heap differs from the sequential top-K oracle.
-pub fn run(cfg: &Cfg) -> RunReport {
-    let mut out = execute(cfg);
-    check(cfg, &mut out);
-    out.report
-}
-
 /// What the oracle needs from the simulation setup.
 struct Aux {
     desc: Addr,
 }
 
-/// Runs the simulation without checking the oracle.
-pub fn execute(cfg: &Cfg) -> RunOutcome {
-    let mut b = cfg.base.builder();
-    let topk = b.register_label(topk_label()).expect("label budget");
-    let mut m = b.build();
-    let desc = m.heap_mut().alloc_lines(1);
-
-    // One heap per thread (CommTM uses them as the local partial heaps; the
-    // baseline only ever installs thread 0's... whichever first commits the
-    // descriptor initialization).
-    let heap_words = 2 + cfg.k;
-    let heaps: Vec<Addr> = (0..cfg.base.threads)
-        .map(|_| m.heap_mut().alloc(heap_words * 8, 64))
-        .collect();
-    for &h in &heaps {
-        m.poke(h.offset_words(1), cfg.k); // capacity; len starts 0
-    }
-
-    for (t, &my_heap) in heaps.iter().enumerate() {
-        let iters = cfg.base.share(cfg.total_inserts, t);
-        const I: usize = 0;
-        let mut p = Program::builder();
-        if iters > 0 {
-            let top = p.here();
-            p.tx(move |c| {
-                let x = c.rand();
-                let mut hp = c.load_l(topk, desc);
-                if hp == 0 {
-                    // Install this thread's local heap behind the (partial)
-                    // descriptor.
-                    hp = my_heap.raw();
-                    c.store_l(topk, desc, hp);
-                }
-                simheap::insert(&mut TxWords(c), Addr::new(hp), x);
-                c.defer(move |seen: &mut Vec<u64>| seen.push(x));
-            });
-            p.ctl(move |c| {
-                c.regs[I] += 1;
-                if c.regs[I] < iters {
-                    Ctl::Jump(top)
-                } else {
-                    Ctl::Done
-                }
-            });
-        }
-        m.set_program(t, p.build(), Vec::<u64>::new());
-    }
-
-    let report = m.run().expect("simulation");
-    RunOutcome {
-        machine: m,
-        report,
-        aux: Box::new(Aux { desc }),
-    }
-}
-
-/// The oracle: the retained set equals the K largest committed
-/// insertions. Drains the merged heap, so it can only run once.
-///
-/// # Panics
-///
-/// Panics if the final heap differs from the sequential top-K oracle.
-pub fn check(cfg: &Cfg, out: &mut RunOutcome) {
-    let desc = out.aux.downcast_ref::<Aux>().expect("topk aux").desc;
-    let m = &mut out.machine;
-
-    // A plain read of the descriptor reduces all local heaps into one.
-    let final_heap = Addr::new(m.read_word(desc));
-    assert!(
-        !final_heap.is_null(),
-        "descriptor must point at the merged heap"
-    );
-    let mut host = HostWords(&mut *m);
-    let mut got = simheap::drain_values(&mut host, final_heap);
-    got.sort_unstable();
-
-    // Oracle: the K largest over every committed insertion.
-    let mut all: Vec<u64> = Vec::new();
-    for t in 0..cfg.base.threads {
-        all.extend(m.env(t).user::<Vec<u64>>());
-    }
-    assert_eq!(all.len() as u64, cfg.total_inserts);
-    all.sort_unstable();
-    let want: Vec<u64> = all
-        .iter()
-        .rev()
-        .take(cfg.k.min(cfg.total_inserts) as usize)
-        .rev()
-        .copied()
-        .collect();
-    assert_eq!(got, want, "retained set must be the K largest insertions");
-    m.check_invariants().expect("coherence invariants");
-}
-
 /// The registered Fig. 14 top-K workload.
 pub struct TopK;
-
-impl TopK {
-    fn cfg(&self, base: BaseCfg, p: &Params) -> Cfg {
-        Cfg::new(base, p.u64("total_inserts"), p.u64("k"))
-    }
-}
 
 impl Workload for TopK {
     fn name(&self) -> &'static str {
@@ -234,11 +100,94 @@ impl Workload for TopK {
     }
 
     fn run(&self, base: BaseCfg, params: &Params) -> RunOutcome {
-        execute(&self.cfg(base, params))
+        let (total_inserts, k) = (params.u64("total_inserts"), params.u64("k"));
+        let mut b = base.builder();
+        let topk = b.register_label(topk_label()).expect("label budget");
+        let mut m = b.build();
+        let desc = m.heap_mut().alloc_lines(1);
+
+        // One heap per thread (CommTM uses them as the local partial heaps;
+        // the baseline only ever installs thread 0's... whichever first
+        // commits the descriptor initialization).
+        let heap_words = 2 + k;
+        let heaps: Vec<Addr> = (0..base.threads)
+            .map(|_| m.heap_mut().alloc(heap_words * 8, 64))
+            .collect();
+        for &h in &heaps {
+            m.poke(h.offset_words(1), k); // capacity; len starts 0
+        }
+
+        for (t, &my_heap) in heaps.iter().enumerate() {
+            let iters = base.share(total_inserts, t);
+            const I: usize = 0;
+            let mut p = Program::builder();
+            if iters > 0 {
+                let top = p.here();
+                p.tx(move |c| {
+                    let x = c.rand();
+                    let mut hp = c.load_l(topk, desc);
+                    if hp == 0 {
+                        // Install this thread's local heap behind the
+                        // (partial) descriptor.
+                        hp = my_heap.raw();
+                        c.store_l(topk, desc, hp);
+                    }
+                    simheap::insert(&mut TxWords(c), Addr::new(hp), x);
+                    c.defer(move |seen: &mut Vec<u64>| seen.push(x));
+                });
+                p.ctl(move |c| {
+                    c.regs[I] += 1;
+                    if c.regs[I] < iters {
+                        Ctl::Jump(top)
+                    } else {
+                        Ctl::Done
+                    }
+                });
+            }
+            m.set_program(t, p.build(), Vec::<u64>::new());
+        }
+
+        let report = m.run().expect("simulation");
+        RunOutcome {
+            machine: m,
+            report,
+            aux: Box::new(Aux { desc }),
+        }
     }
 
-    fn oracle(&self, base: &BaseCfg, params: &Params, run: &mut RunOutcome) {
-        check(&self.cfg(*base, params), run);
+    /// The oracle: the retained set equals the K largest committed
+    /// insertions. Drains the merged heap, so it can only run once.
+    fn oracle(&self, base: &BaseCfg, params: &Params, out: &mut RunOutcome) {
+        let (total_inserts, k) = (params.u64("total_inserts"), params.u64("k"));
+        let desc = out.aux.downcast_ref::<Aux>().expect("topk aux").desc;
+        let m = &mut out.machine;
+
+        // A plain read of the descriptor reduces all local heaps into one.
+        let final_heap = Addr::new(m.read_word(desc));
+        assert!(
+            !final_heap.is_null(),
+            "descriptor must point at the merged heap"
+        );
+        let mut host = HostWords(&mut *m);
+        let mut got = simheap::drain_values(&mut host, final_heap);
+        got.sort_unstable();
+
+        // Oracle: the K largest over every committed insertion.
+        let mut all: Vec<u64> = Vec::new();
+        for t in 0..base.threads {
+            all.extend(m.env(t).user::<Vec<u64>>());
+        }
+        assert_eq!(all.len() as u64, total_inserts);
+        all.sort_unstable();
+        let want: Vec<u64> = all
+            .iter()
+            .rev()
+            .take(k.min(total_inserts) as usize)
+            .rev()
+            .copied()
+            .collect();
+        assert_eq!(got, want, "retained set must be the K largest insertions");
+        m.check_invariants().expect("coherence invariants");
     }
 }
 
@@ -259,22 +208,33 @@ mod tests {
     use super::*;
     use commtm::Scheme;
 
+    /// Runs and oracle-checks `total_inserts` insertions into a top-`k`
+    /// set on `threads` cores.
+    fn run(threads: usize, scheme: Scheme, total_inserts: u64, k: u64) -> RunReport {
+        let over = Params::from_iter([("total_inserts", total_inserts), ("k", k)]);
+        let params = TopK
+            .schema()
+            .resolve(1, threads, &over)
+            .expect("overrides fit the schema");
+        TopK.run_checked(BaseCfg::new(threads, scheme), &params).0
+    }
+
     #[test]
     fn both_schemes_retain_top_k() {
         for scheme in [Scheme::Baseline, Scheme::CommTm] {
-            run(&Cfg::new(BaseCfg::new(4, scheme), 300, 16));
+            run(4, scheme, 300, 16);
         }
     }
 
     #[test]
     fn k_larger_than_inserts() {
-        run(&Cfg::new(BaseCfg::new(2, Scheme::CommTm), 20, 64));
+        run(2, Scheme::CommTm, 20, 64);
     }
 
     #[test]
     fn commtm_scales_better_than_baseline() {
-        let base = run(&Cfg::new(BaseCfg::new(8, Scheme::Baseline), 400, 16));
-        let comm = run(&Cfg::new(BaseCfg::new(8, Scheme::CommTm), 400, 16));
+        let base = run(8, Scheme::Baseline, 400, 16);
+        let comm = run(8, Scheme::CommTm, 400, 16);
         assert!(
             comm.total_cycles < base.total_cycles,
             "CommTM should win on contended top-K inserts ({} vs {})",

@@ -9,14 +9,11 @@
 
 use std::fmt;
 
-/// A typed parameter value: integer sizes, fractions, switches, and named
-/// mixes.
+/// A typed parameter value: integer sizes, switches, and named mixes.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ParamValue {
     /// A non-negative integer (sizes, counts, percentages).
     U64(u64),
-    /// A floating-point value (rates, fractions).
-    F64(f64),
     /// A boolean switch.
     Bool(bool),
     /// A string (named mixes, variant selectors).
@@ -28,7 +25,6 @@ impl ParamValue {
     pub fn ty(&self) -> ParamType {
         match self {
             ParamValue::U64(_) => ParamType::U64,
-            ParamValue::F64(_) => ParamType::F64,
             ParamValue::Bool(_) => ParamType::Bool,
             ParamValue::Str(_) => ParamType::Str,
         }
@@ -38,16 +34,6 @@ impl ParamValue {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             ParamValue::U64(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    /// The value as an f64 (u64 widens losslessly enough for parameter
-    /// use).
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            ParamValue::U64(v) => Some(*v as f64),
-            ParamValue::F64(v) => Some(*v),
             _ => None,
         }
     }
@@ -73,7 +59,6 @@ impl fmt::Display for ParamValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParamValue::U64(v) => write!(f, "{v}"),
-            ParamValue::F64(v) => write!(f, "{v}"),
             ParamValue::Bool(b) => write!(f, "{b}"),
             ParamValue::Str(s) => write!(f, "{s:?}"),
         }
@@ -83,12 +68,6 @@ impl fmt::Display for ParamValue {
 impl From<u64> for ParamValue {
     fn from(v: u64) -> Self {
         ParamValue::U64(v)
-    }
-}
-
-impl From<f64> for ParamValue {
-    fn from(v: f64) -> Self {
-        ParamValue::F64(v)
     }
 }
 
@@ -115,8 +94,6 @@ impl From<String> for ParamValue {
 pub enum ParamType {
     /// Non-negative integer.
     U64,
-    /// Floating-point number.
-    F64,
     /// Boolean switch (accepts `0`/`1` integers for TOML back-compat).
     Bool,
     /// String.
@@ -128,7 +105,6 @@ impl ParamType {
     pub fn name(self) -> &'static str {
         match self {
             ParamType::U64 => "u64",
-            ParamType::F64 => "f64",
             ParamType::Bool => "bool",
             ParamType::Str => "string",
         }
@@ -176,17 +152,6 @@ impl Params {
     pub fn u64(&self, name: &str) -> u64 {
         self.get_u64(name)
             .unwrap_or_else(|| panic!("workload read undeclared or non-u64 parameter {name:?}"))
-    }
-
-    /// A required f64 parameter (u64 values widen).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Params::u64`].
-    pub fn f64(&self, name: &str) -> f64 {
-        self.get(name)
-            .and_then(ParamValue::as_f64)
-            .unwrap_or_else(|| panic!("workload read undeclared or non-f64 parameter {name:?}"))
     }
 
     /// A required bool parameter.
@@ -366,17 +331,6 @@ impl ParamSchema {
         })
     }
 
-    /// Declares an f64 parameter.
-    pub fn f64(self, name: &'static str, default: f64, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::F64,
-            default: ParamDefault::Fixed(ParamValue::F64(default)),
-            doc,
-            choices: None,
-        })
-    }
-
     /// Declares a bool parameter.
     pub fn flag(self, name: &'static str, default: bool, doc: &'static str) -> Self {
         self.push(ParamSpec {
@@ -436,9 +390,9 @@ impl ParamSchema {
 
     /// Coerces `value` to `spec`'s declared type.
     ///
-    /// Coercions are deliberately narrow: an integer widens to f64, and
-    /// `0`/`1` coerce to bool (existing scenarios spell switches like
-    /// `gather = 0`). Everything else is a type error.
+    /// The one coercion is deliberately narrow: `0`/`1` coerce to bool
+    /// (existing scenarios spell switches like `gather = 0`). Everything
+    /// else is a type error.
     ///
     /// # Errors
     ///
@@ -447,10 +401,8 @@ impl ParamSchema {
     pub fn coerce(spec: &ParamSpec, value: &ParamValue) -> Result<ParamValue, String> {
         let ok = match (spec.ty, value) {
             (ParamType::U64, ParamValue::U64(_))
-            | (ParamType::F64, ParamValue::F64(_))
             | (ParamType::Bool, ParamValue::Bool(_))
             | (ParamType::Str, ParamValue::Str(_)) => value.clone(),
-            (ParamType::F64, ParamValue::U64(v)) => ParamValue::F64(*v as f64),
             (ParamType::Bool, ParamValue::U64(v @ (0 | 1))) => ParamValue::Bool(*v == 1),
             _ => {
                 return Err(format!(
@@ -558,7 +510,7 @@ mod tests {
             .u64_per_scale("total_ops", 8_000, "total operations")
             .flag("gather", true, "issue gather requests")
             .text("mix", "mixed", "operation mix")
-            .f64("bias", 0.5, "selection bias")
+            .u64("objects", 16, "reference-counted objects")
             .u64_per_thread("warm_start", 48, "pre-populated elements")
     }
 
@@ -568,7 +520,7 @@ mod tests {
         assert_eq!(p.u64("total_ops"), 24_000);
         assert!(p.flag("gather"));
         assert_eq!(p.text("mix"), "mixed");
-        assert_eq!(p.f64("bias"), 0.5);
+        assert_eq!(p.u64("objects"), 16);
         assert_eq!(p.u64("warm_start"), 192);
     }
 
@@ -576,11 +528,11 @@ mod tests {
     fn overrides_win_and_coerce() {
         let mut over = Params::new();
         over.set("gather", 0u64); // u64 0 coerces to bool false
-        over.set("bias", 2u64); // u64 widens to f64
+        over.set("objects", 2u64);
         over.set("mix", "audit-heavy");
         let p = schema().resolve(1, 1, &over).unwrap();
         assert!(!p.flag("gather"));
-        assert_eq!(p.f64("bias"), 2.0);
+        assert_eq!(p.u64("objects"), 2);
         assert_eq!(p.text("mix"), "audit-heavy");
     }
 

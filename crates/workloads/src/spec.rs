@@ -45,13 +45,7 @@ impl BaseCfg {
     /// tuning applied). Every workload constructs its machine through this
     /// so that experiment sweeps can perturb the machine uniformly.
     pub fn builder(&self) -> MachineBuilder {
-        self.builder_for(self.scheme)
-    }
-
-    /// Like [`BaseCfg::builder`] but under an explicit scheme (used by
-    /// workloads whose variant dictates the scheme, e.g. refcount).
-    pub fn builder_for(&self, scheme: Scheme) -> MachineBuilder {
-        let mut b = MachineBuilder::new(self.threads, scheme).seed(self.seed);
+        let mut b = MachineBuilder::new(self.threads, self.scheme).seed(self.seed);
         b.config_mut().apply_tuning(&self.tuning);
         b
     }

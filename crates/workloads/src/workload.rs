@@ -10,9 +10,11 @@
 //! operation; here every registered workload's oracle is visible to, and
 //! runnable by, the registry and its conformance suite).
 //!
-//! Implementations live next to their benchmark logic (e.g.
-//! [`crate::micro::counter::Counter`]); [`builtins`] enumerates the
-//! shipped set. Registries (see `commtm-lab`'s `registry` module) hold
+//! The trait is each workload's only entry point: the benchmark logic
+//! lives in its `run` and `oracle` (e.g.
+//! [`crate::micro::counter::Counter`]), and its `schema` holds the only
+//! parameter defaults. [`builtins`] enumerates the shipped set.
+//! Registries (see `commtm-lab`'s `registry` module) hold
 //! `Box<dyn Workload>` and can be extended with custom implementations.
 
 use std::any::Any;

@@ -2,53 +2,89 @@
 //! both schemes, cross-checking the qualitative claims the paper's
 //! evaluation rests on.
 
-use commtm::Scheme;
-use commtm_workloads::apps::{boruvka, genome, kmeans, ssca2, vacation};
-use commtm_workloads::micro::{counter, list, oput, refcount, topk};
-use commtm_workloads::BaseCfg;
+use commtm::{RunReport, Scheme};
+use commtm_workloads::apps::{
+    boruvka::Boruvka, genome::Genome, kmeans::Kmeans, ssca2::Ssca2, vacation::Vacation,
+};
+use commtm_workloads::micro::{
+    counter::Counter, list::List, oput::Oput, refcount::Refcount, topk::TopK,
+};
+use commtm_workloads::ParamValue::{self, Bool, U64};
+use commtm_workloads::{BaseCfg, Workload};
 
 fn both_schemes() -> [Scheme; 2] {
     [Scheme::Baseline, Scheme::CommTm]
 }
 
+/// Resolves `overrides` against `w`'s schema at scale 1 and runs `w` on
+/// `threads` cores, checking its oracle.
+fn run(
+    w: &dyn Workload,
+    threads: usize,
+    scheme: Scheme,
+    overrides: &[(&'static str, ParamValue)],
+) -> RunReport {
+    let overrides = overrides.iter().cloned().collect();
+    let params = w
+        .schema()
+        .resolve(1, threads, &overrides)
+        .expect("overrides fit the schema");
+    w.run_checked(BaseCfg::new(threads, scheme), &params).0
+}
+
 #[test]
 fn every_microbenchmark_verifies_under_both_schemes() {
     for scheme in both_schemes() {
-        let base = BaseCfg::new(4, scheme);
-        counter::run(&counter::Cfg::new(base, 200));
-        oput::run(&oput::Cfg::new(base, 200));
-        topk::run(&topk::Cfg::new(base, 200, 16));
-        list::run(&list::Cfg::new(base, 200, list::Mix::Mixed));
-        let variant = match scheme {
-            Scheme::Baseline => refcount::Variant::Baseline,
-            Scheme::CommTm => refcount::Variant::Gather,
-        };
-        refcount::run(&refcount::Cfg::new(base, variant, 200));
+        run(&Counter, 4, scheme, &[("total_incs", U64(200))]);
+        run(&Oput, 4, scheme, &[("total_puts", U64(200))]);
+        run(
+            &TopK,
+            4,
+            scheme,
+            &[("total_inserts", U64(200)), ("k", U64(16))],
+        );
+        run(
+            &List,
+            4,
+            scheme,
+            &[
+                ("total_ops", U64(200)),
+                ("mixed", Bool(true)),
+                ("warm_start", U64(0)),
+            ],
+        );
+        // Gathers only apply under CommTM; the baseline ignores the flag.
+        run(
+            &Refcount,
+            4,
+            scheme,
+            &[("total_ops", U64(200)), ("gather", Bool(true))],
+        );
     }
 }
 
 #[test]
 fn every_application_verifies_under_both_schemes() {
     for scheme in both_schemes() {
-        let base = BaseCfg::new(4, scheme);
-        let mut b = boruvka::Cfg::new(base);
-        b.side = 6;
-        boruvka::run(&b);
-        let mut k = kmeans::Cfg::new(base);
-        k.n = 64;
-        k.iters = 2;
-        kmeans::run(&k);
-        let mut s = ssca2::Cfg::new(base);
-        s.nodes = 128;
-        s.edges = 256;
-        ssca2::run(&s);
-        let mut g = genome::Cfg::new(base);
-        g.segments = 150;
-        g.unique = 24;
-        genome::run(&g);
-        let mut v = vacation::Cfg::new(base);
-        v.tasks = 150;
-        vacation::run(&v);
+        run(&Boruvka, 4, scheme, &[("side", U64(6))]);
+        run(&Kmeans, 4, scheme, &[("n", U64(64)), ("iters", U64(2))]);
+        run(
+            &Ssca2,
+            4,
+            scheme,
+            &[("nodes", U64(128)), ("edges", U64(256))],
+        );
+        run(
+            &Genome,
+            4,
+            scheme,
+            &[
+                ("segments", U64(150)),
+                ("unique", U64(24)),
+                ("buckets", U64(128)),
+            ],
+        );
+        run(&Vacation, 4, scheme, &[("tasks", U64(150))]);
     }
 }
 
@@ -59,16 +95,18 @@ fn commtm_beats_baseline_on_update_heavy_microbenchmarks() {
     let t = 16;
     let ops = 1200;
 
-    let base = counter::run(&counter::Cfg::new(BaseCfg::new(t, Scheme::Baseline), ops));
-    let comm = counter::run(&counter::Cfg::new(BaseCfg::new(t, Scheme::CommTm), ops));
+    let incs = [("total_incs", U64(ops))];
+    let base = run(&Counter, t, Scheme::Baseline, &incs);
+    let comm = run(&Counter, t, Scheme::CommTm, &incs);
     assert!(
         comm.total_cycles * 4 < base.total_cycles,
         "counter: expected >4x gain"
     );
     assert_eq!(comm.aborts(), 0, "counter: CommTM must not abort");
 
-    let base = topk::run(&topk::Cfg::new(BaseCfg::new(t, Scheme::Baseline), ops, 32));
-    let comm = topk::run(&topk::Cfg::new(BaseCfg::new(t, Scheme::CommTm), ops, 32));
+    let inserts = [("total_inserts", U64(ops)), ("k", U64(32))];
+    let base = run(&TopK, t, Scheme::Baseline, &inserts);
+    let comm = run(&TopK, t, Scheme::CommTm, &inserts);
     assert!(
         comm.total_cycles < base.total_cycles,
         "top-K: CommTM must win"
@@ -78,17 +116,19 @@ fn commtm_beats_baseline_on_update_heavy_microbenchmarks() {
 #[test]
 fn gather_requests_restore_refcount_scalability() {
     let t = 16;
-    let ops = 1600;
-    let no_gather = refcount::run(&refcount::Cfg::new(
-        BaseCfg::new(t, Scheme::CommTm),
-        refcount::Variant::NoGather,
-        ops,
-    ));
-    let gather = refcount::run(&refcount::Cfg::new(
-        BaseCfg::new(t, Scheme::CommTm),
-        refcount::Variant::Gather,
-        ops,
-    ));
+    let ops = U64(1600);
+    let no_gather = run(
+        &Refcount,
+        t,
+        Scheme::CommTm,
+        &[("total_ops", ops.clone()), ("gather", Bool(false))],
+    );
+    let gather = run(
+        &Refcount,
+        t,
+        Scheme::CommTm,
+        &[("total_ops", ops), ("gather", Bool(true))],
+    );
     assert!(
         gather.total_cycles < no_gather.total_cycles,
         "gathers must beat reduction-only bounded counters ({} vs {})",
@@ -102,10 +142,12 @@ fn gather_requests_restore_refcount_scalability() {
 fn labeled_operations_are_a_small_fraction_in_apps() {
     // Sec. VII: labeled instructions are rare (0.13% boruvka .. 1.2%
     // kmeans) yet their impact is large.
-    let mut cfg = kmeans::Cfg::new(BaseCfg::new(8, Scheme::CommTm));
-    cfg.n = 96;
-    cfg.iters = 2;
-    let r = kmeans::run(&cfg);
+    let r = run(
+        &Kmeans,
+        8,
+        Scheme::CommTm,
+        &[("n", U64(96)), ("iters", U64(2))],
+    );
     let frac = r.labeled_fraction();
     assert!(
         frac > 0.0 && frac < 0.5,
@@ -115,9 +157,9 @@ fn labeled_operations_are_a_small_fraction_in_apps() {
 
 #[test]
 fn deterministic_across_identical_runs() {
-    let cfg = counter::Cfg::new(BaseCfg::new(8, Scheme::CommTm), 400);
-    let a = counter::run(&cfg);
-    let b = counter::run(&cfg);
+    let incs = [("total_incs", U64(400))];
+    let a = run(&Counter, 8, Scheme::CommTm, &incs);
+    let b = run(&Counter, 8, Scheme::CommTm, &incs);
     assert_eq!(a.total_cycles, b.total_cycles);
     assert_eq!(a.commits(), b.commits());
     assert_eq!(a.proto_totals().getu, b.proto_totals().getu);
@@ -125,7 +167,7 @@ fn deterministic_across_identical_runs() {
 
 #[test]
 fn wasted_cycles_follow_fig18_taxonomy() {
-    let base = counter::run(&counter::Cfg::new(BaseCfg::new(8, Scheme::Baseline), 800));
+    let base = run(&Counter, 8, Scheme::Baseline, &[("total_incs", U64(800))]);
     let wasted = base.wasted_breakdown();
     let total: u64 = wasted.iter().map(|(_, v)| v).sum();
     assert!(total > 0, "contended baseline counter must waste cycles");
