@@ -64,10 +64,10 @@ pub enum StepResult {
 /// One simulated core executing a [`Program`] transactionally.
 ///
 /// The scheduler steps cores in minimum-clock order; each step runs one
-/// replay pass of the current block or handles a pending abort. A pass
-/// performs new memory operations for as long as the core stays the
-/// scheduler's minimum (see [`CoreExec::step`]). Asynchronous aborts
-/// (this core lost a conflict to another core's request) arrive via
+/// replay pass of the current block. A pass performs new memory
+/// operations for as long as the core stays the scheduler's minimum (see
+/// [`CoreExec::step`]). Asynchronous aborts (this core lost a conflict to
+/// another core's request) are handled when the driver delivers them, via
 /// [`CoreExec::notify_aborted`].
 pub struct CoreExec {
     core: CoreId,
@@ -81,7 +81,6 @@ pub struct CoreExec {
     ts: Option<u64>,
     demote_labels: bool,
     attempts: u32,
-    pending_abort: Option<AbortKind>,
     clock: u64,
     attempt_cycles: u64,
     rng: StdRng,
@@ -112,7 +111,6 @@ impl CoreExec {
             ts: None,
             demote_labels: false,
             attempts: 0,
-            pending_abort: None,
             clock: 0,
             attempt_cycles: 0,
             rng: StdRng::seed_from_u64(seed),
@@ -146,12 +144,19 @@ impl CoreExec {
         &self.env
     }
 
-    /// Records that another core's request aborted this core's running
-    /// transaction (the protocol already rolled it back and ended it). The
-    /// next step performs backoff and restarts the block.
-    pub fn notify_aborted(&mut self, cause: AbortKind) {
+    /// Handles another core's request aborting this core's running
+    /// transaction (the protocol already rolled it back and ended it):
+    /// backoff and a restart of the block, with the abort's trace event
+    /// stamped with this core's own `(clock, core)` key. The driver then
+    /// re-keys the core at its new clock.
+    ///
+    /// Handling the abort at delivery equals handling it in the core's
+    /// next step: everything it touches is private to this core, apart
+    /// from the trace event, whose stamp is the same either way.
+    pub fn notify_aborted(&mut self, cause: AbortKind, cfg: &HtmConfig, sys: &mut MemSystem) {
         debug_assert!(self.in_tx, "abort notification outside a transaction");
-        self.pending_abort.get_or_insert(cause);
+        sys.tracer_mut().step(self.core, self.clock);
+        self.handle_abort(cause, cfg, sys);
     }
 
     /// Runs one scheduler step, advancing the core's clock. Victim aborts
@@ -176,10 +181,6 @@ impl CoreExec {
         // emits carries (clock-at-entry, core), the commit-order key, until
         // `EnginePort::advance` re-stamps it for a further operation.
         sys.tracer_mut().step(self.core, self.clock);
-        if let Some(cause) = self.pending_abort.take() {
-            self.handle_abort(cause, cfg, sys);
-            return StepResult::Ran;
-        }
 
         // Borrow the program through a temporary move instead of cloning
         // the block (an `Arc` bump/release pair on every scheduler step).

@@ -150,6 +150,12 @@ fn cmd_workloads(args: &[String]) -> Result<ExitCode, String> {
         );
         for spec in def.schema().specs() {
             let mut doc = spec.doc.to_string();
+            if let Some(min) = spec.min {
+                doc.push_str(&format!(" [min {min}]"));
+            }
+            if let Some(max) = spec.max {
+                doc.push_str(&format!(" [max {max}]"));
+            }
             if let Some(choices) = spec.choices {
                 doc.push_str(&format!(" [one of: {}]", choices.join(", ")));
             }
@@ -585,6 +591,24 @@ mod tests {
         ] {
             let err = cmd_run(&args(argv)).expect_err("the flag is rejected");
             assert_eq!(err, format!("unknown option {flag:?}"));
+        }
+    }
+
+    #[test]
+    fn out_of_range_params_fail_at_load() {
+        let bank = concat!(env!("CARGO_MANIFEST_DIR"), "/scenarios/bank.toml");
+        for (argv, msg) in [
+            (
+                [bank, "--param", "accounts=1"],
+                "--param accounts: parameter \"accounts\" must be at least 2 (got 1)",
+            ),
+            (
+                ["fig16", "--param", "d=40"],
+                "--param d: parameter \"d\" must be at most 16 (got 40)",
+            ),
+        ] {
+            let err = cmd_run(&args(&argv)).expect_err("the value is rejected");
+            assert_eq!(err, msg);
         }
     }
 

@@ -115,8 +115,9 @@ impl Registry {
 
     /// The machine-readable schema dump behind `commtm-lab workloads
     /// --json`: every workload with kind, summary, and per-parameter
-    /// type/default/doc. CI diffs this against a committed golden so
-    /// parameter-surface changes are reviewed deliberately.
+    /// type/default/doc, plus bounds and choices where declared. CI
+    /// diffs this against a committed golden so parameter-surface
+    /// changes are reviewed deliberately.
     pub fn schema_json(&self) -> Json {
         let workloads: Vec<Json> = self
             .workloads()
@@ -132,6 +133,12 @@ impl Registry {
                             ("default", Json::Str(s.default.render())),
                             ("doc", Json::Str(s.doc.to_string())),
                         ];
+                        if let Some(min) = s.min {
+                            pairs.push(("min", Json::U64(min)));
+                        }
+                        if let Some(max) = s.max {
+                            pairs.push(("max", Json::U64(max)));
+                        }
                         if let Some(choices) = s.choices {
                             pairs.push((
                                 "choices",
@@ -493,5 +500,11 @@ mod tests {
             .expect("mix param");
         assert_eq!(mix.get("type").and_then(Json::as_str), Some("string"));
         assert!(mix.get("choices").is_some(), "mix lists its named values");
+        let accounts = params
+            .iter()
+            .find(|p| p.get("name").and_then(Json::as_str) == Some("accounts"))
+            .expect("accounts param");
+        assert_eq!(accounts.get("min").and_then(Json::as_u64), Some(2));
+        assert!(accounts.get("max").is_none(), "accounts has no upper bound");
     }
 }

@@ -407,7 +407,8 @@ fn workload_from_json(v: &Json) -> Result<WorkloadSpec, String> {
                     other => {
                         return Err(format!(
                             "workload param {param:?} must be an integer, bool or string \
-                             (got {other:?})"
+                             (got {})",
+                            toml_spelling(other)
                         ))
                     }
                 };
@@ -416,6 +417,16 @@ fn workload_from_json(v: &Json) -> Result<WorkloadSpec, String> {
         }
     }
     Ok(spec)
+}
+
+/// A parsed value spelled back as TOML would write it, for error
+/// messages: `1.5`, `2.0`, `-3`, `[1,2]`.
+fn toml_spelling(value: &Json) -> String {
+    match value {
+        // Debug keeps the fractional part of an integral float (`2.0`).
+        Json::F64(v) => format!("{v:?}"),
+        other => other.compact().trim_end().to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -503,6 +514,26 @@ gather = 0
             let err = scenario_from_toml(&text).unwrap_err();
             let key = line.split(' ').next().unwrap();
             assert!(err.contains(&format!("tuning.{key} was removed")), "{err}");
+        }
+    }
+
+    #[test]
+    fn rejected_param_values_are_shown_as_written() {
+        for (value, shown) in [
+            ("1.5", "1.5"),
+            ("2.0", "2.0"),
+            ("-3", "-3"),
+            ("[1, 2]", "[1,2]"),
+        ] {
+            let text =
+                format!("name = \"x\"\n[[workload]]\nname = \"counter\"\ntotal_incs = {value}\n");
+            let err = scenario_from_toml(&text).unwrap_err();
+            assert_eq!(
+                err,
+                format!(
+                    "workload param \"total_incs\" must be an integer, bool or string (got {shown})"
+                )
+            );
         }
     }
 

@@ -249,8 +249,8 @@ fn counter_quick_work_counters_are_pinned() {
         "counter-quick",
         scn,
         [
-            495_816,    // passes
-            142_049,    // replayed_entries
+            495_723,    // passes
+            141_956,    // replayed_entries
             71_235_721, // backoff_cycles
             237_333,    // invalidations
             39_937,     // writebacks
@@ -270,8 +270,8 @@ fn counter_scale4_work_counters_are_pinned() {
         "counter-scale4",
         scn,
         [
-            4_649_113,     // passes
-            1_226_062,     // replayed_entries
+            4_647_983,     // passes
+            1_224_932,     // replayed_entries
             1_787_116_544, // backoff_cycles
             2_675_960,     // invalidations
             319_714,       // writebacks
@@ -291,8 +291,8 @@ fn list_quick_work_counters_are_pinned() {
         "list-quick",
         scn,
         [
-            1_312_731,   // passes
-            2_298_494,   // replayed_entries
+            1_304_235,   // passes
+            2_275_411,   // replayed_entries
             141_235_124, // backoff_cycles
             433_213,     // invalidations
             123_191,     // writebacks

@@ -15,8 +15,8 @@
 //! `MemSystem` performs eager conflict detection against the speculative
 //! footprints recorded in L1 metadata, arbitrates by timestamp (the earlier
 //! transaction wins, per the paper's Sec. III-B3), rolls back aborted
-//! victims, and queues a [`ProtoEvent`] for each until the driver drains
-//! them.
+//! victims, and queues a [`ProtoEvent`] for each until the driver takes
+//! it.
 //!
 //! Key entry points:
 //!
@@ -25,7 +25,7 @@
 //!   [`MemSystem::tx_abort`] — the only ways a core's transaction state
 //!   changes, so the table, the speculative cache state and the tracer
 //!   cannot drift apart,
-//! - [`MemSystem::drain_events`] — take the queued victim aborts,
+//! - [`MemSystem::next_event`] — take the oldest queued victim abort,
 //! - [`LabelTable`] — register user-defined labels with identity values,
 //!   reduction handlers and splitters,
 //! - [`MemSystem::check_invariants`] — whole-hierarchy coherence audit used

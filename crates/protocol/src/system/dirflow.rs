@@ -31,7 +31,7 @@ impl MemSystem {
         if victim == acc.requester {
             acc.own_abort.get_or_insert(kind);
         } else {
-            self.events.push(ProtoEvent::Aborted {
+            self.events.push_back(ProtoEvent::Aborted {
                 core: victim,
                 cause: kind,
             });

@@ -5,6 +5,8 @@ mod evict;
 mod handler;
 mod invariants;
 
+use std::collections::VecDeque;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,9 +70,9 @@ pub struct MemSystem {
     /// Per-core transaction timestamp, `Some` while the core is inside a
     /// transaction. Changed only by `tx_begin`/`tx_commit`/`tx_abort`.
     txs: Vec<Option<u64>>,
-    /// Victim aborts queued until the driver drains them; the buffer is
-    /// reused, so the steady-state access loop never allocates.
-    events: Vec<ProtoEvent>,
+    /// Victim aborts queued until the driver takes them, oldest first; the
+    /// buffer is reused, so the steady-state access loop never allocates.
+    events: VecDeque<ProtoEvent>,
     /// Structured per-transaction tracing (see [`crate::trace`]); off by
     /// default — every hook is a single-branch no-op then.
     pub(crate) tracer: Tracer,
@@ -110,7 +112,7 @@ impl MemSystem {
             stats,
             rng,
             txs,
-            events: Vec::new(),
+            events: VecDeque::new(),
             tracer: Tracer::default(),
         }
     }
@@ -148,7 +150,7 @@ impl MemSystem {
     /// Conflicts are detected eagerly against the other cores' open
     /// transactions. An aborted victim's transaction is rolled back and
     /// ended, and a [`ProtoEvent::Aborted`] for it is queued for
-    /// [`MemSystem::drain_events`]. If the *requester* must abort (NACK,
+    /// [`MemSystem::next_event`]. If the *requester* must abort (NACK,
     /// self-demotion, footprint eviction), its transaction is rolled back
     /// and ended and [`AccessOutcome::self_abort`] is set.
     ///
@@ -175,11 +177,11 @@ impl MemSystem {
         }
     }
 
-    /// Takes the victim aborts queued by accesses since the last drain, in
-    /// the order they happened. The driver delivers them to the victims'
-    /// engines; the protocol side of each abort is already done.
-    pub fn drain_events(&mut self) -> std::vec::Drain<'_, ProtoEvent> {
-        self.events.drain(..)
+    /// Takes the oldest victim abort queued by accesses, if any. The driver
+    /// delivers each to the victim's engine; the protocol side of the abort
+    /// is already done.
+    pub fn next_event(&mut self) -> Option<ProtoEvent> {
+        self.events.pop_front()
     }
 
     /// Opens a transaction on `core` with arbitration timestamp `ts` (the

@@ -25,11 +25,12 @@
 //! Conflicts are two-sided: the directory flow records a pending
 //! *abort note* (attacker core + line) for whichever side loses
 //! arbitration, and the HTM layer consumes the note when it processes
-//! that core's abort. Notes keep the first cause, mirroring how
-//! `Acc::abort_self` and the engine's `pending_abort` keep theirs, so
-//! the attributed cause is always the one that actually aborted the
-//! transaction. Self-inflicted aborts (evictions, self-demotions) carry
-//! a line but no attacker.
+//! that core's abort: a requester's at the end of its own access, a
+//! victim's when the machine driver delivers the abort right after the
+//! step that caused it. Notes keep the first cause, mirroring how
+//! `Acc::abort_self` keeps its own, so the attributed cause is always
+//! the one that actually aborted the transaction. Self-inflicted aborts
+//! (evictions, self-demotions) carry a line but no attacker.
 
 use commtm_mem::{CoreId, FxHashMap, LineAddr};
 
@@ -333,7 +334,7 @@ impl Tracer {
     /// Records a pending abort attribution for `core` without a
     /// two-sided conflict (evictions, forwards, self-demotions).
     /// Keep-first: an earlier note for the same core wins, mirroring the
-    /// engine's first-cause abort bookkeeping.
+    /// protocol's first-cause abort bookkeeping (`Acc::abort_self`).
     pub fn note_abort(&mut self, core: CoreId, attacker: Option<CoreId>, line: LineAddr) {
         if !self.enabled {
             return;

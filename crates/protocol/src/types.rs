@@ -210,7 +210,7 @@ pub enum ProtoEvent {
 
 /// The result of one [`crate::MemSystem::access`]. Victim aborts are not
 /// part of it: they queue in the memory system until the driver takes them
-/// with [`crate::MemSystem::drain_events`].
+/// with [`crate::MemSystem::next_event`].
 #[derive(Clone, Copy, Debug)]
 pub struct AccessOutcome {
     /// The value loaded (stores echo the stored value; a NACKed requester

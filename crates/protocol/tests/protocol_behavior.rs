@@ -43,9 +43,9 @@ fn sys(cores: usize) -> MemSystem {
     MemSystem::new(ProtoConfig::paper_with_cores(cores), add_label_table())
 }
 
-/// The victim aborts queued since the last drain.
+/// The victim aborts queued since they were last taken.
 fn events(m: &mut MemSystem) -> Vec<ProtoEvent> {
-    m.drain_events().collect()
+    std::iter::from_fn(|| m.next_event()).collect()
 }
 
 fn c(i: usize) -> CoreId {

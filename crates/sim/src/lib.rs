@@ -4,8 +4,8 @@
 //! (`commtm-protocol`), the per-core HTM engines (`commtm-htm`), and the
 //! per-thread programs (`commtm-tx`). Its scheduler is a deterministic
 //! discrete-event loop: the core with the minimum local clock steps next
-//! (ties break by core id), each step performing at most one new memory
-//! operation. See DESIGN.md §3 for the model.
+//! (ties break by core id), and a step performs new memory operations
+//! while its core stays that minimum. See docs/ARCHITECTURE.md.
 //!
 //! # Example
 //!
@@ -32,6 +32,7 @@
 
 mod machine;
 mod report;
+mod tree;
 
 pub use commtm_htm::{CoreStats, HtmConfig, Scheme};
 pub use commtm_protocol::ProtoConfig;

@@ -1,7 +1,5 @@
 //! The simulated machine and its deterministic scheduler.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 
 use commtm_htm::{CoreExec, CoreStats, HtmConfig, Scheme, StepResult};
@@ -10,6 +8,7 @@ use commtm_protocol::{LabelTable, MemOp, MemSystem, ProtoConfig, ProtoEvent, Tra
 use commtm_tx::Program;
 
 use crate::report::RunReport;
+use crate::tree::WinnerTree;
 
 /// Top-level machine configuration: how many threads (= cores), which
 /// conflict-detection scheme, and the hierarchy parameters (Table I by
@@ -229,7 +228,7 @@ impl Machine {
     ///
     /// The scheduler is a discrete-event loop that always steps the core
     /// with the minimum `(clock, index)` key, delivering protocol events
-    /// (asynchronous aborts) between steps. Everything the simulator
+    /// (asynchronous aborts) after each step. Everything the simulator
     /// promises about determinism is defined in terms of this order.
     ///
     /// # Errors
@@ -282,38 +281,43 @@ impl Machine {
             .map(|c| c.as_mut().expect("program installed"))
             .collect();
 
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = cores
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| !c.is_done())
-            .map(|(i, c)| Reverse((c.clock(), i)))
-            .collect();
+        let mut tree = WinnerTree::new(cores.iter().map(|c| (!c.is_done()).then(|| c.clock())));
 
         // Every key at or above this one has passed `max_cycles`, so no
         // pass goes on into it: the step ends and the check below fires.
         let limit = (cfg.max_cycles, usize::MAX);
-        while let Some(Reverse((_, idx))) = heap.pop() {
+        let mut running = tree.take_min();
+        while let Some((_, idx)) = running {
+            // A victim whose backoff carried it past `max_cycles` keeps its
+            // key from before the abort and reports the limit when that key
+            // comes up: the core, clock and order of a backoff handled in a
+            // step of its own at that key.
+            let clock = cores[idx].clock();
+            if clock > cfg.max_cycles {
+                return Err(SimError::CycleLimit { core: idx, clock });
+            }
             // Run-to-completion batching: keep stepping this core while it
-            // remains the minimum-(clock, index) core. The step sequence is
-            // identical to push-then-pop scheduling — the heap would hand the
-            // same core straight back — but the common uncontended case skips
-            // the heap traffic entirely. Within a step, a block pass goes on
-            // issuing operations below the same horizon.
-            let horizon = heap.peek().map_or(limit, |&Reverse(next)| next.min(limit));
+            // remains the minimum-(clock, index) core, that is, while its
+            // key stays below the smallest key in the tree. Within a step,
+            // a block pass goes on issuing operations below that horizon.
             loop {
+                let horizon = tree.min().map_or(limit, |next| next.min(limit));
                 let core = &mut *cores[idx];
                 let result = core.step(sys, &cfg.htm, next_ts, horizon);
                 let clock = core.clock();
 
-                // Deliver asynchronous aborts to their victims. A victim is
-                // never the stepping core, and delivery only flags it for
-                // its next step, so a step may queue several.
-                for ev in sys.drain_events() {
+                // Handle asynchronous aborts as they are delivered. A
+                // victim is never the stepping core, so it is in the tree;
+                // its backoff raises its key there.
+                while let Some(ev) = sys.next_event() {
                     match ev {
-                        ProtoEvent::Aborted {
-                            core: victim,
-                            cause,
-                        } => cores[victim.index()].notify_aborted(cause),
+                        ProtoEvent::Aborted { core, cause } => {
+                            let victim = &mut *cores[core.index()];
+                            victim.notify_aborted(cause, &cfg.htm, sys);
+                            if victim.clock() <= cfg.max_cycles {
+                                tree.set(core.index(), victim.clock());
+                            }
+                        }
                     }
                 }
 
@@ -321,14 +325,12 @@ impl Machine {
                     return Err(SimError::CycleLimit { core: idx, clock });
                 }
                 if result != StepResult::Ran {
+                    running = tree.take_min();
                     break;
                 }
-                match heap.peek() {
-                    Some(&Reverse(next)) if (clock, idx) > next => {
-                        heap.push(Reverse((clock, idx)));
-                        break;
-                    }
-                    _ => {}
+                if tree.min().is_some_and(|next| (clock, idx) > next) {
+                    running = Some(tree.replace_min(idx, clock));
+                    break;
                 }
             }
         }

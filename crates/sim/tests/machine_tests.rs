@@ -236,6 +236,61 @@ fn cycle_limit_catches_runaways() {
     );
 }
 
+/// Core 1 reads a line and stays in its transaction; core 0, which began
+/// first and so wins arbitration, then writes the line and aborts core 1.
+/// The backoff window is so wide that the victim's backoff carries it far
+/// past `max_cycles`. With `then_spin`, core 0 afterwards runs a plain
+/// block that crosses the limit too, in a step scheduled before the key
+/// the victim held when it was aborted.
+fn victim_past_the_limit(then_spin: bool) -> Result<commtm_sim::RunReport, SimError> {
+    let mut cfg = MachineConfig::new(2, Scheme::Baseline);
+    cfg.max_cycles = 100_000;
+    cfg.htm.backoff_base = 1 << 40;
+    let mut m = Machine::new(cfg, add_labels());
+    let a = m.heap_mut().alloc_lines(3);
+    let (b, c) = (a.offset(64), a.offset(128));
+    let mut p0 = Program::builder();
+    p0.tx(move |t| {
+        t.load(b);
+        t.work(50);
+        t.store(a, 1);
+    });
+    if then_spin {
+        p0.plain(|t| t.work(200_000));
+    }
+    m.set_program(0, p0.build(), ());
+    let mut p1 = Program::builder();
+    p1.tx(move |t| {
+        t.load(a);
+        t.work(2_000);
+        t.load(c);
+    });
+    m.set_program(1, p1.build(), ());
+    m.run()
+}
+
+#[test]
+fn a_victim_backed_off_past_the_limit_is_reported_at_its_old_key() {
+    // The victim's abort is handled when it is delivered, but the limit is
+    // reported where its key from before the abort comes up, with the
+    // clock its backoff reached.
+    assert_eq!(
+        victim_past_the_limit(false).unwrap_err(),
+        SimError::CycleLimit {
+            core: 1,
+            clock: 378_907_196_419
+        }
+    );
+    // A step scheduled before that key crosses the limit first.
+    assert_eq!(
+        victim_past_the_limit(true).unwrap_err(),
+        SimError::CycleLimit {
+            core: 0,
+            clock: 200_299
+        }
+    );
+}
+
 #[test]
 fn mixed_readers_and_writers_serialize_correctly() {
     // One thread sums the counter occasionally (plain reads) while others

@@ -23,6 +23,10 @@ const R_P: usize = 2;
 const R_C: usize = 3;
 const R_ITER: usize = 4;
 
+/// Largest `d`: the assignment closure keeps a point's coordinates in a
+/// fixed array of this length.
+const MAX_DIMS: usize = 16;
+
 /// What the oracle needs from the simulation setup.
 struct Aux {
     assign: Addr,
@@ -83,7 +87,8 @@ impl Workload for Kmeans {
     fn schema(&self) -> ParamSchema {
         ParamSchema::new()
             .u64_per_scale("n", 192, "number of points")
-            .u64("d", 4, "dimensions per point (max 16)")
+            .u64("d", 4, "dimensions per point")
+            .at_most(MAX_DIMS as u64)
             .u64("k", 8, "number of clusters")
             .u64("iters", 2, "fixed iteration count (for determinism)")
     }
@@ -93,8 +98,10 @@ impl Workload for Kmeans {
         let d = params.u64("d") as usize;
         let k = params.u64("k") as usize;
         let iters = params.u64("iters");
-        assert!(k <= n, "need at least one point per cluster seed");
-        assert!(d <= 16, "dimension cap for the assignment closure");
+        assert!(
+            k <= n,
+            "kmeans parameter k ({k}) must not exceed n ({n}): each cluster is seeded from a point"
+        );
         let mut b = base.builder();
         let fpadd = b.register_label(labels::fp_add()).expect("label budget");
         let add = b.register_label(labels::add()).expect("label budget");
@@ -148,7 +155,7 @@ impl Workload for Kmeans {
             // Assignment: read the point and every center, pick the nearest.
             p.plain(move |c| {
                 let pi = c.reg(R_P) as usize;
-                let mut coords = [0f64; 16];
+                let mut coords = [0f64; MAX_DIMS];
                 for (dim, coord) in coords.iter_mut().enumerate().take(d) {
                     *coord = f64::from_bits(c.load(points.offset_words((pi * d + dim) as u64)));
                 }

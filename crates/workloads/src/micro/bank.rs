@@ -200,7 +200,8 @@ impl Workload for Bank {
     fn schema(&self) -> ParamSchema {
         ParamSchema::new()
             .u64_per_scale("total_ops", 8_000, "total transfer + audit operations")
-            .u64("accounts", 16, "accounts, one cache line each (min 2)")
+            .u64("accounts", 16, "accounts, one cache line each")
+            .at_least(2)
             .u64("initial_balance", 128, "starting balance per account")
             .text_choices(
                 "mix",
@@ -215,7 +216,6 @@ impl Workload for Bank {
         let naccounts = params.u64("accounts");
         let initial_balance = params.u64("initial_balance");
         let mix = Mix::parse(params.text("mix")).expect("mix validated by schema choices");
-        assert!(naccounts >= 2, "transfers need at least two accounts");
         let mut b = base.builder();
         let add = b.register_label(labels::add()).expect("label budget");
         let mut m = b.build();

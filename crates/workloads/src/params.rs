@@ -260,6 +260,10 @@ pub struct ParamSpec {
     /// For string parameters: the closed set of accepted values (named
     /// mixes). `None` accepts any string.
     pub choices: Option<&'static [&'static str]>,
+    /// For u64 parameters: the smallest accepted value.
+    pub min: Option<u64>,
+    /// For u64 parameters: the largest accepted value.
+    pub max: Option<u64>,
 }
 
 /// A workload's declared parameter surface, in declaration order.
@@ -272,47 +276,48 @@ impl ParamSchema {
         ParamSchema(Vec::new())
     }
 
-    fn push(mut self, spec: ParamSpec) -> Self {
+    fn push(
+        mut self,
+        name: &'static str,
+        ty: ParamType,
+        default: ParamDefault,
+        doc: &'static str,
+    ) -> Self {
         debug_assert!(
-            !self.0.iter().any(|s| s.name == spec.name),
-            "duplicate parameter {:?}",
-            spec.name
+            !self.0.iter().any(|s| s.name == name),
+            "duplicate parameter {name:?}"
         );
-        self.0.push(spec);
+        self.0.push(ParamSpec {
+            name,
+            ty,
+            default,
+            doc,
+            choices: None,
+            min: None,
+            max: None,
+        });
         self
+    }
+
+    /// The most recently declared parameter.
+    fn last(&mut self) -> &mut ParamSpec {
+        self.0.last_mut().expect("a declared parameter")
     }
 
     /// Declares a fixed-default u64 parameter.
     pub fn u64(self, name: &'static str, default: u64, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::U64,
-            default: ParamDefault::Fixed(ParamValue::U64(default)),
-            doc,
-            choices: None,
-        })
+        let default = ParamDefault::Fixed(ParamValue::U64(default));
+        self.push(name, ParamType::U64, default, doc)
     }
 
     /// Declares a u64 parameter whose default is `base × scale`.
     pub fn u64_per_scale(self, name: &'static str, base: u64, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::U64,
-            default: ParamDefault::PerScale(base),
-            doc,
-            choices: None,
-        })
+        self.push(name, ParamType::U64, ParamDefault::PerScale(base), doc)
     }
 
     /// Declares a u64 parameter whose default is `base × threads`.
     pub fn u64_per_thread(self, name: &'static str, base: u64, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::U64,
-            default: ParamDefault::PerThread(base),
-            doc,
-            choices: None,
-        })
+        self.push(name, ParamType::U64, ParamDefault::PerThread(base), doc)
     }
 
     /// Declares a u64 parameter with a computed default.
@@ -322,35 +327,19 @@ impl ParamSchema {
         default: fn(u64, usize) -> ParamValue,
         doc: &'static str,
     ) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::U64,
-            default: ParamDefault::Computed(default),
-            doc,
-            choices: None,
-        })
+        self.push(name, ParamType::U64, ParamDefault::Computed(default), doc)
     }
 
     /// Declares a bool parameter.
     pub fn flag(self, name: &'static str, default: bool, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::Bool,
-            default: ParamDefault::Fixed(ParamValue::Bool(default)),
-            doc,
-            choices: None,
-        })
+        let default = ParamDefault::Fixed(ParamValue::Bool(default));
+        self.push(name, ParamType::Bool, default, doc)
     }
 
     /// Declares a string parameter.
     pub fn text(self, name: &'static str, default: &'static str, doc: &'static str) -> Self {
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::Str,
-            default: ParamDefault::Fixed(ParamValue::Str(default.to_string())),
-            doc,
-            choices: None,
-        })
+        let default = ParamDefault::Fixed(ParamValue::Str(default.to_string()));
+        self.push(name, ParamType::Str, default, doc)
     }
 
     /// Declares a string parameter restricted to a closed set of named
@@ -364,13 +353,27 @@ impl ParamSchema {
         doc: &'static str,
     ) -> Self {
         debug_assert!(choices.contains(&default), "default must be a choice");
-        self.push(ParamSpec {
-            name,
-            ty: ParamType::Str,
-            default: ParamDefault::Fixed(ParamValue::Str(default.to_string())),
-            doc,
-            choices: Some(choices),
-        })
+        let mut schema = self.text(name, default, doc);
+        schema.last().choices = Some(choices);
+        schema
+    }
+
+    /// Bounds the last declared parameter, a u64, from below: smaller
+    /// values are rejected at validation time.
+    pub fn at_least(mut self, min: u64) -> Self {
+        let spec = self.last();
+        debug_assert!(spec.ty == ParamType::U64, "only u64 parameters take bounds");
+        spec.min = Some(min);
+        self
+    }
+
+    /// Bounds the last declared parameter, a u64, from above: larger
+    /// values are rejected at validation time.
+    pub fn at_most(mut self, max: u64) -> Self {
+        let spec = self.last();
+        debug_assert!(spec.ty == ParamType::U64, "only u64 parameters take bounds");
+        spec.max = Some(max);
+        self
     }
 
     /// The declared parameters, in declaration order.
@@ -392,12 +395,13 @@ impl ParamSchema {
     ///
     /// The one coercion is deliberately narrow: `0`/`1` coerce to bool
     /// (existing scenarios spell switches like `gather = 0`). Everything
-    /// else is a type error.
+    /// else is a type error. A u64 outside the declared bounds is an
+    /// error too.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the parameter, the declared type, and the
-    /// offending value.
+    /// Returns a message naming the parameter, the declared type or
+    /// bound, and the offending value.
     pub fn coerce(spec: &ParamSpec, value: &ParamValue) -> Result<ParamValue, String> {
         let ok = match (spec.ty, value) {
             (ParamType::U64, ParamValue::U64(_))
@@ -413,6 +417,20 @@ impl ParamSchema {
                 ))
             }
         };
+        if let ParamValue::U64(v) = ok {
+            if let Some(min) = spec.min.filter(|&min| v < min) {
+                return Err(format!(
+                    "parameter {:?} must be at least {min} (got {v})",
+                    spec.name
+                ));
+            }
+            if let Some(max) = spec.max.filter(|&max| v > max) {
+                return Err(format!(
+                    "parameter {:?} must be at most {max} (got {v})",
+                    spec.name
+                ));
+            }
+        }
         if let (Some(choices), ParamValue::Str(s)) = (spec.choices, &ok) {
             if !choices.contains(&s.as_str()) {
                 return Err(format!(
@@ -534,6 +552,32 @@ mod tests {
         assert!(!p.flag("gather"));
         assert_eq!(p.u64("objects"), 2);
         assert_eq!(p.text("mix"), "audit-heavy");
+    }
+
+    #[test]
+    fn bounds_reject_out_of_range_values_naming_the_parameter() {
+        let bounded = ParamSchema::new()
+            .u64("accounts", 16, "accounts")
+            .at_least(2)
+            .u64("d", 4, "dimensions")
+            .at_most(16);
+        for (name, value, msg) in [
+            (
+                "accounts",
+                1,
+                "parameter \"accounts\" must be at least 2 (got 1)",
+            ),
+            ("d", 17, "parameter \"d\" must be at most 16 (got 17)"),
+        ] {
+            let mut over = Params::new();
+            over.set(name, value);
+            assert_eq!(bounded.check(&over).unwrap_err(), msg);
+        }
+        let mut over = Params::new();
+        over.set("accounts", 2u64);
+        over.set("d", 16u64);
+        let p = bounded.resolve(1, 1, &over).unwrap();
+        assert_eq!((p.u64("accounts"), p.u64("d")), (2, 16));
     }
 
     #[test]
