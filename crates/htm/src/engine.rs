@@ -76,7 +76,6 @@ pub struct CoreExec {
     runner: BlockRunner,
     block_idx: usize,
     block_started: bool,
-    block_start_regs: Vec<u64>,
     in_tx: bool,
     ts: Option<u64>,
     demote_labels: bool,
@@ -106,7 +105,6 @@ impl CoreExec {
             runner: BlockRunner::new(),
             block_idx: 0,
             block_started: false,
-            block_start_regs: Vec::new(),
             in_tx: false,
             ts: None,
             demote_labels: false,
@@ -167,16 +165,25 @@ impl CoreExec {
     /// operation only while the finished operation leaves the core's key
     /// below it, so one step performs exactly the operations successive
     /// steps would have, in the same order and at the same clocks.
+    ///
+    /// A step that completes a Tx or Plain block also runs the Ctl chain
+    /// that follows it. The chain touches only this core's registers,
+    /// user state and RNG, outside any transaction, so no other core can
+    /// observe when it runs. Only where the chain could carry the clock
+    /// past `max_cycles` does it keep a step of its own, so that the
+    /// cycle limit is reported at the key and in the order it always was.
     pub fn step(
         &mut self,
         sys: &mut MemSystem,
         cfg: &HtmConfig,
         next_ts: &mut u64,
         horizon: (u64, usize),
+        max_cycles: u64,
     ) -> StepResult {
         if self.done {
             return StepResult::Finished;
         }
+        self.stats.steps += 1;
         // Stamp the step's scheduling key: every trace event this step
         // emits carries (clock-at-entry, core), the commit-order key, until
         // `EnginePort::advance` re-stamps it for a further operation.
@@ -187,9 +194,7 @@ impl CoreExec {
         let program = std::mem::take(&mut self.program);
         let completed = match program.block(self.block_idx) {
             Block::Ctl(_) => {
-                let n = self.run_ctl_chain(&program);
-                self.clock += n;
-                self.stats.nontx_cycles += n;
+                self.run_ctl_chain(&program);
                 false
             }
             Block::Tx(body) => self.run_body(body, true, sys, cfg, next_ts, horizon),
@@ -197,6 +202,13 @@ impl CoreExec {
         };
         if completed {
             self.advance_to(self.block_idx + 1, program.len());
+            let chain_fits = self
+                .clock
+                .checked_add(MAX_CHAIN)
+                .is_some_and(|end| end <= max_cycles);
+            if !self.done && chain_fits && matches!(program.block(self.block_idx), Block::Ctl(_)) {
+                self.run_ctl_chain(&program);
+            }
         }
         self.program = program;
 
@@ -207,10 +219,10 @@ impl CoreExec {
         }
     }
 
-    /// Runs consecutive Ctl blocks (1 cycle each), bounded per step so that
+    /// Runs consecutive Ctl blocks (1 cycle each, charged as
+    /// non-transactional), at most [`MAX_CHAIN`] per step so that
     /// control-only spin loops cannot stall the scheduler.
-    fn run_ctl_chain(&mut self, program: &Program) -> u64 {
-        const MAX_CHAIN: u64 = 1024;
+    fn run_ctl_chain(&mut self, program: &Program) {
         let mut n = 0;
         while n < MAX_CHAIN && !self.done {
             let Block::Ctl(f) = program.block(self.block_idx) else {
@@ -233,7 +245,9 @@ impl CoreExec {
                 Ctl::Done => self.finish(),
             }
         }
-        n.max(1)
+        let n = n.max(1);
+        self.clock += n;
+        self.stats.nontx_cycles += n;
     }
 
     /// Runs one pass of a Tx or Plain block; returns whether the block
@@ -248,8 +262,6 @@ impl CoreExec {
         horizon: (u64, usize),
     ) -> bool {
         if !self.block_started {
-            self.block_start_regs.clear();
-            self.block_start_regs.extend_from_slice(&self.env.regs);
             self.block_started = true;
             if is_tx {
                 // Assign (or retain, across retries) the timestamp.
@@ -325,13 +337,14 @@ impl CoreExec {
     }
 
     /// Backoff-and-restart after an abort (the protocol already rolled the
-    /// transaction back).
+    /// transaction back). The registers already hold their block-start
+    /// values: every pass that did not complete the block undid its
+    /// writes.
     fn handle_abort(&mut self, cause: AbortKind, cfg: &HtmConfig, sys: &mut MemSystem) {
         // Emits the abort event and consumes the protocol's pending
         // attribution note (conflicting core + line) for this victim.
         sys.tracer_mut().abort(self.core, cause);
         self.runner.reset();
-        self.env.regs.copy_from_slice(&self.block_start_regs);
         self.in_tx = false;
         // The retry must re-enter the transaction (`tx_begin` again); the
         // timestamp in `self.ts` is retained so the transaction ages and
@@ -384,6 +397,9 @@ impl std::fmt::Debug for CoreExec {
             .finish_non_exhaustive()
     }
 }
+
+/// The most Ctl blocks one step runs (see [`CoreExec::step`]).
+const MAX_CHAIN: u64 = 1024;
 
 /// The randomized backoff window after `attempts` aborts:
 /// `backoff_base << min(attempts, backoff_cap)`, saturating at `u64::MAX`

@@ -35,6 +35,9 @@ pub struct CoreStats {
     pub labeled_ops: u64,
     /// Gather requests issued by the program (subset of `labeled_ops`).
     pub gather_ops: u64,
+    /// Scheduler steps the core ran ([`crate::CoreExec::step`] calls on an
+    /// unfinished program). Host work only; it costs no simulated cycles.
+    pub steps: u64,
     /// Block passes: closure runs. A pass re-runs its block from the top
     /// and performs new operations while its core stays the scheduler's
     /// minimum. Host work only; it costs no simulated cycles.
@@ -76,6 +79,7 @@ impl CoreStats {
         self.plain_ops += other.plain_ops;
         self.labeled_ops += other.labeled_ops;
         self.gather_ops += other.gather_ops;
+        self.steps += other.steps;
         self.passes += other.passes;
         self.replayed_entries += other.replayed_entries;
         self.finish_cycle = self.finish_cycle.max(other.finish_cycle);

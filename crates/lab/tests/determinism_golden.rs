@@ -11,10 +11,10 @@
 //! ordering, conflict arbitration, scheduling order, or RNG consumption
 //! shows up as a golden diff or a fingerprint mismatch. The work counters
 //! add what the fingerprint leaves out, including the host work no
-//! simulated cycle shows (closure passes, replayed log entries), so extra
-//! work fails here with no timing. The two larger grids are
-//! release-only; CI's perf-smoke job runs them with `cargo test --release
-//! -p commtm-lab --test determinism_golden -- --include-ignored`.
+//! simulated cycle shows (scheduler steps, closure passes, replayed log
+//! entries), so extra work fails here with no timing. The two larger
+//! grids are release-only; CI's perf-smoke job runs them with `cargo test
+//! --release -p commtm-lab --test determinism_golden -- --include-ignored`.
 //!
 //! To bless a *deliberate* behavior change, regenerate the golden with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test
@@ -183,9 +183,11 @@ fn list_quick_fingerprint_is_pinned() {
 }
 
 /// The deterministic counters the fingerprint leaves out, index-aligned
-/// with [`work_counters`]: host replay work (closure passes and the log
-/// entries they replay), then backoff and the cache traffic.
-const WORK_COUNTERS: [&str; 9] = [
+/// with [`work_counters`]: host scheduling and replay work (scheduler
+/// steps, closure passes and the log entries they replay), then backoff
+/// and the cache traffic.
+const WORK_COUNTERS: [&str; 10] = [
+    "steps",
     "passes",
     "replayed_entries",
     "backoff_cycles",
@@ -208,6 +210,7 @@ fn work_counters(scenario: &Scenario) -> [u64; WORK_COUNTERS.len()] {
         let core = report.core_totals();
         let proto = report.proto_totals();
         let counts = [
+            core.steps,
             core.passes,
             core.replayed_entries,
             core.backoff_cycles,
@@ -249,8 +252,9 @@ fn counter_quick_work_counters_are_pinned() {
         "counter-quick",
         scn,
         [
-            495_723,    // passes
-            141_956,    // replayed_entries
+            495_702,    // steps
+            495_702,    // passes
+            141_935,    // replayed_entries
             71_235_721, // backoff_cycles
             237_333,    // invalidations
             39_937,     // writebacks
@@ -270,8 +274,9 @@ fn counter_scale4_work_counters_are_pinned() {
         "counter-scale4",
         scn,
         [
-            4_647_983,     // passes
-            1_224_932,     // replayed_entries
+            4_647_884,     // steps
+            4_647_884,     // passes
+            1_224_833,     // replayed_entries
             1_787_116_544, // backoff_cycles
             2_675_960,     // invalidations
             319_714,       // writebacks
@@ -291,8 +296,9 @@ fn list_quick_work_counters_are_pinned() {
         "list-quick",
         scn,
         [
-            1_304_235,   // passes
-            2_275_411,   // replayed_entries
+            1_297_271,   // steps
+            1_297_107,   // passes
+            2_251_864,   // replayed_entries
             141_235_124, // backoff_cycles
             433_213,     // invalidations
             123_191,     // writebacks

@@ -7,9 +7,10 @@
 //! `hops × (router_delay + link_delay)` cycles, with XY (dimension-ordered)
 //! routing determining the hop count.
 //!
-//! Contention is not modeled (see DESIGN.md §5); the paper's protocol-level
-//! traffic reductions are measured as message counts (Fig. 19), which this
-//! model reports exactly.
+//! Contention is not modeled (see "Modeling departures" in
+//! docs/ARCHITECTURE.md); the paper's protocol-level traffic reductions
+//! are measured as message counts (Fig. 19), which this model reports
+//! exactly.
 //!
 //! # Example
 //!
@@ -22,7 +23,9 @@
 //! assert_eq!(lat, mesh.bank_to_core(15, CoreId::new(0)));
 //! ```
 
-use commtm_mem::{CoreId, LineAddr};
+use std::borrow::Cow;
+
+use commtm_mem::{CoreId, LineAddr, MAX_CORES};
 
 /// A tile coordinate in the mesh.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -32,7 +35,26 @@ pub struct Tile {
 }
 
 impl Tile {
+    /// The next tile in index order on a `cols` × `rows` mesh, wrapping
+    /// from the last tile to the first.
+    const fn next(self, cols: u32, rows: u32) -> Tile {
+        if self.x + 1 < cols {
+            Tile {
+                x: self.x + 1,
+                y: self.y,
+            }
+        } else if self.y + 1 < rows {
+            Tile {
+                x: 0,
+                y: self.y + 1,
+            }
+        } else {
+            Tile { x: 0, y: 0 }
+        }
+    }
+
     /// Manhattan distance to another tile (the XY-routing hop count).
+    #[inline]
     pub fn hops_to(self, other: Tile) -> u64 {
         (self.x.abs_diff(other.x) + self.y.abs_diff(other.y)) as u64
     }
@@ -42,13 +64,56 @@ impl Tile {
 ///
 /// Construct with [`Mesh::paper`] for the paper's Table I parameters or
 /// [`Mesh::new`] for custom topologies (used by the small test configs).
+///
+/// Every directory flow asks for several latencies, so the tile of each
+/// core and of each of the first 16 banks is looked up in a table (144
+/// entries) instead of being derived with divisions on every call.
+/// [`Mesh::paper`]'s table is built at compile time and borrowed, so
+/// building a machine builds, allocates and copies no table.
 #[derive(Clone, Debug)]
 pub struct Mesh {
     cols: u32,
     rows: u32,
-    cores_per_tile: u32,
     router_delay: u64,
     link_delay: u64,
+    /// The tile of every core index a [`CoreId`] can hold, then of each
+    /// bank below [`TABLE_BANKS`].
+    tiles: Cow<'static, [Tile]>,
+}
+
+/// Banks whose tiles [`Mesh`] looks up in its table: one per tile of the
+/// paper's mesh. Higher banks derive their tile.
+const TABLE_BANKS: usize = 16;
+
+/// Entries in a mesh's tile table.
+const TABLE_LEN: usize = MAX_CORES + TABLE_BANKS;
+
+/// The tile table of a `cols` × `rows` mesh with `cores_per_tile` cores
+/// per tile. It walks the tiles in index order (x runs fastest), wrapping
+/// past the last one: cores take them `cores_per_tile` at a time, banks
+/// one at a time. No entry costs a division.
+const fn tile_table(cols: u32, rows: u32, cores_per_tile: u32) -> [Tile; TABLE_LEN] {
+    let origin = Tile { x: 0, y: 0 };
+    let mut table = [origin; TABLE_LEN];
+    let mut tile = origin;
+    let mut left = cores_per_tile;
+    let mut i = 0;
+    while i < MAX_CORES {
+        table[i] = tile;
+        i += 1;
+        left -= 1;
+        if left == 0 {
+            tile = tile.next(cols, rows);
+            left = cores_per_tile;
+        }
+    }
+    let mut tile = origin;
+    while i < TABLE_LEN {
+        table[i] = tile;
+        tile = tile.next(cols, rows);
+        i += 1;
+    }
+    table
 }
 
 impl Mesh {
@@ -71,16 +136,23 @@ impl Mesh {
         Mesh {
             cols,
             rows,
-            cores_per_tile,
             router_delay,
             link_delay,
+            tiles: Cow::Owned(tile_table(cols, rows, cores_per_tile).to_vec()),
         }
     }
 
     /// The paper's configuration: 4×4 mesh, 8 cores/tile, 2-cycle routers,
     /// 1-cycle links (Table I).
     pub fn paper() -> Self {
-        Mesh::new(4, 4, 8, 2, 1)
+        static TILES: [Tile; TABLE_LEN] = tile_table(4, 4, 8);
+        Mesh {
+            cols: 4,
+            rows: 4,
+            router_delay: 2,
+            link_delay: 1,
+            tiles: Cow::Borrowed(&TILES),
+        }
     }
 
     /// Number of tiles in the mesh.
@@ -89,15 +161,20 @@ impl Mesh {
     }
 
     /// The tile that hosts `core`.
+    #[inline]
     pub fn core_tile(&self, core: CoreId) -> Tile {
-        self.tile(core.index() as u32 / self.cores_per_tile)
+        self.tiles[core.index()]
     }
 
     /// The tile that hosts L3 `bank`.
     ///
     /// Banks map one per tile; bank indices beyond the tile count wrap.
+    #[inline]
     pub fn bank_tile(&self, bank: usize) -> Tile {
-        self.tile(bank as u32 % self.tiles())
+        match self.tiles.get(MAX_CORES + bank) {
+            Some(&tile) => tile,
+            None => self.tile(bank as u32 % self.tiles()),
+        }
     }
 
     /// The L3 bank responsible for a line (address-interleaved across
@@ -109,22 +186,26 @@ impl Mesh {
     }
 
     /// One-way latency between two tiles.
+    #[inline]
     pub fn tile_latency(&self, a: Tile, b: Tile) -> u64 {
         a.hops_to(b) * (self.router_delay + self.link_delay)
     }
 
     /// One-way latency from a core's tile to an L3 bank's tile.
+    #[inline]
     pub fn core_to_bank(&self, core: CoreId, bank: usize) -> u64 {
         self.tile_latency(self.core_tile(core), self.bank_tile(bank))
     }
 
     /// One-way latency from an L3 bank's tile to a core's tile.
+    #[inline]
     pub fn bank_to_core(&self, bank: usize, core: CoreId) -> u64 {
         self.core_to_bank(core, bank)
     }
 
     /// One-way latency between two cores' tiles (used for forwarded data,
     /// e.g. reduction forwards on the dedicated virtual network).
+    #[inline]
     pub fn core_to_core(&self, a: CoreId, b: CoreId) -> u64 {
         self.tile_latency(self.core_tile(a), self.core_tile(b))
     }
@@ -180,6 +261,36 @@ mod tests {
             seen[m.bank_of(LineAddr::new(i), 16)] = true;
         }
         assert!(seen.iter().all(|&b| b), "bank hash should touch every bank");
+    }
+
+    /// The tile tables give what the division formula gives, for every
+    /// core and bank (including banks that wrap) of the paper's mesh and
+    /// of the small meshes the tiny test configs build.
+    #[test]
+    fn tile_tables_match_the_division_formula() {
+        let formula = |cols: u32, tiles: u32, index: u32| {
+            let t = index % tiles;
+            Tile {
+                x: t % cols,
+                y: t / cols,
+            }
+        };
+        let mut meshes = vec![(Mesh::paper(), 8)];
+        meshes.extend((1..=16u32).map(|cores| {
+            let per_tile = cores.div_ceil(2);
+            (Mesh::new(2, 1, per_tile, 2, 1), per_tile)
+        }));
+        for (m, per_tile) in meshes {
+            let tiles = m.tiles();
+            for core in 0..MAX_CORES {
+                let expected = formula(m.cols, tiles, core as u32 / per_tile);
+                assert_eq!(m.core_tile(CoreId::new(core)), expected, "core {core}");
+            }
+            for bank in 0..3 * tiles as usize {
+                let expected = formula(m.cols, tiles, bank as u32 % tiles);
+                assert_eq!(m.bank_tile(bank), expected, "bank {bank}");
+            }
+        }
     }
 
     proptest! {

@@ -303,7 +303,7 @@ impl Machine {
             loop {
                 let horizon = tree.min().map_or(limit, |next| next.min(limit));
                 let core = &mut *cores[idx];
-                let result = core.step(sys, &cfg.htm, next_ts, horizon);
+                let result = core.step(sys, &cfg.htm, next_ts, horizon, cfg.max_cycles);
                 let clock = core.clock();
 
                 // Handle asynchronous aborts as they are delivered. A

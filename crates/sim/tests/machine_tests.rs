@@ -291,6 +291,100 @@ fn a_victim_backed_off_past_the_limit_is_reported_at_its_old_key() {
     );
 }
 
+/// Per core: (steps, passes, commits, aborts, finish cycle) of `threads`
+/// cores running the counter program `iters` times, on one shared counter
+/// or on a counter line each.
+fn counter_steps(
+    threads: usize,
+    iters: u64,
+    scheme: Scheme,
+    shared: bool,
+) -> Vec<(u64, u64, u64, u64, u64)> {
+    let mut m = Machine::new(MachineConfig::new(threads, scheme), add_labels());
+    let base = m.heap_mut().alloc_lines(threads as u64);
+    for t in 0..threads {
+        let line = if shared { 0 } else { 64 * t as u64 };
+        m.set_program(t, counter_program(base.offset(line), iters), ());
+    }
+    let report = m.run().unwrap();
+    let expected = if shared {
+        threads as u64 * iters
+    } else {
+        iters
+    };
+    assert_eq!(m.read_word(base), expected);
+    report
+        .per_core
+        .iter()
+        .map(|c| (c.steps, c.passes, c.commits, c.aborts, c.finish_cycle))
+        .collect()
+}
+
+/// The Ctl chain after each commit runs in the committing step, whether or
+/// not the core is still the scheduler's minimum, so every step is a
+/// closure pass. The clocks, aborts and commits are those of a schedule
+/// that gave each chain a step of its own; that schedule took one step
+/// more per commit: (60, 60, 59) steps on private lines and
+/// (113, 110, 115) on the shared one, where the other cores' passes also
+/// stopped at the chain steps' keys (one more pass for cores 1 and 2).
+#[test]
+fn ctl_chain_after_a_commit_runs_in_the_committing_step() {
+    assert_eq!(
+        counter_steps(3, 20, Scheme::CommTm, false),
+        [
+            (40, 40, 20, 0, 640),
+            (40, 40, 20, 0, 634),
+            (39, 39, 20, 0, 616)
+        ]
+    );
+    assert_eq!(
+        counter_steps(3, 20, Scheme::Baseline, true),
+        [
+            (93, 93, 20, 37, 6784),
+            (89, 89, 20, 43, 7233),
+            (94, 94, 20, 38, 7104)
+        ]
+    );
+}
+
+/// Core 0 commits a transaction below `max_cycles`, but the spin loop of
+/// Ctl blocks after it would cross the limit; core 1's plain block, keyed
+/// before the commit, crosses it too. The chain keeps a step of its own
+/// at the commit's clock, so core 1 reports the limit first, as it did
+/// when every chain ran in a step of its own.
+#[test]
+fn a_chain_that_could_cross_the_limit_keeps_its_own_step() {
+    let mut cfg = MachineConfig::new(2, Scheme::CommTm);
+    cfg.max_cycles = 700;
+    let mut m = Machine::new(cfg, add_labels());
+    let a = m.heap_mut().alloc_lines(1);
+    let mut p0 = Program::builder();
+    p0.tx(move |t| {
+        t.load(a);
+        t.work(300);
+    });
+    let spin = p0.here();
+    p0.ctl(move |c| {
+        c.regs[0] += 1;
+        if c.regs[0] < 5_000 {
+            Ctl::Jump(spin)
+        } else {
+            Ctl::Done
+        }
+    });
+    m.set_program(0, p0.build(), ());
+    let mut p1 = Program::builder();
+    p1.plain(|t| t.work(1_000));
+    m.set_program(1, p1.build(), ());
+    assert_eq!(
+        m.run(),
+        Err(SimError::CycleLimit {
+            core: 1,
+            clock: 1_001
+        })
+    );
+}
+
 #[test]
 fn mixed_readers_and_writers_serialize_correctly() {
     // One thread sums the counter occasionally (plain reads) while others

@@ -4,7 +4,7 @@ use std::any::Any;
 
 use commtm_mem::{Addr, LabelId};
 
-use crate::runner::{Defer, Env, LogEntry, MemPort, PassResult, TxOp};
+use crate::runner::{Defer, Env, LogEntry, MemPort, PassResult, RegUndo, TxOp};
 
 /// The context a [`crate::Block::Tx`] or [`crate::Block::Plain`] closure
 /// runs against: simulated memory operations, registers, read-only user
@@ -13,6 +13,7 @@ use crate::runner::{Defer, Env, LogEntry, MemPort, PassResult, TxOp};
 /// See the crate docs for the replay rules closures must follow.
 pub struct TxCtx<'a, 'p> {
     log: &'a mut Vec<LogEntry>,
+    reg_undo: &'a mut Vec<RegUndo>,
     env: &'a mut Env,
     port: &'a mut (dyn MemPort + 'p),
     pos: usize,
@@ -28,12 +29,14 @@ pub struct TxCtx<'a, 'p> {
 impl<'a, 'p> TxCtx<'a, 'p> {
     pub(crate) fn new(
         log: &'a mut Vec<LogEntry>,
+        reg_undo: &'a mut Vec<RegUndo>,
         env: &'a mut Env,
         port: &'a mut (dyn MemPort + 'p),
         work_charged: u64,
     ) -> Self {
         TxCtx {
             log,
+            reg_undo,
             env,
             port,
             pos: 0,
@@ -132,7 +135,8 @@ impl<'a, 'p> TxCtx<'a, 'p> {
     /// Writes a register. Register changes commit only when the block
     /// completes; aborts and replays roll them back.
     pub fn set_reg(&mut self, index: usize, value: u64) {
-        self.env.regs[index] = value;
+        let old = std::mem::replace(&mut self.env.regs[index], value);
+        self.reg_undo.push(RegUndo { index, old });
     }
 
     /// Borrows the per-thread user state (read-only inside blocks; mutate

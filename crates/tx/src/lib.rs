@@ -22,6 +22,12 @@
 //! exactly the operations the following steps would have; otherwise the
 //! pass yields.
 //!
+//! Register writes ([`TxCtx::set_reg`]) are undo-logged: a pass that
+//! yields or aborts restores the values they overwrote, newest first. So
+//! between passes the registers hold the values the block started with,
+//! and an aborted attempt restarts from them without copying the register
+//! file. A pass that completes the block keeps its writes.
+//!
 //! # Rules for block closures
 //!
 //! 1. **Determinism**: given the same operation results, a closure must

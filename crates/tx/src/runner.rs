@@ -62,8 +62,9 @@ impl<T: Any + Send> UserState for T {}
 
 /// Per-core execution state: registers plus opaque per-thread user state.
 pub struct Env {
-    /// General-purpose registers. Committed on block completion; restored
-    /// on abort/restart.
+    /// General-purpose registers. Writes from a Tx or Plain block take
+    /// effect when the block completes; a pass that yields or aborts
+    /// undoes them.
     pub regs: Vec<u64>,
     user: Box<dyn Any + Send>,
 }
@@ -176,10 +177,10 @@ impl StepOutcome {
 pub struct BlockRunner {
     pub(crate) log: Vec<LogEntry>,
     work_charged: u64,
-    // Register snapshot reused across passes: a block may run one pass
-    // per memory operation, so cloning `env.regs` here would put one heap
-    // allocation on every simulated access.
-    saved_regs: Vec<u64>,
+    // The current pass's register writes, reused across passes: a pass
+    // that does not complete its block undoes them, so a pass costs what
+    // its own writes cost, not a copy of the register file.
+    reg_undo: Vec<RegUndo>,
 }
 
 impl BlockRunner {
@@ -203,10 +204,19 @@ impl BlockRunner {
     /// Runs one pass of the block: one new memory operation (plus any
     /// random draws up to the next operation), then one more for each
     /// [`MemPort::advance`] the port grants.
+    ///
+    /// A pass that yields or aborts rolls its register writes back, so
+    /// between passes `env.regs` holds the registers the block started
+    /// with; a pass that completes the block keeps them.
     pub fn step(&mut self, body: &BlockFn, env: &mut Env, port: &mut dyn MemPort) -> StepOutcome {
-        self.saved_regs.clear();
-        self.saved_regs.extend_from_slice(&env.regs);
-        let mut ctx = TxCtx::new(&mut self.log, env, port, self.work_charged);
+        self.reg_undo.clear();
+        let mut ctx = TxCtx::new(
+            &mut self.log,
+            &mut self.reg_undo,
+            env,
+            port,
+            self.work_charged,
+        );
         body(&mut ctx);
         let pass = ctx.finish();
 
@@ -214,7 +224,7 @@ impl BlockRunner {
         let cycles = 1 + pass.op_latency + new_work;
         if pass.aborted {
             // The enclosing transaction is gone; the caller resets us.
-            env.regs.copy_from_slice(&self.saved_regs);
+            self.undo_regs(env);
             return StepOutcome::Abort { cycles };
         }
         self.work_charged = pass.work_charged + new_work;
@@ -222,7 +232,7 @@ impl BlockRunner {
             // The pass stopped at a new operation it may not perform:
             // discard its side effects (they re-run deterministically
             // next pass).
-            env.regs.copy_from_slice(&self.saved_regs);
+            self.undo_regs(env);
             return StepOutcome::Yield { cycles };
         }
         // The pass completed the block. Apply deferred user-state actions
@@ -232,6 +242,21 @@ impl BlockRunner {
         }
         StepOutcome::Done { cycles }
     }
+
+    /// Restores the registers the pass wrote, newest write first.
+    fn undo_regs(&mut self, env: &mut Env) {
+        for u in self.reg_undo.drain(..).rev() {
+            env.regs[u.index] = u.old;
+        }
+    }
+}
+
+/// One register write of the current pass: the register and the value it
+/// held before.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RegUndo {
+    pub index: usize,
+    pub old: u64,
 }
 
 /// A deferred user-state action, applied once when its block completes.

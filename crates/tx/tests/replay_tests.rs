@@ -345,6 +345,9 @@ enum Act {
     Work(u64),
     Rand,
     Defer(u64),
+    /// Folds a register into the running value and writes the result
+    /// back: later operations depend on a register written mid-block.
+    SetReg(usize),
 }
 
 impl Act {
@@ -358,6 +361,7 @@ impl Act {
             5 => Act::StoreIfOdd(arg),
             6 => Act::Work(arg * 5),
             7 => Act::Rand,
+            8 => Act::SetReg(2 + arg as usize % 2),
             _ => Act::Defer(arg),
         }
     }
@@ -368,7 +372,8 @@ fn word(i: u64) -> Addr {
 }
 
 /// A block running `acts` in order. It folds every loaded value and draw
-/// into register 0 and counts its operations in register 1.
+/// into register 0, counts its operations in register 1 and rewrites
+/// registers 2 and 3 along the way.
 fn shaped_block(acts: Vec<Act>) -> BlockFn {
     let l = LabelId::new(1);
     body(move |t: &mut TxCtx<'_, '_>| {
@@ -390,6 +395,11 @@ fn shaped_block(acts: Vec<Act>) -> BlockFn {
                 Act::Work(n) => t.work(n),
                 Act::Rand => acc = acc.wrapping_add(t.rand() % 1000),
                 Act::Defer(k) => t.defer(move |log: &mut Vec<u64>| log.push(k)),
+                Act::SetReg(r) => {
+                    let v = t.reg(r).wrapping_mul(3).wrapping_add(acc);
+                    t.set_reg(r, v);
+                    acc ^= v;
+                }
             }
             if matches!(
                 a,
@@ -475,6 +485,9 @@ impl MemPort for SchedPort {
     }
 }
 
+/// The registers every generated block starts with.
+const START_REGS: [u64; 4] = [5, 0, 7, 11];
+
 /// Everything a run of one block attempt leaves behind.
 #[derive(Debug, PartialEq)]
 struct Attempt {
@@ -488,11 +501,12 @@ struct Attempt {
 }
 
 /// Steps `blk` until it completes or aborts, charging each step's cycles
-/// to the port's clock as the engine does.
+/// to the port's clock as the engine does. Every step that does not
+/// complete the block must leave the registers it started with.
 fn attempt(blk: &BlockFn, grants: u64, abort_on_op: Option<usize>) -> Attempt {
     let mut port = SchedPort::new(grants, abort_on_op);
-    let mut env = Env::new(2, Vec::<u64>::new());
-    env.regs[0] = 5;
+    let mut env = Env::new(4, Vec::<u64>::new());
+    env.regs.copy_from_slice(&START_REGS);
     let mut runner = BlockRunner::new();
     let mut steps = 0;
     let aborted = loop {
@@ -500,6 +514,9 @@ fn attempt(blk: &BlockFn, grants: u64, abort_on_op: Option<usize>) -> Attempt {
         port.clock += out.cycles();
         steps += 1;
         assert!(steps < 1_000, "block must finish");
+        if !matches!(out, StepOutcome::Done { .. }) {
+            assert_eq!(env.regs, START_REGS, "{out:?} after step {steps}");
+        }
         match out {
             StepOutcome::Yield { .. } => {}
             StepOutcome::Done { .. } => break false,
@@ -560,8 +577,7 @@ fn abort_in_a_continued_operation_wastes_the_same_cycles() {
     assert_eq!(granted.cycles, one_op.cycles);
     assert_eq!(granted.issued, one_op.issued);
     assert_eq!(
-        granted.regs,
-        vec![5, 0],
+        granted.regs, START_REGS,
         "aborted attempt rolls registers back"
     );
     assert!(granted.defers.is_empty(), "aborted attempt runs no defers");
@@ -574,10 +590,12 @@ proptest! {
     /// operations in the same order at the same clocks, takes the same
     /// cycles, leaves the same registers, draws the same randomness and
     /// applies its defers exactly once, as with one new operation per
-    /// pass. This holds for an aborted attempt too.
+    /// pass. This holds for an aborted attempt too. Every pass that yields
+    /// or aborts leaves the block-start registers (checked in
+    /// [`attempt`]), and a completed block leaves those of a one-pass run.
     #[test]
     fn continuation_matches_one_op_per_pass(
-        raw in proptest::collection::vec((0u8..9, 0u64..8), 0..24),
+        raw in proptest::collection::vec((0u8..10, 0u64..8), 0..24),
         grants in 0u64..u64::MAX,
         abort_at in 0usize..32,
     ) {
@@ -605,7 +623,9 @@ proptest! {
                 .collect();
             prop_assert_eq!(&one_op.defers, &deferred);
             prop_assert_eq!(one_op.regs[1], one_op.issued.len() as u64);
-            prop_assert_eq!(attempt(&blk, u64::MAX, None).steps, 1);
+            let one_pass = attempt(&blk, u64::MAX, None);
+            prop_assert_eq!(one_pass.steps, 1);
+            prop_assert_eq!(&one_pass.regs, &one_op.regs);
         }
     }
 }

@@ -15,7 +15,8 @@
 //!
 //! The input graph substitutes the paper's `usroads` (SuiteSparse) with a
 //! synthetic road-network-like graph: a 2-D grid with random diagonals and
-//! distinct random weights (DESIGN.md §5).
+//! distinct random weights (see "Modeling departures" in
+//! docs/ARCHITECTURE.md).
 
 use commtm::prelude::*;
 

@@ -1,9 +1,10 @@
 //! kmeans (paper Sec. VII, Table II): iterative clustering where each
 //! point-assignment transaction adds the point's coordinates into its
 //! cluster's centroid accumulators — a large number of commutative updates
-//! (32b ADD / FP ADD in the paper; 64-bit here per DESIGN.md §5) that
-//! serialize conventional HTMs and scale under CommTM (the paper's
-//! strongest result, 3.4x at 128 threads).
+//! (32b ADD / FP ADD in the paper; 64-bit here, see "Modeling
+//! departures" in docs/ARCHITECTURE.md) that serialize conventional HTMs
+//! and scale under CommTM (the paper's strongest result, 3.4x at 128
+//! threads).
 //!
 //! Structure per iteration: an assignment phase (read centers, pick the
 //! nearest, record the assignment), a transactional accumulation phase
