@@ -1,6 +1,7 @@
-//! Batch runs: `commtm-lab run --all` and `run <target> --out-dir DIR`.
+//! The report directory: `commtm-lab run <target> --out-dir DIR` and
+//! `run --all`, the only way `run` writes files.
 //!
-//! A batch run resolves a target into scenarios ([`resolve_target`]),
+//! A run resolves a target into scenarios ([`resolve_target`]),
 //! applies the CLI's grid flags ([`Overrides::apply`]), runs every cell of
 //! every scenario on the executor's one pool
 //! ([`exec::run_scenarios_in`](crate::exec::run_scenarios_in)), and
@@ -15,7 +16,7 @@ use crate::json::Json;
 use crate::registry::{self, Registry};
 use crate::results::ResultSet;
 use crate::spec::{scheme_name, Scenario};
-use crate::{figures, report, scenarios, trace};
+use crate::{figures, scenarios, trace};
 
 /// The pseudo-target naming every built-in figure scenario (all
 /// built-ins except the `smoke` harness check).
@@ -132,7 +133,6 @@ pub fn emit_report(
     scenarios: &[Scenario],
     sets: &[ResultSet],
     theme: commtm_plot::palette::Theme,
-    quiet_report: bool,
 ) -> Result<bool, String> {
     for (i, s) in scenarios.iter().enumerate() {
         if scenarios[..i].iter().any(|p| p.name == s.name) {
@@ -146,9 +146,6 @@ pub fn emit_report(
     let mut entries: Vec<Json> = Vec::new();
     let mut all_ok = true;
     for (scenario, set) in scenarios.iter().zip(sets) {
-        if !quiet_report {
-            print!("{}", report::render(scenario, set));
-        }
         let figure = figures::figure_file_name(scenario);
         let results = format!("{}.json", scenario.name);
         let rendered = figures::render_figure_themed(scenario, set, theme);

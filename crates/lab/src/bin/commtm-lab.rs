@@ -3,20 +3,20 @@
 //! ```text
 //! commtm-lab list                      # built-in scenarios
 //! commtm-lab workloads                 # registered workloads and defaults
-//! commtm-lab run fig09 --threads-max 16 --out fig09.json
-//! commtm-lab run --all --out-dir report   # every figure + manifest.json
-//! commtm-lab run sweep.toml --jobs 8 --csv sweep.csv
-//! commtm-lab diff old.json new.json    # regression gate
+//! commtm-lab run fig09 --threads-max 16   # text report only, no files
+//! commtm-lab run fig09 --out-dir fig09    # + figure, fig09.json, manifest
+//! commtm-lab run --all                 # every figure into lab-report/
+//! commtm-lab diff old/fig09.json lab-report/fig09.json   # regression gate
 //! ```
 
 use std::path::Path;
 use std::process::ExitCode;
 
 use commtm_lab::batch;
-use commtm_lab::exec::{run_scenario, run_scenarios_in, ExecOptions};
+use commtm_lab::exec::{run_scenarios_in, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
-use commtm_lab::spec::{parse_scheme, scheme_name, Scenario};
+use commtm_lab::spec::{parse_scheme, scheme_name};
 use commtm_lab::{figures, registry, report, scenarios, trace};
 
 const USAGE: &str = "\
@@ -27,29 +27,34 @@ USAGE:
     commtm-lab workloads [--json]           registered workloads and their
                                             typed parameter schemas
     commtm-lab run <scenario|file.toml> [options]
-    commtm-lab run --all [--out-dir DIR] [options]
+    commtm-lab run --all [options]
     commtm-lab verify [--all] [options]     commutativity verification:
                                             algebraic label laws + the
                                             interleaving oracle over every
                                             workload's claims
     commtm-lab diff <baseline.json> <current.json> [--tol FRAC]
+                                            regression gate over two results
+                                            files (a report's <name>.json):
+                                            exit 1 on any changed cell.
+                                            --tol is a relative tolerance
+                                            (default 0; finite, non-negative)
     commtm-lab trace-validate <trace.json>
                                             check a --trace artifact against
                                             the committed docs/trace.schema.json
 
 RUN OPTIONS:
-    --all               run every built-in figure scenario and write one
-                        SVG/HTML figure each, per-scenario results JSON,
-                        a manifest.json, and an index.html linking every
-                        figure (see --out-dir)
+    --all               run every built-in figure scenario into one report
+                        directory (default lab-report; see --out-dir)
     --param KEY=VALUE   override one workload parameter (typed via the
                         workload's schema; repeatable; errors list each
                         workload's valid parameters)
-    --out-dir DIR       batch-mode report directory (default for --all:
-                        lab-report). Naming --out-dir for a single
-                        scenario batches it too. A failed cell is listed
-                        in manifest.json and leaves a gap in its figure;
-                        the run continues and exits 1. See
+    --out-dir DIR       write the report directory: one SVG/HTML figure and
+                        one results JSON (<name>.json) per scenario,
+                        table1.html, manifest.json and an index.html linking
+                        every figure. Without it (and without --all) run
+                        prints the text report and writes no file. A failed
+                        cell is listed in manifest.json and leaves a gap in
+                        its figure; the run continues and exits 1. See
                         docs/SCENARIOS.md
     --threads LIST      comma-separated thread counts (e.g. 1,8,32)
     --threads-max N     drop sweep points above N threads (N >= 1)
@@ -60,18 +65,11 @@ RUN OPTIONS:
                         1 runs cells serially, with the same numbers)
     --trace             capture per-transaction traces (attributed abort
                         causes, conflict hot lines, speculation audit):
-                        writes <name>.trace.json and <name>.aborts.svg,
-                        and adds per-cell trace summaries to --out JSON.
-                        Observation-only: deterministic results are
+                        writes <name>.trace.json and <name>.aborts.svg into
+                        the report directory, so it needs --out-dir or
+                        --all. Observation-only: deterministic results are
                         byte-identical with tracing on or off
-    --trace-out FILE    trace artifact path (default: <name>.trace.json)
-    --out FILE.json     write full results as JSON
-    --csv FILE.csv      write per-cell rows as CSV
-    --svg FILE.svg      render the scenario's figure (SVG/HTML) to a file
     --theme NAME        figure color theme: light (default) or dark
-    --baseline F.json   diff against a previous JSON (exit 1 on change)
-    --tol FRAC          relative tolerance for --baseline/diff (default 0;
-                        finite and non-negative; run needs --baseline)
     --progress          print per-cell progress to stderr
     --quiet             suppress the figure-style report
 
@@ -177,12 +175,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut out_dir: Option<String> = None;
     let mut opts = ExecOptions::default();
     let mut ov = batch::Overrides::default();
-    let mut out_json: Option<String> = None;
-    let mut out_csv: Option<String> = None;
-    let mut out_svg: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut baseline: Option<String> = None;
-    let mut tol: Option<f64> = None;
     let mut quiet_report = false;
     let mut theme = figures::theme_by_name("light").expect("the light theme exists");
 
@@ -234,17 +226,11 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 opts.jobs = n;
             }
             "--trace" => ov.trace = true,
-            "--trace-out" => trace_out = Some(value("--trace-out")?.clone()),
-            "--out" => out_json = Some(value("--out")?.clone()),
-            "--csv" => out_csv = Some(value("--csv")?.clone()),
-            "--svg" => out_svg = Some(value("--svg")?.clone()),
-            "--baseline" => baseline = Some(value("--baseline")?.clone()),
             "--theme" => {
                 let name = value("--theme")?;
                 theme = figures::theme_by_name(name)
                     .ok_or_else(|| format!("unknown theme {name:?} (light or dark)"))?;
             }
-            "--tol" => tol = Some(parse_tol(value("--tol")?)?),
             "--progress" => opts.quiet = false,
             "--quiet" => quiet_report = true,
             other if !other.starts_with('-') && target.is_none() => {
@@ -254,125 +240,45 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
 
-    if tol.is_some() && baseline.is_none() {
-        return Err("--tol is the --baseline tolerance; it needs --baseline".into());
-    }
-
-    let single_scenario_outputs = out_json.is_some()
-        || out_csv.is_some()
-        || out_svg.is_some()
-        || trace_out.is_some()
-        || baseline.is_some()
-        || tol.is_some();
-
-    if all || out_dir.is_some() {
-        let target = if all {
-            if target.is_some() {
-                return Err("--all runs every built-in scenario; don't also name one".into());
-            }
-            if !ov.params.is_empty() {
-                return Err(
-                    "--param overrides a single scenario's workload parameters; \
-                     it does not combine with --all"
-                        .into(),
-                );
-            }
-            batch::ALL_TARGET
-        } else {
-            target.ok_or("run needs a scenario name, a .toml file, or --all")?
-        };
-        if single_scenario_outputs {
+    let target = if all {
+        if target.is_some() {
+            return Err("--all runs every built-in scenario; don't also name one".into());
+        }
+        if !ov.params.is_empty() {
             return Err(
-                "--out/--csv/--svg/--trace-out/--baseline/--tol are single-scenario \
-                 options; batch runs write per-scenario files under --out-dir"
+                "--param overrides a single scenario's workload parameters; \
+                 it does not combine with --all"
                     .into(),
             );
         }
-        let dir = out_dir.unwrap_or_else(|| "lab-report".to_string());
-        return cmd_run_batch(target, Path::new(&dir), &ov, &opts, theme, quiet_report);
-    }
-
-    let target = target.ok_or("run needs a scenario name, a .toml file, or --all")?;
-    let mut scenario = load_scenario(target)?;
-    ov.apply(registry::global(), &mut scenario)?;
-    if trace_out.is_some() && scenario.tuning.trace != Some(true) {
-        return Err("--trace-out requires --trace (or tuning.trace = true in the scenario)".into());
-    }
-
-    let set = run_scenario(&scenario, &opts)?;
-
-    if !quiet_report {
-        print!("{}", report::render(&scenario, &set));
-    }
-    if let Some(path) = out_json {
-        std::fs::write(&path, set.to_json().pretty())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = out_csv {
-        std::fs::write(&path, set.to_csv()).map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if let Some(path) = out_svg {
-        // Table II renders as an HTML document, not SVG; honor the
-        // user's filename but flag the mismatched extension.
-        if figures::figure_file_name(&scenario).ends_with(".html") && !path.ends_with(".html") {
-            eprintln!(
-                "note: {} renders as HTML, not SVG; consider an .html extension for {path}",
-                scenario.name
-            );
-        }
-        std::fs::write(&path, figures::render_figure_themed(&scenario, &set, theme))
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-    }
-    if scenario.tuning.trace == Some(true) {
-        let path = trace_out.unwrap_or_else(|| format!("{}.trace.json", scenario.name));
-        std::fs::write(&path, trace::trace_file_json(&set).compact())
-            .map_err(|e| format!("writing {path}: {e}"))?;
-        eprintln!("wrote {path}");
-        if let Some(svg) = figures::abort_causes_figure(&scenario, &set, theme) {
-            let fig = format!("{}.aborts.svg", scenario.name);
-            std::fs::write(&fig, &svg).map_err(|e| format!("writing {fig}: {e}"))?;
-            eprintln!("wrote {fig}");
-        }
-    }
-
-    let mut code = if set.all_ok() {
-        ExitCode::SUCCESS
+        batch::ALL_TARGET
     } else {
-        ExitCode::FAILURE
+        target.ok_or("run needs a scenario name, a .toml file, or --all")?
     };
-    if let Some(path) = baseline {
-        let base = read_results(&path)?;
-        let d = diff(&base, &set, tol.unwrap_or(0.0));
-        print!("{}", d.render());
-        if !d.is_clean() {
-            code = ExitCode::FAILURE;
-        }
-    }
-    Ok(code)
-}
+    let dir = out_dir.or_else(|| all.then(|| "lab-report".to_string()));
 
-/// A batch run: `run --all` or `run <target> --out-dir`. Runs every
-/// cell of the target's scenarios on one pool and writes the full report
-/// (figures, per-scenario results JSON, Table I, manifest, index) into
-/// `dir`. Fails the exit code when a cell failed.
-fn cmd_run_batch(
-    target: &str,
-    dir: &Path,
-    ov: &batch::Overrides,
-    opts: &ExecOptions,
-    theme: commtm_plot::palette::Theme,
-    quiet_report: bool,
-) -> Result<ExitCode, String> {
     let reg = registry::global();
     let mut scenarios = batch::resolve_target(reg, target)?;
     for scenario in &mut scenarios {
         ov.apply(reg, scenario)?;
     }
-    let sets = run_scenarios_in(reg, &scenarios, opts)?;
-    let ok = batch::emit_report(dir, &scenarios, &sets, theme, quiet_report)?;
+    if dir.is_none() && scenarios.iter().any(|s| s.tuning.trace == Some(true)) {
+        return Err(
+            "tracing (--trace or tuning.trace) writes <name>.trace.json \
+             into the report directory; name one with --out-dir DIR"
+                .into(),
+        );
+    }
+    let sets = run_scenarios_in(reg, &scenarios, &opts)?;
+    if !quiet_report {
+        for (scenario, set) in scenarios.iter().zip(&sets) {
+            print!("{}", report::render(scenario, set));
+        }
+    }
+    let ok = match dir {
+        Some(dir) => batch::emit_report(Path::new(&dir), &scenarios, &sets, theme)?,
+        None => sets.iter().all(ResultSet::all_ok),
+    };
     Ok(if ok {
         ExitCode::SUCCESS
     } else {
@@ -497,24 +403,11 @@ fn cmd_diff(args: &[String]) -> Result<ExitCode, String> {
     })
 }
 
-/// Reads a results JSON (a `--baseline` or `diff` input), naming the file
+/// Reads a results JSON (a `diff` input), naming the file
 /// in every error.
 fn read_results(path: &str) -> Result<ResultSet, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     ResultSet::from_json_str(&text).map_err(|e| format!("{path}: {e}"))
-}
-
-fn load_scenario(target: &str) -> Result<Scenario, String> {
-    if target == batch::ALL_TARGET {
-        return Err("pass --all as a flag, not a target".into());
-    }
-    let mut scenarios = batch::resolve_target(registry::global(), target)?;
-    debug_assert_eq!(
-        scenarios.len(),
-        1,
-        "non---all targets resolve to one scenario"
-    );
-    Ok(scenarios.remove(0))
 }
 
 /// `trace-validate`: check a `--trace` artifact against the committed
@@ -588,10 +481,26 @@ mod tests {
                 &["fig09", "--out-dir", "lab-report", "--fail-fast"][..],
                 "--fail-fast",
             ),
+            // Every file goes through the report directory (--out-dir).
+            (&["fig09", "--out", "fig09.json"][..], "--out"),
+            (&["fig09", "--csv", "fig09.csv"][..], "--csv"),
+            (&["fig09", "--svg", "fig09.svg"][..], "--svg"),
+            (
+                &["fig09", "--trace", "--trace-out", "t.json"][..],
+                "--trace-out",
+            ),
+            (&["fig09", "--baseline", "fig09.json"][..], "--baseline"),
+            (&["fig09", "--tol", "0.1"][..], "--tol"),
         ] {
             let err = cmd_run(&args(argv)).expect_err("the flag is rejected");
             assert_eq!(err, format!("unknown option {flag:?}"));
         }
+    }
+
+    #[test]
+    fn trace_without_out_dir_is_rejected() {
+        let err = cmd_run(&args(&["fig09", "--trace"])).expect_err("--trace alone is rejected");
+        assert!(err.contains("--out-dir"), "{err}");
     }
 
     #[test]
@@ -615,20 +524,10 @@ mod tests {
     #[test]
     fn tol_must_be_finite_and_non_negative() {
         for tol in ["-0.1", "NaN", "inf", "-inf"] {
-            for result in [
-                cmd_run(&args(&["fig09", "--baseline", "b.json", "--tol", tol])),
-                cmd_diff(&args(&["a.json", "b.json", "--tol", tol])),
-            ] {
-                let err = result.expect_err("the tolerance is rejected");
-                assert!(err.contains("bad --tol"), "{tol}: {err}");
-            }
+            let err = cmd_diff(&args(&["a.json", "b.json", "--tol", tol]))
+                .expect_err("the tolerance is rejected");
+            assert!(err.contains("bad --tol"), "{tol}: {err}");
         }
-    }
-
-    #[test]
-    fn tol_without_baseline_is_rejected() {
-        let err = cmd_run(&args(&["fig09", "--tol", "0.1"])).expect_err("--tol alone is rejected");
-        assert!(err.contains("--tol") && err.contains("--baseline"), "{err}");
     }
 
     #[test]
@@ -661,7 +560,7 @@ mod tests {
             std::env::temp_dir().join(format!("commtm-lab-empty-{}.json", std::process::id()));
         std::fs::write(&path, "").expect("temp file writes");
         let p = path.to_str().expect("utf-8 temp path");
-        // `diff` and `run --baseline` both read through `read_results`.
+        // `diff` reads both of its files through `read_results`.
         let errs = [
             cmd_diff(&args(&[p, p])).expect_err("an empty file is rejected"),
             read_results(p).expect_err("an empty file is rejected"),

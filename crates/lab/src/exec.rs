@@ -9,7 +9,7 @@
 //! comparing parallel and serial runs byte-for-byte.
 //!
 //! [`run_scenarios_in`] runs every cell of any number of scenarios on this
-//! pool; [`run_scenario_in`] is its one-scenario case. Cells that agree on
+//! pool; [`run_scenario`] is its one-scenario case. Cells that agree on
 //! everything [`run_cell`] reads share one simulation per pool run, each
 //! getting a copy relabelled with its own cell, so figures that share
 //! cells (fig16–19, Table II) simulate them once.
@@ -22,13 +22,13 @@
 //!
 //! A cell that panics (a workload oracle failure or a `SimError` unwrap)
 //! is caught and recorded as that cell's error; the rest of the sweep
-//! continues.
+//! continues. The panic's message and location still reach stderr through
+//! the process's panic hook.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, Once};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::registry;
@@ -117,27 +117,15 @@ fn longest_first(costs: &[u64]) -> Vec<usize> {
 /// Fails fast if the scenario does not validate; individual cell failures
 /// are recorded in the result set instead.
 pub fn run_scenario(scenario: &Scenario, opts: &ExecOptions) -> Result<ResultSet, String> {
-    run_scenario_in(registry::global(), scenario, opts)
-}
-
-/// Like [`run_scenario`], against an explicit [`registry::Registry`] —
-/// the entry point for drivers that registered their own workloads.
-///
-/// # Errors
-///
-/// See [`run_scenario`].
-pub fn run_scenario_in(
-    reg: &registry::Registry,
-    scenario: &Scenario,
-    opts: &ExecOptions,
-) -> Result<ResultSet, String> {
-    let mut sets = run_scenarios_in(reg, std::slice::from_ref(scenario), opts)?;
+    let mut sets = run_scenarios_in(registry::global(), std::slice::from_ref(scenario), opts)?;
     Ok(sets.remove(0))
 }
 
 /// Runs every cell of every scenario on one pool and returns one result
-/// set per scenario, in order. Cells shared across scenarios are
-/// simulated once. Each set's `wall_ms` is the sum of its cells'.
+/// set per scenario, in order, resolving workloads in `reg` — the entry
+/// point for drivers that registered their own workloads. Cells shared
+/// across scenarios are simulated once. Each set's `wall_ms` is the sum
+/// of its cells'.
 ///
 /// # Errors
 ///
@@ -219,7 +207,6 @@ fn group_jobs(reg: &registry::Registry, jobs: &[Job]) -> Vec<Vec<usize>> {
 /// member of the group a copy of the result carrying its own cell.
 /// Returns one result per job, in job order.
 fn run_jobs(reg: &registry::Registry, jobs: &[Job], opts: &ExecOptions) -> Vec<CellResult> {
-    install_quiet_cell_hook();
     let groups = group_jobs(reg, jobs);
     let costs: Vec<u64> = groups
         .iter()
@@ -293,37 +280,14 @@ pub fn run_scenario_serial(scenario: &Scenario) -> Result<ResultSet, String> {
     )
 }
 
-thread_local! {
-    /// Whether this thread is inside a caught cell execution (its panics
-    /// are captured into the cell's error and should not also hit stderr).
-    static IN_CELL: Cell<bool> = const { Cell::new(false) };
-}
-
-/// Installs (once, process-wide) a panic hook that stays silent for
-/// panics already captured by [`run_cell`] and delegates everything else
-/// to the previously-installed hook.
-fn install_quiet_cell_hook() {
-    static ONCE: Once = Once::new();
-    ONCE.call_once(|| {
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if !IN_CELL.with(Cell::get) {
-                previous(info);
-            }
-        }));
-    });
-}
-
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
 /// `reg`, simulate, check the oracle, catch panics into the cell's error.
 /// This is the unit of work the pool above fans out.
 pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario) -> CellResult {
     let started = Instant::now();
-    IN_CELL.with(|f| f.set(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         reg.run_cell(cell, scenario.scale, scenario.tuning)
     }));
-    IN_CELL.with(|f| f.set(false));
     let (stats, error, trace) = match outcome {
         Ok(Ok((report, trace))) => (Some(CellStats::from_report(&report)), None, trace),
         Ok(Err(e)) => (None, Some(e), None),
@@ -514,7 +478,12 @@ mod tests {
             jobs: 2,
             ..ExecOptions::default()
         };
-        let shared = run_scenario_in(&reg, &grid(&specs), &opts).unwrap();
+        let run_alone = |scenario: &Scenario| {
+            run_scenarios_in(&reg, std::slice::from_ref(scenario), &opts)
+                .unwrap()
+                .remove(0)
+        };
+        let shared = run_alone(&grid(&specs));
         assert!(shared.all_ok());
         assert_eq!(shared.cells.len(), 12, "3 specs x 2 threads x 2 schemes");
         assert_eq!(
@@ -545,7 +514,7 @@ mod tests {
         let mut separate = shared.clone();
         separate.cells = alone
             .iter()
-            .flat_map(|scenario| run_scenario_in(&reg, scenario, &opts).unwrap().cells)
+            .flat_map(|scenario| run_alone(scenario).cells)
             .collect();
         assert_eq!(runs.load(Ordering::Relaxed), 12);
         assert_eq!(

@@ -16,16 +16,16 @@
 //!   applications plus the `bank` transfer/audit micro; custom drivers
 //!   register their own implementations
 //!   ([`registry::Registry::register`]) and run them via
-//!   [`exec::run_scenario_in`],
+//!   [`exec::run_scenarios_in`],
 //! - [`exec`]: a parallel executor that fans independent
 //!   `sim::Machine` runs across host threads with deterministic
 //!   per-cell seeding — results are byte-identical to a serial run,
-//! - [`batch`]: `commtm-lab run --all` and `--out-dir` runs — every
+//! - [`batch`]: the report directory `commtm-lab run` writes — every
 //!   scenario's cells on one pool ([`exec::run_scenarios_in`]), the
 //!   report written once ([`batch::emit_report`]),
 //! - [`results`]: structured per-cell statistics with multi-seed
-//!   mean ± stddev aggregation ([`results::Summary`]), JSON/CSV export
-//!   and baseline diffing for regression gating,
+//!   mean ± stddev aggregation ([`results::Summary`]), JSON export and
+//!   baseline diffing for regression gating,
 //! - [`scenarios`]: built-in definitions reproducing Figs. 9–19 and
 //!   Table II, [`report`]: figure-style text rendering with the
 //!   original harness's shape checks, and [`figures`]: the actual
@@ -49,9 +49,11 @@
 //! ```
 //!
 //! The `commtm-lab` binary exposes the same machinery on the command
-//! line: `commtm-lab run fig09 --threads-max 16 --out fig09.json`, or
-//! `commtm-lab run --all --out-dir report` to regenerate every figure
-//! plus a `manifest.json` of the produced artifacts.
+//! line, and every file it writes goes through one report directory:
+//! `commtm-lab run fig09 --threads-max 16 --out-dir report` writes fig09's
+//! figure and `fig09.json`, `commtm-lab run --all --out-dir report`
+//! regenerates every figure plus a `manifest.json` of the produced
+//! artifacts, and `commtm-lab diff` compares two `<name>.json` files.
 
 pub mod batch;
 pub mod exec;
@@ -66,7 +68,7 @@ pub mod toml;
 pub mod trace;
 pub mod verify;
 
-pub use exec::{run_scenario, run_scenario_in, run_scenario_serial, ExecOptions};
+pub use exec::{run_scenario, run_scenario_serial, run_scenarios_in, ExecOptions};
 pub use figures::{figure_file_name, render_figure, render_index};
 pub use registry::Registry;
 pub use results::{diff, summarize, CellResult, CellStats, DiffReport, ResultSet, Summary};

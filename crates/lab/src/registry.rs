@@ -6,7 +6,7 @@
 //! loader and the CLI all resolve workloads here. The [`global`] registry
 //! holds the shipped set ([`commtm_workloads::builtins`]); custom drivers
 //! extend their own registry with [`Registry::register`] and run it
-//! through [`crate::exec::run_scenario_in`].
+//! through [`crate::exec::run_scenarios_in`].
 //!
 //! Workloads describe their parameter surface declaratively (see
 //! [`commtm_workloads::ParamSchema`]): defaults resolve per scale and

@@ -1,4 +1,4 @@
-//! Structured sweep results: per-cell statistics, JSON/CSV export, and
+//! Structured sweep results: per-cell statistics, JSON export, and
 //! baseline diffing for regression gating.
 //!
 //! Everything here is deterministic except wall-clock timings, which are
@@ -10,7 +10,7 @@ use commtm::{RunReport, WasteBucket};
 use crate::json::{parse, Json};
 use crate::spec::{parse_scheme, scheme_name, Cell, ParamValue, Params};
 
-/// The per-cell statistics exported to JSON/CSV, extracted from a
+/// The per-cell statistics exported to JSON, extracted from a
 /// [`RunReport`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CellStats {
@@ -223,9 +223,9 @@ pub struct CellResult {
     /// Host wall-clock milliseconds spent on this cell (non-deterministic;
     /// excluded from canonical output).
     pub wall_ms: u64,
-    /// The run's event trace, when the sweep ran with tracing on. Like
-    /// `wall_ms`, the derived summary is emitted only in the timing-tier
-    /// JSON — canonical output (and so every determinism golden) is
+    /// The run's event trace, when the sweep ran with tracing on. It goes
+    /// to the side-car trace file (`<name>.trace.json`), never into the
+    /// results JSON, so results (and every determinism golden) are
     /// byte-identical with tracing on or off.
     pub trace: Option<commtm::Trace>,
 }
@@ -244,9 +244,9 @@ impl CellResult {
     }
 
     /// The JSON form of one cell result — identity, parameters, then
-    /// stats or error. With `timing` set, host wall-clock and the trace
-    /// summary ride along; without it the output is canonical (two runs
-    /// of the same cell emit byte-identical text).
+    /// stats or error. With `timing` set, host wall-clock rides along;
+    /// without it the output is canonical (two runs of the same cell emit
+    /// byte-identical text).
     pub fn to_json(&self, timing: bool) -> Json {
         let c = self;
         let mut pairs = vec![
@@ -282,17 +282,13 @@ impl CellResult {
         }
         if timing {
             pairs.push(("wall_ms".to_string(), Json::U64(c.wall_ms)));
-            if let Some(trace) = &c.trace {
-                let summary = crate::trace::summarize_trace(trace);
-                pairs.push(("trace".to_string(), crate::trace::summary_to_json(&summary)));
-            }
         }
         Json::Obj(pairs)
     }
 
     /// Parses one cell result back from its JSON form ([`CellResult::to_json`]).
-    /// `index` positions the cell in its result set; raw traces are not
-    /// round-tripped (result files carry only the trace *summary*).
+    /// `index` positions the cell in its result set; traces are not
+    /// round-tripped (result files carry none).
     ///
     /// # Errors
     ///
@@ -343,8 +339,7 @@ impl CellResult {
             stats,
             error: c.get("error").and_then(Json::as_str).map(str::to_string),
             wall_ms: c.get("wall_ms").and_then(Json::as_u64).unwrap_or(0),
-            // Result files carry only the trace *summary*; the raw
-            // event stream lives in the side-car trace file.
+            // Traces live in the side-car trace file.
             trace: None,
         })
     }
@@ -560,61 +555,6 @@ impl ResultSet {
             engine,
         })
     }
-
-    /// The CSV form: one row per cell, stable column order.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from(
-            "workload,label,threads,scheme,seed,total_cycles,commits,aborts,\
-             nontx_cycles,committed_cycles,aborted_cycles,wasted_raw,wasted_war,\
-             wasted_gather,wasted_others,gets,getx,getu,gathers,reductions,splits,\
-             nacks_sent,labeled_fraction,error\n",
-        );
-        for c in &self.cells {
-            let cell = &c.cell;
-            let label = cell.label.replace(',', ";");
-            match &c.stats {
-                Some(s) => out.push_str(&format!(
-                    "{},{},{},{},{:#x},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},\n",
-                    cell.workload,
-                    label,
-                    cell.threads,
-                    scheme_name(cell.scheme),
-                    cell.seed,
-                    s.total_cycles,
-                    s.commits,
-                    s.aborts,
-                    s.nontx_cycles,
-                    s.committed_cycles,
-                    s.aborted_cycles,
-                    s.wasted[0],
-                    s.wasted[1],
-                    s.wasted[2],
-                    s.wasted[3],
-                    s.gets,
-                    s.getx,
-                    s.getu,
-                    s.gathers,
-                    s.reductions,
-                    s.splits,
-                    s.nacks_sent,
-                    s.labeled_fraction,
-                )),
-                None => out.push_str(&format!(
-                    "{},{},{},{},{:#x},,,,,,,,,,,,,,,,,,,{}\n",
-                    cell.workload,
-                    label,
-                    cell.threads,
-                    scheme_name(cell.scheme),
-                    cell.seed,
-                    c.error
-                        .as_deref()
-                        .unwrap_or("unknown")
-                        .replace([',', '\n'], ";"),
-                )),
-            }
-        }
-        out
-    }
 }
 
 /// One changed cell in a baseline comparison.
@@ -639,12 +579,18 @@ pub struct DiffReport {
     pub extra: Vec<String>,
     /// Cells whose deterministic statistics moved beyond tolerance.
     pub changed: Vec<CellDelta>,
+    /// Cells that failed in both sets, with different errors: identity
+    /// string, baseline error, current error.
+    pub errors: Vec<(String, String, String)>,
 }
 
 impl DiffReport {
     /// Whether the two sets agree (regression gate passes).
     pub fn is_clean(&self) -> bool {
-        self.missing.is_empty() && self.extra.is_empty() && self.changed.is_empty()
+        self.missing.is_empty()
+            && self.extra.is_empty()
+            && self.changed.is_empty()
+            && self.errors.is_empty()
     }
 
     /// A human-readable summary.
@@ -669,6 +615,9 @@ impl DiffReport {
                 "changed: {} {}: {} -> {} ({:+.2}%)\n",
                 c.key, c.field, c.old, c.new, pct
             ));
+        }
+        for (key, old, new) in &self.errors {
+            out.push_str(&format!("changed: {key} error: {old:?} -> {new:?}\n"));
         }
         out
     }
@@ -700,6 +649,9 @@ pub fn diff(baseline: &ResultSet, current: &ResultSet, rel_tol: f64) -> DiffRepo
                     old: b.stats.is_some() as u64 as f64,
                     new: c.stats.is_some() as u64 as f64,
                 });
+            } else if b.error != c.error {
+                let error = |r: &CellResult| r.error.clone().unwrap_or_else(|| "unknown".into());
+                report.errors.push((key, error(b), error(c)));
             }
             continue;
         };
@@ -869,6 +821,24 @@ mod tests {
     }
 
     #[test]
+    fn diff_reports_a_changed_failure_cause() {
+        let mut a = sample_set();
+        a.cells[0].stats = None;
+        a.cells[0].error = Some("CycleLimit { core: 1, clock: 1005 }".into());
+        let mut b = a.clone();
+        assert!(diff(&a, &b, 0.0).is_clean());
+        b.cells[0].error = Some("CycleLimit { core: 0, clock: 2047 }".into());
+        // No tolerance forgives a different failure.
+        let d = diff(&a, &b, 1.0);
+        assert!(!d.is_clean());
+        assert_eq!(
+            d.render(),
+            "changed: counter[counter] t=4 commtm seed=0xc0ffee error: \
+             \"CycleLimit { core: 1, clock: 1005 }\" -> \"CycleLimit { core: 0, clock: 2047 }\"\n"
+        );
+    }
+
+    #[test]
     fn malformed_stats_are_rejected_naming_the_field() {
         let text = sample_set().to_json().compact();
         for (from, to, want) in [
@@ -943,17 +913,5 @@ mod tests {
         assert!(set
             .seed_values("missing", 4, Scheme::CommTm, |s| s.commits as f64)
             .is_none());
-    }
-
-    #[test]
-    fn csv_has_one_row_per_cell_plus_header() {
-        let set = sample_set();
-        let csv = set.to_csv();
-        assert_eq!(csv.lines().count(), 2);
-        assert!(csv
-            .lines()
-            .nth(1)
-            .unwrap()
-            .starts_with("counter,counter,4,commtm,0xc0ffee,1234,60"));
     }
 }

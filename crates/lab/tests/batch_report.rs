@@ -1,8 +1,10 @@
-//! End-to-end tests for batch runs (`run --all`, `run <target>
+//! End-to-end tests for the report directory (`run --all`, `run <target>
 //! --out-dir`): one pool run over every scenario, written once. A
 //! multi-scenario run must match each scenario run alone, twin cells
-//! must each carry their own cell, and a failed cell must show in the
-//! report and the exit code. See docs/SCENARIOS.md.
+//! must each carry their own cell, a traced report must carry a valid
+//! trace side-car and the same results as an untraced one, and a failed
+//! cell must show in the report, on stderr and in the exit code. See
+//! docs/SCENARIOS.md.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -10,7 +12,7 @@ use std::process::Command;
 use commtm_lab::batch::{self, Overrides};
 use commtm_lab::exec::{run_scenario, run_scenarios_in, ExecOptions};
 use commtm_lab::spec::{Scenario, WorkloadSpec};
-use commtm_lab::{figures, registry, ResultSet};
+use commtm_lab::{figures, json, registry, trace, ResultSet};
 
 fn tmp(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("commtm-batch-{}-{name}", std::process::id()));
@@ -32,13 +34,14 @@ fn files_in(dir: &Path) -> Vec<String> {
     names
 }
 
-/// Runs the `commtm-lab` binary and returns its exit code.
-fn lab(args: &[&str]) -> i32 {
+/// Runs the `commtm-lab` binary and returns its exit code and stderr.
+fn lab(args: &[&str]) -> (i32, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_commtm-lab"))
         .args(args)
         .output()
         .expect("commtm-lab runs");
-    out.status.code().expect("commtm-lab exits with a code")
+    let code = out.status.code().expect("commtm-lab exits with a code");
+    (code, String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
 /// A scenario over a small counter grid whose one workload is labelled
@@ -76,7 +79,7 @@ fn multi_scenario_run_matches_each_scenario_alone() {
 
     let dir = tmp("multi");
     let theme = figures::theme_by_name("light").unwrap();
-    assert!(batch::emit_report(&dir, &scenarios, &sets, theme, true).unwrap());
+    assert!(batch::emit_report(&dir, &scenarios, &sets, theme).unwrap());
     for (scenario, set) in scenarios.iter().zip(&sets) {
         let alone = run_scenario(scenario, &opts).unwrap();
         assert!(alone.all_ok(), "{}", scenario.name);
@@ -117,7 +120,7 @@ fn twin_cells_carry_their_own_cell() {
     // Each twin's results file carries its own labels.
     let dir = tmp("twins");
     let theme = figures::theme_by_name("light").unwrap();
-    assert!(batch::emit_report(&dir, &scenarios, &sets, theme, true).unwrap());
+    assert!(batch::emit_report(&dir, &scenarios, &sets, theme).unwrap());
     assert!(read(&dir, "twin-a.json").contains("\"label\": \"twin-a\""));
     assert!(!read(&dir, "twin-a.json").contains("twin-b"));
     assert!(read(&dir, "twin-b.json").contains("\"label\": \"twin-b\""));
@@ -130,7 +133,7 @@ fn duplicate_scenario_names_are_rejected_before_writing() {
     let sets = run_scenarios_in(registry::global(), &scenarios, &ExecOptions::default()).unwrap();
     let dir = tmp("duplicates");
     let theme = figures::theme_by_name("light").unwrap();
-    let err = batch::emit_report(&dir, &scenarios, &sets, theme, true).unwrap_err();
+    let err = batch::emit_report(&dir, &scenarios, &sets, theme).unwrap_err();
     assert!(err.contains("duplicate scenario name \"twin-a\""), "{err}");
     assert!(!dir.exists(), "nothing is written");
 }
@@ -145,7 +148,7 @@ fn out_dir_writes_the_report_once_and_no_ledger() {
         if let Some(jobs) = jobs {
             args.extend(["--jobs", jobs]);
         }
-        assert_eq!(lab(&args), 0);
+        assert_eq!(lab(&args).0, 0);
     }
     let mut want = vec![
         figures::figure_file_name(&smoke()),
@@ -172,6 +175,42 @@ fn out_dir_writes_the_report_once_and_no_ledger() {
 }
 
 #[test]
+fn traced_report_carries_a_valid_side_car_and_the_same_results() {
+    let plain = tmp("untraced");
+    let traced = tmp("traced");
+    for (dir, trace) in [(&plain, false), (&traced, true)] {
+        let mut args = vec![
+            "run",
+            "fig09",
+            "--threads",
+            "1,4",
+            "--scale",
+            "1",
+            "--quiet",
+        ];
+        args.extend(["--out-dir", dir.to_str().unwrap()]);
+        if trace {
+            args.push("--trace");
+        }
+        assert_eq!(lab(&args).0, 0);
+    }
+    // Tracing is observation-only: the results file is byte-identical.
+    assert_eq!(read(&traced, "fig09.json"), read(&plain, "fig09.json"));
+    assert!(!plain.join("fig09.trace.json").exists());
+
+    let side_car = read(&traced, "fig09.trace.json");
+    let schema = json::parse(trace::TRACE_SCHEMA).unwrap();
+    trace::validate_schema(&schema, &json::parse(&side_car).unwrap()).unwrap();
+    assert!(side_car.contains("\"abort_causes\""));
+    assert!(side_car.contains("\"speculation_audit\""));
+    assert!(read(&traced, "fig09.aborts.svg").contains("</svg>"));
+    assert!(read(&traced, "manifest.json").contains("\"trace\": \"fig09.trace.json\""));
+    for dir in [plain, traced] {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
 fn failed_cells_are_reported_and_render_as_gaps() {
     // Every cell trips the cycle limit before the counter can finish.
     let dir = tmp("failing");
@@ -192,7 +231,7 @@ fn failed_cells_are_reported_and_render_as_gaps() {
     )
     .unwrap();
     let report = dir.join("report");
-    let code = lab(&[
+    let (code, stderr) = lab(&[
         "run",
         toml.to_str().unwrap(),
         "--quiet",
@@ -200,6 +239,8 @@ fn failed_cells_are_reported_and_render_as_gaps() {
         report.to_str().unwrap(),
     ]);
     assert_eq!(code, 1, "a failed cell fails the run");
+    // The caught panic is not silenced: its message reaches stderr.
+    assert!(stderr.contains("panicked"), "{stderr}");
 
     // Each cell is recorded with its cause.
     let set = ResultSet::from_json_str(&read(&report, "failgrid.json")).unwrap();

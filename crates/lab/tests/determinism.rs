@@ -140,19 +140,3 @@ fn tracing_is_observation_only() {
     assert!(traced.cells.iter().all(|c| c.trace.is_some()));
     assert!(plain.cells.iter().all(|c| c.trace.is_none()));
 }
-
-/// CSV export is deterministic too (it feeds spreadsheet-based analyses).
-#[test]
-fn csv_export_is_deterministic() {
-    let scn = sweep();
-    let a = run_scenario(
-        &scn,
-        &ExecOptions {
-            jobs: 8,
-            ..ExecOptions::default()
-        },
-    )
-    .expect("run a");
-    let b = run_scenario_serial(&scn).expect("run b");
-    assert_eq!(a.to_csv(), b.to_csv());
-}

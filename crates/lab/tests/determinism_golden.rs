@@ -139,7 +139,7 @@ fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
     let in_memory = fingerprint(&sets[0]);
 
     let theme = figures::theme_by_name("light").expect("the light theme exists");
-    batch::emit_report(&dir, &scenarios, &sets, theme, true).expect("report writes");
+    batch::emit_report(&dir, &scenarios, &sets, theme).expect("report writes");
     let written = std::fs::read_to_string(dir.join(format!("{}.json", scenarios[0].name)))
         .expect("results file reads");
     let _ = std::fs::remove_dir_all(&dir);
