@@ -1,5 +1,7 @@
 //! Generic set-associative cache array with LRU and reserved-way fills.
 
+use std::cell::Cell;
+
 use commtm_mem::{LineAddr, LineData};
 
 use crate::geometry::CacheGeometry;
@@ -51,12 +53,33 @@ pub struct FillOutcome<M> {
 ///
 /// A slot stays valid until the next [`CacheArray::fill`] or
 /// [`CacheArray::remove`] on the array, either of which may vacate or
-/// repopulate the way. The `entry`/`entry_mut`/`touch`/`remove_slot`
-/// accessors panic on a slot whose way has been vacated, even once the
-/// line's pooled entry has been reused by another set; callers re-`lookup`
-/// after any structural change.
+/// repopulate the way; both advance the array's structure epoch.
+/// The `entry`/`entry_mut`/`touch_mut`/`remove_slot`/`discard_slot` accessors
+/// panic on a slot whose way has been vacated, even once the line's pooled
+/// entry has been reused by another set. A caller that keeps a slot across
+/// code that may fill or remove keeps it as a [`Held`] and gets it back
+/// through [`CacheArray::reach`], which probes again only if the epoch
+/// moved.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Slot(usize);
+
+/// The result of one probe (a slot, or `None` for a miss) together with
+/// the array's structure epoch at the time: still exact while the epoch is
+/// unchanged, since only fills and removes move lines between slots.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Held {
+    slot: Option<Slot>,
+    epoch: u64,
+}
+
+impl Held {
+    /// No probe made yet: the first [`CacheArray::reach`] probes. (No
+    /// array reaches this epoch: it would take 2^64 fills and removes.)
+    pub const UNPROBED: Held = Held {
+        slot: None,
+        epoch: u64::MAX,
+    };
+}
 
 /// A set-associative array with LRU replacement, generic over per-line
 /// metadata.
@@ -101,6 +124,12 @@ pub struct CacheArray<M> {
     free: Vec<u32>,
     tick: u64,
     resident: usize,
+    /// Structure epoch: advanced by every fill and every remove, the only
+    /// operations that change which line a slot holds.
+    epoch: u64,
+    /// Tag-matching probes ([`CacheArray::lookup`] and everything built
+    /// on it) since the array was built: a deterministic work counter.
+    probes: Cell<u64>,
 }
 
 /// One fixed-size piece of the line pool.
@@ -146,6 +175,8 @@ impl<M: Copy> CacheArray<M> {
             free: Vec::new(),
             tick: 0,
             resident: 0,
+            epoch: 0,
+            probes: Cell::new(0),
         }
     }
 
@@ -167,11 +198,50 @@ impl<M: Copy> CacheArray<M> {
         self.resident + self.free.len()
     }
 
+    /// Tag-matching probes made so far: every [`CacheArray::lookup`],
+    /// including those behind `peek`, `get`, `contains` and `remove`, and
+    /// the probes of [`CacheArray::reach`].
+    pub fn probes(&self) -> u64 {
+        self.probes.get()
+    }
+
+    /// Pins a probe result (a slot, or `None` for a miss) to the current
+    /// epoch, for [`CacheArray::reach`].
+    #[inline]
+    pub fn hold(&self, slot: Option<Slot>) -> Held {
+        Held {
+            slot,
+            epoch: self.epoch,
+        }
+    }
+
+    /// The slot of `line` from an earlier probe of it: the held result
+    /// while no fill or remove has run since, else (or when `held` is
+    /// [`Held::UNPROBED`]) a fresh [`CacheArray::lookup`], which `held`
+    /// then keeps.
+    #[inline]
+    pub fn reach(&self, held: &mut Held, line: LineAddr) -> Option<Slot> {
+        if held.epoch == self.epoch {
+            debug_assert_eq!(held.slot, self.find(line), "held slot of {line} moved");
+        } else {
+            *held = self.hold(self.lookup(line));
+        }
+        held.slot
+    }
+
     /// Locates a resident line without updating recency: the single
     /// tag-matching probe of an operation. All further access goes through
     /// the returned [`Slot`] via [`CacheArray::entry`],
-    /// [`CacheArray::entry_mut`], and [`CacheArray::touch`].
+    /// [`CacheArray::entry_mut`] and [`CacheArray::touch_mut`].
+    #[inline]
     pub fn lookup(&self, line: LineAddr) -> Option<Slot> {
+        self.probes.set(self.probes.get() + 1);
+        self.find(line)
+    }
+
+    /// [`CacheArray::lookup`] without counting the probe, for assertions.
+    #[inline]
+    fn find(&self, line: LineAddr) -> Option<Slot> {
         let block = self.blocks[self.geom.set_of(line)];
         if block == 0 {
             return None;
@@ -189,35 +259,40 @@ impl<M: Copy> CacheArray<M> {
     /// # Panics
     ///
     /// Panics if the slot has been vacated since the lookup.
+    #[inline]
     pub fn entry(&self, slot: Slot) -> &Entry<M> {
         let i = self.pool_index(slot);
         &self.pool[i >> CHUNK_LINES_LOG2].0[i & (CHUNK_LINES - 1)]
     }
 
-    /// The entry at a slot, mutably. Does not update recency; pair with
-    /// [`CacheArray::touch`] where the access should refresh LRU order.
+    /// The entry at a slot, mutably. Does not update recency; use
+    /// [`CacheArray::touch_mut`] where the access should refresh LRU order.
     ///
     /// # Panics
     ///
     /// Panics if the slot has been vacated since the lookup.
+    #[inline]
     pub fn entry_mut(&mut self, slot: Slot) -> &mut Entry<M> {
         let i = self.pool_index(slot);
         &mut self.pool[i >> CHUNK_LINES_LOG2].0[i & (CHUNK_LINES - 1)]
     }
 
-    /// Marks the entry at a slot most-recently used (the recency side of
-    /// what [`CacheArray::get`] does).
+    /// The entry at a slot, mutably, marked most-recently used (what
+    /// [`CacheArray::get`] does, without the probe).
     ///
     /// # Panics
     ///
     /// Panics if the slot has been vacated since the lookup.
-    pub fn touch(&mut self, slot: Slot) {
-        self.pool_index(slot); // the stale-handle check
+    #[inline]
+    pub fn touch_mut(&mut self, slot: Slot) -> &mut Entry<M> {
+        let i = self.pool_index(slot);
         self.tick += 1;
         self.lru[slot.0] = self.tick;
+        &mut self.pool[i >> CHUNK_LINES_LOG2].0[i & (CHUNK_LINES - 1)]
     }
 
     /// The way index of a slot within its set.
+    #[inline]
     pub fn way_of_slot(&self, slot: Slot) -> usize {
         slot.0 % self.geom.ways()
     }
@@ -227,13 +302,17 @@ impl<M: Copy> CacheArray<M> {
         self.lookup(line).map(|s| self.entry(s))
     }
 
+    /// [`CacheArray::peek`] for audits and diagnostics: the probe is not
+    /// counted in [`CacheArray::probes`], so checking a run does not change
+    /// its work counters.
+    pub fn inspect(&self, line: LineAddr) -> Option<&Entry<M>> {
+        self.find(line).map(|s| self.entry(s))
+    }
+
     /// Looks up a line and marks it most-recently used.
     pub fn get(&mut self, line: LineAddr) -> Option<&mut Entry<M>> {
         match self.lookup(line) {
-            Some(s) => {
-                self.touch(s);
-                Some(self.entry_mut(s))
-            }
+            Some(s) => Some(self.touch_mut(s)),
             None => None,
         }
     }
@@ -260,13 +339,14 @@ impl<M: Copy> CacheArray<M> {
         meta: M,
         class: EvictionClass,
     ) -> FillOutcome<M> {
-        debug_assert!(!self.contains(line), "fill of resident line {line}");
+        debug_assert!(self.find(line).is_none(), "fill of resident line {line}");
         debug_assert_ne!(
             line.raw(),
             EMPTY_TAG,
             "line index collides with the vacant sentinel"
         );
         self.tick += 1;
+        self.epoch += 1;
         let ways = self.geom.ways();
         let set = self.geom.set_of(line);
         let base = match self.blocks[set] {
@@ -325,10 +405,22 @@ impl<M: Copy> CacheArray<M> {
     /// Panics if the slot has been vacated since the lookup.
     pub fn remove_slot(&mut self, slot: Slot) -> Entry<M> {
         let e = *self.entry(slot);
-        self.free.push(self.lines[slot.0]);
+        self.discard_slot(slot);
+        e
+    }
+
+    /// Removes the entry at a slot without copying it out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot has been vacated since the lookup.
+    #[inline]
+    pub fn discard_slot(&mut self, slot: Slot) {
+        let i = self.pool_index(slot);
+        self.free.push(i as u32);
         self.tags[slot.0] = EMPTY_TAG;
         self.resident -= 1;
-        e
+        self.epoch += 1;
     }
 
     /// Iterates all resident entries in (set, way) order (for invariant
@@ -361,9 +453,10 @@ impl<M: Copy> CacheArray<M> {
         self.len() == 0
     }
 
-    /// The way index a resident line occupies (for tests).
+    /// The way index a resident line occupies (for tests and audits; not
+    /// counted in [`CacheArray::probes`]).
     pub fn way_of(&self, line: LineAddr) -> Option<usize> {
-        self.lookup(line).map(|s| self.way_of_slot(s))
+        self.find(line).map(|s| self.way_of_slot(s))
     }
 
     /// The set index a line maps to (geometry passthrough).
@@ -372,6 +465,7 @@ impl<M: Copy> CacheArray<M> {
     }
 
     /// The slot of way 0 of a (1-based) block.
+    #[inline]
     fn block_base(&self, block: u32) -> usize {
         (block as usize - 1) * self.geom.ways()
     }
@@ -390,6 +484,7 @@ impl<M: Copy> CacheArray<M> {
     /// The pool index of the line at a slot. The tag check is the stale
     /// handle check: the pool entry itself may since have been reused by
     /// another set.
+    #[inline]
     fn pool_index(&self, slot: Slot) -> usize {
         assert_ne!(self.tags[slot.0], EMPTY_TAG, "stale slot handle");
         self.lines[slot.0] as usize
@@ -559,10 +654,13 @@ mod tests {
             assert!(panics(|| {
                 c.entry_mut(slot);
             }));
-            assert!(panics(|| c.touch(slot)));
+            assert!(panics(|| {
+                c.touch_mut(slot);
+            }));
             assert!(panics(|| {
                 c.remove_slot(slot);
             }));
+            assert!(panics(|| c.discard_slot(slot)));
         };
         c.remove_slot(slot);
         assert_stale(&mut c);
@@ -572,6 +670,43 @@ mod tests {
         assert_stale(&mut c);
         assert_eq!(c.peek(b).map(|e| (e.tag, e.meta)), Some((b, 2)));
         assert_eq!(c.len(), 1);
+    }
+
+    /// A held probe result is reused, without a probe, while the epoch
+    /// stands; a fill or a remove anywhere in the array moves the epoch, and
+    /// the next `reach` probes again. Audits (`inspect`, `way_of`) are not
+    /// counted.
+    #[test]
+    fn held_slots_are_reused_until_the_structure_changes() {
+        let sets = 8u64;
+        let mut c: CacheArray<u64> = CacheArray::new(CacheGeometry::new(sets as usize, 2));
+        let (a, b) = (line(1, 0, sets), line(2, 0, sets));
+        let slot = c
+            .fill(a, LineData::zeroed(), 1, EvictionClass::NonReducible)
+            .slot;
+        assert_eq!(c.probes(), 0);
+        let mut held = Held::UNPROBED;
+        assert_eq!(c.reach(&mut held, a), Some(slot));
+        assert_eq!(c.probes(), 1);
+        c.touch_mut(slot).meta = 2;
+        assert_eq!(c.reach(&mut held, a), Some(slot), "a touch moves no line");
+        assert_eq!(c.probes(), 1);
+        // A miss is held too.
+        let mut missing = Held::UNPROBED;
+        assert_eq!(c.reach(&mut missing, b), None);
+        assert_eq!(c.reach(&mut missing, b), None);
+        assert_eq!(c.probes(), 2);
+        // A fill in another set moves the epoch: both probe again.
+        c.fill(b, LineData::zeroed(), 3, EvictionClass::NonReducible);
+        assert_eq!(c.reach(&mut held, a), Some(slot));
+        assert!(c.reach(&mut missing, b).is_some());
+        assert_eq!(c.probes(), 4);
+        // So does a remove; a removed line's held slot reads as a miss.
+        c.discard_slot(slot);
+        assert_eq!(c.reach(&mut held, a), None);
+        assert_eq!(c.probes(), 5);
+        assert!(c.inspect(b).is_some() && c.way_of(b).is_some());
+        assert_eq!(c.probes(), 5);
     }
 
     /// Opening new pool chunks (in the array or in a clone of it) never
@@ -646,8 +781,9 @@ mod tests {
 
     /// Replays a fill/get/remove/touch trace against a naive map model.
     /// After every step the probe-once API (`lookup`/`entry`/`entry_mut`/
-    /// `touch`/`remove_slot`) and the scan-based one (`peek`/`get`/
-    /// `contains`/`remove`) must agree with the model and with each other;
+    /// `touch_mut`/`remove_slot`/`discard_slot`) and the
+    /// scan-based one (`peek`/`get`/`contains`/`remove`) must agree with
+    /// the model and with each other;
     /// at the end `iter()` must yield exactly the model's lines, in
     /// (set, way) order. Returns the array for shape checks.
     fn check_against_model(
@@ -688,22 +824,33 @@ mod tests {
                     }
                 }
                 TraceOp::Remove(l) => {
-                    let via_slot = l % 2 == 0;
+                    let way = l % 3;
                     let l = LineAddr::new(l);
-                    let removed = if via_slot {
-                        c.lookup(l).map(|s| c.remove_slot(s))
-                    } else {
-                        c.remove(l)
-                    };
-                    prop_assert_eq!(removed.map(|e| e.meta), model.remove(&l));
+                    let expected = model.remove(&l);
+                    match way {
+                        0 => {
+                            let removed = c.lookup(l).map(|s| c.remove_slot(s));
+                            prop_assert_eq!(removed.map(|e| e.meta), expected);
+                        }
+                        1 => {
+                            let removed = c.remove(l);
+                            prop_assert_eq!(removed.map(|e| e.meta), expected);
+                        }
+                        _ => {
+                            let slot = c.lookup(l);
+                            prop_assert_eq!(slot.is_some(), expected.is_some());
+                            if let Some(s) = slot {
+                                c.discard_slot(s);
+                            }
+                        }
+                    }
                     prop_assert!(!c.contains(l));
                 }
                 TraceOp::Touch(l) => {
                     let l = LineAddr::new(l);
-                    // touch + entry_mut must be get, observably.
+                    // touch_mut must be get, observably.
                     if let Some(s) = c.lookup(l) {
-                        c.touch(s);
-                        c.entry_mut(s).meta = meta;
+                        c.touch_mut(s).meta = meta;
                         model.insert(l, meta);
                         prop_assert_eq!(c.get(l).map(|e| e.meta), Some(meta));
                     }

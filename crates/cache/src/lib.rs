@@ -18,7 +18,7 @@ mod geometry;
 mod meta;
 mod state;
 
-pub use array::{CacheArray, Entry, EvictionClass, FillOutcome, Slot};
+pub use array::{CacheArray, Entry, EvictionClass, FillOutcome, Held, Slot};
 pub use geometry::CacheGeometry;
 pub use meta::{L1Meta, PrivMeta, SpecBits};
 pub use state::CohState;

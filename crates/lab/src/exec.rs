@@ -26,6 +26,7 @@
 //! the process's panic hook.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -282,24 +283,64 @@ pub fn run_scenario_serial(scenario: &Scenario) -> Result<ResultSet, String> {
 
 /// Runs one grid cell of `scenario` on the calling thread: resolve in
 /// `reg`, simulate, check the oracle, catch panics into the cell's error.
-/// This is the unit of work the pool above fans out.
+/// This is the unit of work the pool above fans out. A caught panic also
+/// names the cell on stderr, next to the panic hook's own line, with the
+/// command that reruns it.
 pub fn run_cell(reg: &registry::Registry, cell: &spec::Cell, scenario: &Scenario) -> CellResult {
     let started = Instant::now();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         reg.run_cell(cell, scenario.scale, scenario.tuning)
     }));
+    let panicked = outcome.is_err();
     let (stats, error, trace) = match outcome {
         Ok(Ok((report, trace))) => (Some(CellStats::from_report(&report)), None, trace),
         Ok(Err(e)) => (None, Some(e), None),
         Err(panic) => (None, Some(panic_message(panic.as_ref())), None),
     };
-    CellResult {
+    let result = CellResult {
         cell: cell.clone(),
         stats,
         error,
         wall_ms: started.elapsed().as_millis() as u64,
         trace,
+    };
+    if panicked {
+        // One write: other workers' panic hooks write their backtraces
+        // piece by piece without the stderr lock, and `eprintln!` writes
+        // each formatted piece on its own.
+        let line = format!(
+            "cell failed: scenario {}, {}; rerun with: {}\n",
+            scenario.name,
+            result.key(),
+            rerun_command(reg, scenario, cell)
+        );
+        let _ = std::io::stderr().write_all(line.as_bytes());
     }
+    result
+}
+
+/// The `commtm-lab run` command that reruns `cell`: its scenario (by name
+/// when that resolves, else as the `<name>.toml` that defines it) narrowed
+/// to the cell's thread count and scheme, at the scenario's scale. A
+/// scenario on the default seed sequence is cut to the seeds up to the
+/// cell's; any other keeps its own seeds, the cell's among them.
+fn rerun_command(reg: &registry::Registry, scenario: &Scenario, cell: &spec::Cell) -> String {
+    let name = &scenario.name;
+    let target = if crate::scenarios::builtin(name).is_some() || reg.resolve(name).is_some() {
+        name.clone()
+    } else {
+        format!("{name}.toml")
+    };
+    let mut command = format!(
+        "commtm-lab run {target} --threads {} --schemes {} --scale {}",
+        cell.threads,
+        scheme_name(cell.scheme),
+        scenario.scale
+    );
+    if scenario.seeds == spec::default_seeds(scenario.seeds.len()) {
+        command.push_str(&format!(" --seeds {}", cell.seed_index + 1));
+    }
+    command
 }
 
 fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {

@@ -239,8 +239,17 @@ fn failed_cells_are_reported_and_render_as_gaps() {
         report.to_str().unwrap(),
     ]);
     assert_eq!(code, 1, "a failed cell fails the run");
-    // The caught panic is not silenced: its message reaches stderr.
+    // The caught panic is not silenced: its message reaches stderr, and
+    // a line of its own names each failed cell and how to rerun it.
     assert!(stderr.contains("panicked"), "{stderr}");
+    for threads in [2, 4] {
+        let line = format!(
+            "cell failed: scenario failgrid, counter[counter] t={threads} baseline seed=0x1; \
+             rerun with: commtm-lab run failgrid.toml --threads {threads} --schemes baseline \
+             --scale 1"
+        );
+        assert!(stderr.contains(&line), "{line:?} missing from {stderr}");
+    }
 
     // Each cell is recorded with its cause.
     let set = ResultSet::from_json_str(&read(&report, "failgrid.json")).unwrap();

@@ -184,12 +184,15 @@ fn list_quick_fingerprint_is_pinned() {
 
 /// The deterministic counters the fingerprint leaves out, index-aligned
 /// with [`work_counters`]: host scheduling and replay work (scheduler
-/// steps, closure passes and the log entries they replay), then backoff
-/// and the cache traffic.
-const WORK_COUNTERS: [&str; 10] = [
+/// steps, closure passes and the log entries they replay), the cache
+/// probes per level, then backoff and the cache traffic.
+const WORK_COUNTERS: [&str; 13] = [
     "steps",
     "passes",
     "replayed_entries",
+    "l1_probes",
+    "l2_probes",
+    "l3_probes",
     "backoff_cycles",
     "invalidations",
     "writebacks",
@@ -213,6 +216,9 @@ fn work_counters(scenario: &Scenario) -> [u64; WORK_COUNTERS.len()] {
             core.steps,
             core.passes,
             core.replayed_entries,
+            report.probes.l1,
+            report.probes.l2,
+            report.probes.l3,
             core.backoff_cycles,
             proto.invalidations,
             proto.writebacks,
@@ -255,6 +261,9 @@ fn counter_quick_work_counters_are_pinned() {
             495_702,    // steps
             495_702,    // passes
             141_935,    // replayed_entries
+            1_265_273,  // l1_probes
+            818_219,    // l2_probes
+            344_496,    // l3_probes
             71_235_721, // backoff_cycles
             237_333,    // invalidations
             39_937,     // writebacks
@@ -277,6 +286,9 @@ fn counter_scale4_work_counters_are_pinned() {
             4_647_884,     // steps
             4_647_884,     // passes
             1_224_833,     // replayed_entries
+            12_377_874,    // l1_probes
+            7_828_157,     // l2_probes
+            3_605_344,     // l3_probes
             1_787_116_544, // backoff_cycles
             2_675_960,     // invalidations
             319_714,       // writebacks
@@ -299,6 +311,9 @@ fn list_quick_work_counters_are_pinned() {
             1_297_271,   // steps
             1_297_107,   // passes
             2_251_864,   // replayed_entries
+            3_646_653,   // l1_probes
+            2_774_320,   // l2_probes
+            944_828,     // l3_probes
             141_235_124, // backoff_cycles
             433_213,     // invalidations
             123_191,     // writebacks

@@ -37,6 +37,15 @@ impl DirState {
     pub fn is_uncached(&self) -> bool {
         matches!(self, DirState::Uncached)
     }
+
+    /// `Shared(s)`, or `Uncached` once `s` is empty.
+    pub fn shared_or_uncached(s: SharerSet) -> Self {
+        if s.is_empty() {
+            DirState::Uncached
+        } else {
+            DirState::Shared(s)
+        }
+    }
 }
 
 /// Per-line L3 metadata: the directory entry plus a dirty bit relative to

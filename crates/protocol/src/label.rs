@@ -120,6 +120,11 @@ impl LabelDef {
     pub fn split(&self) -> Option<SplitFn> {
         self.split.clone()
     }
+
+    /// Whether the label has a splitter (without cloning it).
+    pub fn has_split(&self) -> bool {
+        self.split.is_some()
+    }
 }
 
 impl fmt::Debug for LabelDef {

@@ -43,7 +43,7 @@ mod types;
 pub use config::ProtoConfig;
 pub use dir::{DirState, L3Meta};
 pub use label::{LabelDef, LabelTable, ReduceFn, ReduceOps, SplitFn};
-pub use stats::{CoreProtoStats, ProtoStats};
+pub use stats::{CoreProtoStats, ProbeCounts, ProtoStats};
 pub use system::MemSystem;
 pub use trace::{AccessOp, Trace, TraceEvent, TraceEventKind, Tracer};
 pub use types::{AbortKind, AccessOutcome, MemOp, ProtoEvent, ReqClass, WasteBucket};

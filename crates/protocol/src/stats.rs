@@ -50,6 +50,19 @@ impl CoreProtoStats {
     }
 }
 
+/// Tag-matching cache probes per level, summed over the machine's arrays:
+/// a deterministic count of the work behind every access, which the
+/// hit/miss counters do not show.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ProbeCounts {
+    /// Probes of the private L1s.
+    pub l1: u64,
+    /// Probes of the private L2s.
+    pub l2: u64,
+    /// Probes of the L3 banks.
+    pub l3: u64,
+}
+
 /// Protocol statistics for the whole machine.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProtoStats {

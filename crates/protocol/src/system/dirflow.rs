@@ -1,15 +1,88 @@
 //! Directory-side request flows: GETS, GETX, GETU (cases 1–5 of
 //! Sec. III-B3), reductions (Sec. III-B4) and gathers (Sec. IV).
+//!
+//! Every flow reaches a line's home L3 entry through a [`Home`] and each
+//! core's private copies through a [`Copies`]: one probe per array, reused
+//! until a nested flow (an eviction, a recall, a reduction handler or a
+//! splitter) restructures that array.
 
-use commtm_cache::{CohState, PrivMeta, Slot, SpecBits};
+use commtm_cache::{CohState, Entry, Held, PrivMeta, Slot, SpecBits};
 use commtm_mem::{CoreId, LabelId, LineAddr, LineData, SharerSet};
 
-use crate::dir::DirState;
+use crate::dir::{DirState, L3Meta};
 use crate::types::{arbitrate, classify_conflict, AbortKind, Arbitration, ProtoEvent, ReqClass};
 
-use super::{Acc, MemSystem};
+use super::{Acc, Copies, MemSystem};
+
+/// A line's home L3 entry, as a directory flow reaches it (the L3 analogue
+/// of [`Copies`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Home {
+    pub bank: usize,
+    pub line: LineAddr,
+    pub held: Held,
+}
 
 impl MemSystem {
+    /// The home entry of `line`, not probed yet.
+    pub(crate) fn home(&self, line: LineAddr) -> Home {
+        Home {
+            bank: self.bank_of(line),
+            line,
+            held: Held::UNPROBED,
+        }
+    }
+
+    /// The slot of a home entry.
+    #[inline]
+    fn home_slot(&self, h: &mut Home) -> Slot {
+        self.l3[h.bank]
+            .reach(&mut h.held, h.line)
+            .unwrap_or_else(|| panic!("directory line {} is not in its L3 bank", h.line))
+    }
+
+    /// The home entry itself, read-only. The tag check is a real assert,
+    /// not a debug one: a stale slot here would silently corrupt another
+    /// line's directory state in release sweeps.
+    #[inline]
+    fn home_entry(&self, h: &mut Home) -> &Entry<L3Meta> {
+        let slot = self.home_slot(h);
+        let e = self.l3[h.bank].entry(slot);
+        assert_eq!(e.tag, h.line, "stale L3 slot");
+        e
+    }
+
+    /// The home entry, marked most-recently used, for an update.
+    #[inline]
+    fn home_entry_mut(&mut self, h: &mut Home) -> &mut Entry<L3Meta> {
+        let slot = self.home_slot(h);
+        let e = self.l3[h.bank].touch_mut(slot);
+        assert_eq!(e.tag, h.line, "stale L3 slot");
+        e
+    }
+
+    #[inline]
+    pub(crate) fn dir(&self, h: &mut Home) -> DirState {
+        self.home_entry(h).meta.dir
+    }
+
+    #[inline]
+    pub(crate) fn set_dir(&mut self, h: &mut Home, dir: DirState) {
+        self.home_entry_mut(h).meta.dir = dir;
+    }
+
+    #[inline]
+    pub(crate) fn home_data(&self, h: &mut Home) -> LineData {
+        self.home_entry(h).data
+    }
+
+    #[inline]
+    pub(crate) fn set_home_data(&mut self, h: &mut Home, data: LineData, dirty: bool) {
+        let e = self.home_entry_mut(h);
+        e.data = data;
+        e.meta.dirty |= dirty;
+    }
+
     /// Aborts `victim`'s transaction if one is active ([`MemSystem::tx_abort`])
     /// and queues an event for it; an abort of the requester's own
     /// transaction is kept in `acc` instead. `line` is the line whose
@@ -38,32 +111,28 @@ impl MemSystem {
         }
     }
 
-    /// Eager conflict detection against `victim`'s footprint on `line`.
+    /// Eager conflict detection against the footprint of `victim`'s copy.
     ///
     /// `relevant` selects which footprint bits the request actually
     /// endangers (e.g. a read-for-share downgrade does not conflict with a
     /// read-only footprint). On a conflict, timestamp arbitration decides:
     /// the victim aborts (Ok) or NACKs, in which case the requester's abort
-    /// is recorded and `Err` returned.
-    #[allow(clippy::too_many_arguments)] // two cores, the request's class and timestamp, its filter
+    /// is recorded and `Err` returned. An abort rolls back footprint bits
+    /// and data but fills and removes nothing, so `victim` stays valid.
     pub(crate) fn conflict_check(
         &mut self,
         requester: CoreId,
-        victim: CoreId,
-        line: LineAddr,
+        victim: &mut Copies,
         class: ReqClass,
         req_ts: Option<u64>,
         relevant: impl Fn(SpecBits) -> bool,
         acc: &mut Acc,
     ) -> Result<(), AbortKind> {
-        let Some(vts) = self.tx_ts(victim) else {
+        let (v, line) = (victim.core, victim.line);
+        let Some(vts) = self.tx_ts(v) else {
             return Ok(());
         };
-        let Some(bits) = self.privs[victim.index()]
-            .l1
-            .peek(line)
-            .map(|e| e.meta.spec)
-        else {
+        let Some(bits) = self.spec_bits(victim) else {
             return Ok(());
         };
         if !bits.any() || !relevant(bits) {
@@ -76,88 +145,21 @@ impl MemSystem {
                 // Trace the arbitrated conflict and attribute the victim's
                 // upcoming abort to the requester before the rollback.
                 self.tracer
-                    .conflict(requester, victim, line, kind, attacker_labeled, false);
-                self.abort_tx(victim, kind, line, acc);
+                    .conflict(requester, v, line, kind, attacker_labeled, false);
+                self.abort_tx(v, kind, line, acc);
                 Ok(())
             }
             Arbitration::Nack => {
                 // The requester loses: its self-abort is attributed to the
                 // defending victim.
                 self.tracer
-                    .conflict(requester, victim, line, kind, attacker_labeled, true);
-                self.stats.core_mut(victim).nacks_sent += 1;
+                    .conflict(requester, v, line, kind, attacker_labeled, true);
+                self.stats.core_mut(v).nacks_sent += 1;
                 self.stats.core_mut(requester).nacks_received += 1;
                 acc.abort_self(kind);
                 Err(kind)
             }
         }
-    }
-
-    /// Removes a line from a core's private caches (invalidation).
-    pub(crate) fn invalidate_private(&mut self, core: CoreId, line: LineAddr) {
-        let p = &mut self.privs[core.index()];
-        p.l1.remove(line);
-        p.l2.remove(line);
-        self.stats.core_mut(core).invalidations += 1;
-    }
-
-    pub(crate) fn dir(&mut self, line: LineAddr) -> DirState {
-        let bank = self.bank_of(line);
-        self.l3[bank]
-            .peek(line)
-            .expect("dir lookup before l3_ensure")
-            .meta
-            .dir
-    }
-
-    pub(crate) fn set_dir(&mut self, line: LineAddr, dir: DirState) {
-        let bank = self.bank_of(line);
-        self.l3[bank]
-            .get(line)
-            .expect("dir update before l3_ensure")
-            .meta
-            .dir = dir;
-    }
-
-    /// Slot-based variants of the directory accessors, for flows that hold
-    /// the line's L3 slot from [`MemSystem::l3_ensure`]. Valid only while
-    /// no nested flow (reduction handler, recursive `l3_ensure`) could have
-    /// restructured the bank. The tag check is a real assert, not a debug
-    /// one: a stale slot here would silently corrupt another line's
-    /// directory state in release sweeps, and the branch is trivially
-    /// predicted next to the set scan it replaced.
-    pub(crate) fn dir_at(&mut self, bank: usize, slot: Slot, line: LineAddr) -> DirState {
-        let e = self.l3[bank].entry(slot);
-        assert_eq!(e.tag, line, "stale L3 slot");
-        e.meta.dir
-    }
-
-    pub(crate) fn set_dir_at(&mut self, bank: usize, slot: Slot, line: LineAddr, dir: DirState) {
-        self.l3[bank].touch(slot);
-        let e = self.l3[bank].entry_mut(slot);
-        assert_eq!(e.tag, line, "stale L3 slot");
-        e.meta.dir = dir;
-    }
-
-    pub(crate) fn l3_data_at(&mut self, bank: usize, slot: Slot, line: LineAddr) -> LineData {
-        let e = self.l3[bank].entry(slot);
-        assert_eq!(e.tag, line, "stale L3 slot");
-        e.data
-    }
-
-    pub(crate) fn set_l3_data_at(
-        &mut self,
-        bank: usize,
-        slot: Slot,
-        line: LineAddr,
-        data: LineData,
-        dirty: bool,
-    ) {
-        self.l3[bank].touch(slot);
-        let e = self.l3[bank].entry_mut(slot);
-        assert_eq!(e.tag, line, "stale L3 slot");
-        e.data = data;
-        e.meta.dirty |= dirty;
     }
 
     fn req_ts(&self, core: CoreId, handler: bool) -> Option<u64> {
@@ -168,48 +170,81 @@ impl MemSystem {
         }
     }
 
+    /// Invalidates every sharer in `s` but the requester, each unless it
+    /// NACKs (GETX and GETU case 2). Returns the sharers left and whether
+    /// any NACKed, and charges the slowest round trip.
+    fn invalidate_sharers(
+        &mut self,
+        core: CoreId,
+        home: &Home,
+        s: SharerSet,
+        class: ReqClass,
+        req_ts: Option<u64>,
+        acc: &mut Acc,
+    ) -> (SharerSet, bool) {
+        let mut remaining = s;
+        let mut nacked = false;
+        let mut par = 0u64;
+        for t in s.iter() {
+            if t == core {
+                continue;
+            }
+            par = par.max(2 * self.cfg.mesh.bank_to_core(home.bank, t));
+            let mut tc = Copies::new(t, home.line);
+            match self.conflict_check(core, &mut tc, class, req_ts, |b| b.any(), acc) {
+                Err(_) => nacked = true,
+                Ok(()) => {
+                    self.invalidate_private(&mut tc);
+                    remaining.remove(t);
+                }
+            }
+        }
+        acc.lat(par);
+        (remaining, nacked)
+    }
+
     /// GETS: conventional read miss.
-    pub(crate) fn dir_gets(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc, handler: bool) {
+    pub(crate) fn dir_gets(&mut self, c: &mut Copies, acc: &mut Acc, handler: bool) {
+        let (core, line) = (c.core, c.line);
         self.stats.core_mut(core).gets += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, acc, handler);
+        let mut home = self.l3_ensure(line, acc, handler);
         let req_ts = self.req_ts(core, handler);
+        let shared = PrivMeta {
+            state: CohState::S,
+            label: None,
+            dirty: false,
+        };
 
-        match self.dir_at(bank, l3, line) {
+        match self.dir(&mut home) {
             DirState::Uncached => {
                 // MESI: sole requester gets E.
-                let data = self.l3_data_at(bank, l3, line);
-                self.set_dir_at(bank, l3, line, DirState::Exclusive(core));
+                let data = self.home_data(&mut home);
+                self.set_dir(&mut home, DirState::Exclusive(core));
                 let meta = PrivMeta {
                     state: CohState::E,
-                    label: None,
-                    dirty: false,
+                    ..shared
                 };
-                self.install_private(core, line, data, meta, acc, handler);
+                self.install_private(c, data, meta, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Shared(mut s) => {
-                let data = self.l3_data_at(bank, l3, line);
+                let data = self.home_data(&mut home);
                 s.insert(core);
-                self.set_dir_at(bank, l3, line, DirState::Shared(s));
-                let meta = PrivMeta {
-                    state: CohState::S,
-                    label: None,
-                    dirty: false,
-                };
-                self.install_private(core, line, data, meta, acc, handler);
+                self.set_dir(&mut home, DirState::Shared(s));
+                self.install_private(c, data, shared, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Exclusive(owner) => {
                 debug_assert_ne!(owner, core, "GETS from the exclusive owner");
                 // A read-for-share downgrade conflicts only with write or
                 // labeled footprints; read-read sharing is safe.
+                let mut o = Copies::new(owner, line);
                 if self
                     .conflict_check(
                         core,
-                        owner,
-                        line,
+                        &mut o,
                         ReqClass::PlainRead,
                         req_ts,
                         |b| b.written || b.labeled,
@@ -219,36 +254,28 @@ impl MemSystem {
                 {
                     return;
                 }
-                let was_m = self.priv_state(owner, line).0 == CohState::M;
-                let v = self.priv_nonspec(owner, line);
+                let was_m = self.priv_state(&mut o).0 == CohState::M;
+                let v = self.priv_nonspec(&mut o);
                 // Downgrade owner to S; its copy becomes clean.
-                {
-                    let p = &mut self.privs[owner.index()];
-                    let l2e = p.l2.get(line).expect("owner must hold line");
-                    l2e.meta = PrivMeta {
-                        state: CohState::S,
-                        label: None,
-                        dirty: false,
-                    };
-                    l2e.data = v;
-                    if let Some(e) = p.l1.get(line) {
-                        e.data = v;
-                        e.meta.dirty = false;
-                    }
+                let l2_slot = self.l2_slot(&mut o).expect("owner must hold line");
+                let l1_slot = self.l1_slot(&mut o);
+                let p = &mut self.privs[owner.index()];
+                let l2e = p.l2.touch_mut(l2_slot);
+                l2e.meta = shared;
+                l2e.data = v;
+                if let Some(s) = l1_slot {
+                    let e = p.l1.touch_mut(s);
+                    e.data = v;
+                    e.meta.dirty = false;
                 }
                 if was_m {
-                    self.set_l3_data_at(bank, l3, line, v, true);
+                    self.set_home_data(&mut home, v, true);
                     self.stats.core_mut(owner).writebacks += 1;
                 }
                 let mut s = SharerSet::single(owner);
                 s.insert(core);
-                self.set_dir_at(bank, l3, line, DirState::Shared(s));
-                let meta = PrivMeta {
-                    state: CohState::S,
-                    label: None,
-                    dirty: false,
-                };
-                self.install_private(core, line, v, meta, acc, handler);
+                self.set_dir(&mut home, DirState::Shared(s));
+                self.install_private(c, v, shared, acc, handler);
                 acc.lat(
                     self.cfg.mesh.bank_to_core(bank, owner)
                         + self.cfg.l2_latency
@@ -257,110 +284,62 @@ impl MemSystem {
             }
             DirState::Reducible(label, s) => {
                 assert!(!handler, "reduction handler hit reducible line {line}: handlers must not trigger reductions (Sec. III-B4)");
-                self.reduction_flow(core, line, label, s, ReqClass::PlainRead, req_ts, acc);
+                self.reduction_flow(c, &mut home, label, s, ReqClass::PlainRead, req_ts, acc);
             }
         }
     }
 
     /// GETX: conventional write miss or upgrade.
-    pub(crate) fn dir_getx(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc, handler: bool) {
+    pub(crate) fn dir_getx(&mut self, c: &mut Copies, acc: &mut Acc, handler: bool) {
+        let (core, line) = (c.core, c.line);
         self.stats.core_mut(core).getx += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, acc, handler);
+        let mut home = self.l3_ensure(line, acc, handler);
         let req_ts = self.req_ts(core, handler);
+        let exclusive = PrivMeta {
+            state: CohState::E,
+            label: None,
+            dirty: false,
+        };
 
-        match self.dir_at(bank, l3, line) {
+        match self.dir(&mut home) {
             DirState::Uncached => {
-                let data = self.l3_data_at(bank, l3, line);
-                self.set_dir_at(bank, l3, line, DirState::Exclusive(core));
-                let meta = PrivMeta {
-                    state: CohState::E,
-                    label: None,
-                    dirty: false,
-                };
-                self.install_private(core, line, data, meta, acc, handler);
+                let data = self.home_data(&mut home);
+                self.set_dir(&mut home, DirState::Exclusive(core));
+                self.install_private(c, data, exclusive, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Shared(s) => {
-                let mut remaining = s;
-                let mut nacked = false;
-                let mut par = 0u64;
-                for t in s.iter() {
-                    if t == core {
-                        continue;
-                    }
-                    par = par.max(2 * self.cfg.mesh.bank_to_core(bank, t));
-                    match self.conflict_check(
-                        core,
-                        t,
-                        line,
-                        ReqClass::PlainWrite,
-                        req_ts,
-                        |b| b.any(),
-                        acc,
-                    ) {
-                        Err(_) => nacked = true,
-                        Ok(()) => {
-                            self.invalidate_private(t, line);
-                            remaining.remove(t);
-                        }
-                    }
-                }
-                acc.lat(par);
+                let (remaining, nacked) =
+                    self.invalidate_sharers(core, &home, s, ReqClass::PlainWrite, req_ts, acc);
                 if nacked {
-                    self.set_dir_at(
-                        bank,
-                        l3,
-                        line,
-                        if remaining.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(remaining)
-                        },
-                    );
+                    self.set_dir(&mut home, DirState::shared_or_uncached(remaining));
                     return;
                 }
                 let data = if s.contains(core) {
-                    self.priv_current(core, line)
+                    self.priv_current(c)
                 } else {
-                    self.l3_data_at(bank, l3, line)
+                    self.home_data(&mut home)
                 };
-                self.set_dir_at(bank, l3, line, DirState::Exclusive(core));
-                let meta = PrivMeta {
-                    state: CohState::E,
-                    label: None,
-                    dirty: false,
-                };
-                self.install_private(core, line, data, meta, acc, handler);
+                self.set_dir(&mut home, DirState::Exclusive(core));
+                self.install_private(c, data, exclusive, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             DirState::Exclusive(owner) => {
                 debug_assert_ne!(owner, core, "GETX from the exclusive owner");
+                let mut o = Copies::new(owner, line);
                 if self
-                    .conflict_check(
-                        core,
-                        owner,
-                        line,
-                        ReqClass::PlainWrite,
-                        req_ts,
-                        |b| b.any(),
-                        acc,
-                    )
+                    .conflict_check(core, &mut o, ReqClass::PlainWrite, req_ts, |b| b.any(), acc)
                     .is_err()
                 {
                     return;
                 }
-                let v = self.priv_nonspec(owner, line);
-                self.invalidate_private(owner, line);
-                self.set_l3_data_at(bank, l3, line, v, true);
-                self.set_dir_at(bank, l3, line, DirState::Exclusive(core));
-                let meta = PrivMeta {
-                    state: CohState::E,
-                    label: None,
-                    dirty: false,
-                };
-                self.install_private(core, line, v, meta, acc, handler);
+                let v = self.priv_nonspec(&mut o);
+                self.invalidate_private(&mut o);
+                self.set_home_data(&mut home, v, true);
+                self.set_dir(&mut home, DirState::Exclusive(core));
+                self.install_private(c, v, exclusive, acc, handler);
                 acc.lat(
                     self.cfg.mesh.bank_to_core(bank, owner)
                         + self.cfg.l2_latency
@@ -369,7 +348,7 @@ impl MemSystem {
             }
             DirState::Reducible(label, s) => {
                 assert!(!handler, "reduction handler hit reducible line {line}: handlers must not trigger reductions (Sec. III-B4)");
-                self.reduction_flow(core, line, label, s, ReqClass::PlainWrite, req_ts, acc);
+                self.reduction_flow(c, &mut home, label, s, ReqClass::PlainWrite, req_ts, acc);
             }
         }
     }
@@ -377,9 +356,8 @@ impl MemSystem {
     /// GETU: labeled access miss (the five cases of Sec. III-B3).
     pub(crate) fn dir_getu(
         &mut self,
-        core: CoreId,
+        c: &mut Copies,
         label: LabelId,
-        line: LineAddr,
         acc: &mut Acc,
         handler: bool,
     ) {
@@ -387,89 +365,49 @@ impl MemSystem {
             !handler,
             "reduction handlers must use conventional accesses only"
         );
+        let (core, line) = (c.core, c.line);
         self.stats.core_mut(core).getu += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
-        let l3 = self.l3_ensure(line, acc, handler);
+        let mut home = self.l3_ensure(line, acc, handler);
         let req_ts = self.req_ts(core, handler);
+        let reducible = PrivMeta {
+            state: CohState::U,
+            label: Some(label),
+            dirty: true,
+        };
 
-        match self.dir_at(bank, l3, line) {
+        match self.dir(&mut home) {
             // Case 1: no other private copies — the first requester gets
             // the data (Fig. 4a).
             DirState::Uncached => {
-                let data = self.l3_data_at(bank, l3, line);
-                self.set_dir_at(
-                    bank,
-                    l3,
-                    line,
+                let data = self.home_data(&mut home);
+                self.set_dir(
+                    &mut home,
                     DirState::Reducible(label, SharerSet::single(core)),
                 );
-                let meta = PrivMeta {
-                    state: CohState::U,
-                    label: Some(label),
-                    dirty: true,
-                };
-                self.install_private(core, line, data, meta, acc, handler);
+                self.install_private(c, data, reducible, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 2: read-only sharers are invalidated, then the data is
             // served.
             DirState::Shared(s) => {
-                let mut remaining = s;
-                let mut nacked = false;
-                let mut par = 0u64;
-                for t in s.iter() {
-                    if t == core {
-                        continue;
-                    }
-                    par = par.max(2 * self.cfg.mesh.bank_to_core(bank, t));
-                    match self.conflict_check(
-                        core,
-                        t,
-                        line,
-                        ReqClass::Labeled,
-                        req_ts,
-                        |b| b.any(),
-                        acc,
-                    ) {
-                        Err(_) => nacked = true,
-                        Ok(()) => {
-                            self.invalidate_private(t, line);
-                            remaining.remove(t);
-                        }
-                    }
-                }
-                acc.lat(par);
+                let (remaining, nacked) =
+                    self.invalidate_sharers(core, &home, s, ReqClass::Labeled, req_ts, acc);
                 if nacked {
-                    self.set_dir_at(
-                        bank,
-                        l3,
-                        line,
-                        if remaining.is_empty() {
-                            DirState::Uncached
-                        } else {
-                            DirState::Shared(remaining)
-                        },
-                    );
+                    self.set_dir(&mut home, DirState::shared_or_uncached(remaining));
                     return;
                 }
                 let data = if s.contains(core) {
-                    self.priv_current(core, line)
+                    self.priv_current(c)
                 } else {
-                    self.l3_data_at(bank, l3, line)
+                    self.home_data(&mut home)
                 };
-                self.set_dir_at(
-                    bank,
-                    l3,
-                    line,
+                self.set_dir(
+                    &mut home,
                     DirState::Reducible(label, SharerSet::single(core)),
                 );
-                let meta = PrivMeta {
-                    state: CohState::U,
-                    label: Some(label),
-                    dirty: true,
-                };
-                self.install_private(core, line, data, meta, acc, handler);
+                self.install_private(c, data, reducible, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 4: same-label sharers — grant U, no data; the requester
@@ -480,28 +418,22 @@ impl MemSystem {
                     "local U hit should not reach the directory"
                 );
                 s.insert(core);
-                self.set_dir_at(bank, l3, line, DirState::Reducible(label, s));
+                self.set_dir(&mut home, DirState::Reducible(label, s));
                 let identity = self.labels.def(label).identity();
-                let meta = PrivMeta {
-                    state: CohState::U,
-                    label: Some(label),
-                    dirty: true,
-                };
-                self.install_private(core, line, identity, meta, acc, handler);
+                self.install_private(c, identity, reducible, acc, handler);
                 acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             }
             // Case 3: different-label sharers — reduce, then re-enter U
             // under the new label with the full value.
             DirState::Reducible(other, s) => {
-                let ok = self.reduction_flow(core, line, other, s, ReqClass::Labeled, req_ts, acc);
+                let ok =
+                    self.reduction_flow(c, &mut home, other, s, ReqClass::Labeled, req_ts, acc);
                 if ok {
-                    let meta = PrivMeta {
-                        state: CohState::U,
-                        label: Some(label),
-                        dirty: true,
-                    };
-                    self.set_priv_meta(core, line, meta, acc);
-                    self.set_dir(line, DirState::Reducible(label, SharerSet::single(core)));
+                    self.set_priv_meta(c, reducible, acc);
+                    self.set_dir(
+                        &mut home,
+                        DirState::Reducible(label, SharerSet::single(core)),
+                    );
                 }
             }
             // Case 5: exclusive owner is downgraded to U and retains the
@@ -510,28 +442,19 @@ impl MemSystem {
                 debug_assert_ne!(owner, core, "GETU from the exclusive owner");
                 let relevant =
                     |b: SpecBits| b.read || b.written || (b.labeled && b.label != Some(label));
+                let mut o = Copies::new(owner, line);
                 if self
-                    .conflict_check(core, owner, line, ReqClass::Labeled, req_ts, relevant, acc)
+                    .conflict_check(core, &mut o, ReqClass::Labeled, req_ts, relevant, acc)
                     .is_err()
                 {
                     return;
                 }
-                let owner_meta = PrivMeta {
-                    state: CohState::U,
-                    label: Some(label),
-                    dirty: true,
-                };
-                self.set_priv_meta(owner, line, owner_meta, acc);
+                self.set_priv_meta(&mut o, reducible, acc);
                 let mut s = SharerSet::single(owner);
                 s.insert(core);
-                self.set_dir(line, DirState::Reducible(label, s));
+                self.set_dir(&mut home, DirState::Reducible(label, s));
                 let identity = self.labels.def(label).identity();
-                let meta = PrivMeta {
-                    state: CohState::U,
-                    label: Some(label),
-                    dirty: true,
-                };
-                self.install_private(core, line, identity, meta, acc, handler);
+                self.install_private(c, identity, reducible, acc, handler);
                 acc.lat(
                     self.cfg
                         .mesh
@@ -551,29 +474,30 @@ impl MemSystem {
     #[allow(clippy::too_many_arguments)] // directory label and sharers, request class and ts
     pub(crate) fn reduction_flow(
         &mut self,
-        core: CoreId,
-        line: LineAddr,
+        c: &mut Copies,
+        home: &mut Home,
         label: LabelId,
         sharers: SharerSet,
         class: ReqClass,
         req_ts: Option<u64>,
         acc: &mut Acc,
     ) -> bool {
-        let bank = self.bank_of(line);
+        let (core, line) = (c.core, c.line);
+        let bank = home.bank;
         self.stats.core_mut(core).reductions += 1;
+        let modified = PrivMeta {
+            state: CohState::M,
+            label: None,
+            dirty: true,
+        };
 
         // Sole-sharer fast path: our copy already holds the full value; the
         // paper only reduces "if the core's U-state line was not the only
         // one in the system" (Sec. III-B4).
         if sharers.sole_member() == Some(core) {
-            let p = &mut self.privs[core.index()];
-            let l2e = p.l2.get(line).expect("sharer must hold line");
-            l2e.meta = PrivMeta {
-                state: CohState::M,
-                label: None,
-                dirty: true,
-            };
-            self.set_dir(line, DirState::Exclusive(core));
+            let slot = self.l2_slot(c).expect("sharer must hold line");
+            self.privs[core.index()].l2.touch_mut(slot).meta = modified;
+            self.set_dir(home, DirState::Exclusive(core));
             acc.lat(self.cfg.mesh.bank_to_core(bank, core));
             return true;
         }
@@ -587,16 +511,8 @@ impl MemSystem {
             // data our own transaction speculatively modified with labeled
             // operations aborts us; the reduction proceeds with the
             // non-speculative state and the retry demotes labels.
-            let dirty_spec = self.privs[core.index()]
-                .l1
-                .peek(line)
-                .is_some_and(|e| e.meta.spec.dirty_data);
-            if dirty_spec && self.in_tx(core) {
-                self.tracer.note_abort(core, None, line);
-                self.tx_abort(core);
-                acc.abort_self(AbortKind::SelfDemote);
-            }
-            fold = self.priv_nonspec(core, line);
+            self.self_demote_if_dirty(c, acc);
+            fold = self.priv_nonspec(c);
             have_acc = true;
         }
         // After a self-demotion the reduction itself is non-speculative.
@@ -614,15 +530,16 @@ impl MemSystem {
             if t == core {
                 continue;
             }
+            let mut tc = Copies::new(t, line);
             if self
-                .conflict_check(core, t, line, class, req_ts, |b| b.any(), acc)
+                .conflict_check(core, &mut tc, class, req_ts, |b| b.any(), acc)
                 .is_err()
             {
                 nacked = true;
                 continue;
             }
-            let v = self.priv_nonspec(t, line);
-            self.invalidate_private(t, line);
+            let v = self.priv_nonspec(&mut tc);
+            self.invalidate_private(&mut tc);
             survivors.remove(t);
             par = par.max(
                 self.cfg.mesh.bank_to_core(bank, t)
@@ -643,17 +560,17 @@ impl MemSystem {
         if nacked {
             // Fig. 6b: the requester keeps what it managed to reduce, in U.
             if is_sharer {
-                self.set_nonspec_value(core, line, fold);
+                self.set_nonspec_value(c, fold);
             } else if have_acc {
                 let meta = PrivMeta {
                     state: CohState::U,
                     label: Some(label),
                     dirty: true,
                 };
-                self.install_private(core, line, fold, meta, acc, false);
+                self.install_private(c, fold, meta, acc, false);
                 survivors.insert(core);
             }
-            self.set_dir(line, DirState::Reducible(label, survivors));
+            self.set_dir(home, DirState::Reducible(label, survivors));
             debug_assert!(
                 acc.self_abort.is_some(),
                 "NACKed reduction must abort requester"
@@ -662,43 +579,40 @@ impl MemSystem {
         }
 
         // Full reduction: requester transitions to M with the merged value.
-        self.set_dir(line, DirState::Exclusive(core));
+        self.set_dir(home, DirState::Exclusive(core));
         if is_sharer {
-            self.set_nonspec_value(core, line, fold);
-            let p = &mut self.privs[core.index()];
-            let l2e = p.l2.get(line).expect("sharer must hold line");
-            l2e.meta = PrivMeta {
-                state: CohState::M,
-                label: None,
-                dirty: true,
-            };
+            self.set_nonspec_value(c, fold);
+            let slot = self.l2_slot(c).expect("sharer must hold line");
+            self.privs[core.index()].l2.touch_mut(slot).meta = modified;
         } else {
-            let meta = PrivMeta {
-                state: CohState::M,
-                label: None,
-                dirty: true,
-            };
-            self.install_private(core, line, fold, meta, acc, false);
+            self.install_private(c, fold, modified, acc, false);
         }
         true
+    }
+
+    /// Aborts the requester's transaction if it speculatively modified its
+    /// own copy (a reduction or gather from such a transaction would need
+    /// speculative merging; the retry demotes its labels).
+    fn self_demote_if_dirty(&mut self, c: &mut Copies, acc: &mut Acc) {
+        let dirty_spec = self.spec_bits(c).is_some_and(|b| b.dirty_data);
+        if dirty_spec && self.in_tx(c.core) {
+            self.tracer.note_abort(c.core, None, c.line);
+            self.tx_abort(c.core);
+            acc.abort_self(AbortKind::SelfDemote);
+        }
     }
 
     /// A gather request (Sec. IV, Fig. 8): every other U sharer runs the
     /// user-defined splitter over its non-speculative copy and donates part
     /// of its value; donations merge into the requester's copy without any
     /// line leaving U.
-    pub(crate) fn gather_flow(
-        &mut self,
-        core: CoreId,
-        label: LabelId,
-        line: LineAddr,
-        acc: &mut Acc,
-    ) {
+    pub(crate) fn gather_flow(&mut self, c: &mut Copies, label: LabelId, acc: &mut Acc) {
+        let (core, line) = (c.core, c.line);
         self.stats.core_mut(core).gathers += 1;
         let bank = self.bank_of(line);
         acc.lat(self.cfg.l2_latency + self.cfg.mesh.core_to_bank(core, bank) + self.cfg.l3_latency);
 
-        let DirState::Reducible(l, sharers) = self.dir(line) else {
+        let DirState::Reducible(l, sharers) = self.dir(&mut self.home(line)) else {
             panic!("gather on {line} with a non-reducible directory state");
         };
         assert_eq!(l, label, "gather label mismatch");
@@ -711,15 +625,7 @@ impl MemSystem {
         // transaction that already speculatively modified its local copy
         // would need speculative splitting; abort and retry demoted (no
         // workload in the paper or this suite hits this).
-        let dirty_spec = self.privs[core.index()]
-            .l1
-            .peek(line)
-            .is_some_and(|e| e.meta.spec.dirty_data);
-        if dirty_spec && self.in_tx(core) {
-            self.tracer.note_abort(core, None, line);
-            self.tx_abort(core);
-            acc.abort_self(AbortKind::SelfDemote);
-        }
+        self.self_demote_if_dirty(c, acc);
         let req_ts = if acc.self_abort.is_some() {
             None
         } else {
@@ -728,7 +634,7 @@ impl MemSystem {
 
         let def = self.labels.def(label);
         assert!(
-            def.split().is_some(),
+            def.has_split(),
             "gather on label '{}' which has no splitter",
             def.name()
         );
@@ -742,23 +648,24 @@ impl MemSystem {
         // itself (it is in U state, which handler accesses reject), so no
         // donor-side split can observe or change the requester's copy
         // mid-flow and the single write-back is behavior-identical.
-        let mut mine = self.priv_nonspec(core, line);
+        let mut mine = self.priv_nonspec(c);
         let mut par = 0u64;
         let mut merges = 0u64;
         for t in sharers.iter() {
             if t == core {
                 continue;
             }
+            let mut tc = Copies::new(t, line);
             if self
-                .conflict_check(core, t, line, ReqClass::Split, req_ts, |b| b.any(), acc)
+                .conflict_check(core, &mut tc, ReqClass::Split, req_ts, |b| b.any(), acc)
                 .is_err()
             {
                 continue;
             }
-            let mut local = self.priv_nonspec(t, line);
+            let mut local = self.priv_nonspec(&mut tc);
             let mut donation = identity;
             self.run_split(t, label, &mut local, &mut donation, nsharers, acc);
-            self.set_nonspec_value(t, line, local);
+            self.set_nonspec_value(&mut tc, local);
             self.stats.core_mut(t).splits += 1;
 
             self.run_reduce(core, label, &mut mine, &donation, acc);
@@ -771,7 +678,7 @@ impl MemSystem {
             );
         }
         if merges > 0 {
-            self.set_nonspec_value(core, line, mine);
+            self.set_nonspec_value(c, mine);
         }
         acc.lat(par + merges * self.cfg.reduce_cycles);
         // Directory state is unchanged: donors and requester all stay in U.

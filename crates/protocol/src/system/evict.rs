@@ -8,7 +8,8 @@ use rand::RngExt;
 use crate::dir::{DirState, L3Meta};
 use crate::types::AbortKind;
 
-use super::{Acc, MemSystem};
+use super::dirflow::Home;
+use super::{Acc, Copies, MemSystem};
 
 impl MemSystem {
     /// Disposes an L1 victim. Dirty non-speculative data is pushed to the
@@ -48,64 +49,50 @@ impl MemSystem {
         }
 
         // One L3 probe for the whole disposal (inclusion guarantees
-        // residency); only the U-forward arm re-probes, after its handler.
-        let bank = self.bank_of(line);
-        let l3 = self.l3[bank]
-            .lookup(line)
-            .expect("inclusion: evicted private line must be in L3");
+        // residency); only the U-forward arm may probe again, after its
+        // handler.
+        let mut home = self.home(line);
 
         match victim.meta.state {
             CohState::I => unreachable!("invalid line resident in L2"),
             CohState::S => {
-                let DirState::Shared(mut s) = self.dir_at(bank, l3, line) else {
+                let DirState::Shared(mut s) = self.dir(&mut home) else {
                     panic!("S eviction with inconsistent directory for {line}");
                 };
                 s.remove(core);
-                self.set_dir_at(
-                    bank,
-                    l3,
-                    line,
-                    if s.is_empty() {
-                        DirState::Uncached
-                    } else {
-                        DirState::Shared(s)
-                    },
-                );
+                self.set_dir(&mut home, DirState::shared_or_uncached(s));
             }
             CohState::E => {
-                self.set_dir_at(bank, l3, line, DirState::Uncached);
+                self.set_dir(&mut home, DirState::Uncached);
             }
             CohState::M => {
-                self.set_l3_data_at(bank, l3, line, nonspec, true);
-                self.set_dir_at(bank, l3, line, DirState::Uncached);
+                self.set_home_data(&mut home, nonspec, true);
+                self.set_dir(&mut home, DirState::Uncached);
                 self.stats.core_mut(core).writebacks += 1;
             }
             CohState::U => {
-                let DirState::Reducible(label, mut s) = self.dir_at(bank, l3, line) else {
+                let DirState::Reducible(label, mut s) = self.dir(&mut home) else {
                     panic!("U eviction with inconsistent directory for {line}");
                 };
                 s.remove(core);
                 if s.is_empty() {
                     // Sole sharer: a normal dirty writeback.
-                    self.set_l3_data_at(bank, l3, line, nonspec, true);
-                    self.set_dir_at(bank, l3, line, DirState::Uncached);
+                    self.set_home_data(&mut home, nonspec, true);
+                    self.set_dir(&mut home, DirState::Uncached);
                     self.stats.core_mut(core).writebacks += 1;
                 } else {
                     // Forward to a random co-sharer, which reduces it into
                     // its local line.
-                    let others: Vec<CoreId> = s.iter().collect();
-                    let t = others[self.rng.random_range(0..others.len())];
-                    let touched = self.privs[t.index()]
-                        .l1
-                        .peek(line)
-                        .is_some_and(|e| e.meta.spec.any());
-                    if touched {
+                    let pick = self.rng.random_range(0..s.len());
+                    let t = s.iter().nth(pick).expect("pick is below the sharer count");
+                    let mut tc = Copies::new(t, line);
+                    if self.spec_bits(&mut tc).is_some_and(|b| b.any()) {
                         self.abort_tx(t, AbortKind::UEvictionForward, line, acc);
                     }
-                    let mut merged = self.priv_nonspec(t, line);
+                    let mut merged = self.priv_nonspec(&mut tc);
                     self.run_reduce(t, label, &mut merged, &nonspec, acc);
-                    self.set_nonspec_value(t, line, merged);
-                    self.set_dir(line, DirState::Reducible(label, s));
+                    self.set_nonspec_value(&mut tc, merged);
+                    self.set_dir(&mut home, DirState::Reducible(label, s));
                     self.stats.core_mut(core).u_evict_forwards += 1;
                 }
             }
@@ -113,17 +100,13 @@ impl MemSystem {
     }
 
     /// Ensures a line is resident in its L3 bank, fetching from memory and
-    /// evicting (with recalls) as needed. Returns the line's slot, the
-    /// single L3 probe the calling directory flow reuses throughout.
-    pub(crate) fn l3_ensure(
-        &mut self,
-        line: LineAddr,
-        acc: &mut Acc,
-        handler: bool,
-    ) -> commtm_cache::Slot {
-        let bank = self.bank_of(line);
-        if let Some(slot) = self.l3[bank].lookup(line) {
-            return slot;
+    /// evicting (with recalls) as needed. Returns the line's home entry,
+    /// the single L3 probe the calling directory flow reuses throughout.
+    pub(crate) fn l3_ensure(&mut self, line: LineAddr, acc: &mut Acc, handler: bool) -> Home {
+        let mut home = self.home(line);
+        let bank = home.bank;
+        if self.l3[bank].reach(&mut home.held, line).is_some() {
+            return home;
         }
         acc.lat(self.cfg.mem_latency);
         let data = self.mem.read_line(line);
@@ -133,19 +116,15 @@ impl MemSystem {
             EvictionClass::NonReducible
         };
         let out = self.l3[bank].fill(line, data, L3Meta::default(), class);
-        let slot = out.slot;
+        home.held = self.l3[bank].hold(Some(out.slot));
         if let Some(v) = out.victim {
-            self.l3_evict(v, acc);
             // Disposing the victim can recall lines and run reduction
             // handlers, whose own misses may recursively fill this bank —
-            // in the worst case evicting the line just installed. Re-probe
-            // so the returned slot is never stale (the pre-slot code
-            // re-scanned on every directory accessor and panicked here).
-            return self.l3[bank]
-                .lookup(line)
-                .expect("line evicted from L3 by nested flow during l3_ensure");
+            // in the worst case evicting the line just installed. The
+            // bank's epoch then tells the next access to probe again.
+            self.l3_evict(v, acc);
         }
-        slot
+        home
     }
 
     /// Disposes an L3 victim. The L3 is inclusive, so all private copies
@@ -196,15 +175,12 @@ impl MemSystem {
     /// its transaction if the line is in its footprint. Returns the core's
     /// non-speculative value.
     fn recall(&mut self, core: CoreId, line: LineAddr, acc: &mut Acc) -> LineData {
-        let touched = self.privs[core.index()]
-            .l1
-            .peek(line)
-            .is_some_and(|e| e.meta.spec.any());
-        if touched {
+        let mut c = Copies::new(core, line);
+        if self.spec_bits(&mut c).is_some_and(|b| b.any()) {
             self.abort_tx(core, AbortKind::LlcEviction, line, acc);
         }
-        let v = self.priv_nonspec(core, line);
-        self.invalidate_private(core, line);
+        let v = self.priv_nonspec(&mut c);
+        self.invalidate_private(&mut c);
         v
     }
 }

@@ -10,13 +10,13 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use commtm_cache::{CacheArray, CohState, EvictionClass, L1Meta, PrivMeta, Slot};
+use commtm_cache::{CacheArray, CohState, EvictionClass, Held, L1Meta, PrivMeta, Slot, SpecBits};
 use commtm_mem::{Addr, CoreId, LabelId, LineAddr, LineData, MainMemory};
 
 use crate::config::ProtoConfig;
 use crate::dir::{DirState, L3Meta};
 use crate::label::LabelTable;
-use crate::stats::ProtoStats;
+use crate::stats::{ProbeCounts, ProtoStats};
 use crate::trace::Tracer;
 use crate::types::{AbortKind, AccessOutcome, MemOp, ProtoEvent};
 
@@ -52,6 +52,31 @@ impl Acc {
     /// Records a requester-side abort, keeping the first cause.
     pub fn abort_self(&mut self, kind: AbortKind) {
         self.self_abort.get_or_insert(kind);
+    }
+}
+
+/// One core's private copies of one line, as a flow reaches them: each
+/// array is probed on first use, and its slot is reused while that array's
+/// structure epoch is unchanged. A flow thus probes each array once,
+/// unless a nested flow (an eviction, a recall, a reduction handler or a
+/// splitter) filled or removed lines in it; then the next use probes again.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Copies {
+    pub core: CoreId,
+    pub line: LineAddr,
+    pub l1: Held,
+    pub l2: Held,
+}
+
+impl Copies {
+    /// `core`'s copies of `line`, not probed yet.
+    pub fn new(core: CoreId, line: LineAddr) -> Self {
+        Copies {
+            core,
+            line,
+            l1: Held::UNPROBED,
+            l2: Held::UNPROBED,
+        }
     }
 }
 
@@ -144,6 +169,15 @@ impl MemSystem {
         &self.stats
     }
 
+    /// Cache probes made so far, per level (see [`ProbeCounts`]).
+    pub fn probe_counts(&self) -> ProbeCounts {
+        ProbeCounts {
+            l1: self.privs.iter().map(|p| p.l1.probes()).sum(),
+            l2: self.privs.iter().map(|p| p.l2.probes()).sum(),
+            l3: self.l3.iter().map(|b| b.probes()).sum(),
+        }
+    }
+
     /// Performs one memory operation for `core`, computing its full
     /// protocol effect and latency.
     ///
@@ -214,12 +248,14 @@ impl MemSystem {
     /// cleared, and the transaction ends. Idempotent. The abort's trace
     /// event is the engine's, stamped when the abort is delivered.
     pub fn tx_abort(&mut self, core: CoreId) {
-        let p = &mut self.privs[core.index()];
-        for line in p.spec_lines.drain(..) {
-            let l2_data = p.l2.peek(line).map(|e| e.data);
-            if let Some(e) = p.l1.get(line) {
+        let PrivCache { l1, l2, spec_lines } = &mut self.privs[core.index()];
+        for line in spec_lines.drain(..) {
+            if let Some(e) = l1.get(line) {
                 if e.meta.spec.dirty_data {
-                    e.data = l2_data.expect("inclusion: spec L1 line must be in L2");
+                    e.data = l2
+                        .peek(line)
+                        .expect("inclusion: spec L1 line must be in L2")
+                        .data;
                     e.meta.dirty = false;
                 }
                 e.meta.spec.clear();
@@ -251,8 +287,11 @@ impl MemSystem {
         };
         match e.meta.dir {
             DirState::Uncached | DirState::Shared(_) => e.data[0],
-            DirState::Exclusive(o) => self.priv_nonspec(o, line)[0],
-            DirState::Reducible(_, s) => s.iter().map(|t| self.priv_nonspec(t, line)[0]).sum(),
+            DirState::Exclusive(o) => self.priv_nonspec(&mut Copies::new(o, line))[0],
+            DirState::Reducible(_, s) => s
+                .iter()
+                .map(|t| self.priv_nonspec(&mut Copies::new(t, line))[0])
+                .sum(),
         }
     }
 
@@ -285,42 +324,65 @@ impl MemSystem {
         self.cfg.mesh.bank_of(line, self.cfg.l3_banks)
     }
 
+    /// The slot of `c`'s L1 copy (see [`Copies`]).
+    #[inline]
+    pub(crate) fn l1_slot(&self, c: &mut Copies) -> Option<Slot> {
+        self.privs[c.core.index()].l1.reach(&mut c.l1, c.line)
+    }
+
+    /// The slot of `c`'s L2 copy (see [`Copies`]).
+    #[inline]
+    pub(crate) fn l2_slot(&self, c: &mut Copies) -> Option<Slot> {
+        self.privs[c.core.index()].l2.reach(&mut c.l2, c.line)
+    }
+
+    /// The speculative footprint bits of `c`'s L1 copy, if it has one.
+    #[inline]
+    pub(crate) fn spec_bits(&self, c: &mut Copies) -> Option<SpecBits> {
+        let slot = self.l1_slot(c)?;
+        Some(self.privs[c.core.index()].l1.entry(slot).meta.spec)
+    }
+
     /// The core's current (possibly speculative) copy of a line.
-    pub(crate) fn priv_current(&self, core: CoreId, line: LineAddr) -> LineData {
-        let p = &self.privs[core.index()];
-        if let Some(e) = p.l1.peek(line) {
-            e.data
-        } else {
-            p.l2.peek(line)
-                .expect("line not present in private cache")
-                .data
+    pub(crate) fn priv_current(&self, c: &mut Copies) -> LineData {
+        let p = &self.privs[c.core.index()];
+        match self.l1_slot(c) {
+            Some(s) => p.l1.entry(s).data,
+            None => {
+                let s = self.l2_slot(c).expect("line not present in private cache");
+                p.l2.entry(s).data
+            }
         }
     }
 
     /// The core's non-speculative value of a line (L2 if the L1 copy is
     /// speculatively dirty, else the freshest copy).
-    pub(crate) fn priv_nonspec(&self, core: CoreId, line: LineAddr) -> LineData {
-        let p = &self.privs[core.index()];
-        match p.l1.peek(line) {
-            Some(e) if !e.meta.spec.dirty_data => e.data,
-            _ => {
-                p.l2.peek(line)
-                    .expect("line not present in private cache")
-                    .data
+    pub(crate) fn priv_nonspec(&self, c: &mut Copies) -> LineData {
+        let p = &self.privs[c.core.index()];
+        if let Some(s) = self.l1_slot(c) {
+            let e = p.l1.entry(s);
+            if !e.meta.spec.dirty_data {
+                return e.data;
             }
         }
+        let s = self.l2_slot(c).expect("line not present in private cache");
+        p.l2.entry(s).data
     }
 
     /// The core's authoritative coherence state and label for a line
     /// (`I` if not resident). Public for tests and diagnostics.
     pub fn line_state(&self, core: CoreId, line: LineAddr) -> (CohState, Option<LabelId>) {
-        self.priv_state(core, line)
+        self.priv_state(&mut Copies::new(core, line))
     }
 
     /// The core's authoritative coherence state for a line.
-    pub(crate) fn priv_state(&self, core: CoreId, line: LineAddr) -> (CohState, Option<LabelId>) {
-        match self.privs[core.index()].l2.peek(line) {
-            Some(e) => (e.meta.state, e.meta.label),
+    #[inline]
+    pub(crate) fn priv_state(&self, c: &mut Copies) -> (CohState, Option<LabelId>) {
+        match self.l2_slot(c) {
+            Some(s) => {
+                let m = &self.privs[c.core.index()].l2.entry(s).meta;
+                (m.state, m.label)
+            }
             None => (CohState::I, None),
         }
     }
@@ -336,15 +398,27 @@ impl MemSystem {
         handler: bool,
     ) -> u64 {
         assert!(addr.is_word_aligned(), "unaligned access at {addr:?}");
-        let line = addr.line();
+        self.op_at(&mut Copies::new(core, addr.line()), op, addr, acc, handler)
+    }
 
+    /// [`MemSystem::do_op`] on the requester's copies of `addr`'s line:
+    /// the L2 probe yields the authoritative state; on a miss, the held
+    /// probes feed the directory flow and the local completion, probed
+    /// again only where a nested flow restructured an array.
+    fn op_at(
+        &mut self,
+        c: &mut Copies,
+        op: MemOp,
+        addr: Addr,
+        acc: &mut Acc,
+        handler: bool,
+    ) -> u64 {
         if let MemOp::Gather(label) = op {
-            return self.do_gather(core, label, addr, acc, handler);
+            return self.do_gather(c, label, addr, acc, handler);
         }
-
-        // Probe each private level once: the L2 lookup yields the
-        // authoritative state, and both slot handles feed the local
-        // completion directly so the fast path never rescans a set.
+        // The fast path probes each private array once and holds nothing:
+        // only a directory flow keeps the L2 probe, in `c`, for the install.
+        let (core, line) = (c.core, c.line);
         let p = &self.privs[core.index()];
         let l2_slot = p.l2.lookup(line);
         let (state, lbl) = match l2_slot {
@@ -385,15 +459,16 @@ impl MemSystem {
             let l2_slot = l2_slot.expect("sufficient permission implies an L2 entry");
             return self.local_op_at(core, op, addr, l1_slot, l2_slot, acc, handler);
         }
+        c.l2 = p.l2.hold(l2_slot);
 
         let cs = self.stats.core_mut(core);
         cs.l1_misses += 1;
         cs.l2_misses += 1;
 
         match op {
-            MemOp::Load => self.dir_gets(core, line, acc, handler),
-            MemOp::Store(_) => self.dir_getx(core, line, acc, handler),
-            MemOp::LoadL(l) | MemOp::StoreL(l, _) => self.dir_getu(core, l, line, acc, handler),
+            MemOp::Load => self.dir_gets(c, acc, handler),
+            MemOp::Store(_) => self.dir_getx(c, acc, handler),
+            MemOp::LoadL(l) | MemOp::StoreL(l, _) => self.dir_getu(c, l, acc, handler),
             MemOp::Gather(_) => unreachable!(),
         }
 
@@ -406,13 +481,13 @@ impl MemSystem {
         if acc.self_abort.is_some() && !handler {
             return 0;
         }
-        self.local_op(core, op, addr, acc, handler)
+        self.local_op(c, op, addr, acc, handler)
     }
 
     /// Gather: ensure U permission, then run the gather flow (Sec. IV).
     fn do_gather(
         &mut self,
-        core: CoreId,
+        c: &mut Copies,
         label: LabelId,
         addr: Addr,
         acc: &mut Acc,
@@ -422,17 +497,17 @@ impl MemSystem {
             !handler,
             "reduction handlers must not issue gather requests"
         );
-        let line = addr.line();
-        let (state, lbl) = self.priv_state(core, line);
+        let core = c.core;
+        let (state, lbl) = self.priv_state(c);
         if !(state == CohState::U && lbl == Some(label)) {
             // Acquire reducible permission first; this may resolve to M/E
             // (e.g. we were the exclusive owner), in which case the local
             // value is already the full value and no gather is needed.
-            let v = self.do_op(core, MemOp::LoadL(label), addr, acc, handler);
+            let v = self.op_at(c, MemOp::LoadL(label), addr, acc, handler);
             if acc.self_abort.is_some() {
                 return 0;
             }
-            let (state, lbl) = self.priv_state(core, line);
+            let (state, lbl) = self.priv_state(c);
             if !(state == CohState::U && lbl == Some(label)) {
                 return v;
             }
@@ -440,43 +515,41 @@ impl MemSystem {
             self.stats.core_mut(core).l1_misses += 1;
             self.stats.core_mut(core).l2_misses += 1;
         }
-        self.gather_flow(core, label, line, acc);
+        self.gather_flow(c, label, acc);
         if acc.self_abort.is_some() {
             return 0;
         }
-        self.local_op(core, MemOp::LoadL(label), addr, acc, handler)
+        self.local_op(c, MemOp::LoadL(label), addr, acc, handler)
     }
 
-    /// Completes an operation against the (now sufficient) private copy.
-    ///
-    /// This is the re-probing wrapper for callers arriving from a directory
-    /// flow (which may have restructured both private arrays); the fast
-    /// path enters [`MemSystem::local_op_at`] directly with the slots it
-    /// already holds.
+    /// Completes an operation against the (now sufficient) private copy,
+    /// arriving from a directory flow: the slots the flow left in `c`
+    /// (usually those [`MemSystem::install_private`] filled) are reused
+    /// unless a nested flow restructured the arrays since.
     pub(crate) fn local_op(
         &mut self,
-        core: CoreId,
+        c: &mut Copies,
         op: MemOp,
         addr: Addr,
         acc: &mut Acc,
         handler: bool,
     ) -> u64 {
-        let line = addr.line();
-        let p = &self.privs[core.index()];
-        let l1_slot = p.l1.lookup(line);
-        let l2_slot = p.l2.lookup(line).expect("local_op without L2 entry");
-        self.local_op_at(core, op, addr, l1_slot, l2_slot, acc, handler)
+        let l1_slot = self.l1_slot(c);
+        let l2_slot = self.l2_slot(c).expect("local_op without L2 entry");
+        self.local_op_at(c.core, op, addr, l1_slot, l2_slot, acc, handler)
     }
 
     /// Completes an operation against located private copies: fills the L1
     /// if needed, maintains speculative footprint bits and the Fig. 5
     /// value-management discipline, and performs the word access.
     ///
-    /// `l1_slot`/`l2_slot` are the single probe results for `addr`'s line;
-    /// no set is rescanned past this point. Slot validity: the only
-    /// structural change below is the L1 fill itself (whose eviction path
-    /// never removes or fills private-array entries, it only rolls back
-    /// footprint bits), so both handles stay live for the whole operation.
+    /// `l1_slot`/`l2_slot` are the probe results for `addr`'s line; no set
+    /// is rescanned past this point, the L1 entry is reached once (after
+    /// its fill, if it had to be filled) and the L2 entry at most once
+    /// more. Slot validity: the only structural change below is the L1
+    /// fill itself (whose eviction path never removes or fills
+    /// private-array entries, it only rolls back footprint bits), so both
+    /// handles stay live for the whole operation.
     #[allow(clippy::too_many_arguments)] // both probe slots, so the fast path never rescans a set
     fn local_op_at(
         &mut self,
@@ -516,34 +589,7 @@ impl MemSystem {
         };
 
         let in_tx = self.in_tx(core) && !handler;
-
-        // Footprint tracking and non-speculative value preservation.
-        if in_tx {
-            let p = &mut self.privs[core.index()];
-            let newly_tracked = !p.l1.entry(l1_slot).meta.spec.any();
-            if newly_tracked {
-                // Spec bits are cleared only when `spec_lines` is drained
-                // (commit/rollback), so no-bits-set implies not-tracked.
-                debug_assert!(
-                    !p.spec_lines.contains(&line),
-                    "{line} in spec_lines but its footprint bits are clear"
-                );
-                p.spec_lines.push(line);
-            }
-            if op.is_store() {
-                self.preserve_nonspec(core, l1_slot, l2_slot);
-            }
-            let e = self.privs[core.index()].l1.entry_mut(l1_slot);
-            match op {
-                MemOp::Load => e.meta.spec.read = true,
-                MemOp::Store(_) => e.meta.spec.written = true,
-                MemOp::LoadL(l) | MemOp::StoreL(l, _) | MemOp::Gather(l) => {
-                    e.meta.spec.labeled = true;
-                    e.meta.spec.label.get_or_insert(l);
-                }
-            }
-        }
-
+        let store = op.is_store();
         // E -> M upgrade on stores happens silently at the core. Labeled
         // stores upgrade too: a StoreL on an E copy (a plain read brought
         // the line in exclusively, then a labeled RMW hit it — e.g. an
@@ -556,22 +602,40 @@ impl MemSystem {
         // condition (plain stores only) so the verification harness can
         // prove its interleaving oracle catches the defect.
         #[cfg(not(feature = "mutate-estate-bug"))]
-        let upgrades_e = op.is_store();
+        let upgrades_e = store;
         #[cfg(feature = "mutate-estate-bug")]
         let upgrades_e = matches!(op, MemOp::Store(_));
-        if upgrades_e {
-            let p = &mut self.privs[core.index()];
-            p.l2.touch(l2_slot);
-            let l2e = p.l2.entry_mut(l2_slot);
-            if l2e.meta.state == CohState::E {
-                l2e.meta.state = CohState::M;
+
+        let PrivCache { l1, l2, spec_lines } = &mut self.privs[core.index()];
+        let e = l1.touch_mut(l1_slot);
+        // Fig. 5 step 3: before the first speculative write to a line,
+        // the current non-speculative value goes to the L2.
+        let mut preserved = None;
+        if in_tx {
+            // Footprint tracking. Spec bits are cleared only when
+            // `spec_lines` is drained (commit/rollback), so no-bits-set
+            // implies not-tracked.
+            if !e.meta.spec.any() {
+                debug_assert!(
+                    !spec_lines.contains(&line),
+                    "{line} in spec_lines but its footprint bits are clear"
+                );
+                spec_lines.push(line);
+            }
+            if store && !e.meta.spec.dirty_data && e.meta.dirty {
+                preserved = Some(e.data);
+                e.meta.dirty = false;
+            }
+            match op {
+                MemOp::Load => e.meta.spec.read = true,
+                MemOp::Store(_) => e.meta.spec.written = true,
+                MemOp::LoadL(l) | MemOp::StoreL(l, _) | MemOp::Gather(l) => {
+                    e.meta.spec.labeled = true;
+                    e.meta.spec.label.get_or_insert(l);
+                }
             }
         }
-
-        let p = &mut self.privs[core.index()];
-        p.l1.touch(l1_slot);
-        let e = p.l1.entry_mut(l1_slot);
-        match op {
+        let value = match op {
             MemOp::Load | MemOp::LoadL(_) | MemOp::Gather(_) => e.data[widx],
             MemOp::Store(v) | MemOp::StoreL(_, v) => {
                 e.data[widx] = v;
@@ -582,66 +646,64 @@ impl MemSystem {
                 }
                 v
             }
+        };
+
+        if upgrades_e || preserved.is_some() {
+            let l2e = l2.touch_mut(l2_slot);
+            if let Some(data) = preserved {
+                l2e.data = data;
+                l2e.meta.dirty = true;
+            }
+            if upgrades_e && l2e.meta.state == CohState::E {
+                l2e.meta.state = CohState::M;
+            }
         }
+        value
     }
 
-    /// Fig. 5 step 3: before the first speculative write to a line, forward
-    /// the current non-speculative value to the L2.
-    fn preserve_nonspec(&mut self, core: CoreId, l1_slot: Slot, l2_slot: Slot) {
-        let p = &mut self.privs[core.index()];
-        let e = p.l1.entry(l1_slot);
-        let needs_copy = !e.meta.spec.dirty_data && e.meta.dirty;
-        let data = e.data;
-        if needs_copy {
-            p.l2.touch(l2_slot);
-            let l2e = p.l2.entry_mut(l2_slot);
-            l2e.data = data;
-            l2e.meta.dirty = true;
-            p.l1.entry_mut(l1_slot).meta.dirty = false;
-        }
-    }
-
-    /// Installs (or updates) a line in the core's private caches with the
-    /// given data and authoritative state. Evictions this causes are fully
-    /// processed.
-    pub(crate) fn install_private(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        data: LineData,
-        meta: PrivMeta,
-        acc: &mut Acc,
-        handler: bool,
-    ) {
-        let class = if handler {
+    /// The eviction class of a fill into a core's private arrays.
+    fn fill_class(meta: &PrivMeta, handler: bool) -> EvictionClass {
+        if handler {
             EvictionClass::Handler
         } else if meta.state == CohState::U {
             EvictionClass::Reducible
         } else {
             EvictionClass::NonReducible
-        };
+        }
+    }
+
+    /// Installs (or updates) a line in the core's private caches with the
+    /// given data and authoritative state. Evictions this causes are fully
+    /// processed. `c` keeps the slots of both copies for the local
+    /// completion.
+    pub(crate) fn install_private(
+        &mut self,
+        c: &mut Copies,
+        data: LineData,
+        meta: PrivMeta,
+        acc: &mut Acc,
+        handler: bool,
+    ) {
+        let (core, line) = (c.core, c.line);
+        let class = Self::fill_class(&meta, handler);
         let to_u = meta.state == CohState::U;
 
-        // L2 (authoritative) entry, located with a single probe. An upgrade
-        // into U of a line sitting in the reserved way must relocate it
-        // (way 0 never holds U data).
+        // L2 (authoritative) entry. An upgrade into U of a line sitting in
+        // the reserved way must relocate it (way 0 never holds U data).
+        let l2_slot = self.l2_slot(c);
         let p = &mut self.privs[core.index()];
-        match p.l2.lookup(line) {
-            Some(s) if to_u && self.cfg.l2.ways() > 1 && p.l2.way_of_slot(s) == 0 => {
-                p.l2.remove_slot(s);
-                let out = p.l2.fill(line, data, meta, class);
-                if let Some(v) = out.victim {
-                    self.l2_evict(core, v, acc);
-                }
-            }
-            Some(s) => {
-                p.l2.touch(s);
-                let e = p.l2.entry_mut(s);
+        match l2_slot {
+            Some(s) if !(to_u && self.cfg.l2.ways() > 1 && p.l2.way_of_slot(s) == 0) => {
+                let e = p.l2.touch_mut(s);
                 e.meta = meta;
                 e.data = data;
             }
-            None => {
+            held => {
+                if let Some(s) = held {
+                    p.l2.discard_slot(s);
+                }
                 let out = p.l2.fill(line, data, meta, class);
+                c.l2 = p.l2.hold(Some(out.slot));
                 if let Some(v) = out.victim {
                     self.l2_evict(core, v, acc);
                 }
@@ -649,25 +711,27 @@ impl MemSystem {
         }
 
         // L1 mirror (same reserved-way relocation, preserving footprint
-        // bits). Re-probed: the L2 step above may have run an eviction
-        // flow, which can restructure the L1.
+        // bits). Reached after the L2 step, whose eviction flow may have
+        // restructured the L1.
+        let l1_slot = self.l1_slot(c);
         let p = &mut self.privs[core.index()];
-        match p.l1.lookup(line) {
-            Some(s) if to_u && self.cfg.l1.ways() > 1 && p.l1.way_of_slot(s) == 0 => {
-                let preserved = p.l1.remove_slot(s).meta;
-                let out = p.l1.fill(line, data, preserved, class);
-                if let Some(v) = out.victim {
-                    self.l1_evict(core, v, acc);
-                }
-            }
-            Some(s) => {
-                p.l1.touch(s);
-                let e = p.l1.entry_mut(s);
+        match l1_slot {
+            Some(s) if !(to_u && self.cfg.l1.ways() > 1 && p.l1.way_of_slot(s) == 0) => {
+                let e = p.l1.touch_mut(s);
                 e.data = data;
                 e.meta.dirty = false;
             }
-            None => {
-                let out = p.l1.fill(line, data, L1Meta::default(), class);
+            held => {
+                let meta = match held {
+                    Some(s) => {
+                        let meta = p.l1.entry(s).meta;
+                        p.l1.discard_slot(s);
+                        meta
+                    }
+                    None => L1Meta::default(),
+                };
+                let out = p.l1.fill(line, data, meta, class);
+                c.l1 = p.l1.hold(Some(out.slot));
                 if let Some(v) = out.victim {
                     self.l1_evict(core, v, acc);
                 }
@@ -679,39 +743,33 @@ impl MemSystem {
     /// of the reserved way when it becomes U (data and L1 footprint bits
     /// are preserved). Used for in-place state changes: owner downgrades
     /// (GETU case 5) and post-reduction relabeling (case 3).
-    pub(crate) fn set_priv_meta(
-        &mut self,
-        core: CoreId,
-        line: LineAddr,
-        meta: PrivMeta,
-        acc: &mut Acc,
-    ) {
+    pub(crate) fn set_priv_meta(&mut self, c: &mut Copies, meta: PrivMeta, acc: &mut Acc) {
+        let (core, line) = (c.core, c.line);
         let to_u = meta.state == CohState::U;
+        let l2_slot = self.l2_slot(c);
         let p = &mut self.privs[core.index()];
-
-        match p.l2.lookup(line) {
+        match l2_slot {
             Some(s) if to_u && self.cfg.l2.ways() > 1 && p.l2.way_of_slot(s) == 0 => {
-                let mut e = p.l2.remove_slot(s);
-                e.meta = meta;
-                let out = p.l2.fill(line, e.data, e.meta, EvictionClass::Reducible);
+                let data = p.l2.remove_slot(s).data;
+                let out = p.l2.fill(line, data, meta, EvictionClass::Reducible);
+                c.l2 = p.l2.hold(Some(out.slot));
                 if let Some(v) = out.victim {
                     self.l2_evict(core, v, acc);
                 }
             }
-            Some(s) => {
-                p.l2.touch(s);
-                p.l2.entry_mut(s).meta = meta;
-            }
+            Some(s) => p.l2.touch_mut(s).meta = meta,
             None => panic!("set_priv_meta on missing L2 line"),
         }
 
-        // Re-probed: the L2 relocation may have run an eviction flow.
-        let p = &mut self.privs[core.index()];
+        // Reached after the L2 relocation, which may have run an eviction
+        // flow.
         if to_u && self.cfg.l1.ways() > 1 {
-            if let Some(s) = p.l1.lookup(line) {
+            if let Some(s) = self.l1_slot(c) {
+                let p = &mut self.privs[core.index()];
                 if p.l1.way_of_slot(s) == 0 {
                     let e = p.l1.remove_slot(s);
                     let out = p.l1.fill(line, e.data, e.meta, EvictionClass::Reducible);
+                    c.l1 = p.l1.hold(Some(out.slot));
                     if let Some(v) = out.victim {
                         self.l1_evict(core, v, acc);
                     }
@@ -723,17 +781,36 @@ impl MemSystem {
     /// Updates a line's non-speculative value at a core in place (gather
     /// donations, reduction keep-backs): both the L2 copy and, if the L1
     /// copy is not speculatively dirty, the L1 copy.
-    pub(crate) fn set_nonspec_value(&mut self, core: CoreId, line: LineAddr, data: LineData) {
-        let p = &mut self.privs[core.index()];
-        let l2e = p.l2.get(line).expect("set_nonspec_value without L2 entry");
+    pub(crate) fn set_nonspec_value(&mut self, c: &mut Copies, data: LineData) {
+        let l2_slot = self.l2_slot(c).expect("set_nonspec_value without L2 entry");
+        let l1_slot = self.l1_slot(c);
+        let p = &mut self.privs[c.core.index()];
+        let l2e = p.l2.touch_mut(l2_slot);
         l2e.data = data;
         l2e.meta.dirty = true;
-        if let Some(e) = p.l1.get(line) {
+        if let Some(s) = l1_slot {
+            let e = p.l1.touch_mut(s);
             if !e.meta.spec.dirty_data {
                 e.data = data;
                 e.meta.dirty = false;
             }
         }
+    }
+
+    /// Removes a line from a core's private caches (invalidation).
+    pub(crate) fn invalidate_private(&mut self, c: &mut Copies) {
+        let l1_slot = self.l1_slot(c);
+        let l2_slot = self.l2_slot(c);
+        let p = &mut self.privs[c.core.index()];
+        if let Some(s) = l1_slot {
+            p.l1.discard_slot(s);
+            c.l1 = p.l1.hold(None);
+        }
+        if let Some(s) = l2_slot {
+            p.l2.discard_slot(s);
+            c.l2 = p.l2.hold(None);
+        }
+        self.stats.core_mut(c.core).invalidations += 1;
     }
 }
 

@@ -346,7 +346,12 @@ impl Machine {
             .map(|c| c.as_ref().map(|c| c.stats().clone()).unwrap_or_default())
             .collect();
         let total_cycles = per_core.iter().map(|s| s.finish_cycle).max().unwrap_or(0);
-        RunReport::new(total_cycles, per_core, self.sys.stats().clone())
+        RunReport::new(
+            total_cycles,
+            per_core,
+            self.sys.stats().clone(),
+            self.sys.probe_counts(),
+        )
     }
 
     /// Takes the structured trace captured by the last traced run (see

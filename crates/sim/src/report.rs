@@ -1,7 +1,7 @@
 //! Aggregated run statistics, shaped for the paper's figures.
 
 use commtm_htm::CoreStats;
-use commtm_protocol::{CoreProtoStats, ProtoStats, WasteBucket};
+use commtm_protocol::{CoreProtoStats, ProbeCounts, ProtoStats, WasteBucket};
 
 /// The Fig. 17 cycle breakdown: every core cycle is non-transactional,
 /// transactional-committed, or transactional-aborted.
@@ -34,14 +34,23 @@ pub struct RunReport {
     pub per_core: Vec<CoreStats>,
     /// Protocol statistics (traffic, misses, reductions).
     pub proto: ProtoStats,
+    /// Cache probes per level over the run: host work, not a simulated
+    /// quantity, so no figure or results file shows it.
+    pub probes: ProbeCounts,
 }
 
 impl RunReport {
-    pub(crate) fn new(total_cycles: u64, per_core: Vec<CoreStats>, proto: ProtoStats) -> Self {
+    pub(crate) fn new(
+        total_cycles: u64,
+        per_core: Vec<CoreStats>,
+        proto: ProtoStats,
+        probes: ProbeCounts,
+    ) -> Self {
         RunReport {
             total_cycles,
             per_core,
             proto,
+            probes,
         }
     }
 
@@ -120,7 +129,7 @@ mod tests {
 
     #[test]
     fn empty_report_is_sane() {
-        let r = RunReport::new(0, Vec::new(), ProtoStats::new(0));
+        let r = RunReport::new(0, Vec::new(), ProtoStats::new(0), ProbeCounts::default());
         assert_eq!(r.commits(), 0);
         assert_eq!(r.labeled_fraction(), 0.0);
         assert_eq!(r.cycle_breakdown().total(), 0);

@@ -23,13 +23,14 @@ pub struct TxCtx<'a, 'p> {
     op_latency: u64,
     work_seen: u64,
     work_charged: u64,
-    defers: Vec<Defer>,
+    defers: &'a mut Vec<Defer>,
 }
 
 impl<'a, 'p> TxCtx<'a, 'p> {
     pub(crate) fn new(
         log: &'a mut Vec<LogEntry>,
         reg_undo: &'a mut Vec<RegUndo>,
+        defers: &'a mut Vec<Defer>,
         env: &'a mut Env,
         port: &'a mut (dyn MemPort + 'p),
         work_charged: u64,
@@ -46,7 +47,7 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             op_latency: 0,
             work_seen: 0,
             work_charged,
-            defers: Vec::new(),
+            defers,
         }
     }
 
@@ -57,7 +58,6 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             op_latency: self.op_latency,
             work_seen: self.work_seen,
             work_charged: self.work_charged,
-            defers: self.defers,
         }
     }
 

@@ -173,7 +173,7 @@ impl StepOutcome {
 /// and performs one new operation. It goes on to perform the next ones as
 /// long as the port's [`MemPort::advance`] grants them (see the crate
 /// docs for the model and its rules).
-#[derive(Debug, Default)]
+#[derive(Default)]
 pub struct BlockRunner {
     pub(crate) log: Vec<LogEntry>,
     work_charged: u64,
@@ -181,6 +181,20 @@ pub struct BlockRunner {
     // that does not complete its block undoes them, so a pass costs what
     // its own writes cost, not a copy of the register file.
     reg_undo: Vec<RegUndo>,
+    // The current pass's deferred user-state actions, in a buffer reused
+    // across passes: only a completing pass applies them.
+    defers: Vec<Defer>,
+}
+
+impl std::fmt::Debug for BlockRunner {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("BlockRunner")
+            .field("log", &self.log)
+            .field("work_charged", &self.work_charged)
+            .field("reg_undo", &self.reg_undo)
+            .field("defers", &self.defers.len())
+            .finish()
+    }
 }
 
 impl BlockRunner {
@@ -210,9 +224,11 @@ impl BlockRunner {
     /// with; a pass that completes the block keeps them.
     pub fn step(&mut self, body: &BlockFn, env: &mut Env, port: &mut dyn MemPort) -> StepOutcome {
         self.reg_undo.clear();
+        self.defers.clear();
         let mut ctx = TxCtx::new(
             &mut self.log,
             &mut self.reg_undo,
+            &mut self.defers,
             env,
             port,
             self.work_charged,
@@ -237,7 +253,7 @@ impl BlockRunner {
         }
         // The pass completed the block. Apply deferred user-state actions
         // exactly once.
-        for d in pass.defers {
+        for d in self.defers.drain(..) {
             d(env.user_any_mut());
         }
         StepOutcome::Done { cycles }
@@ -275,6 +291,4 @@ pub(crate) struct PassResult {
     /// Cumulative `work()` cycles charged, by earlier passes or through
     /// [`MemPort::advance`] in this one.
     pub work_charged: u64,
-    /// Deferred user-state actions registered by the pass.
-    pub defers: Vec<Defer>,
 }
