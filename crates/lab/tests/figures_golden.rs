@@ -1,8 +1,8 @@
-//! Golden-file tests over rendered figures: the simulator is
-//! deterministic and the SVG renderer formats every coordinate with
-//! fixed precision, so a small scenario's chart must be byte-identical
-//! run to run — any drift is either a simulator regression or a
-//! deliberate chart change.
+//! Golden-file tests over rendered figures and text reports: the
+//! simulator is deterministic and the renderers format every number with
+//! fixed precision, so a small scenario's chart and text report must be
+//! byte-identical run to run — any drift is either a simulator
+//! regression or a deliberate rendering change.
 //!
 //! To bless a deliberate change, regenerate the files with
 //! `COMMTM_UPDATE_GOLDEN=1 cargo test -p commtm-lab --test figures_golden`
@@ -12,6 +12,7 @@ use std::path::PathBuf;
 
 use commtm_lab::exec::run_scenario_serial;
 use commtm_lab::figures::{figure_file_name, render_figure};
+use commtm_lab::report;
 use commtm_lab::results::ResultSet;
 use commtm_lab::spec::{ReportKind, Scenario, WorkloadSpec};
 
@@ -80,6 +81,29 @@ fn cycle_breakdown_chart_matches_golden() {
 fn wasted_breakdown_chart_matches_golden() {
     let (scn, set) = golden_scenario(ReportKind::WastedBreakdown);
     assert_golden("wasted.svg", &render_figure(&scn, &set));
+}
+
+#[test]
+fn gets_breakdown_chart_matches_golden() {
+    let (scn, set) = golden_scenario(ReportKind::GetsBreakdown);
+    assert_golden("gets.svg", &render_figure(&scn, &set));
+}
+
+/// The text report of every report kind over the same golden scenario.
+/// The header's wall time is host timing, so it is pinned to 0 here.
+#[test]
+fn text_reports_match_golden() {
+    for (report, file) in [
+        (ReportKind::Speedup, "speedup.txt"),
+        (ReportKind::CycleBreakdown, "cycles.txt"),
+        (ReportKind::WastedBreakdown, "wasted.txt"),
+        (ReportKind::GetsBreakdown, "gets.txt"),
+        (ReportKind::Table2, "table2.txt"),
+    ] {
+        let (scn, mut set) = golden_scenario(report);
+        set.wall_ms = 0;
+        assert_golden(file, &report::render(&scn, &set));
+    }
 }
 
 #[test]
