@@ -128,12 +128,7 @@ pub const GENERATOR: &str = "commtm-lab batch";
 ///
 /// Fails on duplicate scenario names, whose files would collide, and on
 /// filesystem errors.
-pub fn emit_report(
-    dir: &Path,
-    scenarios: &[Scenario],
-    sets: &[ResultSet],
-    theme: commtm_plot::palette::Theme,
-) -> Result<bool, String> {
+pub fn emit_report(dir: &Path, scenarios: &[Scenario], sets: &[ResultSet]) -> Result<bool, String> {
     for (i, s) in scenarios.iter().enumerate() {
         if scenarios[..i].iter().any(|p| p.name == s.name) {
             return Err(format!(
@@ -148,7 +143,7 @@ pub fn emit_report(
     for (scenario, set) in scenarios.iter().zip(sets) {
         let figure = figures::figure_file_name(scenario);
         let results = format!("{}.json", scenario.name);
-        let rendered = figures::render_figure_themed(scenario, set, theme);
+        let rendered = figures::render_figure(scenario, set);
         // Report what the figure actually shows, not what the grid asked
         // for: identical seed replicas have zero spread and no bars.
         let error_bars = rendered.contains("class=\"errbar\"");
@@ -192,10 +187,21 @@ pub fn emit_report(
             entry.push(("failed", Json::Arr(failed)));
         }
         if scenario.tuning.trace == Some(true) && set.cells.iter().any(|c| c.trace.is_some()) {
+            // Each traced cell's events are walked once, for the trace
+            // file, the abort-cause figure and the attribution alike.
+            let summaries: Vec<Option<trace::TraceSummary>> = set
+                .cells
+                .iter()
+                .map(|c| c.trace.as_ref().map(trace::summarize_trace))
+                .collect();
             let trace_file = format!("{}.trace.json", scenario.name);
-            write_artifact(dir, &trace_file, &trace::trace_file_json(set).compact())?;
+            write_artifact(
+                dir,
+                &trace_file,
+                &trace::trace_file_json(set, &summaries).compact(),
+            )?;
             entry.push(("trace", Json::Str(trace_file)));
-            if let Some(svg) = figures::abort_causes_figure(scenario, set, theme) {
+            if let Some(svg) = figures::abort_causes_figure(scenario, set, &summaries) {
                 let aborts = format!("{}.aborts.svg", scenario.name);
                 write_artifact(dir, &aborts, &svg)?;
                 entry.push(("aborts_figure", Json::Str(aborts)));
@@ -206,9 +212,9 @@ pub fn emit_report(
             let attribution: Vec<Json> = set
                 .cells
                 .iter()
-                .filter_map(|c| {
-                    let trace = c.trace.as_ref()?;
-                    let summary = trace::summarize_trace(trace);
+                .zip(&summaries)
+                .filter_map(|(c, summary)| {
+                    let summary = summary.as_ref()?;
                     let hot: Vec<Json> = summary
                         .hot_lines
                         .iter()
@@ -237,7 +243,7 @@ pub fn emit_report(
     // Table I describes the machine every cell simulates, so every report
     // carries it.
     let config_table = "table1.html";
-    write_artifact(dir, config_table, &figures::table1_html(theme))?;
+    write_artifact(dir, config_table, &figures::table1_html())?;
     // Scale and seeds are per-figure fields: built-ins may declare their
     // own grids, so run-wide values would misdescribe the report.
     let manifest = Json::obj(vec![

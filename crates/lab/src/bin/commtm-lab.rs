@@ -17,7 +17,7 @@ use commtm_lab::exec::{run_scenarios_in, ExecOptions};
 use commtm_lab::json::{self, Json};
 use commtm_lab::results::{diff, ResultSet};
 use commtm_lab::spec::{parse_scheme, scheme_name};
-use commtm_lab::{figures, registry, report, scenarios, trace};
+use commtm_lab::{registry, report, scenarios, trace};
 
 const USAGE: &str = "\
 commtm-lab — declarative, parallel experiment sweeps for the CommTM simulator
@@ -69,7 +69,6 @@ RUN OPTIONS:
                         the report directory, so it needs --out-dir or
                         --all. Observation-only: deterministic results are
                         byte-identical with tracing on or off
-    --theme NAME        figure color theme: light (default) or dark
     --progress          print per-cell progress to stderr
     --quiet             suppress the figure-style report
 
@@ -176,7 +175,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
     let mut opts = ExecOptions::default();
     let mut ov = batch::Overrides::default();
     let mut quiet_report = false;
-    let mut theme = figures::theme_by_name("light").expect("the light theme exists");
 
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -226,11 +224,6 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
                 opts.jobs = n;
             }
             "--trace" => ov.trace = true,
-            "--theme" => {
-                let name = value("--theme")?;
-                theme = figures::theme_by_name(name)
-                    .ok_or_else(|| format!("unknown theme {name:?} (light or dark)"))?;
-            }
             "--progress" => opts.quiet = false,
             "--quiet" => quiet_report = true,
             other if !other.starts_with('-') && target.is_none() => {
@@ -276,7 +269,7 @@ fn cmd_run(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     let ok = match dir {
-        Some(dir) => batch::emit_report(Path::new(&dir), &scenarios, &sets, theme)?,
+        Some(dir) => batch::emit_report(Path::new(&dir), &scenarios, &sets)?,
         None => sets.iter().all(ResultSet::all_ok),
     };
     Ok(if ok {
@@ -491,6 +484,8 @@ mod tests {
             ),
             (&["fig09", "--baseline", "fig09.json"][..], "--baseline"),
             (&["fig09", "--tol", "0.1"][..], "--tol"),
+            // One color theme: the light palette is a constant.
+            (&["fig09", "--theme", "dark"][..], "--theme"),
         ] {
             let err = cmd_run(&args(argv)).expect_err("the flag is rejected");
             assert_eq!(err, format!("unknown option {flag:?}"));

@@ -1,8 +1,8 @@
-//! Figure rendering: turning a [`ResultSet`] into the paper's charts.
+//! Figure rendering: drawing the paper's charts.
 //!
-//! Where [`crate::report`] renders text tables with shape checks, this
-//! module renders the actual figures as SVG (via [`commtm_plot`]) and
-//! Table II as an HTML table:
+//! [`render_figure`] draws the [`FigureData`] that
+//! [`crate::report::figure_data`] computes for the text report, as SVG
+//! (via [`commtm_plot`]) or, for Table II, as an HTML table:
 //!
 //! - [`ReportKind::Speedup`] → a line chart of speedup vs threads, one
 //!   series per workload label × scheme (color follows the label, dash
@@ -12,9 +12,8 @@
 //! - [`ReportKind::Table2`] → an HTML characteristics table.
 //!
 //! Whenever the scenario sweeps ≥ 2 seeds, every point/stack carries a
-//! mean ± sample-stddev error bar computed by
-//! [`ResultSet::summary_stat`]; single-seed sweeps draw none (spread 0).
-//! Failed cells simply leave gaps — a missing point is honest, a
+//! mean ± sample-stddev error bar; single-seed sweeps draw none (spread
+//! 0). Failed cells simply leave gaps — a missing point is honest, a
 //! fabricated one is not.
 
 use std::fmt::Write as _;
@@ -22,14 +21,10 @@ use std::fmt::Write as _;
 use commtm::{ProtoConfig, Scheme, WORDS_PER_LINE};
 use commtm_plot::{palette, Bar, BarChart, BarGroup, LineChart, Series};
 
-use crate::report::{norm_scheme, serial_reference};
-use crate::results::{summarize, waste_bucket_name, CellStats, ResultSet, Summary};
+use crate::report::{figure_data, Breakdown, FigureData, Speedup, Table2Row};
+use crate::results::ResultSet;
 use crate::spec::{scheme_name, ReportKind, Scenario};
-
-/// Looks a figure color theme up by CLI name (`"light"` / `"dark"`).
-pub fn theme_by_name(name: &str) -> Option<palette::Theme> {
-    palette::Theme::by_name(name)
-}
+use crate::trace::TraceSummary;
 
 /// The artifact file name for a scenario's figure (`<name>.svg`, or
 /// `<name>.html` for the Table II style).
@@ -40,41 +35,21 @@ pub fn figure_file_name(scenario: &Scenario) -> String {
     }
 }
 
-/// Renders the scenario's figure from its results under the default
-/// light theme. The text is SVG for every chart kind and a standalone
-/// HTML document for [`ReportKind::Table2`] (see [`figure_file_name`]).
+/// Renders the scenario's figure from its results. The text is SVG for
+/// every chart kind and a standalone HTML document for
+/// [`ReportKind::Table2`] (see [`figure_file_name`]).
 pub fn render_figure(scenario: &Scenario, set: &ResultSet) -> String {
-    render_figure_themed(scenario, set, palette::Theme::light())
-}
-
-/// [`render_figure`] under an explicit color [`palette::Theme`] (the
-/// `commtm-lab run --theme dark` path).
-pub fn render_figure_themed(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
-    match scenario.report {
-        ReportKind::Speedup => speedup_chart(scenario, set, theme),
-        ReportKind::CycleBreakdown => breakdown_chart(
-            scenario,
-            set,
-            theme,
-            &["non-tx", "committed", "aborted"],
-            "cycles",
-            |s, i| [s.nontx_cycles, s.committed_cycles, s.aborted_cycles][i] as f64,
-        ),
-        ReportKind::WastedBreakdown => breakdown_chart(
-            scenario,
-            set,
-            theme,
-            &[
-                waste_bucket_name(0),
-                waste_bucket_name(1),
-                waste_bucket_name(2),
-                waste_bucket_name(3),
-            ],
-            "wasted cycles",
-            |s, i| s.wasted[i] as f64,
-        ),
-        ReportKind::GetsBreakdown => gets_chart(scenario, set, theme),
-        ReportKind::Table2 => table2_html(scenario, set, theme),
+    match figure_data(scenario.report, set) {
+        FigureData::Speedup(d) => speedup_chart(scenario, set, &d),
+        FigureData::Breakdown(d) => {
+            let what = match scenario.report {
+                ReportKind::WastedBreakdown => "wasted cycles",
+                ReportKind::GetsBreakdown => "directory GETs",
+                _ => "cycles",
+            };
+            breakdown_chart(scenario, set, &d, what)
+        }
+        FigureData::Table2(rows) => table2_html(scenario, set, &rows),
     }
 }
 
@@ -89,48 +64,30 @@ fn subtitle(scenario: &Scenario, set: &ResultSet) -> String {
     format!("scenario {} · scale {}{spread}", set.scenario, set.scale)
 }
 
-/// Speedup vs threads (Figs. 9–16): per-seed speedups are each seed's
-/// cycles against the label's (mean) serial reference, so the error bar
-/// reflects the spread of the measured runs themselves.
-fn speedup_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+/// Speedup vs threads (Figs. 9–16).
+fn speedup_chart(scenario: &Scenario, set: &ResultSet, d: &Speedup) -> String {
     let mut chart = LineChart::new(&format!("{}: {}", set.scenario, set.title))
-        .theme(theme)
         .subtitle(&subtitle(scenario, set))
         .x_label("threads")
         .y_label("speedup over serial")
         .log2_x(true);
-    let schemes = set.schemes();
-    for (li, label) in set.labels().into_iter().enumerate() {
-        let Some(serial) = serial_reference(set, label) else {
-            continue;
-        };
-        for &scheme in &schemes {
+    for (li, l) in d.labels.iter().enumerate() {
+        let Some(series) = &l.series else { continue };
+        for (&scheme, points) in d.schemes.iter().zip(series) {
+            if points.is_empty() {
+                continue;
+            }
             // Color follows the workload label (the entity, one palette
             // slot per label); the scheme rides on the dash pattern, so a
             // label's baseline and CommTM curves read as one family.
-            let mut series = Series::new(&series_name(label, scheme, &schemes)).slot(li);
-            if scheme == Scheme::Baseline && schemes.len() > 1 {
-                series = series.dashed("5 4");
+            let mut line = Series::new(&series_name(&l.label, scheme, &d.schemes)).slot(li);
+            if scheme == Scheme::Baseline && d.schemes.len() > 1 {
+                line = line.dashed("5 4");
             }
-            let mut any = false;
-            for &t in &set.thread_counts() {
-                let Some(cycles) = set.seed_values(label, t, scheme, |s| s.total_cycles as f64)
-                else {
-                    continue;
-                };
-                let speedups: Vec<f64> = cycles
-                    .iter()
-                    .filter(|&&c| c > 0.0)
-                    .map(|&c| serial / c)
-                    .collect();
-                if let Some(s) = summarize(&speedups) {
-                    series = series.point_err(t as f64, s.mean, s.stddev);
-                    any = true;
-                }
+            for &(t, s) in points {
+                line = line.point_err(t as f64, s.mean, s.stddev);
             }
-            if any {
-                chart = chart.series(series);
-            }
+            chart = chart.series(line);
         }
     }
     chart.render()
@@ -145,151 +102,51 @@ fn series_name(label: &str, scheme: Scheme, schemes: &[Scheme]) -> String {
     }
 }
 
-/// Fig. 17/18 style: one group per workload, one stacked bar per
-/// (scheme, threads) point, normalized to the label's total at the
-/// normalization point — the same convention as the text report.
-fn breakdown_chart(
-    scenario: &Scenario,
-    set: &ResultSet,
-    theme: palette::Theme,
-    segments: &[&str],
-    what: &str,
-    component: impl Fn(&CellStats, usize) -> f64,
-) -> String {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm_threads = threads.first().copied().unwrap_or(8);
-    let norm = norm_scheme(&schemes);
-    let total = |s: &CellStats| (0..segments.len()).map(|i| component(s, i)).sum::<f64>();
-    let mut chart = BarChart::new(&format!("{}: {}", set.scenario, set.title), segments)
-        .theme(theme)
+/// Figs. 17–19: one group per workload, one stacked bar per (scheme,
+/// threads) point; `what` names the stacked quantity on the y axis.
+fn breakdown_chart(scenario: &Scenario, set: &ResultSet, d: &Breakdown, what: &str) -> String {
+    let mut chart = BarChart::new(&format!("{}: {}", set.scenario, set.title), &d.segments)
         .subtitle(&subtitle(scenario, set))
-        .y_label(&format!(
-            "{what} (normalized to {}@{})",
-            scheme_name(norm),
-            norm_threads
-        ));
-    for label in set.labels() {
-        // No normalization reference (its cells failed) means no honest
-        // way to scale this label's bars — leave the gap rather than
-        // plotting raw counts on a normalized axis.
-        let Some(norm_total) = set.mean_stat(label, norm_threads, norm, total) else {
-            continue;
-        };
-        let norm_total = norm_total.max(1.0);
-        let mut group = BarGroup::new(label);
-        for &t in &threads {
-            for &scheme in &schemes {
-                let values: Option<Vec<f64>> = (0..segments.len())
-                    .map(|i| set.mean_stat(label, t, scheme, |s| component(s, i)))
-                    .collect();
-                let Some(values) = values else { continue };
-                let spread = set
-                    .summary_stat(label, t, scheme, total)
-                    .map_or(0.0, |s: Summary| s.stddev);
-                group = group.bar(Bar::new(
-                    &format!("{}@{t}", scheme_name(scheme)),
-                    values.iter().map(|v| v / norm_total).collect(),
-                    spread / norm_total,
-                ));
-            }
+        .y_label(&format!("{what} ({})", d.caption));
+    for g in &d.groups {
+        let mut group = BarGroup::new(&g.label);
+        for s in &g.stacks {
+            group = group.bar(Bar::new(
+                &format!("{}@{}", scheme_name(s.scheme), s.threads),
+                s.segments.clone(),
+                s.err,
+            ));
         }
-        if !group.bars.is_empty() {
-            chart = chart.group(group);
-        }
-    }
-    chart.render()
-}
-
-/// Fig. 19 style: GETS/GETX/GETU stacks normalized per thread point (the
-/// paper compares schemes at equal thread counts).
-fn gets_chart(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let norm = norm_scheme(&schemes);
-    let mut chart = BarChart::new(
-        &format!("{}: {}", set.scenario, set.title),
-        &["GETS", "GETX", "GETU"],
-    )
-    .theme(theme)
-    .subtitle(&subtitle(scenario, set))
-    .y_label(&format!(
-        "directory GETs (normalized to {} per point)",
-        scheme_name(norm)
-    ));
-    for label in set.labels() {
-        let mut group = BarGroup::new(label);
-        for &t in &threads {
-            // As in breakdown_chart: a missing per-point reference leaves
-            // a gap instead of plotting raw counts on a normalized axis.
-            let Some(norm_total) = set.mean_stat(label, t, norm, |s| s.total_gets() as f64) else {
-                continue;
-            };
-            let norm_total = norm_total.max(1.0);
-            for &scheme in &schemes {
-                let parts = [
-                    set.mean_stat(label, t, scheme, |s| s.gets as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getx as f64),
-                    set.mean_stat(label, t, scheme, |s| s.getu as f64),
-                ];
-                let [Some(gets), Some(getx), Some(getu)] = parts else {
-                    continue;
-                };
-                let spread = set
-                    .summary_stat(label, t, scheme, |s| s.total_gets() as f64)
-                    .map_or(0.0, |s| s.stddev);
-                group = group.bar(Bar::new(
-                    &format!("{}@{t}", scheme_name(scheme)),
-                    vec![gets / norm_total, getx / norm_total, getu / norm_total],
-                    spread / norm_total,
-                ));
-            }
-        }
-        if !group.bars.is_empty() {
-            chart = chart.group(group);
-        }
+        chart = chart.group(group);
     }
     chart.render()
 }
 
 /// Table II as a standalone HTML document: per-workload characteristics,
 /// with a ± column whenever more than one seed was swept.
-fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> String {
+fn table2_html(scenario: &Scenario, set: &ResultSet, rows: &[Table2Row]) -> String {
     let multi_seed = scenario.seeds.len() >= 2;
-    let threads = set.thread_counts();
-    let schemes = set.schemes();
-    let mut rows = String::new();
-    for label in set.labels() {
-        let (Some(&t), Some(&scheme)) = (threads.first(), schemes.first()) else {
-            continue;
-        };
-        let stat = |f: &dyn Fn(&CellStats) -> f64| set.summary_stat(label, t, scheme, f);
-        let Some(commits) = stat(&|s| s.commits as f64) else {
+    let mut html = String::new();
+    for row in rows {
+        let label = commtm_plot::svg::esc(&row.label);
+        let Some(stats) = &row.stats else {
             let _ = writeln!(
-                rows,
-                "<tr><td>{}</td><td colspan=\"5\" class=\"err\">failed</td></tr>",
-                commtm_plot::svg::esc(label)
+                html,
+                "<tr><td>{label}</td><td colspan=\"5\" class=\"err\">failed</td></tr>"
             );
             continue;
         };
-        let cell = |s: Option<Summary>| -> String {
-            let Some(s) = s else { return "—".into() };
+        let [commits, aborts, gathers, reductions, labeled] = stats.map(|s| {
             if multi_seed && s.stddev > 0.0 {
                 format!("{:.1} ± {:.1}", s.mean, s.stddev)
             } else {
                 format!("{:.1}", s.mean)
             }
-        };
-        let frac = stat(&|s| 100.0 * s.labeled_fraction);
+        });
         let _ = writeln!(
-            rows,
-            "<tr><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}</td><td>{}%</td></tr>",
-            commtm_plot::svg::esc(label),
-            cell(Some(commits)),
-            cell(stat(&|s| s.aborts as f64)),
-            cell(stat(&|s| s.gathers as f64)),
-            cell(stat(&|s| s.reductions as f64)),
-            cell(frac),
+            html,
+            "<tr><td>{label}</td><td>{commits}</td><td>{aborts}</td><td>{gathers}</td>\
+             <td>{reductions}</td><td>{labeled}%</td></tr>",
         );
     }
     html_table(
@@ -297,9 +154,8 @@ fn table2_html(scenario: &Scenario, set: &ResultSet, theme: palette::Theme) -> S
         &subtitle(scenario, set),
         "<th>workload</th><th>commits</th><th>aborts</th>\
          <th>gathers</th><th>reductions</th><th>labeled ops</th>",
-        &rows,
+        &html,
         "",
-        theme,
     )
 }
 
@@ -310,7 +166,7 @@ const TABLE1_TITLE: &str = "Table I: configuration of the simulated system";
 /// configuration, read from [`ProtoConfig::paper`] and its mesh.
 /// Every grid cell builds this machine, with as many active cores as the
 /// cell has threads.
-pub fn table1_html(theme: palette::Theme) -> String {
+pub fn table1_html() -> String {
     let c = ProtoConfig::paper();
     let rows = format!(
         "<tr><td>Cores</td><td>{cores} cores, IPC-1 except on L1 misses (simulated)</td></tr>\n\
@@ -344,21 +200,13 @@ pub fn table1_html(theme: palette::Theme) -> String {
         "<th>component</th><th>configuration</th>",
         &rows,
         "th, td { text-align: left; }\n",
-        theme,
     )
 }
 
 /// A standalone HTML document holding one table: `head` is the header
 /// row's `<th>` cells, `rows` the rendered `<tr>` lines and `css` is
 /// appended to the shared style sheet.
-fn html_table(
-    title: &str,
-    sub_line: &str,
-    head: &str,
-    rows: &str,
-    css: &str,
-    theme: palette::Theme,
-) -> String {
+fn html_table(title: &str, sub_line: &str, head: &str, rows: &str, css: &str) -> String {
     format!(
         "<!DOCTYPE html>\n<html lang=\"en\"><head><meta charset=\"utf-8\">\n\
          <title>{title}</title>\n<style>\n\
@@ -377,10 +225,10 @@ fn html_table(
         title = commtm_plot::svg::esc(title),
         sub_line = commtm_plot::svg::esc(sub_line),
         font = palette::FONT,
-        surface = theme.surface,
-        ink = theme.ink,
-        sub = theme.ink_secondary,
-        grid = theme.grid,
+        surface = palette::SURFACE,
+        ink = palette::INK,
+        sub = palette::INK_SECONDARY,
+        grid = palette::GRID,
     )
 }
 
@@ -389,30 +237,27 @@ fn html_table(
 /// segment per abort cause observed anywhere in the sweep (causes use the
 /// stable `AbortKind::name` spellings). Counts are summed over seed
 /// replicas — this is an attribution census, not a normalized comparison.
-/// Returns `None` when no cell carries a trace (the sweep ran with
-/// tracing off).
+/// `summaries` is index-aligned with the set's cells (`None` for a cell
+/// without a trace). Returns `None` when no cell carries a trace (the
+/// sweep ran with tracing off).
 pub fn abort_causes_figure(
     scenario: &Scenario,
     set: &ResultSet,
-    theme: palette::Theme,
+    summaries: &[Option<TraceSummary>],
 ) -> Option<String> {
-    let summaries: Vec<(usize, crate::trace::TraceSummary)> = set
+    let traced: Vec<(&crate::spec::Cell, &TraceSummary)> = set
         .cells
         .iter()
-        .enumerate()
-        .filter_map(|(i, c)| {
-            c.trace
-                .as_ref()
-                .map(|t| (i, crate::trace::summarize_trace(t)))
-        })
+        .zip(summaries)
+        .filter_map(|(c, s)| Some((&c.cell, s.as_ref()?)))
         .collect();
-    if summaries.is_empty() {
+    if traced.is_empty() {
         return None;
     }
     // The segment list is the union of observed causes, in first-seen
     // order over the deterministic cell order.
     let mut causes: Vec<String> = Vec::new();
-    for (_, s) in &summaries {
+    for (_, s) in &traced {
         for k in s.abort_causes.keys() {
             if !causes.contains(k) {
                 causes.push(k.clone());
@@ -426,7 +271,6 @@ pub fn abort_causes_figure(
     }
     let segments: Vec<&str> = causes.iter().map(String::as_str).collect();
     let mut chart = BarChart::new(&format!("{}: abort causes", set.scenario), &segments)
-        .theme(theme)
         .subtitle(&subtitle(scenario, set))
         .y_label("aborts by attributed cause (sum over seeds)");
     for label in set.labels() {
@@ -435,8 +279,7 @@ pub fn abort_causes_figure(
             for &scheme in &set.schemes() {
                 let mut values = vec![0.0; causes.len()];
                 let mut any = false;
-                for (i, s) in &summaries {
-                    let c = &set.cells[*i].cell;
+                for (c, s) in &traced {
                     if c.label == label && c.threads == t && c.scheme == scheme {
                         any = true;
                         for (ci, name) in causes.iter().enumerate() {

@@ -27,11 +27,12 @@
 //!   mean ± stddev aggregation ([`results::Summary`]), JSON export and
 //!   baseline diffing for regression gating,
 //! - [`scenarios`]: built-in definitions reproducing Figs. 9–19 and
-//!   Table II, [`report`]: figure-style text rendering with the
-//!   original harness's shape checks, and [`figures`]: the actual
-//!   charts — SVG speedup curves and stacked breakdowns (via
-//!   [`commtm_plot`]) plus Table II as HTML, with error bars whenever
-//!   a scenario sweeps ≥ 2 seeds.
+//!   Table II, [`report`]: each figure's numbers
+//!   ([`report::figure_data`]) and their text rendering with the
+//!   original harness's shape checks, and [`figures`]: the same numbers
+//!   drawn as the actual charts — SVG speedup curves and stacked
+//!   breakdowns (via [`commtm_plot`]) plus Table II as HTML, with error
+//!   bars whenever a scenario sweeps ≥ 2 seeds.
 //!
 //! # Example
 //!

@@ -385,10 +385,30 @@ impl ResultSet {
         })
     }
 
-    /// The raw per-seed values of one statistic for one (label, threads,
+    /// The statistics of every seed replica of one (label, threads,
     /// scheme) point, in seed order; `None` if the point has no cells or
     /// any seed replica failed (a partial distribution would silently
     /// bias the aggregate).
+    pub fn seed_stats(
+        &self,
+        label: &str,
+        threads: usize,
+        scheme: commtm::Scheme,
+    ) -> Option<Vec<&CellStats>> {
+        let stats: Option<Vec<&CellStats>> = self
+            .cells
+            .iter()
+            .filter(|c| {
+                c.cell.label == label && c.cell.threads == threads && c.cell.scheme == scheme
+            })
+            .map(|c| c.stats.as_ref())
+            .collect();
+        stats.filter(|s| !s.is_empty())
+    }
+
+    /// The raw per-seed values of one statistic for one (label, threads,
+    /// scheme) point, in seed order; `None` under the same conditions as
+    /// [`ResultSet::seed_stats`].
     pub fn seed_values(
         &self,
         label: &str,
@@ -396,20 +416,12 @@ impl ResultSet {
         scheme: commtm::Scheme,
         f: impl Fn(&CellStats) -> f64,
     ) -> Option<Vec<f64>> {
-        let points: Vec<&CellResult> = self
-            .cells
-            .iter()
-            .filter(|c| {
-                c.cell.label == label && c.cell.threads == threads && c.cell.scheme == scheme
-            })
-            .collect();
-        if points.is_empty() {
-            return None;
-        }
-        points
-            .iter()
-            .map(|p| p.stats.as_ref().map(&f))
-            .collect::<Option<Vec<f64>>>()
+        Some(
+            self.seed_stats(label, threads, scheme)?
+                .into_iter()
+                .map(f)
+                .collect(),
+        )
     }
 
     /// Mean ± stddev of one statistic over seeds for one (label, threads,
@@ -425,22 +437,11 @@ impl ResultSet {
         summarize(&self.seed_values(label, threads, scheme, f)?)
     }
 
-    /// Mean of one statistic over seeds for one (label, threads, scheme)
-    /// point; `None` if the point has no cells or any seed replica failed.
-    pub fn mean_stat(
-        &self,
-        label: &str,
-        threads: usize,
-        scheme: commtm::Scheme,
-        f: impl Fn(&CellStats) -> f64,
-    ) -> Option<f64> {
-        self.summary_stat(label, threads, scheme, f).map(|s| s.mean)
-    }
-
     /// Mean total-cycles over seeds for one (label, threads, scheme)
     /// point; `None` if any seed replica failed.
     pub fn mean_cycles(&self, label: &str, threads: usize, scheme: commtm::Scheme) -> Option<f64> {
-        self.mean_stat(label, threads, scheme, |s| s.total_cycles as f64)
+        self.summary_stat(label, threads, scheme, |s| s.total_cycles as f64)
+            .map(|s| s.mean)
     }
 
     /// Distinct workload labels, in cell order.

@@ -366,15 +366,20 @@ pub fn trace_to_json(trace: &Trace) -> Json {
 
 /// The side-car trace artifact for one traced sweep (`<name>.trace.json`):
 /// every cell that carries a trace, with its full event stream and its
-/// [`TraceSummary`]. The document matches the committed
+/// [`TraceSummary`] (`summaries` is index-aligned with the set's cells,
+/// `None` for a cell without a trace). The document matches the committed
 /// [`TRACE_SCHEMA`] (`commtm-lab trace-validate` checks it).
-pub fn trace_file_json(set: &crate::results::ResultSet) -> Json {
+pub fn trace_file_json(
+    set: &crate::results::ResultSet,
+    summaries: &[Option<TraceSummary>],
+) -> Json {
     let cells: Vec<Json> = set
         .cells
         .iter()
-        .filter_map(|c| {
+        .zip(summaries)
+        .filter_map(|(c, summary)| {
             let trace = c.trace.as_ref()?;
-            let summary = summarize_trace(trace);
+            let summary = summary.as_ref()?;
             Some(Json::obj(vec![
                 ("workload", Json::Str(c.cell.workload.clone())),
                 ("label", Json::Str(c.cell.label.clone())),
@@ -386,7 +391,7 @@ pub fn trace_file_json(set: &crate::results::ResultSet) -> Json {
                 ("seed_index", Json::U64(c.cell.seed_index as u64)),
                 ("seed", Json::U64(c.cell.seed)),
                 ("trace", trace_to_json(trace)),
-                ("summary", summary_to_json(&summary)),
+                ("summary", summary_to_json(summary)),
             ]))
         })
         .collect();

@@ -78,8 +78,7 @@ fn multi_scenario_run_matches_each_scenario_alone() {
     assert_eq!(sets.len(), scenarios.len());
 
     let dir = tmp("multi");
-    let theme = figures::theme_by_name("light").unwrap();
-    assert!(batch::emit_report(&dir, &scenarios, &sets, theme).unwrap());
+    assert!(batch::emit_report(&dir, &scenarios, &sets).unwrap());
     for (scenario, set) in scenarios.iter().zip(&sets) {
         let alone = run_scenario(scenario, &opts).unwrap();
         assert!(alone.all_ok(), "{}", scenario.name);
@@ -119,8 +118,7 @@ fn twin_cells_carry_their_own_cell() {
 
     // Each twin's results file carries its own labels.
     let dir = tmp("twins");
-    let theme = figures::theme_by_name("light").unwrap();
-    assert!(batch::emit_report(&dir, &scenarios, &sets, theme).unwrap());
+    assert!(batch::emit_report(&dir, &scenarios, &sets).unwrap());
     assert!(read(&dir, "twin-a.json").contains("\"label\": \"twin-a\""));
     assert!(!read(&dir, "twin-a.json").contains("twin-b"));
     assert!(read(&dir, "twin-b.json").contains("\"label\": \"twin-b\""));
@@ -132,8 +130,7 @@ fn duplicate_scenario_names_are_rejected_before_writing() {
     let scenarios = [twin("twin-a"), twin("twin-a")];
     let sets = run_scenarios_in(registry::global(), &scenarios, &ExecOptions::default()).unwrap();
     let dir = tmp("duplicates");
-    let theme = figures::theme_by_name("light").unwrap();
-    let err = batch::emit_report(&dir, &scenarios, &sets, theme).unwrap_err();
+    let err = batch::emit_report(&dir, &scenarios, &sets).unwrap_err();
     assert!(err.contains("duplicate scenario name \"twin-a\""), "{err}");
     assert!(!dir.exists(), "nothing is written");
 }

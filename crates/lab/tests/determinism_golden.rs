@@ -26,7 +26,7 @@ use std::path::PathBuf;
 
 use commtm_lab::exec::{run_scenario_serial, run_scenarios_in, ExecOptions};
 use commtm_lab::spec::{Scenario, WorkloadSpec};
-use commtm_lab::{batch, figures, json, registry, scenarios, ResultSet};
+use commtm_lab::{batch, json, registry, scenarios, ResultSet};
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -137,9 +137,7 @@ fn assert_grid_fingerprint(grid: &str, scenario: Scenario, expected: &str) {
         run_scenarios_in(reg, &scenarios, &ExecOptions::default()).expect("pinned grid runs");
     assert!(sets[0].all_ok(), "{grid}: every cell must complete");
     let in_memory = fingerprint(&sets[0]);
-
-    let theme = figures::theme_by_name("light").expect("the light theme exists");
-    batch::emit_report(&dir, &scenarios, &sets, theme).expect("report writes");
+    batch::emit_report(&dir, &scenarios, &sets).expect("report writes");
     let written = std::fs::read_to_string(dir.join(format!("{}.json", scenarios[0].name)))
         .expect("results file reads");
     let _ = std::fs::remove_dir_all(&dir);

@@ -118,43 +118,10 @@ fn table2_matches_golden() {
 /// no simulation.
 #[test]
 fn table1_matches_golden() {
-    use commtm_lab::figures::{table1_html, theme_by_name};
-    let html = table1_html(theme_by_name("light").expect("light theme"));
+    use commtm_lab::figures::table1_html;
+    let html = table1_html();
     assert!(html.contains("<td>128 cores, IPC-1 except on L1 misses (simulated)</td>"));
     assert_golden("table1.html", &html);
-}
-
-/// The dark theme re-skins every surface and ink while leaving the data
-/// geometry untouched: same polylines and markers, different colors. The
-/// light golden files above stay the compatibility anchor; this pins the
-/// dark variant's essentials without a second golden set.
-#[test]
-fn dark_theme_reskins_without_moving_data() {
-    use commtm_lab::figures::{render_figure_themed, theme_by_name};
-    let (scn, set) = golden_scenario(ReportKind::Speedup);
-    let light = render_figure(&scn, &set);
-    let dark = render_figure_themed(&scn, &set, theme_by_name("dark").expect("dark theme"));
-    assert_ne!(light, dark, "the theme must change the rendering");
-    assert!(dark.contains("fill=\"#15161a\""), "dark surface present");
-    assert!(
-        !dark.contains("#fcfcfb"),
-        "no light-surface color leaks into the dark rendering"
-    );
-    // Geometry (every polyline path) is identical between themes.
-    let points = |svg: &str| -> Vec<String> {
-        svg.lines()
-            .filter(|l| l.contains("<polyline"))
-            .map(|l| {
-                l.split("points=\"")
-                    .nth(1)
-                    .and_then(|r| r.split('"').next())
-                    .unwrap_or_default()
-                    .to_string()
-            })
-            .collect()
-    };
-    assert_eq!(points(&light), points(&dark), "themes must not move data");
-    assert!(theme_by_name("nope").is_none());
 }
 
 /// Rendering is a pure function of the result set: rendering twice from

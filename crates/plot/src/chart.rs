@@ -92,7 +92,6 @@ pub struct LineChart {
     log2_x: bool,
     plot_width: f64,
     plot_height: f64,
-    theme: palette::Theme,
 }
 
 impl LineChart {
@@ -107,15 +106,7 @@ impl LineChart {
             log2_x: false,
             plot_width: 440.0,
             plot_height: 280.0,
-            theme: palette::Theme::light(),
         }
-    }
-
-    /// Sets the color theme (light by default; see
-    /// [`palette::Theme::dark`]).
-    pub fn theme(mut self, theme: palette::Theme) -> Self {
-        self.theme = theme;
-        self
     }
 
     /// Sets the secondary title line.
@@ -156,8 +147,8 @@ impl LineChart {
         let height = MARGIN_TOP + self.plot_height + MARGIN_BOTTOM;
         let (left, top) = (MARGIN_LEFT, MARGIN_TOP);
         let (right, bottom) = (left + self.plot_width, top + self.plot_height);
-        let mut doc = Doc::new(width, height, self.theme.surface);
-        title_block(&mut doc, &self.theme, &self.title, &self.subtitle);
+        let mut doc = Doc::new(width, height, palette::SURFACE);
+        title_block(&mut doc, &self.title, &self.subtitle);
 
         let log2 = self.log2_x
             && self
@@ -191,28 +182,28 @@ impl LineChart {
         for &t in &y_ticks {
             let y = sy.map(t);
             if t > 0.0 {
-                doc.line(left, y, right, y, self.theme.grid, 1.0);
+                doc.line(left, y, right, y, palette::GRID, 1.0);
             }
             doc.text(
                 left - 8.0,
                 y + 3.5,
                 &fmt_tick(t),
-                self.theme.ink_muted,
+                palette::INK_MUTED,
                 11.0,
                 "end",
                 "",
                 0.0,
             );
         }
-        doc.line(left, bottom, right, bottom, self.theme.axis, 1.0);
+        doc.line(left, bottom, right, bottom, palette::AXIS, 1.0);
         for &x in &xs {
             let xp = sx.map(tx(x));
-            doc.line(xp, bottom, xp, bottom + 4.0, self.theme.axis, 1.0);
+            doc.line(xp, bottom, xp, bottom + 4.0, palette::AXIS, 1.0);
             doc.text(
                 xp,
                 bottom + 17.0,
                 &fmt_tick(x),
-                self.theme.ink_muted,
+                palette::INK_MUTED,
                 11.0,
                 "middle",
                 "",
@@ -221,7 +212,6 @@ impl LineChart {
         }
         axis_titles(
             &mut doc,
-            &self.theme,
             &self.x_label,
             &self.y_label,
             (left + right) / 2.0,
@@ -231,7 +221,7 @@ impl LineChart {
 
         // Series: error bars under lines, lines under markers.
         for (i, s) in self.series.iter().enumerate() {
-            let color = self.theme.series_color(s.slot.unwrap_or(i));
+            let color = palette::series_color(s.slot.unwrap_or(i));
             let pts: Vec<(f64, f64)> = s
                 .points
                 .iter()
@@ -252,7 +242,7 @@ impl LineChart {
             }
             for (p, &(xp, yp)) in s.points.iter().zip(&pts) {
                 let title = format!("{}: x={} y={:.3} ±{:.3}", s.name, fmt_tick(p.x), p.y, p.err);
-                doc.marker(xp, yp, 3.5, color, self.theme.surface, &title);
+                doc.marker(xp, yp, 3.5, color, palette::SURFACE, &title);
             }
         }
 
@@ -262,18 +252,18 @@ impl LineChart {
             let lx = right + 24.0;
             for (i, s) in self.series.iter().enumerate() {
                 let y = top + 6.0 + i as f64 * LEGEND_ROW;
-                let color = self.theme.series_color(s.slot.unwrap_or(i));
+                let color = palette::series_color(s.slot.unwrap_or(i));
                 if s.dash.is_empty() {
                     doc.line(lx, y, lx + 18.0, y, color, 2.0);
                 } else {
                     doc.polyline(&[(lx, y), (lx + 18.0, y)], color, 2.0, &s.dash);
                 }
-                doc.marker(lx + 9.0, y, 3.0, color, self.theme.surface, "");
+                doc.marker(lx + 9.0, y, 3.0, color, palette::SURFACE, "");
                 doc.text(
                     lx + 26.0,
                     y + 3.5,
                     &s.name,
-                    self.theme.ink_secondary,
+                    palette::INK_SECONDARY,
                     11.0,
                     "",
                     "",
@@ -345,7 +335,6 @@ pub struct BarChart {
     segment_names: Vec<String>,
     groups: Vec<BarGroup>,
     plot_height: f64,
-    theme: palette::Theme,
 }
 
 impl BarChart {
@@ -359,15 +348,7 @@ impl BarChart {
             segment_names: segment_names.iter().map(|s| s.to_string()).collect(),
             groups: Vec::new(),
             plot_height: 280.0,
-            theme: palette::Theme::light(),
         }
-    }
-
-    /// Sets the color theme (light by default; see
-    /// [`palette::Theme::dark`]).
-    pub fn theme(mut self, theme: palette::Theme) -> Self {
-        self.theme = theme;
-        self
     }
 
     /// Sets the secondary title line.
@@ -404,8 +385,8 @@ impl BarChart {
         let height = MARGIN_TOP + self.plot_height + MARGIN_BOTTOM + 16.0;
         let (left, top) = (MARGIN_LEFT, MARGIN_TOP);
         let (right, bottom) = (left + plot_width, top + self.plot_height);
-        let mut doc = Doc::new(width, height, self.theme.surface);
-        title_block(&mut doc, &self.theme, &self.title, &self.subtitle);
+        let mut doc = Doc::new(width, height, palette::SURFACE);
+        title_block(&mut doc, &self.title, &self.subtitle);
 
         let y_max = self
             .groups
@@ -420,29 +401,21 @@ impl BarChart {
         for &t in &y_ticks {
             let y = sy.map(t);
             if t > 0.0 {
-                doc.line(left, y, right, y, self.theme.grid, 1.0);
+                doc.line(left, y, right, y, palette::GRID, 1.0);
             }
             doc.text(
                 left - 8.0,
                 y + 3.5,
                 &fmt_tick(t),
-                self.theme.ink_muted,
+                palette::INK_MUTED,
                 11.0,
                 "end",
                 "",
                 0.0,
             );
         }
-        doc.line(left, bottom, right, bottom, self.theme.axis, 1.0);
-        axis_titles(
-            &mut doc,
-            &self.theme,
-            "",
-            &self.y_label,
-            0.0,
-            0.0,
-            (top + bottom) / 2.0,
-        );
+        doc.line(left, bottom, right, bottom, palette::AXIS, 1.0);
+        axis_titles(&mut doc, "", &self.y_label, 0.0, 0.0, (top + bottom) / 2.0);
 
         let mut x = left;
         for group in &self.groups {
@@ -472,7 +445,7 @@ impl BarChart {
                             y1 + gap,
                             BAR_W,
                             h,
-                            self.theme.series_color(si),
+                            palette::series_color(si),
                             "seg",
                             &title,
                         );
@@ -484,14 +457,14 @@ impl BarChart {
                         x + BAR_W / 2.0,
                         sy.map((base - bar.err).max(0.0)),
                         sy.map(base + bar.err),
-                        self.theme.ink_secondary,
+                        palette::INK_SECONDARY,
                     );
                 }
                 doc.text(
                     x + BAR_W / 2.0 + 3.0,
                     bottom + 10.0,
                     &bar.label,
-                    self.theme.ink_muted,
+                    palette::INK_MUTED,
                     9.5,
                     "end",
                     "",
@@ -503,7 +476,7 @@ impl BarChart {
                 (group_start + x - BAR_GAP) / 2.0,
                 bottom + 52.0,
                 &group.label,
-                self.theme.ink_secondary,
+                palette::INK_SECONDARY,
                 11.5,
                 "middle",
                 "600",
@@ -518,12 +491,12 @@ impl BarChart {
             let lx = right + 24.0;
             for (i, name) in self.segment_names.iter().enumerate() {
                 let y = top + i as f64 * LEGEND_ROW;
-                doc.rect(lx, y, 12.0, 12.0, self.theme.series_color(i), "", "");
+                doc.rect(lx, y, 12.0, 12.0, palette::series_color(i), "", "");
                 doc.text(
                     lx + 18.0,
                     y + 10.0,
                     name,
-                    self.theme.ink_secondary,
+                    palette::INK_SECONDARY,
                     11.0,
                     "",
                     "",
@@ -536,31 +509,32 @@ impl BarChart {
 }
 
 /// Writes the shared title/subtitle block.
-fn title_block(doc: &mut Doc, theme: &palette::Theme, title: &str, subtitle: &str) {
-    doc.text(16.0, 26.0, title, theme.ink, 15.0, "", "600", 0.0);
+fn title_block(doc: &mut Doc, title: &str, subtitle: &str) {
+    doc.text(16.0, 26.0, title, palette::INK, 15.0, "", "600", 0.0);
     if !subtitle.is_empty() {
-        doc.text(16.0, 44.0, subtitle, theme.ink_secondary, 11.5, "", "", 0.0);
+        doc.text(
+            16.0,
+            44.0,
+            subtitle,
+            palette::INK_SECONDARY,
+            11.5,
+            "",
+            "",
+            0.0,
+        );
     }
 }
 
 /// Writes the axis titles: x centered below the plot, y rotated along the
 /// left edge.
 #[allow(clippy::too_many_arguments)] // thin wrapper over text placement
-fn axis_titles(
-    doc: &mut Doc,
-    theme: &palette::Theme,
-    x_label: &str,
-    y_label: &str,
-    x_mid: f64,
-    x_y: f64,
-    y_mid: f64,
-) {
+fn axis_titles(doc: &mut Doc, x_label: &str, y_label: &str, x_mid: f64, x_y: f64, y_mid: f64) {
     if !x_label.is_empty() {
         doc.text(
             x_mid,
             x_y,
             x_label,
-            theme.ink_muted,
+            palette::INK_MUTED,
             11.5,
             "middle",
             "",
@@ -572,7 +546,7 @@ fn axis_titles(
             16.0,
             y_mid,
             y_label,
-            theme.ink_muted,
+            palette::INK_MUTED,
             11.5,
             "middle",
             "",

@@ -1,4 +1,6 @@
-//! Chart colors: a validated categorical palette plus chrome inks.
+//! Chart colors: a validated categorical palette plus chrome inks, the
+//! one color scheme every chart, table and report index uses (a light
+//! surface).
 //!
 //! The categorical order is a CVD-safety mechanism, not cosmetics: the
 //! sequence was validated so that every *adjacent* pair (the pairs that
@@ -35,21 +37,6 @@ pub const AXIS: &str = "#c3c2b7";
 /// The font stack used by every text element.
 pub const FONT: &str = "system-ui, -apple-system, sans-serif";
 
-/// Categorical series colors for the dark surface: the same hue order as
-/// [`SERIES`], lightened so every slot keeps contrast against
-/// [`Theme::dark`]'s near-black surface (and adjacent pairs stay
-/// distinguishable under common CVD, same rationale as the light set).
-pub const SERIES_DARK: [&str; 8] = [
-    "#6ea8f7", // blue
-    "#f58a57", // orange
-    "#34d39a", // aqua
-    "#f7b733", // yellow
-    "#f094bb", // magenta
-    "#4cc04c", // green
-    "#9488e8", // violet
-    "#f37170", // red
-];
-
 /// The categorical color for series slot `index`.
 ///
 /// Indices beyond the palette clamp to the last slot rather than cycling
@@ -57,79 +44,6 @@ pub const SERIES_DARK: [&str; 8] = [
 /// while a clamped one is at least visibly wrong in the legend.
 pub fn series_color(index: usize) -> &'static str {
     SERIES[index.min(SERIES.len() - 1)]
-}
-
-/// A complete chart color scheme: surface, chrome inks, and the
-/// categorical series set. The module-level constants are
-/// [`Theme::light`], which every chart uses by default; the dark variant
-/// serves reports embedded on dark surfaces (`commtm-lab run --theme
-/// dark`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Theme {
-    /// Chart surface (background) color.
-    pub surface: &'static str,
-    /// Primary ink: titles.
-    pub ink: &'static str,
-    /// Secondary ink: subtitles, legend text, error bars on stacks.
-    pub ink_secondary: &'static str,
-    /// Muted ink: axis tick labels and axis titles.
-    pub ink_muted: &'static str,
-    /// Hairline gridlines.
-    pub grid: &'static str,
-    /// Axis baseline.
-    pub axis: &'static str,
-    /// Categorical series colors, in fixed assignment order.
-    pub series: [&'static str; 8],
-}
-
-impl Theme {
-    /// The default light scheme (the module-level constants).
-    pub fn light() -> Self {
-        Theme {
-            surface: SURFACE,
-            ink: INK,
-            ink_secondary: INK_SECONDARY,
-            ink_muted: INK_MUTED,
-            grid: GRID,
-            axis: AXIS,
-            series: SERIES,
-        }
-    }
-
-    /// The dark scheme: near-black surface, light inks, brightened
-    /// series colors ([`SERIES_DARK`]).
-    pub fn dark() -> Self {
-        Theme {
-            surface: "#15161a",
-            ink: "#f2f1ed",
-            ink_secondary: "#b9b7b0",
-            ink_muted: "#8b897f",
-            grid: "#2a2c33",
-            axis: "#4a4c55",
-            series: SERIES_DARK,
-        }
-    }
-
-    /// The categorical color for series slot `index` under this theme
-    /// (clamping, as [`series_color`]).
-    pub fn series_color(&self, index: usize) -> &'static str {
-        self.series[index.min(self.series.len() - 1)]
-    }
-
-    /// Looks a theme up by name (`"light"` / `"dark"`).
-    pub fn by_name(name: &str) -> Option<Self> {
-        match name {
-            "light" => Some(Theme::light()),
-            "dark" => Some(Theme::dark()),
-            _ => None,
-        }
-    }
-}
-
-impl Default for Theme {
-    fn default() -> Self {
-        Theme::light()
-    }
 }
 
 #[cfg(test)]
