@@ -3,10 +3,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
-use commtm_mem::CoreId;
+use commtm_mem::{Addr, CoreId};
 use commtm_protocol::{AbortKind, AccessOp, MemOp, MemSystem};
 use commtm_tx::{
-    Block, BlockRunner, Ctl, CtlCtx, Env, MemPort, OpResult, Program, StepOutcome, TxOp, UserState,
+    Block, BlockRunner, Ctl, CtlCtx, Env, MemPort, OpKind, Program, StepOutcome, UserState,
 };
 
 use crate::stats::CoreStats;
@@ -414,9 +414,10 @@ fn backoff_window(cfg: &HtmConfig, attempts: u32) -> u64 {
     window.max(2)
 }
 
-/// Adapter mapping [`TxOp`]s to protocol accesses, applying label demotion
-/// and recording the self-abort cause. It charges the cycles of each
-/// operation a pass goes on from (see [`MemPort::advance`]) to the core.
+/// Adapter mapping block operations to protocol accesses, applying label
+/// demotion and recording the self-abort cause. It charges the cycles of
+/// each operation a pass goes on from (see [`MemPort::advance`]) to the
+/// core.
 struct EnginePort<'a> {
     sys: &'a mut MemSystem,
     core: CoreId,
@@ -431,60 +432,51 @@ struct EnginePort<'a> {
 }
 
 impl MemPort for EnginePort<'_> {
-    fn op(&mut self, op: TxOp) -> OpResult {
-        let (mem_op, addr) = match op {
-            TxOp::Load(a) => {
+    fn op(&mut self, kind: OpKind, addr: Addr, value: u64, latency: &mut u64) -> Option<u64> {
+        let mem_op = match kind {
+            OpKind::Load => {
                 self.stats.plain_ops += 1;
-                (MemOp::Load, a)
+                MemOp::Load
             }
-            TxOp::Store(a, v) => {
+            OpKind::Store => {
                 self.stats.plain_ops += 1;
-                (MemOp::Store(v), a)
+                MemOp::Store(value)
             }
-            TxOp::LoadL(l, a) => {
+            OpKind::LoadL(l) => {
                 self.stats.labeled_ops += 1;
-                (
-                    if self.demote {
-                        MemOp::Load
-                    } else {
-                        MemOp::LoadL(l)
-                    },
-                    a,
-                )
+                if self.demote {
+                    MemOp::Load
+                } else {
+                    MemOp::LoadL(l)
+                }
             }
-            TxOp::StoreL(l, a, v) => {
+            OpKind::StoreL(l) => {
                 self.stats.labeled_ops += 1;
-                (
-                    if self.demote {
-                        MemOp::Store(v)
-                    } else {
-                        MemOp::StoreL(l, v)
-                    },
-                    a,
-                )
+                if self.demote {
+                    MemOp::Store(value)
+                } else {
+                    MemOp::StoreL(l, value)
+                }
             }
-            TxOp::Gather(l, a) => {
+            OpKind::Gather(l) => {
                 self.stats.labeled_ops += 1;
                 self.stats.gather_ops += 1;
-                (
-                    if self.demote {
-                        MemOp::Load
-                    } else {
-                        MemOp::Gather(l)
-                    },
-                    a,
-                )
+                if self.demote {
+                    MemOp::Load
+                } else {
+                    MemOp::Gather(l)
+                }
             }
         };
         if self.sys.tracer().is_enabled() {
             // Record the *issued* operation (pre-demotion), so traces under
             // the baseline scheme still show which accesses were labeled.
-            let (trace_op, labeled) = match op {
-                TxOp::Load(_) => (AccessOp::Load, false),
-                TxOp::Store(..) => (AccessOp::Store, false),
-                TxOp::LoadL(..) => (AccessOp::LoadL, true),
-                TxOp::StoreL(..) => (AccessOp::StoreL, true),
-                TxOp::Gather(..) => (AccessOp::Gather, true),
+            let (trace_op, labeled) = match kind {
+                OpKind::Load => (AccessOp::Load, false),
+                OpKind::Store => (AccessOp::Store, false),
+                OpKind::LoadL(_) => (AccessOp::LoadL, true),
+                OpKind::StoreL(_) => (AccessOp::StoreL, true),
+                OpKind::Gather(_) => (AccessOp::Gather, true),
             };
             self.sys.tracer_mut().access(
                 addr.raw(),
@@ -494,14 +486,15 @@ impl MemPort for EnginePort<'_> {
                 labeled && self.demote,
             );
         }
+        // `access` inlines here, so its outcome stays in registers.
         let acc = self.sys.access(self.core, mem_op, addr);
-        if let Some(k) = acc.self_abort {
-            *self.abort_cause = Some(k);
-        }
-        OpResult {
-            value: acc.value,
-            latency: acc.latency,
-            aborted: acc.self_abort.is_some(),
+        *latency = acc.latency;
+        match acc.self_abort {
+            Some(k) => {
+                *self.abort_cause = Some(k);
+                None
+            }
+            None => Some(acc.value),
         }
     }
 

@@ -14,7 +14,8 @@
 //!   seed's speedup against the label's (mean) serial reference;
 //! - a breakdown stack is divided by the label's reference total (its
 //!   normalization point), and a label or point whose reference failed
-//!   is left out — a gap, never raw counts on a normalized axis;
+//!   or totals 0 is left out — a gap, never raw counts on a normalized
+//!   axis;
 //! - Table II has one row per workload label, read at the first swept
 //!   (threads, scheme) point.
 
@@ -88,7 +89,7 @@ pub struct Stack {
     /// Per-segment means over seeds, as raw counts (the shape checks
     /// compare these).
     pub means: Vec<f64>,
-    /// [`Stack::means`] divided by the reference total (at least 1).
+    /// [`Stack::means`] divided by the reference total (never 0).
     pub segments: Vec<f64>,
     /// Sample stddev over seeds of the stack total, divided by the
     /// reference total.
@@ -242,10 +243,14 @@ fn breakdown_data(
         let mut stacks = Vec::new();
         for &t in &threads {
             let reference = if per_point { t } else { norm_threads };
-            let Some(norm) = set.seed_stats(label, reference, norm_scheme) else {
+            // A reference that failed or totals 0 normalizes nothing.
+            let Some(norm) = set
+                .seed_stats(label, reference, norm_scheme)
+                .map(|norm| over_seeds(&norm, total).mean)
+                .filter(|&norm| norm > 0.0)
+            else {
                 continue;
             };
-            let norm = over_seeds(&norm, total).mean.max(1.0);
             for &scheme in &schemes {
                 let Some(stats) = set.seed_stats(label, t, scheme) else {
                     continue;
@@ -661,7 +666,7 @@ mod tests {
 
     /// The counter grid whose serial cells hit the cycle limit: the text
     /// report and the figure must leave out the same points.
-    fn assert_text_and_figure_share_gaps(report: ReportKind, schemes: &[Scheme], gap: &str) {
+    fn assert_cycle_limited_gaps(report: ReportKind, schemes: &[Scheme], gap: &str) {
         let mut scn = Scenario::new("gap", "cycle limit")
             .workload(WorkloadSpec::named("counter").param("total_incs", 4000))
             .threads(&[1, 8])
@@ -670,8 +675,15 @@ mod tests {
         scn.tuning.max_cycles = Some(50_000);
         let set = run_scenario(&scn, &ExecOptions::default()).unwrap();
         assert!(!set.all_ok(), "the serial cells hit the cycle limit");
-        let text = render(&scn, &set);
-        let svg = crate::figures::render_figure(&scn, &set);
+        assert_text_and_figure_share_gaps(&scn, &set, gap);
+    }
+
+    /// `gap`, a `scheme@threads` point, is missing from the text report,
+    /// and every point of `scn`'s grid is in the text iff it is in the
+    /// figure.
+    fn assert_text_and_figure_share_gaps(scn: &Scenario, set: &ResultSet, gap: &str) {
+        let text = render(scn, set);
+        let svg = crate::figures::render_figure(scn, set);
         let in_text = |point: &str| {
             let (scheme, threads) = point.split_once('@').unwrap();
             text.lines().any(|l| {
@@ -681,8 +693,8 @@ mod tests {
         };
         let in_svg = |point: &str| svg.contains(&format!(">{point}</text>"));
         assert!(!in_text(gap), "{gap} has no reference:\n{text}");
-        for &scheme in schemes {
-            for t in [1, 8] {
+        for &scheme in &scn.schemes {
+            for &t in &scn.threads {
                 let point = format!("{}@{t}", scheme_name(scheme));
                 assert_eq!(in_text(&point), in_svg(&point), "{point}:\n{text}\n{svg}");
             }
@@ -692,21 +704,38 @@ mod tests {
     #[test]
     fn cycle_breakdown_without_its_reference_leaves_the_same_gap_as_the_figure() {
         // commtm@1, the normalization point, fails; commtm@8 completes.
-        assert_text_and_figure_share_gaps(
-            ReportKind::CycleBreakdown,
-            &[Scheme::CommTm],
-            "commtm@8",
-        );
+        assert_cycle_limited_gaps(ReportKind::CycleBreakdown, &[Scheme::CommTm], "commtm@8");
     }
 
     #[test]
     fn gets_breakdown_without_its_reference_leaves_the_same_gap_as_the_figure() {
         // baseline@8, commtm@8's per-point reference, fails.
-        assert_text_and_figure_share_gaps(
+        assert_cycle_limited_gaps(
             ReportKind::GetsBreakdown,
             &[Scheme::Baseline, Scheme::CommTm],
             "commtm@8",
         );
+    }
+
+    #[test]
+    fn wasted_breakdown_with_a_zero_reference_leaves_the_same_gap_as_the_figure() {
+        // One thread never aborts, so baseline@1 wastes no cycle: the
+        // reference total is 0, and baseline@2's waste has nothing to be
+        // normalized to.
+        let scn = Scenario::new("gap", "zero reference")
+            .workload(WorkloadSpec::named("counter").param("total_incs", 120))
+            .threads(&[1, 2])
+            .seeds(&[11])
+            .report(ReportKind::WastedBreakdown);
+        let set = run_scenario(&scn, &ExecOptions::default()).unwrap();
+        assert!(set.all_ok());
+        let wasted = |t| {
+            set.seed_stats("counter", t, Scheme::Baseline)
+                .map(|s| s[0].wasted.iter().sum::<u64>())
+        };
+        assert_eq!(wasted(1), Some(0), "one thread wastes nothing");
+        assert!(wasted(2) > Some(0), "two threads conflict");
+        assert_text_and_figure_share_gaps(&scn, &set, "baseline@2");
     }
 
     #[test]

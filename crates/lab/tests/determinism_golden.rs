@@ -3,7 +3,7 @@
 //! A pinned scenario's full canonical results JSON (every cycle count,
 //! abort, and per-cell protocol counter — everything except host
 //! wall-clock) is compared byte-for-byte against a committed golden file,
-//! and three pinned grids must reproduce their committed fingerprints and
+//! and four pinned grids must reproduce their committed fingerprints and
 //! work counters.
 //!
 //! These are the tests that let hot-path refactors claim "same seeds in,
@@ -180,6 +180,23 @@ fn list_quick_fingerprint_is_pinned() {
     assert_grid_fingerprint("list-quick", scn, "f6dc1424eea45c0a");
 }
 
+/// Top-K insertion and k-means, threads 1/8/16, scale 1: the grid that
+/// replays the most. A pass here replays 12 log entries on average,
+/// against at most 1.7 in the grids above, so extra replay work shows
+/// in this grid's counters first.
+fn replay_heavy() -> Scenario {
+    Scenario::new("replay-heavy", "replay-heavy grid")
+        .workload(WorkloadSpec::named("topk"))
+        .workload(WorkloadSpec::named("kmeans"))
+        .threads(&[1, 8, 16])
+        .seeds(&[0xC0FFEE])
+}
+
+#[test]
+fn replay_heavy_fingerprint_is_pinned() {
+    assert_grid_fingerprint("replay-heavy", replay_heavy(), "0df23de577c12bbe");
+}
+
 /// The deterministic counters the fingerprint leaves out, index-aligned
 /// with [`work_counters`]: host scheduling and replay work (scheduler
 /// steps, closure passes and the log entries they replay), the cache
@@ -319,6 +336,29 @@ fn list_quick_work_counters_are_pinned() {
             876_765,     // l1_misses
             2_819,       // l2_hits
             873_946,     // l2_misses
+        ],
+    );
+}
+
+#[test]
+fn replay_heavy_work_counters_are_pinned() {
+    assert_work_counters(
+        "replay-heavy",
+        replay_heavy(),
+        [
+            427_216,   // steps
+            427_166,   // passes
+            5_189_551, // replayed_entries
+            807_292,   // l1_probes
+            641_995,   // l2_probes
+            50_021,    // l3_probes
+            3_731_013, // backoff_cycles
+            22_658,    // invalidations
+            5_301,     // writebacks
+            566_653,   // l1_hits
+            45_171,    // l1_misses
+            0,         // l2_hits
+            45_171,    // l2_misses
         ],
     );
 }

@@ -192,6 +192,7 @@ impl MemSystem {
     ///
     /// Panics if `addr` is not word-aligned, or on API misuse (gather on a
     /// label with no splitter).
+    #[inline]
     pub fn access(&mut self, core: CoreId, op: MemOp, addr: Addr) -> AccessOutcome {
         let mut acc = Acc {
             requester: core,

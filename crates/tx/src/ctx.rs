@@ -4,7 +4,7 @@ use std::any::Any;
 
 use commtm_mem::{Addr, LabelId};
 
-use crate::runner::{Defer, Env, LogEntry, MemPort, PassResult, RegUndo, TxOp};
+use crate::runner::{Defer, Env, LogEntry, MemPort, OpKind, PassResult, RegUndo};
 
 /// The context a [`crate::Block::Tx`] or [`crate::Block::Plain`] closure
 /// runs against: simulated memory operations, registers, read-only user
@@ -62,29 +62,34 @@ impl<'a, 'p> TxCtx<'a, 'p> {
     }
 
     /// Conventional load.
+    #[inline]
     pub fn load(&mut self, addr: Addr) -> u64 {
-        self.issue(TxOp::Load(addr))
+        self.issue(OpKind::Load, addr, 0)
     }
 
     /// Conventional store.
+    #[inline]
     pub fn store(&mut self, addr: Addr, value: u64) {
-        self.issue(TxOp::Store(addr, value));
+        self.issue(OpKind::Store, addr, value);
     }
 
     /// Labeled load (`load[L]`, paper Sec. III-A).
+    #[inline]
     pub fn load_l(&mut self, label: LabelId, addr: Addr) -> u64 {
-        self.issue(TxOp::LoadL(label, addr))
+        self.issue(OpKind::LoadL(label), addr, 0)
     }
 
     /// Labeled store (`store[L]`).
+    #[inline]
     pub fn store_l(&mut self, label: LabelId, addr: Addr, value: u64) {
-        self.issue(TxOp::StoreL(label, addr, value));
+        self.issue(OpKind::StoreL(label), addr, value);
     }
 
     /// Gather request (`load_gather[L]`, paper Sec. IV). Returns the local
     /// value after donations are merged in.
+    #[inline]
     pub fn load_gather(&mut self, label: LabelId, addr: Addr) -> u64 {
-        self.issue(TxOp::Gather(label, addr))
+        self.issue(OpKind::Gather(label), addr, 0)
     }
 
     /// Models `cycles` of non-memory computation at this point in the
@@ -97,24 +102,19 @@ impl<'a, 'p> TxCtx<'a, 'p> {
 
     /// A memoized random draw: logged like an operation, so replays see the
     /// same value. Restarted blocks draw fresh values.
+    #[inline]
     pub fn rand(&mut self) -> u64 {
         if self.aborted || self.blocked {
             return 0;
         }
-        if self.pos < self.log.len() {
-            let LogEntry::Rand(v) = self.log[self.pos] else {
-                panic!(
-                    "nondeterministic block: expected rand at replay position {}",
-                    self.pos
-                )
-            };
-            self.pos += 1;
-            return v;
+        match self.log.get(self.pos) {
+            Some(&LogEntry::Rand(v)) => {
+                self.pos += 1;
+                v
+            }
+            Some(LogEntry::Op { .. }) => expected_rand(self.pos),
+            None => self.draw(),
         }
-        let v = self.port.rand();
-        self.log.push(LogEntry::Rand(v));
-        self.pos += 1;
-        v
     }
 
     /// A memoized random draw in `0..bound`.
@@ -168,25 +168,34 @@ impl<'a, 'p> TxCtx<'a, 'p> {
         self.aborted
     }
 
-    fn issue(&mut self, op: TxOp) -> u64 {
+    /// The replay check, inlined into every operation: a pass replays its
+    /// log before its first new operation, so most calls end here.
+    #[inline(always)]
+    fn issue(&mut self, kind: OpKind, addr: Addr, value: u64) -> u64 {
         if self.aborted || self.blocked {
             return 0;
         }
-        if self.pos < self.log.len() {
-            let LogEntry::Op(logged, value) = self.log[self.pos] else {
-                panic!(
-                    "nondeterministic block: expected an operation at position {}",
-                    self.pos
-                )
-            };
-            assert_eq!(
-                logged, op,
-                "nondeterministic block: operation diverged at replay position {}",
-                self.pos
-            );
-            self.pos += 1;
-            return value;
+        match self.log.get(self.pos) {
+            Some(&LogEntry::Op {
+                kind: k,
+                addr: a,
+                value: v,
+                result,
+            }) => {
+                if (k, a, v) != (kind, addr, value) {
+                    diverged(self.pos, (k, a, v), (kind, addr, value));
+                }
+                self.pos += 1;
+                result
+            }
+            Some(LogEntry::Rand(_)) => expected_op(self.pos),
+            None => self.perform(kind, addr, value),
         }
+    }
+
+    /// Performs a new operation, past the end of the log.
+    #[inline(never)]
+    fn perform(&mut self, kind: OpKind, addr: Addr, value: u64) -> u64 {
         if self.performed_new {
             // The step that performed the previous new operation ends
             // here. Charge it and go on if the port allows; otherwise
@@ -198,17 +207,50 @@ impl<'a, 'p> TxCtx<'a, 'p> {
             }
             self.work_charged = self.work_seen;
         }
-        let res = self.port.op(op);
         self.performed_new = true;
-        self.op_latency = res.latency;
-        if res.aborted {
+        let Some(result) = self.port.op(kind, addr, value, &mut self.op_latency) else {
             self.aborted = true;
             return 0;
-        }
-        self.log.push(LogEntry::Op(op, res.value));
+        };
+        self.log.push(LogEntry::Op {
+            kind,
+            addr,
+            value,
+            result,
+        });
         self.pos += 1;
-        res.value
+        result
     }
+
+    /// Draws a new random word, past the end of the log.
+    #[inline(never)]
+    fn draw(&mut self) -> u64 {
+        let v = self.port.rand();
+        self.log.push(LogEntry::Rand(v));
+        self.pos += 1;
+        v
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn expected_op(pos: usize) -> ! {
+    panic!("nondeterministic block: expected an operation at position {pos}")
+}
+
+#[cold]
+#[inline(never)]
+fn expected_rand(pos: usize) -> ! {
+    panic!("nondeterministic block: expected rand at replay position {pos}")
+}
+
+#[cold]
+#[inline(never)]
+fn diverged(pos: usize, logged: (OpKind, Addr, u64), issued: (OpKind, Addr, u64)) -> ! {
+    panic!(
+        "nondeterministic block: operation diverged at replay position {pos}: \
+         logged {logged:?}, issued {issued:?}"
+    )
 }
 
 impl std::fmt::Debug for TxCtx<'_, '_> {

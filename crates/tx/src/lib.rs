@@ -69,4 +69,4 @@ mod runner;
 
 pub use ctx::{CtlCtx, TxCtx};
 pub use program::{Block, BlockFn, Ctl, CtlFn, Program, ProgramBuilder};
-pub use runner::{BlockRunner, Env, MemPort, OpResult, StepOutcome, TxOp, UserState};
+pub use runner::{BlockRunner, Env, MemPort, OpKind, StepOutcome, UserState};

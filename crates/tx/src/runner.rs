@@ -8,37 +8,36 @@ use commtm_mem::{Addr, LabelId};
 use crate::ctx::TxCtx;
 use crate::program::BlockFn;
 
-/// One simulated memory operation, as issued by block closures.
+/// What a simulated memory operation does. The address it acts on and
+/// the value a store writes travel beside it, so that an operation
+/// crosses [`MemPort::op`] in registers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TxOp {
+pub enum OpKind {
     /// Conventional load.
-    Load(Addr),
+    Load,
     /// Conventional store.
-    Store(Addr, u64),
+    Store,
     /// Labeled load.
-    LoadL(LabelId, Addr),
+    LoadL(LabelId),
     /// Labeled store.
-    StoreL(LabelId, Addr, u64),
+    StoreL(LabelId),
     /// Gather request.
-    Gather(LabelId, Addr),
-}
-
-/// What the memory system reported for one operation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OpResult {
-    /// Loaded (or echoed) value.
-    pub value: u64,
-    /// Cycles beyond the 1-cycle issue cost.
-    pub latency: u64,
-    /// The enclosing transaction must abort and restart.
-    pub aborted: bool,
+    Gather(LabelId),
 }
 
 /// The memory interface a block runner drives. Implemented by the HTM
 /// engine on top of the protocol crate; tests use in-memory mocks.
 pub trait MemPort {
-    /// Performs one operation.
-    fn op(&mut self, op: TxOp) -> OpResult;
+    /// Performs one operation of `kind` at `addr`; `value` is the word a
+    /// store writes (0 for the other kinds). Sets `latency` to the cycles
+    /// the operation took beyond the 1-cycle issue cost, and returns the
+    /// loaded (or echoed) value, or `None` if the enclosing transaction
+    /// must abort and restart.
+    ///
+    /// The value and the abort come back in two registers; the latency,
+    /// which the runner reads only at its next operation, is written
+    /// where the runner keeps it.
+    fn op(&mut self, kind: OpKind, addr: Addr, value: u64, latency: &mut u64) -> Option<u64>;
     /// Called when a pass reaches a new operation after already having
     /// performed one: the step that performed it took `cycles` (issue,
     /// latency and `work` since the last charge). Returning `true` charges
@@ -124,8 +123,14 @@ impl fmt::Debug for Env {
 /// An entry in the replay log.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum LogEntry {
-    /// A performed memory operation and its result value.
-    Op(TxOp, u64),
+    /// A performed memory operation (as passed to [`MemPort::op`]) and
+    /// the value it returned.
+    Op {
+        kind: OpKind,
+        addr: Addr,
+        value: u64,
+        result: u64,
+    },
     /// A memoized randomness draw.
     Rand(u64),
 }

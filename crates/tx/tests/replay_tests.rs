@@ -7,43 +7,42 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use commtm_mem::{Addr, LabelId};
-use commtm_tx::{BlockFn, BlockRunner, Env, MemPort, OpResult, StepOutcome, TxCtx, TxOp};
+use commtm_tx::{BlockFn, BlockRunner, Env, MemPort, OpKind, StepOutcome, TxCtx};
 use proptest::prelude::*;
+
+/// One operation as a port receives it: kind, address and stored value.
+type Op = (OpKind, Addr, u64);
+
+/// Performs `kind` on a flat word map: loads read it, stores write
+/// `value` and echo it.
+fn flat_op(mem: &mut HashMap<u64, u64>, kind: OpKind, addr: Addr, value: u64) -> u64 {
+    match kind {
+        OpKind::Load | OpKind::LoadL(_) | OpKind::Gather(_) => *mem.get(&addr.raw()).unwrap_or(&0),
+        OpKind::Store | OpKind::StoreL(_) => {
+            mem.insert(addr.raw(), value);
+            value
+        }
+    }
+}
 
 /// A mock memory: flat word map, fixed 3-cycle latency, scriptable aborts.
 #[derive(Default)]
 struct MockPort {
     mem: HashMap<u64, u64>,
-    ops: Vec<TxOp>,
+    ops: Vec<Op>,
     abort_on_op: Option<usize>,
     rng_next: u64,
 }
 
 impl MemPort for MockPort {
-    fn op(&mut self, op: TxOp) -> OpResult {
+    fn op(&mut self, kind: OpKind, addr: Addr, value: u64, latency: &mut u64) -> Option<u64> {
         let n = self.ops.len();
-        self.ops.push(op);
+        self.ops.push((kind, addr, value));
+        *latency = 3;
         if self.abort_on_op == Some(n) {
-            return OpResult {
-                value: 0,
-                latency: 3,
-                aborted: true,
-            };
+            return None;
         }
-        let value = match op {
-            TxOp::Load(a) | TxOp::LoadL(_, a) | TxOp::Gather(_, a) => {
-                *self.mem.get(&a.raw()).unwrap_or(&0)
-            }
-            TxOp::Store(a, v) | TxOp::StoreL(_, a, v) => {
-                self.mem.insert(a.raw(), v);
-                v
-            }
-        };
-        OpResult {
-            value,
-            latency: 3,
-            aborted: false,
-        }
+        Some(flat_op(&mut self.mem, kind, addr, value))
     }
 
     fn rand(&mut self) -> u64 {
@@ -86,7 +85,11 @@ fn one_new_op_per_step() {
     // Exactly three real operations hit the port, in program order.
     assert_eq!(
         port.ops,
-        vec![TxOp::Load(A), TxOp::Store(B, 8), TxOp::Store(A, 9)]
+        vec![
+            (OpKind::Load, A, 0),
+            (OpKind::Store, B, 8),
+            (OpKind::Store, A, 9)
+        ]
     );
     assert_eq!(port.mem[&B.raw()], 8);
 }
@@ -276,6 +279,97 @@ fn pointer_chase_terminates_under_zero_reads() {
     assert_eq!(env.regs[0], 3);
 }
 
+/// One entry of a block under the divergence tests, returning what it
+/// read (0 for a store).
+type Action = fn(&mut TxCtx<'_, '_>) -> u64;
+
+const L: LabelId = LabelId::new(1);
+
+fn store(t: &mut TxCtx<'_, '_>, addr: Addr, value: u64) -> u64 {
+    t.store(addr, value);
+    0
+}
+
+fn store_l(t: &mut TxCtx<'_, '_>, addr: Addr, value: u64) -> u64 {
+    t.store_l(L, addr, value);
+    0
+}
+
+/// Runs three passes of a block whose second entry is `logged` on the
+/// first two passes, which log it, and `replayed` on the third, which
+/// replays it. Returns the message the third pass panics with.
+fn divergence_panic(logged: Action, replayed: Action) -> String {
+    let mut port = MockPort::default();
+    let mut env = Env::new(1, std::cell::Cell::new(0u64));
+    let mut runner = BlockRunner::new();
+    let blk = body(move |t| {
+        let passes = t.user::<std::cell::Cell<u64>>();
+        passes.set(passes.get() + 1);
+        let pass = passes.get();
+        t.load(A);
+        if pass < 3 {
+            logged(t);
+        } else {
+            replayed(t);
+        }
+        t.load(B);
+        t.load(B);
+    });
+    for _ in 0..2 {
+        assert!(matches!(
+            runner.step(&blk, &mut env, &mut port),
+            StepOutcome::Yield { .. }
+        ));
+    }
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        runner.step(&blk, &mut env, &mut port)
+    }))
+    .expect_err("the third pass replays a different entry");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .expect("a formatted panic message")
+}
+
+#[test]
+fn every_operation_kind_is_checked_on_replay() {
+    let cases: [(&str, Action, Action); 8] = [
+        ("load", |t| t.load(A), |t| t.load(B)),
+        ("store", |t| store(t, A, 1), |t| store(t, B, 1)),
+        ("store value", |t| store(t, A, 1), |t| store(t, A, 2)),
+        ("load_l", |t| t.load_l(L, A), |t| t.load_l(L, B)),
+        (
+            "label",
+            |t| t.load_l(L, A),
+            |t| t.load_l(LabelId::new(2), A),
+        ),
+        ("store_l", |t| store_l(t, A, 1), |t| store_l(t, B, 1)),
+        ("gather", |t| t.load_gather(L, A), |t| t.load_gather(L, B)),
+        ("kind", |t| t.load(A), |t| t.load_l(L, A)),
+    ];
+    for (case, logged, replayed) in cases {
+        let msg = divergence_panic(logged, replayed);
+        assert!(
+            msg.contains("nondeterministic block: operation diverged at replay position 1"),
+            "{case}: {msg}"
+        );
+    }
+}
+
+#[test]
+fn an_operation_where_a_draw_was_logged_panics_and_the_reverse() {
+    let msg = divergence_panic(|t| t.rand(), |t| t.load(A));
+    assert!(
+        msg.contains("nondeterministic block: expected an operation at position 1"),
+        "{msg}"
+    );
+    let msg = divergence_panic(|t| t.load(A), |t| t.rand());
+    assert!(
+        msg.contains("nondeterministic block: expected rand at replay position 1"),
+        "{msg}"
+    );
+}
+
 #[test]
 #[should_panic(expected = "nondeterministic block")]
 fn divergent_replay_panics() {
@@ -327,7 +421,11 @@ fn labeled_ops_flow_through_port() {
     ) {}
     assert_eq!(
         port.ops,
-        vec![TxOp::LoadL(l, A), TxOp::StoreL(l, A, 1), TxOp::Gather(l, A)]
+        vec![
+            (OpKind::LoadL(l), A, 0),
+            (OpKind::StoreL(l), A, 1),
+            (OpKind::Gather(l), A, 0)
+        ]
     );
 }
 
@@ -424,7 +522,7 @@ struct SchedPort {
     abort_on_op: Option<usize>,
     draws: u64,
     /// Each operation performed, with the clock at which it issued.
-    issued: Vec<(TxOp, u64)>,
+    issued: Vec<(Op, u64)>,
 }
 
 impl SchedPort {
@@ -443,31 +541,14 @@ impl SchedPort {
 }
 
 impl MemPort for SchedPort {
-    fn op(&mut self, op: TxOp) -> OpResult {
+    fn op(&mut self, kind: OpKind, addr: Addr, value: u64, latency: &mut u64) -> Option<u64> {
         let n = self.issued.len();
-        self.issued.push((op, self.clock));
-        let latency = 2 + (n as u64 * 7) % 11;
+        self.issued.push(((kind, addr, value), self.clock));
+        *latency = 2 + (n as u64 * 7) % 11;
         if self.abort_on_op == Some(n) {
-            return OpResult {
-                value: 0,
-                latency,
-                aborted: true,
-            };
+            return None;
         }
-        let value = match op {
-            TxOp::Load(a) | TxOp::LoadL(_, a) | TxOp::Gather(_, a) => {
-                *self.mem.get(&a.raw()).unwrap_or(&0)
-            }
-            TxOp::Store(a, v) | TxOp::StoreL(_, a, v) => {
-                self.mem.insert(a.raw(), v);
-                v
-            }
-        };
-        OpResult {
-            value,
-            latency,
-            aborted: false,
-        }
+        Some(flat_op(&mut self.mem, kind, addr, value))
     }
 
     fn advance(&mut self, cycles: u64) -> bool {
@@ -491,7 +572,7 @@ const START_REGS: [u64; 4] = [5, 0, 7, 11];
 /// Everything a run of one block attempt leaves behind.
 #[derive(Debug, PartialEq)]
 struct Attempt {
-    issued: Vec<(TxOp, u64)>,
+    issued: Vec<(Op, u64)>,
     cycles: u64,
     regs: Vec<u64>,
     defers: Vec<u64>,
